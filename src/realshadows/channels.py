@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import MeasurementBasis, computational_basis
-from .linalg import antisym_part, as_operator, operators_close, sym_part
+from .linalg import antisym_part, as_operator, batched_kron, operators_close, sym_part
 from . import sampling
 
 GROUPS = ("unitary", "orthogonal")
@@ -310,11 +310,7 @@ def mc_channel(rng: "sampling.RngStream", spec: EnsembleSpec, a, samples: int, b
         if spec.scope == "global":
             u = arrays
         else:
-            u = arrays[:, 0]
-            for j in range(1, spec.n):
-                u = np.einsum("sab,scd->sacbd", u, arrays[:, j]).reshape(
-                    b, u.shape[1] * 2, u.shape[2] * 2
-                )
+            u = batched_kron([arrays[:, j] for j in range(spec.n)])
         # rows[s, w, i] = <w| U_s |i>
         rows = np.einsum("iw,sij->swj", basis.conj(), u)
         weights = np.einsum("swi,ij,swj->sw", rows, m, rows.conj())

@@ -22,7 +22,7 @@ from .channels import (
     visible_dimension,
 )
 from .commutant import closed_form_twirl, mc_twirl, twirl_project
-from .engine import ConfigError, ExperimentConfig, build_observable, run_experiment
+from .engine import ConfigError, ExperimentConfig, run_experiment
 from .linalg import kron
 from .sampling import RngStream, haar_state_vector, random_pure_state
 from .variance import (
@@ -82,20 +82,6 @@ def _load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args)
-    spec = config.ensemble_spec()
-    if not config.allow_bias:
-        from .engine import _has_invisible_component
-
-        desc = channel_for(spec)
-        for obs_dict in config.observables:
-            oid, obs = build_observable(obs_dict, config.n)
-            if _has_invisible_component(desc, obs):
-                print(
-                    f"error: observable {oid!r} has components outside the visible space "
-                    "of this ensemble; rerun with --allow-bias to estimate its visible part",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
     reports, _ = run_experiment(config)
     for r in reports:
         print(

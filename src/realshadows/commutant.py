@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import as_operator
+from .linalg import as_operator, batched_kron
 from .sampling import RngStream, haar_orthogonals, haar_unitaries
 
 #: Relative singular-value cutoff for the Gram pseudo-inverse.  The Brauer
@@ -246,15 +246,6 @@ class MonteCarloTwirl:
     samples: int
 
 
-def _kron_power_batch(u: np.ndarray, k: int) -> np.ndarray:
-    out = u
-    for _ in range(k - 1):
-        s, da, _ = out.shape
-        db = u.shape[1]
-        out = np.einsum("sab,scd->sacbd", out, u).reshape(s, da * db, da * db)
-    return out
-
-
 def mc_twirl(
     rng: RngStream, a, group: str = "O", k: int = 2, samples: int = 10000, batch_size: int = 2048
 ) -> MonteCarloTwirl:
@@ -279,7 +270,7 @@ def mc_twirl(
             u = haar_unitaries(rng, d, b)
         else:
             raise ValueError(f"unknown group {group!r}")
-        w = _kron_power_batch(u, k)
+        w = batched_kron([u] * k)
         x = w @ m @ w.conj().transpose(0, 2, 1)
         total += x.sum(axis=0)
         total_sq += (np.abs(x) ** 2).sum(axis=0)

@@ -1,9 +1,10 @@
 """The sample -> measure -> invert -> estimate pipeline with median-of-means.
 
-Shots are stored compactly: a record is (sampled transform, outcome), which is
-sufficient to reconstruct the classical shadow deterministically.  Batched
-array storage (ShadowRecords) keeps 1e5-shot runs cheap; individual
-ShadowRecord views are materialized on demand.
+A shot is stored as its measured vector v = U^dag|w>, which is all any
+estimator reads: Tr[O M^-1(|v><v|)] = v^dag M^-1(O) v.  ShadowRecords holds
+(S, d) vectors for global ensembles and (S, n, 2) per-qubit vectors for local
+ones, whose Kronecker product is the full v.  Every shot is drawn by one Born
+function, from the factor Psi of rho = Psi Psi^dag.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -24,21 +24,17 @@ from .channels import (
     pseudo_inverse,
     visible_projector,
 )
-from .linalg import as_operator, identity, kron, norm2, sym_part
+from .linalg import as_operator, batched_kron, identity, norm2
 from .pauli import PAULIS, PauliString
-from .sampling import (
-    RNG_ALGORITHM,
-    RngStream,
-    SampledTransform,
-    sample_transform_arrays,
-)
+from .sampling import RNG_ALGORITHM, RngStream, sample_transform_arrays
 
-#: Born probabilities may undershoot zero by at most this much before being
-#: clipped; larger violations signal upstream corruption.
-_PROB_CLIP = -1e-12
 _PROB_SUM_TOL = 1e-6
 
-#: Element budget per chunk when materializing full product unitaries.
+#: Eigenvalues of rho at or below this are rounding noise of a lower-rank
+#: state; dropping them keeps the factor Psi one column wide for pure states.
+_RANK_TOL = 1e-12
+
+#: Element budget per chunk of amplitude or full-vector arrays.
 _CHUNK_ELEMENTS = 1 << 22
 
 
@@ -46,78 +42,62 @@ class ConfigError(ValueError):
     """An experiment configuration failed schema validation."""
 
 
-@dataclass
-class ShadowRecord:
-    """One (sampled transform, outcome) pair."""
+@dataclass(eq=False)
+class ShadowRecords:
+    """The measured vectors v = U^dag|w> of a batch of shots.
 
-    transform: SampledTransform
-    outcome: int | tuple[int, ...]
-    ensemble: EnsembleSpec
+    `vectors` is (S, d) for global ensembles and (S, n, 2) for local ones,
+    where row j of a shot is the qubit-j vector U_j^dag|b_j>.
+    """
 
-
-class ShadowRecords(Sequence):
-    """A batch of shadow records stored as stacked arrays."""
-
-    def __init__(self, spec: EnsembleSpec, transforms: np.ndarray, outcomes: np.ndarray):
-        self.spec = spec
-        self.transforms = transforms  # (S, d, d) global | (S, n, 2, 2) local
-        self.outcomes = outcomes  # (S,) global | (S, n) local bits
-        self._desc: ChannelDescriptor | None = None
-
-    @property
-    def descriptor(self) -> ChannelDescriptor:
-        if self._desc is None:
-            self._desc = channel_for(self.spec)
-        return self._desc
+    spec: EnsembleSpec
+    vectors: np.ndarray
 
     def __len__(self) -> int:
-        return self.transforms.shape[0]
-
-    def __getitem__(self, s):
-        if isinstance(s, slice):
-            return [self[i] for i in range(*s.indices(len(self)))]
-        if self.spec.scope == "global":
-            transform = SampledTransform("global", [self.transforms[s]], self.spec)
-            outcome: int | tuple[int, ...] = int(self.outcomes[s])
-        else:
-            transform = SampledTransform(
-                "local", [self.transforms[s, j] for j in range(self.spec.n)], self.spec
-            )
-            outcome = tuple(int(b) for b in self.outcomes[s])
-        return ShadowRecord(transform, outcome, self.spec)
+        return self.vectors.shape[0]
 
 
 def validate_state(rho, d: int | None = None) -> np.ndarray:
+    """Check that `rho` is a density matrix and return its factor Psi.
+
+    Psi has shape (d, r) with rho = Psi Psi^dag; its columns are the
+    eigenvectors of rho scaled by the square roots of their eigenvalues.
+    """
     m = as_operator(rho)
     if d is not None and m.shape[0] != d:
         raise ValueError(f"state dimension {m.shape[0]} does not match ensemble dimension {d}")
     if abs(np.trace(m) - 1.0) > 1e-8:
         raise ValueError("state must have unit trace (within 1e-8)")
-    if np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))) < -1e-8:
+    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (m + m.conj().T))
+    if np.min(eigenvalues) < -1e-8:
         raise ValueError("state must be positive semidefinite (within 1e-8)")
-    return m
+    keep = eigenvalues > _RANK_TOL
+    return eigenvectors[:, keep] * np.sqrt(eigenvalues[keep])
 
 
-def _product_unitaries(factors: np.ndarray) -> np.ndarray:
-    """(S, n, 2, 2) local factors -> (S, 2^n, 2^n) product matrices."""
-    u = factors[:, 0]
-    for j in range(1, factors.shape[1]):
-        s, da, _ = u.shape
-        u = np.einsum("sab,scd->sacbd", u, factors[:, j]).reshape(s, da * 2, da * 2)
-    return u
+def _born_probabilities(
+    factor: np.ndarray, transforms: np.ndarray, spec: EnsembleSpec
+) -> np.ndarray:
+    """p[s, w] = sum_k |<w| U_s |psi_k>|^2 for a chunk of sampled transforms.
 
-
-def _born_probabilities(rho: np.ndarray, u: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """p[s, w] = Tr[rho U_s^dag Pi_w U_s] for a chunk of global matrices."""
-    rows = np.einsum("iw,sij->swj", basis.conj(), u)
-    p = np.einsum("swi,ij,swj->sw", rows, rho, rows.conj()).real
+    `factor` is Psi (d, r) with rho = Psi Psi^dag.  Local transforms
+    (S, n, 2, 2) act one 2x2 factor at a time on one qubit axis of Psi, so no
+    product matrix is formed; global ones (S, d, d) take one matmul
+    basis^dag (U Psi).
+    """
+    s = transforms.shape[0]
+    if spec.scope == "global":
+        amp = spec.basis.vectors.conj().T @ (transforms @ factor)
+    else:
+        amp = np.broadcast_to(factor, (s,) + factor.shape)
+        for j in range(spec.n):
+            amp = transforms[:, j, None] @ amp.reshape(s, 2**j, 2, -1)
+        amp = amp.reshape(s, spec.d, -1)
+    p = (amp.real**2 + amp.imag**2).sum(axis=2)
     sums = p.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > _PROB_SUM_TOL):
         raise ValueError("Born probabilities do not sum to one; upstream corruption")
-    if np.min(p) < _PROB_CLIP:
-        raise ValueError("Born probabilities are negative beyond tolerance")
-    p = np.maximum(p, 0.0)
-    return p / p.sum(axis=1, keepdims=True)
+    return p / sums[:, None]
 
 
 def _sample_outcomes(rng: RngStream, p: np.ndarray) -> np.ndarray:
@@ -126,94 +106,58 @@ def _sample_outcomes(rng: RngStream, p: np.ndarray) -> np.ndarray:
     return np.minimum((cum < r).sum(axis=1), p.shape[1] - 1)
 
 
+def _measured_vectors(
+    spec: EnsembleSpec, transforms: np.ndarray, outcomes: np.ndarray
+) -> np.ndarray:
+    """v = U^dag|w> per shot: (S, d) global, (S, n, 2) per-qubit local.
+
+    Outcome indices put qubit 0 in the most-significant bit.
+    """
+    if spec.scope == "global":
+        sel = spec.basis.vectors[:, outcomes].T
+        # the conjugate of the row <w|U
+        return np.einsum("sm,smi->si", sel.conj(), transforms).conj()
+    bits = (outcomes[:, None] >> np.arange(spec.n - 1, -1, -1)) & 1
+    shots = np.arange(outcomes.shape[0])[:, None]
+    return transforms[shots, np.arange(spec.n), bits].conj()
+
+
+def full_vectors(spec: EnsembleSpec, vectors: np.ndarray) -> np.ndarray:
+    """(S, d) measured vectors; local shots join their per-qubit vectors by
+    Kronecker product, qubit 0 leftmost."""
+    if spec.scope == "global":
+        return vectors
+    return batched_kron([vectors[:, j, :, None] for j in range(spec.n)])[:, :, 0]
+
+
 def collect_records(rng: RngStream, rho, spec: EnsembleSpec, shots: int) -> ShadowRecords:
-    """Sample `shots` transforms and measurement outcomes for the state `rho`.
+    """Sample `shots` transforms, Born-sample an outcome for each on the state
+    `rho`, and keep each shot's measured vector.
 
     Transform draws come from rng.child(0), outcome draws from rng.child(1),
     so the two sub-streams are independent and the whole run is reproducible.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
-    m = validate_state(rho, spec.d)
+    factor = validate_state(rho, spec.d)
     transforms = sample_transform_arrays(rng.child(0), spec, shots)
     outcome_rng = rng.child(1)
-    d = spec.d
-    basis = spec.basis.vectors
-    chunk = max(1, _CHUNK_ELEMENTS // (d * d))
-    outcome_idx = np.empty(shots, dtype=np.int64)
+    shape = (shots, spec.d) if spec.scope == "global" else (shots, spec.n, 2)
+    vectors = np.empty(shape, dtype=complex)
+    chunk = max(1, _CHUNK_ELEMENTS // (spec.d * factor.shape[1]))
     for start in range(0, shots, chunk):
-        stop = min(shots, start + chunk)
-        if spec.scope == "global":
-            u = transforms[start:stop]
-        else:
-            u = _product_unitaries(transforms[start:stop])
-        p = _born_probabilities(m, u, basis)
-        outcome_idx[start:stop] = _sample_outcomes(outcome_rng, p)
-    if spec.scope == "global":
-        outcomes = outcome_idx
-    else:
-        shifts = np.arange(spec.n - 1, -1, -1)
-        outcomes = ((outcome_idx[:, None] >> shifts) & 1).astype(np.int64)
-    return ShadowRecords(spec, transforms, outcomes)
+        u = transforms[start : start + chunk]
+        outcomes = _sample_outcomes(outcome_rng, _born_probabilities(factor, u, spec))
+        vectors[start : start + chunk] = _measured_vectors(spec, u, outcomes)
+    return ShadowRecords(spec, vectors)
 
 
-def simulate_measurement(rng: RngStream, rho, t: SampledTransform, basis) -> int | tuple:
-    """Draw one outcome with Born probability Tr[rho U^dag Pi_w U]."""
-    m = validate_state(rho)
-    u = t.matrix[None, :, :]
-    p = _born_probabilities(m, u, np.asarray(basis.vectors, dtype=complex))
-    w = int(_sample_outcomes(rng, p)[0])
-    if t.kind == "local":
-        n = len(t.factors)
-        return tuple((w >> (n - 1 - j)) & 1 for j in range(n))
-    return w
+def shadow_from_vector(spec: EnsembleSpec, v: np.ndarray) -> np.ndarray:
+    """The dense classical shadow M^-1(|v><v|) of one full measured vector.
 
-
-def _single_qubit_inverse(group: str, b: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of the single-qubit channel applied to a 2x2 operator."""
-    sym = sym_part(b)
-    if group == "orthogonal":
-        return 2.0 * sym - (np.trace(sym) / 2.0) * np.eye(2)
-    return 3.0 * b - np.trace(b) * np.eye(2)
-
-
-def shadow_factors(rec: ShadowRecord) -> list[np.ndarray]:
-    """Per-qubit factors of a local classical shadow (no d x d intermediates)."""
-    if rec.transform.kind != "local":
-        raise ValueError("shadow_factors applies to local records")
-    spec = rec.ensemble
-    out = []
-    for j, (u, b) in enumerate(zip(rec.transform.factors, rec.outcome)):
-        proj = np.outer(u.conj()[b], u[b])  # U^dag |b><b| U
-        out.append(_single_qubit_inverse(spec.group_for(j), proj))
-    return out
-
-
-def shadow_from_record(rec: ShadowRecord) -> np.ndarray:
-    """The classical shadow: the channel pseudo-inverse of U^dag Pi_w U."""
-    spec = rec.ensemble
-    if rec.transform.kind == "local":
-        return kron(*shadow_factors(rec))
-    u = rec.transform.factors[0]
-    w = spec.basis.vector(rec.outcome)
-    v = u.conj().T @ w
+    The estimators never form it; it is the reference they are checked against.
+    """
     return pseudo_inverse(channel_for(spec), np.outer(v, v.conj()))
-
-
-def _as_record_batch(records) -> ShadowRecords:
-    if isinstance(records, ShadowRecords):
-        return records
-    records = list(records)
-    if not records:
-        raise ValueError("no records supplied")
-    spec = records[0].ensemble
-    if spec.scope == "global":
-        transforms = np.stack([r.transform.factors[0] for r in records])
-        outcomes = np.array([r.outcome for r in records], dtype=np.int64)
-    else:
-        transforms = np.stack([np.stack(r.transform.factors) for r in records])
-        outcomes = np.array([r.outcome for r in records], dtype=np.int64)
-    return ShadowRecords(spec, transforms, outcomes)
 
 
 def _pauli_inverse_factor(group: str, letter: str) -> np.ndarray | None:
@@ -227,16 +171,15 @@ def _pauli_inverse_factor(group: str, letter: str) -> np.ndarray | None:
     return 3.0 * PAULIS[letter]
 
 
-def per_shot_estimates(records, observable) -> np.ndarray:
-    """o_s = Tr[O rho_s] for every record, without materializing shadows.
+def per_shot_estimates(records: ShadowRecords, observable) -> np.ndarray:
+    """o_s = v_s^dag M^-1(O) v_s for every shot, without materializing shadows.
 
     Pauli strings under local ensembles use the factorized per-qubit fast
     path; everything else contracts the pseudo-inverted observable against
-    the measured projector.
+    the full measured vectors.
     """
-    batch = _as_record_batch(records)
-    spec = batch.spec
-    s_count = len(batch)
+    spec = records.spec
+    s_count = len(records)
     if isinstance(observable, PauliString) and spec.scope == "local":
         if observable.n != spec.n:
             raise ValueError("observable qubit count does not match the ensemble")
@@ -247,40 +190,18 @@ def per_shot_estimates(records, observable) -> np.ndarray:
             tilde = _pauli_inverse_factor(spec.group_for(j), letter)
             if tilde is None:
                 return np.zeros(s_count)
-            rows = np.take_along_axis(
-                batch.transforms[:, j], batch.outcomes[:, j][:, None, None], axis=1
-            )[:, 0, :]
-            values *= np.einsum("sp,pq,sq->s", rows, tilde, rows.conj())
+            v = records.vectors[:, j]
+            values *= np.einsum("sp,pq,sq->s", v.conj(), tilde, v)
         return values.real
     obs = observable.to_matrix() if isinstance(observable, PauliString) else as_operator(observable)
     if obs.shape[0] != spec.d:
         raise ValueError("observable dimension does not match the ensemble")
-    tilde = pseudo_inverse(batch.descriptor, obs)
+    tilde = pseudo_inverse(channel_for(spec), obs)
     values = np.empty(s_count)
-    d = spec.d
-    chunk = max(1, _CHUNK_ELEMENTS // (d * d))
-    basis = spec.basis.vectors
+    chunk = max(1, _CHUNK_ELEMENTS // spec.d)
     for start in range(0, s_count, chunk):
-        stop = min(s_count, start + chunk)
-        if spec.scope == "global":
-            u = batch.transforms[start:stop]
-            sel = basis[:, batch.outcomes[start:stop]].T  # (chunk, d)
-            rows = np.einsum("sm,smi->si", sel.conj(), u)
-        else:
-            rows = np.take_along_axis(
-                batch.transforms[start:stop, 0],
-                batch.outcomes[start:stop, 0][:, None, None],
-                axis=1,
-            )[:, 0, :]
-            for j in range(1, spec.n):
-                nxt = np.take_along_axis(
-                    batch.transforms[start:stop, j],
-                    batch.outcomes[start:stop, j][:, None, None],
-                    axis=1,
-                )[:, 0, :]
-                rows = np.einsum("sa,sb->sab", rows, nxt).reshape(stop - start, -1)
-        # o = v^dag Otilde v with v = U^dag|w>, i.e. v_i = conj(rows_i)
-        values[start:stop] = np.einsum("si,ij,sj->s", rows, tilde, rows.conj()).real
+        v = full_vectors(spec, records.vectors[start : start + chunk])
+        values[start : start + chunk] = np.einsum("si,ij,sj->s", v.conj(), tilde, v).real
     return values
 
 
@@ -324,7 +245,7 @@ def _has_invisible_component(desc: ChannelDescriptor, observable) -> bool:
 
 
 def estimate(
-    records,
+    records: ShadowRecords,
     observable,
     batches: int = 1,
     rho=None,
@@ -335,8 +256,7 @@ def estimate(
     `rho` is the simulation-only true state; when given, the report carries
     the exact predicted variance and the target expectation value.
     """
-    batch = _as_record_batch(records)
-    values = per_shot_estimates(batch, observable)
+    values = per_shot_estimates(records, observable)
     count = values.shape[0]
     if batches > count:
         raise ValueError(f"cannot split {count} records into {batches} batches")
@@ -347,7 +267,7 @@ def estimate(
     predicted_kind = None
     from . import variance  # local import; variance depends on this module
 
-    prediction = variance.predict_variance(batch.spec, observable, rho)
+    prediction = variance.predict_variance(records.spec, observable, rho)
     if prediction is not None:
         predicted = prediction.value
         predicted_kind = prediction.kind
@@ -365,7 +285,7 @@ def estimate(
         predicted_variance=predicted,
         predicted_kind=predicted_kind,
         shots=count,
-        bias_warning=_has_invisible_component(batch.descriptor, observable),
+        bias_warning=_has_invisible_component(channel_for(records.spec), observable),
         target=target,
     )
 
@@ -548,13 +468,23 @@ def write_reports_csv(path: str, reports: list[EstimateReport]) -> None:
 def run_experiment(config: ExperimentConfig, keep_records: bool = False):
     """Run the full pipeline; deterministic given (seed, config).
 
-    All observables are estimated from one shared record set.  Returns
+    All observables are estimated from one shared record set.  An observable
+    with components outside the ensemble's visible space raises ConfigError
+    before any shot is drawn, unless the config allows bias.  Returns
     (reports, records) where records is None unless requested or persisted.
     """
     t0 = time.perf_counter()
     spec = config.ensemble_spec()
     rho = build_state(config.state, config.n)
     observables = [build_observable(o, config.n) for o in config.observables]
+    if not config.allow_bias:
+        desc = channel_for(spec)
+        for oid, obs in observables:
+            if _has_invisible_component(desc, obs):
+                raise ConfigError(
+                    f"observable {oid!r} has components outside the visible space "
+                    "of this ensemble; rerun with --allow-bias to estimate its visible part"
+                )
     records = collect_records(RngStream(config.seed), rho, spec, config.shots)
     reports = [
         estimate(records, obs, config.batches, rho=rho, observable_id=oid)
@@ -594,7 +524,6 @@ def run_experiment(config: ExperimentConfig, keep_records: bool = False):
         np.savez_compressed(
             config.records_out,
             scope=spec.scope,
-            transforms=records.transforms,
-            outcomes=records.outcomes,
+            vectors=records.vectors,
         )
     return reports, (records if (keep_records or config.records_out) else None)

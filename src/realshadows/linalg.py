@@ -55,6 +55,19 @@ def kron(*ops, max_dim: int = MAX_KRON_DIM) -> np.ndarray:
     return out
 
 
+def batched_kron(factors) -> np.ndarray:
+    """Shot-wise Kronecker product of a sequence of (S, a_j, b_j) stacks.
+
+    The first factor is leftmost; the result has shape (S, prod a_j, prod b_j).
+    A stack of vectors enters as (S, a_j, 1).
+    """
+    out = factors[0]
+    for f in factors[1:]:
+        s, a, b = out.shape
+        out = np.einsum("sab,scd->sacbd", out, f).reshape(s, a * f.shape[1], b * f.shape[2])
+    return out
+
+
 def partial_trace_first(a, d1: int) -> np.ndarray:
     """Trace out the first tensor factor of dimension ``d1``."""
     m = np.asarray(a)
@@ -64,22 +77,6 @@ def partial_trace_first(a, d1: int) -> np.ndarray:
         raise ValueError(f"dimension {d} is not divisible by first factor {d1}")
     d2 = d // d1
     return np.einsum("ijik->jk", m.reshape(d1, d2, d1, d2))
-
-
-def transpose(a) -> np.ndarray:
-    return np.asarray(a).T.copy()
-
-
-def conjugate(a) -> np.ndarray:
-    return np.asarray(a).conj()
-
-
-def adjoint(a) -> np.ndarray:
-    return np.asarray(a).conj().T.copy()
-
-
-def trace(a) -> complex:
-    return complex(np.trace(np.asarray(a)))
 
 
 def hs_inner(a, b) -> complex:

@@ -3,12 +3,13 @@
 All randomness flows through RngStream, a thin reproducible wrapper over
 numpy's PCG64 keyed by (seed, stream path).  Haar sampling uses the QR
 decomposition of a Ginibre matrix with the diagonal phase (sign) correction;
-without that correction QR output is not Haar distributed.
+without that correction QR output is not Haar distributed.  Transforms are
+drawn as stacked arrays and consumed by the engine's Born sampling, which
+keeps only each shot's measured vector, not the transform.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -135,25 +136,6 @@ def real_clifford_1q(rng: RngStream) -> np.ndarray:
     return REAL_CLIFFORD_1Q[idx]
 
 
-@dataclass
-class SampledTransform:
-    """One sampled evolution: a global d x d matrix or n local 2 x 2 factors."""
-
-    kind: str  # "global" | "local"
-    factors: list = field(default_factory=list)
-    ensemble: "EnsembleSpec | None" = None
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The full-dimension matrix (kron of factors for local transforms)."""
-        if self.kind == "global":
-            return self.factors[0]
-        out = np.asarray(self.factors[0], dtype=complex)
-        for f in self.factors[1:]:
-            out = np.kron(out, np.asarray(f, dtype=complex))
-        return out
-
-
 def sample_transform_arrays(rng: RngStream, spec: "EnsembleSpec", count: int):
     """Batched raw sampling.
 
@@ -174,16 +156,3 @@ def sample_transform_arrays(rng: RngStream, spec: "EnsembleSpec", count: int):
             factors[:, j] = haar_orthogonals(rng, 2, count)
     return factors
 
-
-def sample_transforms(rng: RngStream, spec: "EnsembleSpec", count: int) -> list[SampledTransform]:
-    arrays = sample_transform_arrays(rng, spec, count)
-    if spec.scope == "global":
-        return [SampledTransform("global", [arrays[s]], spec) for s in range(count)]
-    return [
-        SampledTransform("local", [arrays[s, j] for j in range(spec.n)], spec)
-        for s in range(count)
-    ]
-
-
-def sample_transform(rng: RngStream, spec: "EnsembleSpec") -> SampledTransform:
-    return sample_transforms(rng, spec, 1)[0]

@@ -3,27 +3,29 @@ import json
 import numpy as np
 import pytest
 
-from realshadows.bases import computational_basis, sh_basis
+from realshadows.bases import basis_from_tag, computational_basis, sh_basis
 from realshadows.channels import apply_channel, channel_for, global_ensemble, local_ensemble
 from realshadows.engine import (
     ConfigError,
     ExperimentConfig,
     ShadowRecords,
+    _born_probabilities,
+    _measured_vectors,
+    _sample_outcomes,
     build_observable,
     build_state,
     collect_records,
     estimate,
+    full_vectors,
     median_of_means,
     per_shot_estimates,
     run_experiment,
-    shadow_factors,
-    shadow_from_record,
-    simulate_measurement,
+    shadow_from_vector,
     validate_state,
 )
-from realshadows.linalg import identity, kron, operators_close, sym_part
+from realshadows.linalg import batched_kron, identity, kron, operators_close, sym_part
 from realshadows.pauli import PauliString, X, Y, Z
-from realshadows.sampling import RngStream, SampledTransform, random_pure_state
+from realshadows.sampling import RngStream, random_pure_state, sample_transform_arrays
 from realshadows.variance import random_symmetric_observable
 
 H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -35,37 +37,44 @@ def _proj(v):
     return np.outer(v, v.conj())
 
 
+def _draw(rng, rho, spec, transforms):
+    """Born-sampled outcome indices for explicitly given transforms."""
+    return _sample_outcomes(rng, _born_probabilities(validate_state(rho, spec.d), transforms, spec))
+
+
+def _dense_vectors(records):
+    return full_vectors(records.spec, records.vectors)
+
+
 class TestSimulateMeasurement:
     def test_deterministic_outcome(self):
         spec = global_ensemble("orthogonal", computational_basis(1))
-        t = SampledTransform("global", [identity(2)], spec)
         rho = _proj([1.0, 0.0])
         for seed in range(5):
-            assert simulate_measurement(RngStream(seed), rho, t, spec.basis) == 0
+            assert _draw(RngStream(seed), rho, spec, identity(2)[None])[0] == 0
 
     def test_uniform_for_maximally_mixed(self):
         spec = global_ensemble("orthogonal", computational_basis(2))
-        t = SampledTransform("global", [identity(4)], spec)
-        rng = RngStream(1)
-        counts = np.zeros(4)
         shots = 10000
-        for _ in range(shots):
-            counts[simulate_measurement(rng, identity(4) / 4, t, spec.basis)] += 1
+        transforms = np.broadcast_to(identity(4), (shots, 4, 4))
+        counts = np.bincount(_draw(RngStream(1), identity(4) / 4, spec, transforms), minlength=4)
         se = np.sqrt(0.25 * 0.75 / shots)
         assert np.all(np.abs(counts / shots - 0.25) < 3 * se)
 
     def test_hadamard_rotates_plus_to_zero(self):
         spec = global_ensemble("orthogonal", computational_basis(1))
-        t = SampledTransform("global", [H], spec)
         rho = _proj([1.0, 1.0])
         for seed in range(5):
-            assert simulate_measurement(RngStream(seed), rho, t, spec.basis) == 0
+            assert _draw(RngStream(seed), rho, spec, H[None])[0] == 0
 
     def test_local_outcome_is_bit_tuple(self):
         spec = local_ensemble("orthogonal", 2)
-        t = SampledTransform("local", [identity(2), identity(2)], spec)
+        transforms = np.stack([identity(2), identity(2)])[None]
         rho = _proj(np.kron([0.0, 1.0], [1.0, 0.0]))
-        assert simulate_measurement(RngStream(2), rho, t, spec.basis) == (1, 0)
+        outcomes = _draw(RngStream(2), rho, spec, transforms)
+        assert outcomes[0] == 2  # qubit 0 is the most-significant bit
+        vectors = _measured_vectors(spec, transforms, outcomes)
+        assert np.array_equal(vectors, [[[0.0, 1.0], [1.0, 0.0]]])
 
     def test_rejects_bad_state(self):
         with pytest.raises(ValueError):
@@ -74,33 +83,59 @@ class TestSimulateMeasurement:
             validate_state(np.diag([1.5, -0.5]).astype(complex))  # not PSD
 
     def test_corrupted_probabilities_are_detected(self):
-        from realshadows.engine import _born_probabilities
-
         spec = global_ensemble("orthogonal", computational_basis(1))
-        u = identity(2)[None, :, :]
         with pytest.raises(ValueError, match="sum"):
-            _born_probabilities(identity(2), u, spec.basis.vectors)  # trace 2
+            _born_probabilities(identity(2), identity(2)[None], spec)  # trace 2
+
+
+def _pure_state(seed, d):
+    return random_pure_state(RngStream(seed), d)
+
+
+def _rank2_state(seed, d):
+    return 0.7 * _pure_state(seed, d) + 0.3 * _pure_state(seed + 1, d)
+
+
+class TestBornProbabilities:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("make_state", [_pure_state, _rank2_state])
+    def test_local_matches_dense_product(self, n, make_state):
+        groups = tuple("orthogonal" if j % 2 == 0 else "unitary" for j in range(n))
+        spec = local_ensemble(groups, n)
+        rho = make_state(30 + n, spec.d)
+        factor = validate_state(rho, spec.d)
+        assert operators_close(factor @ factor.conj().T, rho, atol=1e-12)
+        transforms = sample_transform_arrays(RngStream(31), spec, 40)
+        u = batched_kron([transforms[:, j] for j in range(n)])
+        dense = np.einsum("swi,ij,swj->sw", u, rho, u.conj()).real
+        assert np.max(np.abs(_born_probabilities(factor, transforms, spec) - dense)) <= 1e-12
+
+    @pytest.mark.parametrize("tag", ["computational", "sh", "random:5"])
+    @pytest.mark.parametrize("group", ["orthogonal", "unitary"])
+    @pytest.mark.parametrize("make_state", [_pure_state, _rank2_state])
+    def test_global_matches_dense(self, tag, group, make_state):
+        spec = global_ensemble(group, basis_from_tag(tag, 3))
+        rho = make_state(32, spec.d)
+        transforms = sample_transform_arrays(RngStream(33), spec, 40)
+        rows = np.einsum("iw,sij->swj", spec.basis.vectors.conj(), transforms)  # <w|U
+        dense = np.einsum("swi,ij,swj->sw", rows, rho, rows.conj()).real
+        born = _born_probabilities(validate_state(rho, spec.d), transforms, spec)
+        assert np.max(np.abs(born - dense)) <= 1e-12
 
 
 class TestShadows:
     def test_global_closed_form(self):
         spec = global_ensemble("orthogonal", computational_basis(1))
-        records = ShadowRecords(
-            spec, identity(2)[None, :, :].astype(complex), np.array([0])
-        )
-        shadow = shadow_from_record(records[0])
+        shadow = shadow_from_vector(spec, np.array([1.0, 0.0], dtype=complex))
         assert operators_close(shadow, np.diag([1.5, -0.5]))
 
     def test_local_product_form(self):
         spec = local_ensemble("orthogonal", 2)
-        transforms = np.stack([np.stack([identity(2), identity(2)])])
-        records = ShadowRecords(spec, transforms.astype(complex), np.array([[0, 0]]))
-        shadow = shadow_from_record(records[0])
+        records = ShadowRecords(spec, np.array([[[1.0, 0.0], [1.0, 0.0]]], dtype=complex))
+        v = _dense_vectors(records)[0]
+        assert np.array_equal(v, [1.0, 0.0, 0.0, 0.0])
         one_qubit = 2.0 * _proj([1.0, 0.0]) - identity(2) / 2.0
-        assert operators_close(shadow, kron(one_qubit, one_qubit))
-        factors = shadow_factors(records[0])
-        assert len(factors) == 2
-        assert operators_close(factors[0], one_qubit)
+        assert operators_close(shadow_from_vector(spec, v), kron(one_qubit, one_qubit))
 
     @pytest.mark.parametrize(
         "make_spec",
@@ -116,15 +151,15 @@ class TestShadows:
         spec = make_spec()
         rho = random_pure_state(RngStream(3), 4)
         records = collect_records(RngStream(4), rho, spec, 20)
-        for rec in records:
-            assert np.trace(shadow_from_record(rec)).real == pytest.approx(1.0, abs=1e-10)
+        for v in _dense_vectors(records):
+            assert np.trace(shadow_from_vector(spec, v)).real == pytest.approx(1.0, abs=1e-10)
 
     def test_mean_shadow_reproduces_state(self):
         # E[shadow] = rho for a symmetric (real) state under global orthogonal
         spec = global_ensemble("orthogonal", computational_basis(1))
         rho = _proj([np.cos(0.3), np.sin(0.3)])
         records = collect_records(RngStream(5), rho, spec, 50000)
-        avg = np.mean([shadow_from_record(r) for r in records[:2000]], axis=0)
+        avg = np.mean([shadow_from_vector(spec, v) for v in records.vectors[:2000]], axis=0)
         assert np.max(np.abs(avg - rho)) < 0.15
 
 
@@ -143,7 +178,10 @@ class TestPerShotEstimates:
         p = PauliString.from_string("XZ", coefficient=1.5)
         fast = per_shot_estimates(records, p)
         slow = np.array(
-            [np.trace(p.to_matrix() @ shadow_from_record(r)).real for r in records]
+            [
+                np.trace(p.to_matrix() @ shadow_from_vector(spec, v)).real
+                for v in _dense_vectors(records)
+            ]
         )
         assert np.max(np.abs(fast - slow)) <= 1e-12
 
@@ -153,7 +191,7 @@ class TestPerShotEstimates:
         records = collect_records(RngStream(10), rho, spec, 150)
         a = random_symmetric_observable(RngStream(11), 4)
         fast = per_shot_estimates(records, a)
-        slow = np.array([np.trace(a @ shadow_from_record(r)).real for r in records])
+        slow = np.array([np.trace(a @ shadow_from_vector(spec, v)).real for v in records.vectors])
         assert np.max(np.abs(fast - slow)) <= 1e-12
 
     def test_dense_local_observable_matches_pauli_path(self):
@@ -258,10 +296,8 @@ class TestEstimate:
         spec = global_ensemble("orthogonal", computational_basis(1))
         rho = _proj([np.cos(0.4), np.sin(0.4)])
         records = collect_records(RngStream(25), rho, spec, 50000)
-        u = records.transforms
-        sel = np.eye(2)[:, records.outcomes].T
-        rows = np.einsum("sm,smi->si", sel.conj(), u)
-        snapshots = np.einsum("si,sj->sij", rows.conj(), rows)
+        v = records.vectors  # v = U^dag|w>
+        snapshots = np.einsum("si,sj->sij", v, v.conj())
         mean = snapshots.mean(axis=0)
         se = np.sqrt(
             np.maximum((np.abs(snapshots) ** 2).mean(axis=0) - np.abs(mean) ** 2, 0)
@@ -282,14 +318,6 @@ class TestEstimate:
         records = collect_records(RngStream(26), identity(2) / 2, spec, 10)
         with pytest.raises(ValueError):
             estimate(records, PauliString.from_string("Z"), batches=11)
-
-    def test_record_views_match_batch(self):
-        spec = local_ensemble("orthogonal", 2)
-        records = collect_records(RngStream(27), identity(4) / 4, spec, 5)
-        listed = list(records)
-        again = per_shot_estimates(listed, PauliString.from_string("XZ"))
-        direct = per_shot_estimates(records, PauliString.from_string("XZ"))
-        assert np.array_equal(again, direct)
 
 
 class TestConfigAndRun:
@@ -342,10 +370,12 @@ class TestConfigAndRun:
         path = str(tmp_path / "records.npz")
         cfg = self._config_dict(tmp_path)
         cfg["emit"]["records"] = path
-        run_experiment(ExperimentConfig.from_dict(cfg))
+        _, records = run_experiment(ExperimentConfig.from_dict(cfg))
         data = np.load(path)
-        assert data["outcomes"].shape == (2000, 2)
-        assert data["transforms"].shape == (2000, 2, 2, 2)
+        assert str(data["scope"]) == "local"
+        assert data["vectors"].shape == (2000, 2, 2)
+        assert np.array_equal(data["vectors"], records.vectors)
+        assert np.allclose(np.linalg.norm(data["vectors"], axis=2), 1.0, atol=1e-12)
 
     def test_config_validation_errors(self):
         with pytest.raises(ConfigError):

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from realshadows.linalg import (
     ResourceLimitError,
-    adjoint,
     antisym_part,
+    batched_kron,
     hs_inner,
     identity,
     kron,
@@ -15,9 +15,7 @@ from realshadows.linalg import (
     operators_close,
     partial_trace_first,
     sym_part,
-    trace,
     traceless_part,
-    transpose,
 )
 from realshadows.pauli import I2, X, Y, Z
 
@@ -78,6 +76,16 @@ class TestKron:
         c = _random_matrix(seed + 2, 3)
         assert operators_close(kron(kron(a, b), c), kron(a, kron(b, c)), atol=ATOL)
 
+    def test_batched_matches_per_shot_kron(self):
+        g = np.random.default_rng(5)
+        shapes = [(2, 2), (3, 3), (2, 1)]
+        stacks = [g.standard_normal((4,) + sh) + 1j * g.standard_normal((4,) + sh) for sh in shapes]
+        out = batched_kron(stacks)
+        assert out.shape == (4, 12, 6)
+        for s in range(4):
+            expected = np.kron(np.kron(stacks[0][s], stacks[1][s]), stacks[2][s])
+            assert operators_close(out[s], expected, atol=ATOL)
+
 
 class TestPartialTrace:
     def test_factorized_input(self):
@@ -110,23 +118,10 @@ class TestPartialTrace:
 
 
 class TestBasicOps:
-    def test_transpose_paulis(self):
-        assert operators_close(transpose(Y), -Y)
-        assert operators_close(transpose(X), X)
-
-    def test_adjoint_of_unitary(self):
-        theta = 0.7
-        u = np.array(
-            [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]],
-            dtype=complex,
-        )
-        assert operators_close(adjoint(u) @ u, identity(2))
-
     def test_norms_and_inner(self):
         assert norm2(kron(Z, Z)) == pytest.approx(2.0, abs=ATOL)
         assert norm_inf(Z) == pytest.approx(1.0, abs=ATOL)
         assert abs(hs_inner(X, Y)) < ATOL
-        assert trace(identity(3)) == pytest.approx(3.0)
 
     def test_norm_inf_rejects_non_hermitian(self):
         with pytest.raises(ValueError):

@@ -13,8 +13,7 @@ from realshadows.sampling import (
     haar_unitaries,
     haar_unitary,
     real_clifford_1q,
-    sample_transform,
-    sample_transforms,
+    sample_transform_arrays,
 )
 
 
@@ -156,34 +155,27 @@ class TestRealClifford1q:
 class TestSampleTransform:
     def test_local_orthogonal_shapes(self):
         spec = local_ensemble("orthogonal", 3)
-        t = sample_transform(RngStream(8), spec)
-        assert t.kind == "local"
-        assert len(t.factors) == 3
-        for f in t.factors:
-            assert f.shape == (2, 2)
+        arrays = sample_transform_arrays(RngStream(8), spec, 1)
+        assert arrays.shape == (1, 3, 2, 2)
+        for f in arrays[0]:
             assert np.max(np.abs(f.imag)) < 1e-12
             assert operators_close(f.conj().T @ f, identity(2))
 
     def test_global_unitary_shape(self):
         spec = global_ensemble("unitary", computational_basis(2))
-        t = sample_transform(RngStream(9), spec)
-        assert t.kind == "global"
-        assert t.factors[0].shape == (4, 4)
-        assert operators_close(t.factors[0].conj().T @ t.factors[0], identity(4))
+        arrays = sample_transform_arrays(RngStream(9), spec, 1)
+        assert arrays.shape == (1, 4, 4)
+        assert operators_close(arrays[0].conj().T @ arrays[0], identity(4))
 
     def test_per_qubit_mixing(self):
         spec = local_ensemble(("unitary", "orthogonal"), 2)
-        ts = sample_transforms(RngStream(10), spec, 50)
-        complex_seen = False
-        for t in ts:
-            assert np.max(np.abs(t.factors[1].imag)) < 1e-12
-            complex_seen = complex_seen or np.max(np.abs(t.factors[0].imag)) > 1e-6
-        assert complex_seen  # the unitary factor actually explores U(2)
+        arrays = sample_transform_arrays(RngStream(10), spec, 50)
+        assert np.max(np.abs(arrays[:, 1].imag)) < 1e-12
+        # the unitary factor actually explores U(2)
+        assert np.max(np.abs(arrays[:, 0].imag)) > 1e-6
 
     def test_reproducible_byte_for_byte(self):
         spec = local_ensemble("orthogonal", 2)
-        a = sample_transforms(RngStream(11), spec, 3)
-        b = sample_transforms(RngStream(11), spec, 3)
-        for ta, tb in zip(a, b):
-            for fa, fb in zip(ta.factors, tb.factors):
-                assert fa.tobytes() == fb.tobytes()
+        a = sample_transform_arrays(RngStream(11), spec, 3)
+        b = sample_transform_arrays(RngStream(11), spec, 3)
+        assert a.tobytes() == b.tobytes()
