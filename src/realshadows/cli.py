@@ -40,18 +40,18 @@ EXIT_IO = 3
 
 
 def _mc_agreement(diff: np.ndarray, stderr: np.ndarray) -> tuple[int, float, bool]:
-    """Multiplicity-aware agreement check for an entrywise MC comparison.
+    """Entrywise agreement check of a Monte Carlo mean with its exact value.
 
-    Entries are correlated, so a few >3-sigma excursions are expected in large
-    matrices; a real discrepancy drives z-scores up without bound as samples
-    grow.  Passes when at most 2% of entries exceed 3 sigma and no entry
-    exceeds 6 sigma.
+    Passes when no entry is beyond 6 sigma.  Entries that are equal by
+    symmetry cross 3 sigma together, so their count is returned for display
+    only; a real discrepancy drives the largest z-score up without bound as
+    samples grow.
     """
     z = diff / np.maximum(stderr, 1e-12)  # floor: exact entries have zero spread
-    violations = int(np.sum(diff > 3.0 * stderr + 1e-12))
+    beyond_3_sigma = int(np.sum(diff > 3.0 * stderr + 1e-12))
     max_z = float(np.max(z))
-    passed = violations <= 0.02 * diff.size and max_z <= 6.0
-    return violations, max_z, passed
+    return beyond_3_sigma, max_z, max_z <= 6.0
+
 
 _ENSEMBLE_CHOICES = ("global-orthogonal", "global-unitary", "local-orthogonal", "local-unitary")
 

@@ -3,8 +3,9 @@
 A shot is stored as its measured vector v = U^dag|w>, which is all any
 estimator reads: Tr[O M^-1(|v><v|)] = v^dag M^-1(O) v.  ShadowRecords holds
 (S, d) vectors for global ensembles and (S, n, 2) per-qubit vectors for local
-ones, whose Kronecker product is the full v.  Every shot is drawn by one Born
-function, from the factor Psi of rho = Psi Psi^dag.
+ones, whose Kronecker product is the full v.  Shots are drawn from the factor
+Psi of rho = Psi Psi^dag: local ones by a factor-wise Born function, global
+ones by an exact direct sampler that needs no d x d Haar matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .channels import (
 )
 from .linalg import as_operator, batched_kron, identity, norm2
 from .pauli import PAULIS, PauliString
-from .sampling import RNG_ALGORITHM, RngStream, sample_transform_arrays
+from .sampling import RNG_ALGORITHM, RngStream, haar_frames, sample_transform_arrays
 
 _PROB_SUM_TOL = 1e-6
 
@@ -75,29 +76,28 @@ def validate_state(rho, d: int | None = None) -> np.ndarray:
     return eigenvectors[:, keep] * np.sqrt(eigenvalues[keep])
 
 
-def _born_probabilities(
-    factor: np.ndarray, transforms: np.ndarray, spec: EnsembleSpec
-) -> np.ndarray:
-    """p[s, w] = sum_k |<w| U_s |psi_k>|^2 for a chunk of sampled transforms.
-
-    `factor` is Psi (d, r) with rho = Psi Psi^dag.  Local transforms
-    (S, n, 2, 2) act one 2x2 factor at a time on one qubit axis of Psi, so no
-    product matrix is formed; global ones (S, d, d) take one matmul
-    basis^dag (U Psi).
-    """
-    s = transforms.shape[0]
-    if spec.scope == "global":
-        amp = spec.basis.vectors.conj().T @ (transforms @ factor)
-    else:
-        amp = np.broadcast_to(factor, (s,) + factor.shape)
-        for j in range(spec.n):
-            amp = transforms[:, j, None] @ amp.reshape(s, 2**j, 2, -1)
-        amp = amp.reshape(s, spec.d, -1)
-    p = (amp.real**2 + amp.imag**2).sum(axis=2)
+def _checked(p: np.ndarray) -> np.ndarray:
     sums = p.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > _PROB_SUM_TOL):
         raise ValueError("Born probabilities do not sum to one; upstream corruption")
     return p / sums[:, None]
+
+
+def _born_probabilities(
+    factor: np.ndarray, transforms: np.ndarray, spec: EnsembleSpec
+) -> np.ndarray:
+    """p[s, w] = sum_k |<w| U_s |psi_k>|^2 for a chunk of local transforms.
+
+    `factor` is Psi (d, r) with rho = Psi Psi^dag.  The transforms
+    (S, n, 2, 2) act one 2x2 factor at a time on one qubit axis of Psi, so no
+    product matrix is formed.
+    """
+    s = transforms.shape[0]
+    amp = np.broadcast_to(factor, (s,) + factor.shape)
+    for j in range(spec.n):
+        amp = transforms[:, j, None] @ amp.reshape(s, 2**j, 2, -1)
+    amp = amp.reshape(s, spec.d, -1)
+    return _checked((amp.real**2 + amp.imag**2).sum(axis=2))
 
 
 def _sample_outcomes(rng: RngStream, p: np.ndarray) -> np.ndarray:
@@ -109,17 +109,80 @@ def _sample_outcomes(rng: RngStream, p: np.ndarray) -> np.ndarray:
 def _measured_vectors(
     spec: EnsembleSpec, transforms: np.ndarray, outcomes: np.ndarray
 ) -> np.ndarray:
-    """v = U^dag|w> per shot: (S, d) global, (S, n, 2) per-qubit local.
+    """v = U^dag|w> per local shot as (S, n, 2) per-qubit vectors.
 
     Outcome indices put qubit 0 in the most-significant bit.
     """
-    if spec.scope == "global":
-        sel = spec.basis.vectors[:, outcomes].T
-        # the conjugate of the row <w|U
-        return np.einsum("sm,smi->si", sel.conj(), transforms).conj()
     bits = (outcomes[:, None] >> np.arange(spec.n - 1, -1, -1)) & 1
     shots = np.arange(outcomes.shape[0])[:, None]
     return transforms[shots, np.arange(spec.n), bits].conj()
+
+
+def _frames(vectors: np.ndarray, real: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The frame F (S, d, r0) spanning each vector, and c with vector = F c.
+
+    Over R (orthogonal groups) F = [Re x, Im x] and c = (1, i); over C
+    (unitary groups) F = [x] and c = (1,).
+    """
+    if real:
+        return np.stack([vectors.real, vectors.imag], axis=2), np.array([1.0, 1.0j])
+    return vectors[:, :, None], np.ones(1)
+
+
+def _mixture_frames(factor: np.ndarray, real: bool):
+    """rho = sum_k lam_k |psi_k><psi_k| as weights lam_k, orthonormal frames
+    Q_k (r, d, r0) and coefficients a_k (r, r0) with psi_k = Q_k a_k."""
+    weights = (factor.real**2 + factor.imag**2).sum(axis=0)
+    frame, c = _frames((factor / np.sqrt(weights)).T, real)
+    q, upper = np.linalg.qr(frame)
+    return weights / weights.sum(), q, upper @ c
+
+
+def _global_probabilities(spec: EnsembleSpec, phi: np.ndarray) -> np.ndarray:
+    """p[s, w] = |<w|phi_s>|^2 in the ensemble's measurement basis."""
+    basis = spec.basis.vectors
+    amp = phi if spec.basis.tag == "computational" else phi @ basis.conj()
+    return _checked(amp.real**2 + amp.imag**2)
+
+
+def _global_vectors(rng: RngStream, factor: np.ndarray, spec: EnsembleSpec, shots: int):
+    """Measured vectors v = U^dag|w> of global shots, drawn exactly without U.
+
+    Per shot: draw a mixture column k, and G, the Haar image U Q_k of its
+    frame; then phi = G a_k = U psi_k gives the outcome w.  Writing
+    x = |w> = G G^dag x + x_perp, U^dag maps the first part to Q_k G^dag x and
+    is, given G, a Haar isometry from range(G)^perp onto range(Q_k)^perp.  Its
+    image of x_perp is H M c: H a Haar frame in range(Q_k)^perp and M the R of
+    the frame of x_perp (any M with M^dag M equal to that frame's Gram matrix
+    gives the same law).  O(d) work per shot, plus basis^dag phi for a
+    non-computational basis.  Columns, G, outcomes and H draw from
+    rng.child(0..3), so the draws do not depend on the chunk size.
+    """
+    real = spec.groups[0] == "orthogonal"
+    weights, q_mix, a_mix = _mixture_frames(factor, real)
+    width = q_mix.shape[2]
+    cum = np.cumsum(weights)
+    column_rng, frame_rng, outcome_rng, complement_rng = (rng.child(i) for i in range(4))
+    vectors = np.empty((shots, spec.d), dtype=complex)
+    # About a dozen (S, d, r0) work arrays are live per chunk.
+    chunk = max(1, _CHUNK_ELEMENTS // (16 * spec.d))
+    for start in range(0, shots, chunk):
+        s = min(chunk, shots - start)
+        k = np.minimum(np.searchsorted(cum, column_rng.generator.random(s)), len(cum) - 1)
+        q = q_mix[k]
+        g = haar_frames(frame_rng, spec.d, width, s, real)
+        phi = (g @ a_mix[k][:, :, None])[:, :, 0]
+        w = _sample_outcomes(outcome_rng, _global_probabilities(spec, phi))
+        x = spec.basis.vectors[:, w].T[:, :, None]
+        y = g.conj().swapaxes(1, 2) @ x
+        v = q @ y
+        # Under O(2) the frame G spans the space and x_perp is zero.
+        if spec.d >= 2 * width:
+            frame, c = _frames((x - g @ y)[:, :, 0], real)
+            h = haar_frames(complement_rng, spec.d, width, s, real, orthogonal_to=q)
+            v += h @ (np.linalg.qr(frame, mode="r") @ c)[:, :, None]
+        vectors[start : start + s] = v[:, :, 0]
+    return vectors
 
 
 def full_vectors(spec: EnsembleSpec, vectors: np.ndarray) -> np.ndarray:
@@ -131,19 +194,21 @@ def full_vectors(spec: EnsembleSpec, vectors: np.ndarray) -> np.ndarray:
 
 
 def collect_records(rng: RngStream, rho, spec: EnsembleSpec, shots: int) -> ShadowRecords:
-    """Sample `shots` transforms, Born-sample an outcome for each on the state
-    `rho`, and keep each shot's measured vector.
+    """Draw `shots` shots on the state `rho` and keep each shot's measured vector.
 
-    Transform draws come from rng.child(0), outcome draws from rng.child(1),
-    so the two sub-streams are independent and the whole run is reproducible.
+    Global shots come from the direct sampler `_global_vectors`, which never
+    forms a d x d transform.  Local shots draw their 2x2 factors from
+    rng.child(0) and their outcomes from rng.child(1).  Every draw has its own
+    sub-stream, so the whole run is reproducible.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
     factor = validate_state(rho, spec.d)
+    if spec.scope == "global":
+        return ShadowRecords(spec, _global_vectors(rng, factor, spec, shots))
     transforms = sample_transform_arrays(rng.child(0), spec, shots)
     outcome_rng = rng.child(1)
-    shape = (shots, spec.d) if spec.scope == "global" else (shots, spec.n, 2)
-    vectors = np.empty(shape, dtype=complex)
+    vectors = np.empty((shots, spec.n, 2), dtype=complex)
     chunk = max(1, _CHUNK_ELEMENTS // (spec.d * factor.shape[1]))
     for start in range(0, shots, chunk):
         u = transforms[start : start + chunk]
@@ -201,7 +266,7 @@ def per_shot_estimates(records: ShadowRecords, observable) -> np.ndarray:
     chunk = max(1, _CHUNK_ELEMENTS // spec.d)
     for start in range(0, s_count, chunk):
         v = full_vectors(spec, records.vectors[start : start + chunk])
-        values[start : start + chunk] = np.einsum("si,ij,sj->s", v.conj(), tilde, v).real
+        values[start : start + chunk] = (v @ tilde.T * v.conj()).sum(axis=1).real
     return values
 
 
@@ -250,11 +315,14 @@ def estimate(
     batches: int = 1,
     rho=None,
     observable_id: str | None = None,
+    bias_warning: bool | None = None,
 ) -> EstimateReport:
     """Aggregate per-shot estimates into a report.
 
     `rho` is the simulation-only true state; when given, the report carries
     the exact predicted variance and the target expectation value.
+    `bias_warning` is the observable's invisible-component check when the
+    caller already ran it; None runs it here.
     """
     values = per_shot_estimates(records, observable)
     count = values.shape[0]
@@ -274,9 +342,11 @@ def estimate(
     target = None
     if rho is not None:
         obs = observable.to_matrix() if isinstance(observable, PauliString) else as_operator(observable)
-        target = float(np.trace(obs @ rho).real)
+        target = float(np.sum(obs * as_operator(rho).T).real)  # Tr[O rho] in O(d^2)
     if observable_id is None:
         observable_id = str(observable) if isinstance(observable, PauliString) else "operator"
+    if bias_warning is None:
+        bias_warning = _has_invisible_component(channel_for(records.spec), observable)
     return EstimateReport(
         observable_id=observable_id,
         mean=mean,
@@ -285,7 +355,7 @@ def estimate(
         predicted_variance=predicted,
         predicted_kind=predicted_kind,
         shots=count,
-        bias_warning=_has_invisible_component(channel_for(records.spec), observable),
+        bias_warning=bias_warning,
         target=target,
     )
 
@@ -369,6 +439,35 @@ def build_observable(obs: dict, n: int) -> tuple[str, PauliString | np.ndarray]:
     raise ConfigError(f"unknown observable kind {kind!r}")
 
 
+def _integer(cfg: dict, key: str, low: int, high: int | None = None, default=None) -> int:
+    """cfg[key] as an int in [low, high], or ConfigError naming the key."""
+    value = cfg.get(key, default)
+    try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    if number < low or (high is not None and number > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"{key} must be {bounds}, got {number}")
+    return number
+
+
+def _epsilon(value) -> float | None:
+    if value is None:
+        return None
+    try:
+        if isinstance(value, bool):
+            raise ValueError
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"epsilon must be a number, got {value!r}") from None
+    if not (np.isfinite(number) and number > 0.0):
+        raise ConfigError(f"epsilon must be a finite positive number, got {value!r}")
+    return number
+
+
 @dataclass
 class ExperimentConfig:
     seed: int
@@ -401,22 +500,18 @@ class ExperimentConfig:
         groups = ens.get("groups", ["orthogonal"])
         if isinstance(groups, str):
             groups = [groups]
-        n = int(cfg["n"])
+        seed = _integer(cfg, "seed", 0, 2**64 - 1)
+        n = _integer(cfg, "n", 1)
         if scope == "local" and len(groups) == 1:
             groups = groups * n
-        shots = int(cfg["shots"])
-        if shots < 1:
-            raise ConfigError("shots must be positive")
-        batches = int(cfg.get("batches", 1))
-        if batches < 1 or batches > shots:
-            raise ConfigError("batches must lie in [1, shots]")
+        shots = _integer(cfg, "shots", 1)
+        batches = _integer(cfg, "batches", 1, shots, default=1)
         observables = cfg["observables"]
         if not isinstance(observables, list) or not observables:
             raise ConfigError("observables must be a non-empty list")
         emit = cfg.get("emit", {}) or {}
-        epsilon = cfg.get("epsilon")
         return cls(
-            seed=int(cfg["seed"]),
+            seed=seed,
             n=n,
             scope=str(scope),
             groups=tuple(str(g) for g in groups),
@@ -428,13 +523,13 @@ class ExperimentConfig:
             out_csv=emit.get("csv"),
             records_out=emit.get("records"),
             allow_bias=bool(cfg.get("allow_bias", False)),
-            epsilon=None if epsilon is None else float(epsilon),
+            epsilon=_epsilon(cfg.get("epsilon")),
             raw=dict(cfg),
         )
 
     def ensemble_spec(self) -> EnsembleSpec:
-        basis = basis_from_tag(self.basis_tag, self.n)
         try:
+            basis = basis_from_tag(self.basis_tag, self.n)
             return EnsembleSpec(self.scope, self.groups, basis, self.n)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -477,18 +572,19 @@ def run_experiment(config: ExperimentConfig, keep_records: bool = False):
     spec = config.ensemble_spec()
     rho = build_state(config.state, config.n)
     observables = [build_observable(o, config.n) for o in config.observables]
+    desc = channel_for(spec)
+    invisible = [_has_invisible_component(desc, obs) for _, obs in observables]
     if not config.allow_bias:
-        desc = channel_for(spec)
-        for oid, obs in observables:
-            if _has_invisible_component(desc, obs):
+        for (oid, _), flagged in zip(observables, invisible):
+            if flagged:
                 raise ConfigError(
                     f"observable {oid!r} has components outside the visible space "
                     "of this ensemble; rerun with --allow-bias to estimate its visible part"
                 )
     records = collect_records(RngStream(config.seed), rho, spec, config.shots)
     reports = [
-        estimate(records, obs, config.batches, rho=rho, observable_id=oid)
-        for oid, obs in observables
+        estimate(records, obs, config.batches, rho=rho, observable_id=oid, bias_warning=flagged)
+        for (oid, obs), flagged in zip(observables, invisible)
     ]
     if config.out_csv:
         write_reports_csv(config.out_csv, reports)
@@ -518,7 +614,7 @@ def run_experiment(config: ExperimentConfig, keep_records: bool = False):
                 "note": "order bound only; the constant is unspecified",
             }
         with open(config.out_csv + ".meta.json", "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
+            json.dump(meta, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     if config.records_out:
         np.savez_compressed(

@@ -3,9 +3,10 @@
 All randomness flows through RngStream, a thin reproducible wrapper over
 numpy's PCG64 keyed by (seed, stream path).  Haar sampling uses the QR
 decomposition of a Ginibre matrix with the diagonal phase (sign) correction;
-without that correction QR output is not Haar distributed.  Transforms are
-drawn as stacked arrays and consumed by the engine's Born sampling, which
-keeps only each shot's measured vector, not the transform.
+without that correction QR output is not Haar distributed.  The same
+correction gives Haar-random r-frames (d x r isometries), which is all the
+engine's global shots draw.  Full transforms are drawn as stacked arrays for
+local shots and for the Monte Carlo oracles.
 """
 
 from __future__ import annotations
@@ -59,16 +60,46 @@ def _complex_ginibre(gen: np.random.Generator, shape: tuple[int, ...]) -> np.nda
     return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
 
 
-def haar_unitaries(rng: RngStream, d: int, count: int) -> np.ndarray:
-    """Stack of `count` Haar-random U(d) matrices, shape (count, d, d)."""
+def _project_out(z: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    return z - frames @ (frames.conj().swapaxes(1, 2) @ z)
+
+
+def haar_frames(
+    rng: RngStream,
+    d: int,
+    r: int,
+    count: int,
+    real: bool = False,
+    orthogonal_to: np.ndarray | None = None,
+) -> np.ndarray:
+    """Stack of `count` Haar-random orthonormal r-frames in R^d or C^d, (count, d, r).
+
+    The frame is the Q of the QR decomposition of a Gaussian d x r matrix with
+    the diagonal of R made positive (Mezzadri, arXiv:math-ph/0609050); r = d
+    gives Haar O(d) / U(d) matrices.  With `orthogonal_to` (count, d, m),
+    orthonormal frames, the Gaussian is first projected onto their orthogonal
+    complements, so the frames are Haar in those complements.
+    """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    z = _complex_ginibre(rng.generator, (count, d, d))
-    q, r = np.linalg.qr(z)
-    diag = np.einsum("sii->si", r)
-    phase = diag / np.where(np.abs(diag) == 0.0, 1.0, np.abs(diag))
-    phase = np.where(phase == 0.0, 1.0, phase)
-    return q * phase[:, None, :]
+    gen = rng.generator
+    z = gen.standard_normal((count, d, r)) if real else _complex_ginibre(gen, (count, d, r))
+    if orthogonal_to is not None:
+        z = _project_out(z, orthogonal_to)
+    q, upper = np.linalg.qr(z)
+    diag = np.diagonal(upper, axis1=1, axis2=2)
+    phase = diag / np.where(diag == 0.0, 1.0, np.abs(diag))
+    q = q * np.where(phase == 0.0, 1.0, phase)[:, None, :]
+    if orthogonal_to is not None:
+        # A nearly rank-deficient z leaves rounding error / sigma_min of q in
+        # span(orthogonal_to); projecting again squares it.
+        q = _project_out(q, orthogonal_to)
+    return q
+
+
+def haar_unitaries(rng: RngStream, d: int, count: int) -> np.ndarray:
+    """Stack of `count` Haar-random U(d) matrices, shape (count, d, d)."""
+    return haar_frames(rng, d, d, count)
 
 
 def haar_unitary(rng: RngStream, d: int) -> np.ndarray:
@@ -77,13 +108,7 @@ def haar_unitary(rng: RngStream, d: int) -> np.ndarray:
 
 def haar_orthogonals(rng: RngStream, d: int, count: int) -> np.ndarray:
     """Stack of `count` Haar-random O(d) matrices (real dtype)."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    z = rng.generator.standard_normal((count, d, d))
-    q, r = np.linalg.qr(z)
-    diag = np.einsum("sii->si", r)
-    sign = np.where(diag < 0.0, -1.0, 1.0)
-    return q * sign[:, None, :]
+    return haar_frames(rng, d, d, count, real=True)
 
 
 def haar_orthogonal(rng: RngStream, d: int) -> np.ndarray:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from realshadows.cli import main
+from realshadows.cli import _mc_agreement, main
 
 
 def _write_config(tmp_path, cfg, name="config.json"):
@@ -88,6 +88,32 @@ class TestEstimateCommand:
         cfg = _write_config(tmp_path, {"seed": 1})
         assert main(["estimate", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("shots", "abc"),
+            ("n", 0),
+            ("epsilon", 0),
+            ("ensemble", {"scope": "global", "basis": "bogus"}),
+        ],
+    )
+    def test_bad_config_value_is_one_line_usage_error(self, tmp_path, capsys, key, value):
+        cfg = {
+            "seed": 3,
+            "n": 1,
+            "ensemble": {"scope": "local", "groups": ["orthogonal"]},
+            "state": {"kind": "maximally_mixed"},
+            "shots": 100,
+            "observables": [{"id": "Z", "kind": "pauli", "string": "Z"}],
+            "emit": {"csv": str(tmp_path / "out.csv")},
+            key: value,
+        }
+        assert main(["estimate", "--config", _write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert (key if key != "ensemble" else "basis") in err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_unknown_flag_is_usage_error(self, estimate_config):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--config", estimate_config, "--frobnicate"])
@@ -130,6 +156,24 @@ class TestValidators:
         code = main(["validate-twirl", "--d", str(d), "--k", str(k), "--samples", "4000"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", [1, 23, 24])
+    def test_validate_twirl_passes_with_correlated_excursions(self, seed, capsys):
+        # These seeds put more than 2% of the (symmetry-related) entries of
+        # the random real vector beyond 3 sigma, with every z-score below 6.
+        argv = ["validate-twirl", "--d", "4", "--k", "3", "--samples", "2000", "--seed", str(seed)]
+        code = main(argv)
+        assert code == 0
+        assert "twirl validation: PASS" in capsys.readouterr().out
+
+    def test_mc_agreement_fails_beyond_six_sigma(self):
+        stderr = np.full(64, 0.1)
+        diff = np.full(64, 0.05)
+        assert _mc_agreement(diff, stderr) == (0, 0.5, True)
+        diff[7] = 0.7  # 7 sigma
+        count, max_z, passed = _mc_agreement(diff, stderr)
+        assert (count, passed) == (1, False)
+        assert max_z == pytest.approx(7.0)
 
     def test_validate_twirl_resource_limit(self):
         assert main(["validate-twirl", "--d", "16", "--k", "3"]) == 2

@@ -3,14 +3,23 @@ import json
 import numpy as np
 import pytest
 
+from realshadows import engine
 from realshadows.bases import basis_from_tag, computational_basis, sh_basis
-from realshadows.channels import apply_channel, channel_for, global_ensemble, local_ensemble
+from realshadows.channels import (
+    apply_channel,
+    channel_for,
+    global_ensemble,
+    local_ensemble,
+    visible_projector,
+)
 from realshadows.engine import (
     ConfigError,
     ExperimentConfig,
     ShadowRecords,
     _born_probabilities,
+    _global_probabilities,
     _measured_vectors,
+    _mixture_frames,
     _sample_outcomes,
     build_observable,
     build_state,
@@ -38,8 +47,13 @@ def _proj(v):
 
 
 def _draw(rng, rho, spec, transforms):
-    """Born-sampled outcome indices for explicitly given transforms."""
+    """Born-sampled outcome indices for explicitly given local transforms."""
     return _sample_outcomes(rng, _born_probabilities(validate_state(rho, spec.d), transforms, spec))
+
+
+def _one_qubit(u):
+    """A single shot's transform stack (1, 1, 2, 2) on a one-qubit local ensemble."""
+    return np.asarray(u, dtype=complex)[None, None]
 
 
 def _dense_vectors(records):
@@ -48,24 +62,24 @@ def _dense_vectors(records):
 
 class TestSimulateMeasurement:
     def test_deterministic_outcome(self):
-        spec = global_ensemble("orthogonal", computational_basis(1))
+        spec = local_ensemble("orthogonal", 1)
         rho = _proj([1.0, 0.0])
         for seed in range(5):
-            assert _draw(RngStream(seed), rho, spec, identity(2)[None])[0] == 0
+            assert _draw(RngStream(seed), rho, spec, _one_qubit(identity(2)))[0] == 0
 
     def test_uniform_for_maximally_mixed(self):
-        spec = global_ensemble("orthogonal", computational_basis(2))
+        spec = local_ensemble("orthogonal", 2)
         shots = 10000
-        transforms = np.broadcast_to(identity(4), (shots, 4, 4))
+        transforms = np.broadcast_to(identity(2), (shots, 2, 2, 2))
         counts = np.bincount(_draw(RngStream(1), identity(4) / 4, spec, transforms), minlength=4)
         se = np.sqrt(0.25 * 0.75 / shots)
         assert np.all(np.abs(counts / shots - 0.25) < 3 * se)
 
     def test_hadamard_rotates_plus_to_zero(self):
-        spec = global_ensemble("orthogonal", computational_basis(1))
+        spec = local_ensemble("orthogonal", 1)
         rho = _proj([1.0, 1.0])
         for seed in range(5):
-            assert _draw(RngStream(seed), rho, spec, H[None])[0] == 0
+            assert _draw(RngStream(seed), rho, spec, _one_qubit(H))[0] == 0
 
     def test_local_outcome_is_bit_tuple(self):
         spec = local_ensemble("orthogonal", 2)
@@ -83,9 +97,9 @@ class TestSimulateMeasurement:
             validate_state(np.diag([1.5, -0.5]).astype(complex))  # not PSD
 
     def test_corrupted_probabilities_are_detected(self):
-        spec = global_ensemble("orthogonal", computational_basis(1))
+        spec = local_ensemble("orthogonal", 1)
         with pytest.raises(ValueError, match="sum"):
-            _born_probabilities(identity(2), identity(2)[None], spec)  # trace 2
+            _born_probabilities(identity(2), _one_qubit(identity(2)), spec)  # trace 2
 
 
 def _pure_state(seed, d):
@@ -114,13 +128,98 @@ class TestBornProbabilities:
     @pytest.mark.parametrize("group", ["orthogonal", "unitary"])
     @pytest.mark.parametrize("make_state", [_pure_state, _rank2_state])
     def test_global_matches_dense(self, tag, group, make_state):
+        # The direct sampler's Born probabilities, given the frame images
+        # G = U Q_k of explicit dense transforms, mixed over the columns k.
         spec = global_ensemble(group, basis_from_tag(tag, 3))
         rho = make_state(32, spec.d)
         transforms = sample_transform_arrays(RngStream(33), spec, 40)
         rows = np.einsum("iw,sij->swj", spec.basis.vectors.conj(), transforms)  # <w|U
         dense = np.einsum("swi,ij,swj->sw", rows, rho, rows.conj()).real
-        born = _born_probabilities(validate_state(rho, spec.d), transforms, spec)
+        weights, frames, coefficients = _mixture_frames(
+            validate_state(rho, spec.d), group == "orthogonal"
+        )
+        born = sum(
+            lam * _global_probabilities(spec, (transforms @ q) @ a)
+            for lam, q, a in zip(weights, frames, coefficients)
+        )
         assert np.max(np.abs(born - dense)) <= 1e-12
+
+
+def _reference_vectors(rng, rho, spec, shots):
+    """The dense QR path kept as the oracle: draw U, Born-sample w, v = U^dag|w>."""
+    transforms = sample_transform_arrays(rng.child(0), spec, shots)
+    rows = np.einsum("iw,sij->swj", spec.basis.vectors.conj(), transforms)  # <w|U
+    p = np.einsum("swi,ij,swj->sw", rows, rho, rows.conj()).real
+    outcomes = _sample_outcomes(rng.child(1), p)
+    return rows[np.arange(shots), outcomes].conj()
+
+
+def _ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(np.sort(a), grid, side="right") / a.size
+    fb = np.searchsorted(np.sort(b), grid, side="right") / b.size
+    return float(np.max(np.abs(fa - fb)))
+
+
+_GLOBAL_CASES = [
+    (group, tag, make_state)
+    for group in ("orthogonal", "unitary")
+    for tag in ("computational", "sh", "random:5")
+    for make_state in (_pure_state, _rank2_state)
+]
+
+
+class TestDirectSampler:
+    """Global shots come from an exact sampler that never draws U; these
+    checks hold it to the exact predictors and to the dense QR path."""
+
+    @pytest.mark.parametrize("group,tag,make_state", _GLOBAL_CASES)
+    def test_mean_and_variance_match_exact_predictors(self, group, tag, make_state):
+        shots = 20000
+        spec = global_ensemble(group, basis_from_tag(tag, 3))
+        rho = make_state(50, spec.d)
+        a = random_symmetric_observable(RngStream(51), spec.d)
+        records = collect_records(RngStream(52), rho, spec, shots)
+        report = estimate(records, a, rho=rho)
+        assert report.predicted_kind == "exact"
+        visible = np.trace(visible_projector(channel_for(spec), a) @ rho).real
+        assert abs(report.mean - visible) <= 4 * np.sqrt(report.predicted_variance / shots)
+        values = per_shot_estimates(records, a)
+        se_var = np.std((values - values.mean()) ** 2, ddof=1) / np.sqrt(shots)
+        assert abs(report.empirical_variance - report.predicted_variance) <= 4 * se_var
+
+    @pytest.mark.parametrize("group,tag,make_state", _GLOBAL_CASES)
+    def test_unit_norm_and_same_seed_bytes(self, group, tag, make_state):
+        spec = global_ensemble(group, basis_from_tag(tag, 3))
+        rho = make_state(53, spec.d)
+        first = collect_records(RngStream(54), rho, spec, 3000).vectors
+        assert np.max(np.abs(np.linalg.norm(first, axis=1) - 1.0)) <= 1e-12
+        assert collect_records(RngStream(54), rho, spec, 3000).vectors.tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("group", ["orthogonal", "unitary"])
+    def test_chunking_leaves_draws_unchanged(self, group, monkeypatch):
+        spec = global_ensemble(group, basis_from_tag("sh", 3))
+        rho = _rank2_state(58, spec.d)
+        whole = collect_records(RngStream(59), rho, spec, 100).vectors
+        monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 16 * spec.d * 7)  # 7-shot chunks
+        assert np.array_equal(collect_records(RngStream(59), rho, spec, 100).vectors, whole)
+
+    @pytest.mark.parametrize("group,tag,make_state", _GLOBAL_CASES)
+    def test_overlaps_match_dense_reference(self, group, tag, make_state):
+        # |<v|psi>|^2 and |<v|psi*>|^2 for the leading eigenvector psi: the
+        # second sees how the sampler treats Re psi and Im psi under O(d).
+        shots = 4000
+        spec = global_ensemble(group, basis_from_tag(tag, 3))
+        rho = make_state(55, spec.d)
+        psi = np.linalg.eigh(rho)[1][:, -1]
+        direct = collect_records(RngStream(56), rho, spec, shots).vectors
+        dense = _reference_vectors(RngStream(57), rho, spec, shots)
+        # KS critical value at significance 1e-3: 1.95 sqrt(2 / shots).
+        bound = 1.95 * np.sqrt(2.0 / shots)
+        for target in (psi, psi.conj()):
+            stat = [np.abs(v @ target.conj()) ** 2 for v in (direct, dense)]
+            assert _ks_distance(*stat) <= bound
 
 
 class TestShadows:
@@ -358,7 +457,10 @@ class TestConfigAndRun:
     def test_metadata_sidecar(self, tmp_path):
         cfg = self._config_dict(tmp_path, epsilon=0.1)
         run_experiment(ExperimentConfig.from_dict(cfg))
-        meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        meta = json.loads((tmp_path / "out.csv.meta.json").read_text(), parse_constant=reject)
         assert meta["seed"] == 11
         assert "PCG64" in meta["rng_algorithm"]
         sc = meta["sample_complexity"]
@@ -403,6 +505,29 @@ class TestConfigAndRun:
                     "observables": [],
                 }
             )
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("shots", "abc"),
+            ("n", 0),
+            ("epsilon", 0),
+            ("seed", -1),
+            ("seed", 2.5),
+            ("shots", True),
+            ("batches", "x"),
+            ("epsilon", "nan"),
+        ],
+    )
+    def test_bad_values_are_config_errors(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict(self._config_dict(tmp_path, **{key: value}))
+
+    def test_integral_values_are_coerced(self, tmp_path):
+        config = ExperimentConfig.from_dict(
+            self._config_dict(tmp_path, seed="11", shots=2000.0, epsilon="0.1")
+        )
+        assert (config.seed, config.shots, config.epsilon) == (11, 2000, 0.1)
 
     def test_build_state_kinds(self):
         assert operators_close(build_state({"kind": "maximally_mixed"}, 1), identity(2) / 2)
