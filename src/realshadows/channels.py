@@ -21,13 +21,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import MeasurementBasis, computational_basis
-from .linalg import antisym_part, as_operator, batched_kron, operators_close, sym_part
+from .linalg import (
+    antisym_part,
+    as_operator,
+    batched_kron,
+    operators_close,
+    sum_abs2,
+    sym_part,
+)
 from . import sampling
 
 GROUPS = ("unitary", "orthogonal")
 
 #: Eigenvalues smaller than this are treated as exact zeros of the channel.
 _ZERO_EIGENVALUE_ATOL = 1e-12
+
+#: Element budget per (chunk, d, d) Monte Carlo array: 4096 samples at d = 16.
+_CHUNK_ELEMENTS = 1 << 20
 
 
 class InvisibleObservableError(ValueError):
@@ -290,9 +300,14 @@ def pauli_parity_decompose(a, n: int):
     return tr, even_y, odd_y
 
 
-def mc_channel(rng: "sampling.RngStream", spec: EnsembleSpec, a, samples: int, batch_size: int = 4096):
+def mc_channel(rng: "sampling.RngStream", spec: EnsembleSpec, a, samples: int):
     """Definition-level Monte Carlo channel: the empirical mean of
     sum_w Tr[a U^dag Pi_w U] U^dag Pi_w U over sampled transforms.
+
+    With rows[s, w, :] = <w| U_s, each chunk is three matmuls: the weights
+    Tr[a U^dag Pi_w U] = rows a rows^dag (diagonal only) and the sum over w
+    of weight * rows^dag rows.  Chunks hold at most `_CHUNK_ELEMENTS`
+    elements per (chunk, d, d) array, so memory is bounded.
 
     Returns (mean, stderr) with a per-entry standard error of the mean.
     """
@@ -300,24 +315,22 @@ def mc_channel(rng: "sampling.RngStream", spec: EnsembleSpec, a, samples: int, b
     d = spec.d
     if m.shape[0] != d:
         raise ValueError("operator dimension does not match the ensemble")
-    basis = spec.basis.vectors
+    basis_h = spec.basis.vectors.conj().T
     total = np.zeros((d, d), dtype=complex)
     total_sq = np.zeros((d, d), dtype=float)
-    done = 0
-    while done < samples:
-        b = min(batch_size, samples - done)
+    chunk = max(1, _CHUNK_ELEMENTS // (d * d))
+    for start in range(0, samples, chunk):
+        b = min(chunk, samples - start)
         arrays = sampling.sample_transform_arrays(rng, spec, b)
         if spec.scope == "global":
             u = arrays
         else:
             u = batched_kron([arrays[:, j] for j in range(spec.n)])
-        # rows[s, w, i] = <w| U_s |i>
-        rows = np.einsum("iw,sij->swj", basis.conj(), u)
-        weights = np.einsum("swi,ij,swj->sw", rows, m, rows.conj())
-        contrib = np.einsum("sw,swi,swj->sij", weights, rows.conj(), rows)
+        rows = basis_h @ u
+        weights = ((rows @ m) * rows.conj()).sum(axis=2)
+        contrib = (rows.conj() * weights[..., None]).transpose(0, 2, 1) @ rows
         total += contrib.sum(axis=0)
-        total_sq += (np.abs(contrib) ** 2).sum(axis=0)
-        done += b
+        total_sq += sum_abs2(contrib)
     mean = total / samples
     var = np.maximum(total_sq / samples - np.abs(mean) ** 2, 0.0)
     stderr = np.sqrt(var / samples)

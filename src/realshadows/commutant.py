@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import as_operator, batched_kron
+from .linalg import as_operator, batched_kron, sum_abs2
 from .sampling import RngStream, haar_orthogonals, haar_unitaries
 
 #: Relative singular-value cutoff for the Gram pseudo-inverse.  The Brauer
@@ -24,6 +24,10 @@ from .sampling import RngStream, haar_orthogonals, haar_unitaries
 GRAM_RCOND = 1e-8
 
 _SUPPORTED_K = (2, 3)
+
+#: Element budget per (chunk, d^k, d^k) Monte Carlo array: 256 samples at
+#: d = 4, k = 3.
+_CHUNK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -247,34 +251,50 @@ class MonteCarloTwirl:
 
 
 def mc_twirl(
-    rng: RngStream, a, group: str = "O", k: int = 2, samples: int = 10000, batch_size: int = 2048
+    rng: RngStream, a, group: str = "O", k: int = 2, samples: int = 10000
 ) -> MonteCarloTwirl:
     """Monte Carlo twirl: empirical mean of U^{(x)k} a U^{dag (x)k}.
 
-    Sharded in fixed-size batches accumulated in order, so a given stream
-    yields bit-reproducible results.  Standard error is tracked per entry.
+    Samples are drawn and accumulated in order, in chunks of at most
+    `_CHUNK_ELEMENTS` elements per (chunk, d^k, d^k) array, so memory is
+    bounded and a given stream yields the same draws for any chunk size.
+    For O(d), W = U^{(x)k} stays real and x = W a W^T is two real matmuls
+    on the planar stack [Re a | Im a]; U(d) uses one complex product.
+    Standard error is tracked per entry.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     m = as_operator(a)
-    d = _infer_local_dim(m.shape[0], k) if k > 1 else m.shape[0]
+    dim = m.shape[0]
+    d = _infer_local_dim(dim, k) if k > 1 else dim
     group = group.upper()
-    total = np.zeros_like(m)
-    total_sq = np.zeros(m.shape, dtype=float)
-    done = 0
-    while done < samples:
-        b = min(batch_size, samples - done)
+    if group not in ("O", "U"):
+        raise ValueError(f"unknown group {group!r}")
+    chunk = max(1, _CHUNK_ELEMENTS // (dim * dim))
+    if group == "O":
+        # With D = dim, (W [Re a | Im a]).reshape(2D, D) holds row i of
+        # W Re(a) and of W Im(a) as rows 2i and 2i + 1; times W^T they are
+        # row i of Re x and Im x, so the sums below interleave the two parts.
+        planar = np.concatenate([m.real, m.imag], axis=1)
+        total = np.zeros((2 * dim, dim))
+        total_sq = np.zeros((2 * dim, dim))
+    else:
+        total = np.zeros_like(m)
+        total_sq = np.zeros(m.shape)
+    for start in range(0, samples, chunk):
+        b = min(chunk, samples - start)
         if group == "O":
-            u = haar_orthogonals(rng, d, b).astype(complex)
-        elif group == "U":
-            u = haar_unitaries(rng, d, b)
+            w = batched_kron([haar_orthogonals(rng, d, b)] * k)
+            x = (w @ planar).reshape(b, 2 * dim, dim) @ w.transpose(0, 2, 1)
         else:
-            raise ValueError(f"unknown group {group!r}")
-        w = batched_kron([u] * k)
-        x = w @ m @ w.conj().transpose(0, 2, 1)
+            w = batched_kron([haar_unitaries(rng, d, b)] * k)
+            x = w @ m @ w.conj().transpose(0, 2, 1)
         total += x.sum(axis=0)
-        total_sq += (np.abs(x) ** 2).sum(axis=0)
-        done += b
+        total_sq += sum_abs2(x)
+    if group == "O":
+        re_im = total.reshape(dim, 2, dim)
+        total = re_im[:, 0] + 1j * re_im[:, 1]
+        total_sq = total_sq.reshape(dim, 2, dim).sum(axis=1)
     mean = total / samples
     var = np.maximum(total_sq / samples - np.abs(mean) ** 2, 0.0)
     return MonteCarloTwirl(mean, np.sqrt(var / samples), samples)

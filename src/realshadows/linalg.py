@@ -68,6 +68,20 @@ def batched_kron(factors) -> np.ndarray:
     return out
 
 
+def sum_abs2(stack: np.ndarray) -> np.ndarray:
+    """Entrywise sum over the first axis of |stack|^2 for an (S, a, b) stack.
+
+    A complex stack is read as its real view (S, a, 2b), so the sum is one
+    real einsum with no |x| or temporary square array.
+    """
+    x = np.ascontiguousarray(stack)
+    if np.iscomplexobj(x):
+        s, a, b = x.shape
+        x = x.view(x.real.dtype)
+        return np.einsum("sij,sij->ij", x, x).reshape(a, b, 2).sum(axis=2)
+    return np.einsum("sij,sij->ij", x, x)
+
+
 def partial_trace_first(a, d1: int) -> np.ndarray:
     """Trace out the first tensor factor of dimension ``d1``."""
     m = np.asarray(a)

@@ -18,6 +18,10 @@ from .linalg import as_operator, norm_inf, sym_part, traceless_part
 from .pauli import PAULIS, PauliString
 from .sampling import RngStream
 
+#: An observable with ||A - A^T|| above this fraction of ||A|| is treated as
+#: having an antisymmetric part.
+_ANTISYM_RTOL = 1e-12
+
 
 @dataclass
 class VariancePrediction:
@@ -33,6 +37,11 @@ def _as_matrix(observable) -> np.ndarray:
     return as_operator(observable)
 
 
+def _trace_product(x: np.ndarray, y: np.ndarray) -> float:
+    """Re Tr[x y] in O(d^2), without forming the product."""
+    return float(np.sum(x * y.T).real)
+
+
 def var_global_real(a, rho, d: int | None = None) -> VariancePrediction:
     """Exact estimator variance for global orthogonal shadows, real basis."""
     m = _as_matrix(a)
@@ -41,10 +50,9 @@ def var_global_real(a, rho, d: int | None = None) -> VariancePrediction:
     if d is not None and d != dim:
         raise ValueError("stated dimension does not match the observable")
     s0 = traceless_part(sym_part(m))
-    s0_sq = s0 @ s0
     value = (dim + 2.0) / (2.0 * dim + 8.0) * (
-        np.trace(s0_sq).real + 4.0 * np.trace(state @ s0_sq).real
-    ) - np.trace(s0 @ state).real ** 2
+        _trace_product(s0, s0) + 4.0 * _trace_product(state @ s0, s0)
+    ) - _trace_product(s0, state) ** 2
     return VariancePrediction("exact", float(value), assumptions="global orthogonal, alpha = d")
 
 
@@ -54,10 +62,9 @@ def var_global_unitary(a, rho) -> VariancePrediction:
     state = as_operator(rho)
     dim = m.shape[0]
     a0 = traceless_part(m)
-    a0_sq = a0 @ a0
     value = (dim + 1.0) / (dim + 2.0) * (
-        np.trace(a0_sq).real + 2.0 * np.trace(state @ a0_sq).real
-    ) - np.trace(state @ a0).real ** 2
+        _trace_product(a0, a0) + 2.0 * _trace_product(state @ a0, a0)
+    ) - _trace_product(state, a0) ** 2
     return VariancePrediction("exact", float(value), assumptions="global unitary")
 
 
@@ -72,7 +79,12 @@ def reality_interpolation(a, d: int, alpha: float) -> np.ndarray:
 
 def var_global_alpha(a, rho, d: int, alpha: float) -> VariancePrediction:
     """Exact estimator variance for global orthogonal shadows with a basis of
-    total reality alpha."""
+    total reality alpha.
+
+    Checked by simulation for symmetric observables only: an observable with
+    an antisymmetric part is mispredicted when alpha != d, so
+    `predict_variance` gives no prediction for it there.
+    """
     m = _as_matrix(a)
     state = as_operator(rho)
     if m.shape[0] != d:
@@ -82,16 +94,18 @@ def var_global_alpha(a, rho, d: int, alpha: float) -> VariancePrediction:
     p_alpha = (d * d - alpha) / ((d - 1.0) * (d + 2.0))
     prefactor = 1.0 / ((1.0 - p_alpha) ** 2 * d * (d - 1.0) * (d + 2.0) * (d + 4.0))
     t0_t = t0.T
+    state_t0 = state @ t0
+    state_t0_t = state @ t0_t
     term_plain = (d * d - 3.0 * alpha + 2.0 * d) * (
-        np.trace(t0 @ t0) + 2.0 * np.trace(state @ t0 @ t0)
+        _trace_product(t0, t0) + 2.0 * _trace_product(state_t0, t0)
     )
     term_transposed = (alpha * d + alpha - 2.0 * d) * (
-        np.trace(t0 @ t0_t)
-        + 2.0 * np.trace(state @ t0 @ t0_t)
-        + 2.0 * np.trace(state @ t0_t @ t0)
-        + 2.0 * np.trace(state @ t0_t @ t0_t)
+        _trace_product(t0, t0_t)
+        + 2.0 * _trace_product(state_t0, t0_t)
+        + 2.0 * _trace_product(state_t0_t, t0)
+        + 2.0 * _trace_product(state_t0_t, t0_t)
     )
-    value = prefactor * (term_plain + term_transposed).real - np.trace(t0 @ state).real ** 2
+    value = prefactor * (term_plain + term_transposed) - _trace_product(t0, state) ** 2
     return VariancePrediction(
         "exact", float(value), assumptions=f"global orthogonal, alpha = {alpha}"
     )
@@ -147,7 +161,7 @@ def var_local_pauli_exact(p: PauliString, rho, groups) -> VariancePrediction:
             "exact", 0.0, assumptions="invisible observable; the estimator is identically zero"
         )
     state = as_operator(rho)
-    mean = np.trace(p.to_matrix() @ state).real
+    mean = _trace_product(p.to_matrix(), state)
     return VariancePrediction("exact", float(second - mean**2), assumptions="local Pauli")
 
 
@@ -273,7 +287,10 @@ def predict_variance(spec: EnsembleSpec, observable, rho=None) -> VariancePredic
         elif abs(d - 2.0 + alpha) < 1e-12:
             return None  # degenerate spectrum; no closed form at this point
         else:
-            pred = var_global_alpha(_as_matrix(observable), rho, d, alpha)
+            m = _as_matrix(observable)
+            if np.linalg.norm(m - m.T) > _ANTISYM_RTOL * np.linalg.norm(m):
+                return None  # var_global_alpha is unverified off symmetric observables
+            pred = var_global_alpha(m, rho, d, alpha)
     pred.ensemble = spec
     return pred
 

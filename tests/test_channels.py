@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realshadows.bases import computational_basis, make_basis, sh_basis
+from realshadows import channels
+from realshadows.bases import basis_from_tag, computational_basis, make_basis, sh_basis
 from realshadows.channels import (
     EnsembleSpec,
     apply_channel,
@@ -22,6 +23,7 @@ from realshadows.channels import (
 )
 from realshadows.commutant import twirl_project
 from realshadows.linalg import (
+    batched_kron,
     hs_inner,
     identity,
     kron,
@@ -30,7 +32,7 @@ from realshadows.linalg import (
     traceless_part,
 )
 from realshadows.pauli import PAULIS, X, Y, Z
-from realshadows.sampling import RngStream
+from realshadows.sampling import RngStream, sample_transform_arrays
 
 ATOL = 1e-10
 
@@ -364,6 +366,55 @@ class TestChannelOracle:
         exact = apply_channel(desc, a)
         mc, stderr = mc_channel(RngStream(seed), spec, a, samples=100000)
         assert np.all(np.abs(mc - exact) <= 3 * stderr + 1e-12)
+
+
+def _reference_mc_channel(rng, spec, a, samples):
+    """The three-einsum kernel the matmul path replaced, in one batch."""
+    arrays = sample_transform_arrays(rng, spec, samples)
+    if spec.scope == "global":
+        u = arrays
+    else:
+        u = batched_kron([arrays[:, j] for j in range(spec.n)])
+    rows = np.einsum("iw,sij->swj", spec.basis.vectors.conj(), u)
+    weights = np.einsum("swi,ij,swj->sw", rows, a, rows.conj())
+    contrib = np.einsum("sw,swi,swj->sij", weights, rows.conj(), rows)
+    mean = contrib.sum(axis=0) / samples
+    var = np.maximum((np.abs(contrib) ** 2).sum(axis=0) / samples - np.abs(mean) ** 2, 0.0)
+    return mean, np.sqrt(var / samples)
+
+
+_KERNEL_SPECS = {
+    f"global-{group}-{tag}": lambda group=group, tag=tag: global_ensemble(
+        group, basis_from_tag(tag, 3)
+    )
+    for group in ("orthogonal", "unitary")
+    for tag in ("computational", "sh", "random:5")
+}
+_KERNEL_SPECS["local-mixed"] = lambda: local_ensemble(("orthogonal", "unitary", "orthogonal"), 3)
+
+
+class TestChannelOracleKernel:
+    @pytest.mark.parametrize("make_spec", _KERNEL_SPECS.values(), ids=_KERNEL_SPECS.keys())
+    def test_matches_reference_on_same_stream(self, make_spec):
+        spec = make_spec()
+        a = _random_hermitian(70, spec.d)
+        mean, stderr = mc_channel(RngStream(71), spec, a, samples=300)
+        ref_mean, ref_stderr = _reference_mc_channel(RngStream(71), spec, a, 300)
+        assert np.max(np.abs(mean - ref_mean)) <= 1e-12
+        assert np.max(np.abs(stderr - ref_stderr)) <= 1e-12
+
+    @pytest.mark.parametrize("group", ["orthogonal", "unitary"])
+    @pytest.mark.parametrize("budget", [1, 64 * 7])
+    def test_chunk_size_does_not_change_the_result(self, monkeypatch, group, budget):
+        # At d = 8 a sample holds 64 elements: one-sample chunks, then 7.
+        # Global draws do not depend on the chunk size; local ones do.
+        spec = global_ensemble(group, sh_basis(3))
+        a = _random_hermitian(72, spec.d)
+        whole = mc_channel(RngStream(73), spec, a, samples=50)
+        monkeypatch.setattr(channels, "_CHUNK_ELEMENTS", budget)
+        chunked = mc_channel(RngStream(73), spec, a, samples=50)
+        assert np.max(np.abs(whole[0] - chunked[0])) <= 1e-12
+        assert np.max(np.abs(whole[1] - chunked[1])) <= 1e-12
 
 
 class TestEnsembleSpecValidation:

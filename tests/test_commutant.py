@@ -14,8 +14,9 @@ from realshadows.commutant import (
     realize,
     twirl_project,
 )
-from realshadows.linalg import identity, kron, norm2, operators_close
-from realshadows.sampling import RngStream, haar_orthogonals, haar_state_vector
+from realshadows import commutant
+from realshadows.linalg import as_operator, batched_kron, identity, kron, norm2, operators_close
+from realshadows.sampling import RngStream, haar_orthogonals, haar_state_vector, haar_unitaries
 
 
 def _projector_power(vector: np.ndarray, k: int) -> np.ndarray:
@@ -216,3 +217,46 @@ class TestMonteCarloTwirl:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             mc_twirl(RngStream(53), identity(4), "O", 2, samples=0)
+
+
+def _reference_mc_twirl(rng, a, group, k, samples):
+    """The definition-level kernel the real-product path replaced: one batch,
+    complex W = U^{(x)k}, x = W a W^dag and |x|^2 squares."""
+    m = as_operator(a)
+    d = round(m.shape[0] ** (1.0 / k))
+    if group == "O":
+        u = haar_orthogonals(rng, d, samples).astype(complex)
+    else:
+        u = haar_unitaries(rng, d, samples)
+    w = batched_kron([u] * k)
+    x = w @ m @ w.conj().transpose(0, 2, 1)
+    mean = x.sum(axis=0) / samples
+    var = np.maximum((np.abs(x) ** 2).sum(axis=0) / samples - np.abs(mean) ** 2, 0.0)
+    return mean, np.sqrt(var / samples)
+
+
+def _random_operator(seed, dim):
+    g = RngStream(seed).generator
+    return g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
+
+
+class TestMonteCarloTwirlKernel:
+    @pytest.mark.parametrize("group", ["O", "U"])
+    @pytest.mark.parametrize("k, d", [(1, 4), (2, 3), (3, 3)])
+    def test_matches_reference_on_same_stream(self, group, k, d):
+        a = _random_operator(60 + k, d**k)
+        mc = mc_twirl(RngStream(61, (k,)), a, group, k, samples=300)
+        mean, stderr = _reference_mc_twirl(RngStream(61, (k,)), a, group, k, 300)
+        assert np.max(np.abs(mc.mean - mean)) <= 1e-12
+        assert np.max(np.abs(mc.stderr - stderr)) <= 1e-12
+
+    @pytest.mark.parametrize("group", ["O", "U"])
+    @pytest.mark.parametrize("budget", [1, 81 * 7])
+    def test_chunk_size_does_not_change_the_result(self, monkeypatch, group, budget):
+        # At d^k = 9 a sample holds 81 elements: one-sample chunks, then 7.
+        a = _random_operator(62, 9)
+        whole = mc_twirl(RngStream(63), a, group, 2, samples=50)
+        monkeypatch.setattr(commutant, "_CHUNK_ELEMENTS", budget)
+        chunked = mc_twirl(RngStream(63), a, group, 2, samples=50)
+        assert np.max(np.abs(whole.mean - chunked.mean)) <= 1e-12
+        assert np.max(np.abs(whole.stderr - chunked.stderr)) <= 1e-12

@@ -14,6 +14,7 @@ from realshadows.linalg import (
     norm_inf,
     operators_close,
     partial_trace_first,
+    sum_abs2,
     sym_part,
     traceless_part,
 )
@@ -131,6 +132,13 @@ class TestBasicOps:
         m = _random_matrix(11, 4)
         h = m + m.conj().T
         assert norm2(h) ** 2 == pytest.approx(float(np.sum(np.abs(h) ** 2)), rel=1e-12)
+
+    def test_sum_abs2_matches_abs_squares(self):
+        g = np.random.default_rng(12)
+        stack = g.standard_normal((5, 3, 4)) + 1j * g.standard_normal((5, 3, 4))
+        # A transposed view is not contiguous; the real view needs a copy.
+        for x in (stack, stack.real, stack.transpose(0, 2, 1)):
+            assert np.allclose(sum_abs2(x), (np.abs(x) ** 2).sum(axis=0), rtol=1e-13, atol=0)
 
 
 class TestSymmetrySplits:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from realshadows.bases import computational_basis, sh_basis
+from realshadows.bases import basis_from_tag, computational_basis, sh_basis
 from realshadows.channels import InvisibleObservableError, global_ensemble, local_ensemble
 from realshadows.commutant import twirl_project
-from realshadows.engine import collect_records, per_shot_estimates
-from realshadows.linalg import identity, kron, operators_close
+from realshadows.engine import collect_records, estimate, per_shot_estimates
+from realshadows.linalg import identity, kron, operators_close, sym_part
 from realshadows.pauli import PAULIS, PauliString, X, Y, Z
 from realshadows.sampling import RngStream, random_pure_state
 from realshadows.variance import (
@@ -309,6 +309,27 @@ class TestPredictVariance:
     def test_local_dense_complex_observable_is_none(self):
         spec = local_ensemble("orthogonal", 1)
         assert predict_variance(spec, Y, identity(2) / 2) is None
+
+    @pytest.mark.parametrize("tag", ["sh", "random:5"])
+    def test_global_alpha_with_antisymmetric_part_is_none(self, tag):
+        # var_global_alpha mispredicts such observables (d = 16, sh: 293.5
+        # measured against 483.5 predicted), so no value is reported.
+        spec = global_ensemble("orthogonal", basis_from_tag(tag, 3))
+        rho = random_pure_state(RngStream(80), spec.d)
+        a = _random_hermitian(81, spec.d)
+        assert predict_variance(spec, a, rho) is None
+        records = collect_records(RngStream(82), rho, spec, 20)
+        assert estimate(records, a, rho=rho).predicted_variance is None
+        assert predict_variance(spec, PauliString.from_string("XYZ"), rho) is None
+
+    @pytest.mark.parametrize("tag", ["sh", "random:5"])
+    def test_global_alpha_symmetric_observable_is_predicted(self, tag):
+        spec = global_ensemble("orthogonal", basis_from_tag(tag, 3))
+        rho = random_pure_state(RngStream(80), spec.d)
+        a = sym_part(_random_hermitian(81, spec.d))
+        pred = predict_variance(spec, a, rho)
+        assert pred.kind == "exact"
+        assert pred.value == var_global_alpha(a, rho, spec.d, spec.basis.alpha_total).value
 
 
 class TestRandomSymmetricObservable:
