@@ -307,7 +307,9 @@ def mc_channel(rng: "sampling.RngStream", spec: EnsembleSpec, a, samples: int):
     With rows[s, w, :] = <w| U_s, each chunk is three matmuls: the weights
     Tr[a U^dag Pi_w U] = rows a rows^dag (diagonal only) and the sum over w
     of weight * rows^dag rows.  Chunks hold at most `_CHUNK_ELEMENTS`
-    elements per (chunk, d, d) array, so memory is bounded.
+    elements per (chunk, d, d) array, so memory is bounded.  Global draws are
+    made per chunk and local factors once for all samples, so a given stream
+    yields the same draws for any chunk size.
 
     Returns (mean, stderr) with a per-entry standard error of the mean.
     """
@@ -319,13 +321,16 @@ def mc_channel(rng: "sampling.RngStream", spec: EnsembleSpec, a, samples: int):
     total = np.zeros((d, d), dtype=complex)
     total_sq = np.zeros((d, d), dtype=float)
     chunk = max(1, _CHUNK_ELEMENTS // (d * d))
+    if spec.scope == "local":
+        # (samples, n, 2, 2): O(samples n) memory, as in the engine.
+        factors = sampling.sample_transform_arrays(rng, spec, samples)
     for start in range(0, samples, chunk):
         b = min(chunk, samples - start)
-        arrays = sampling.sample_transform_arrays(rng, spec, b)
         if spec.scope == "global":
-            u = arrays
+            u = sampling.sample_transform_arrays(rng, spec, b)
         else:
-            u = batched_kron([arrays[:, j] for j in range(spec.n)])
+            part = factors[start : start + b]
+            u = batched_kron([part[:, j] for j in range(spec.n)])
         rows = basis_h @ u
         weights = ((rows @ m) * rows.conj()).sum(axis=2)
         contrib = (rows.conj() * weights[..., None]).transpose(0, 2, 1) @ rows

@@ -53,13 +53,33 @@ def _mc_agreement(diff: np.ndarray, stderr: np.ndarray) -> tuple[int, float, boo
     return beyond_3_sigma, max_z, max_z <= 6.0
 
 
+def _require_at_least(flag: str, value: int, low: int, why: str = "") -> None:
+    if value < low:
+        raise ConfigError(f"{flag} must be at least {low}{why}, got {value}")
+
+
+def _qubit_count(d: int) -> int:
+    """n for a dimension d = 2^n with n >= 1, else a ConfigError."""
+    if d < 2 or d & (d - 1):
+        raise ConfigError(f"dimension {d} is not a power of two >= 2")
+    return d.bit_length() - 1
+
+
+#: A standard error needs at least two samples.
+_FOR_A_STDERR = " for a standard error"
+
+
 _ENSEMBLE_CHOICES = ("global-orthogonal", "global-unitary", "local-orthogonal", "local-unitary")
 
 
 def _ensemble_from_flag(name: str, n: int, basis_tag: str) -> EnsembleSpec:
     scope, group = name.split("-", 1)
     if scope == "global":
-        return global_ensemble(group, basis_from_tag(basis_tag, n))
+        try:
+            basis = basis_from_tag(basis_tag, n)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        return global_ensemble(group, basis)
     if basis_tag != "computational":
         raise ConfigError("local ensembles measure in the computational basis")
     return local_ensemble(group, n)
@@ -94,11 +114,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_channel(args: argparse.Namespace) -> int:
-    n = int(np.log2(args.d))
-    if 2**n != args.d:
-        raise ConfigError(f"dimension {args.d} is not a power of two")
+    n = _qubit_count(args.d)
     if args.d > 16:
         raise ConfigError("Monte Carlo channel validation is limited to d <= 16")
+    _require_at_least("--samples", args.samples, 2, _FOR_A_STDERR)
     spec = _ensemble_from_flag(args.ensemble, n, args.basis)
     desc = channel_for(spec)
     rng = RngStream(args.seed)
@@ -129,8 +148,10 @@ def cmd_validate_channel(args: argparse.Namespace) -> int:
 def cmd_validate_twirl(args: argparse.Namespace) -> int:
     if args.k not in (2, 3):
         raise ConfigError("k must be 2 or 3")
+    _require_at_least("--d", args.d, 2)
     if args.d**args.k > 512:
         raise ConfigError("d^k must not exceed 512")
+    _require_at_least("--samples", args.samples, 2, _FOR_A_STDERR)
     rng = RngStream(args.seed)
     failures = 0
     for label, vector in (
@@ -167,13 +188,16 @@ def cmd_validate_twirl(args: argparse.Namespace) -> int:
 def cmd_validate_variance(args: argparse.Namespace) -> int:
     from .engine import collect_records, estimate
 
+    n = _qubit_count(args.d)
+    _require_at_least("--shots", args.shots, 2, " for an empirical variance")
+    if not args.tolerance > 0:
+        raise ConfigError(f"--tolerance must be positive, got {args.tolerance}")
     pinned_real = var_global_real(np.diag([1.0, -1.0]).astype(complex), np.eye(2) / 2.0).value
     pinned_unitary = var_global_unitary(
         np.diag([1.0, -1.0]).astype(complex), np.eye(2) / 2.0
     ).value
     print(f"pinned d=2 A=Z rho=I/2: real={pinned_real}, unitary={pinned_unitary}")
     ok = pinned_real == 2.0 and pinned_unitary == 3.0
-    n = int(np.log2(args.d))
     rho = random_pure_state(RngStream(args.seed, (10,)), args.d)
     a = random_symmetric_observable(RngStream(args.seed, (11,)), args.d)
     for group in ("orthogonal", "unitary"):
@@ -195,6 +219,9 @@ def cmd_validate_variance(args: argparse.Namespace) -> int:
 def cmd_ratio_sweep(args: argparse.Namespace) -> int:
     if args.n_max > 7:
         raise ConfigError("ratio sweep is limited to n <= 7")
+    _require_at_least("--n-min", args.n_min, 1)
+    _require_at_least("--n-max", args.n_max, args.n_min, " (--n-min)")
+    _require_at_least("--instances", args.instances, 2, _FOR_A_STDERR)
     n_values = list(range(args.n_min, args.n_max + 1))
     rows, summary = ratio_sweep(n_values, args.instances, args.seed)
     for entry in summary:

@@ -250,6 +250,28 @@ class MonteCarloTwirl:
     samples: int
 
 
+def _haar(rng: RngStream, group: str, d: int, count: int) -> np.ndarray:
+    """`count` Haar draws from O(d) (real dtype) or U(d)."""
+    if group == "O":
+        return haar_orthogonals(rng, d, count)
+    return haar_unitaries(rng, d, count)
+
+
+def _tensor_power_apply(u: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
+    """(U_s^{(x)k} v_j)_{s,j} for a (b, d, d) stack u and (d^k, p) columns v.
+
+    One tensor factor at a time: each step multiplies the leading factor axis
+    by U_s and rotates it to the back, so after k steps the axes are back in
+    order behind the column axis.  Returns (b, p, d^k); W is never built.
+    """
+    b, d = u.shape[:2]
+    dim, p = v.shape
+    x = v.reshape(d, dim // d * p)
+    for _ in range(k):
+        x = (u @ x).swapaxes(1, 2).reshape(b, d, -1)
+    return x.reshape(b, p, dim)
+
+
 def mc_twirl(
     rng: RngStream, a, group: str = "O", k: int = 2, samples: int = 10000
 ) -> MonteCarloTwirl:
@@ -258,9 +280,13 @@ def mc_twirl(
     Samples are drawn and accumulated in order, in chunks of at most
     `_CHUNK_ELEMENTS` elements per (chunk, d^k, d^k) array, so memory is
     bounded and a given stream yields the same draws for any chunk size.
-    For O(d), W = U^{(x)k} stays real and x = W a W^T is two real matmuls
-    on the planar stack [Re a | Im a]; U(d) uses one complex product.
-    Standard error is tracked per entry.
+    The rank of `a` (numpy.linalg.matrix_rank's rule on its SVD) selects the
+    kernel.  A rank-one a = l m^T never forms W = U^{(x)k}: each sample is
+    x = b c^T with b = W l and c = conj(W) m, built one tensor factor at a
+    time, so a chunk's sum is B^T C and its sum of |x|^2 is (|B|^2)^T |C|^2.
+    Other inputs use the dense kernel: for O(d), W stays real and
+    x = W a W^T is two real matmuls on the planar stack [Re a | Im a]; U(d)
+    uses one complex product.  Standard error is tracked per entry.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -271,6 +297,46 @@ def mc_twirl(
     if group not in ("O", "U"):
         raise ValueError(f"unknown group {group!r}")
     chunk = max(1, _CHUNK_ELEMENTS // (dim * dim))
+    left, sv, right = np.linalg.svd(m)
+    if np.sum(sv > sv[0] * dim * np.finfo(float).eps) == 1:
+        total, total_sq = _rank_one_sums(
+            rng, group, d, k, sv[0] * left[:, 0], right[0], samples, chunk
+        )
+    else:
+        total, total_sq = _dense_sums(rng, group, d, k, m, samples, chunk)
+    mean = total / samples
+    var = np.maximum(total_sq / samples - np.abs(mean) ** 2, 0.0)
+    return MonteCarloTwirl(mean, np.sqrt(var / samples), samples)
+
+
+def _rank_one_sums(rng, group, d, k, l, r, samples, chunk):
+    """Sums of x and |x|^2 over samples of x = W l r^T W^dag, with W never built."""
+    dim = l.shape[0]
+    if group == "O":
+        # W is real, so the planar columns [Re l, Im l, Re r, Im r] stay real.
+        columns = np.stack([l.real, l.imag, r.real, r.imag], axis=1)
+    else:
+        # conj(W) r = conj(W conj(r)).
+        columns = np.stack([l, r.conj()], axis=1)
+    total = np.zeros((dim, dim), dtype=complex)
+    total_sq = np.zeros((dim, dim))
+    for start in range(0, samples, chunk):
+        b = min(chunk, samples - start)
+        y = _tensor_power_apply(_haar(rng, group, d, b), columns, k)
+        if group == "O":
+            bs = y[:, 0] + 1j * y[:, 1]
+            cs = y[:, 2] + 1j * y[:, 3]
+        else:
+            bs = y[:, 0]
+            cs = y[:, 1].conj()
+        total += bs.T @ cs
+        total_sq += (np.abs(bs) ** 2).T @ (np.abs(cs) ** 2)
+    return total, total_sq
+
+
+def _dense_sums(rng, group, d, k, m, samples, chunk):
+    """Sums of x and |x|^2 over samples of x = W m W^dag with W = U^{(x)k}."""
+    dim = m.shape[0]
     if group == "O":
         # With D = dim, (W [Re a | Im a]).reshape(2D, D) holds row i of
         # W Re(a) and of W Im(a) as rows 2i and 2i + 1; times W^T they are
@@ -283,11 +349,10 @@ def mc_twirl(
         total_sq = np.zeros(m.shape)
     for start in range(0, samples, chunk):
         b = min(chunk, samples - start)
+        w = batched_kron([_haar(rng, group, d, b)] * k)
         if group == "O":
-            w = batched_kron([haar_orthogonals(rng, d, b)] * k)
             x = (w @ planar).reshape(b, 2 * dim, dim) @ w.transpose(0, 2, 1)
         else:
-            w = batched_kron([haar_unitaries(rng, d, b)] * k)
             x = w @ m @ w.conj().transpose(0, 2, 1)
         total += x.sum(axis=0)
         total_sq += sum_abs2(x)
@@ -295,6 +360,4 @@ def mc_twirl(
         re_im = total.reshape(dim, 2, dim)
         total = re_im[:, 0] + 1j * re_im[:, 1]
         total_sq = total_sq.reshape(dim, 2, dim).sum(axis=1)
-    mean = total / samples
-    var = np.maximum(total_sq / samples - np.abs(mean) ** 2, 0.0)
-    return MonteCarloTwirl(mean, np.sqrt(var / samples), samples)
+    return total, total_sq

@@ -403,12 +403,18 @@ class TestChannelOracleKernel:
         assert np.max(np.abs(mean - ref_mean)) <= 1e-12
         assert np.max(np.abs(stderr - ref_stderr)) <= 1e-12
 
-    @pytest.mark.parametrize("group", ["orthogonal", "unitary"])
+    @pytest.mark.parametrize(
+        "make_spec",
+        [
+            pytest.param(lambda: global_ensemble("orthogonal", sh_basis(3)), id="orthogonal"),
+            pytest.param(lambda: global_ensemble("unitary", sh_basis(3)), id="unitary"),
+            pytest.param(_KERNEL_SPECS["local-mixed"], id="local-mixed"),
+        ],
+    )
     @pytest.mark.parametrize("budget", [1, 64 * 7])
-    def test_chunk_size_does_not_change_the_result(self, monkeypatch, group, budget):
+    def test_chunk_size_does_not_change_the_result(self, monkeypatch, make_spec, budget):
         # At d = 8 a sample holds 64 elements: one-sample chunks, then 7.
-        # Global draws do not depend on the chunk size; local ones do.
-        spec = global_ensemble(group, sh_basis(3))
+        spec = make_spec()
         a = _random_hermitian(72, spec.d)
         whole = mc_channel(RngStream(73), spec, a, samples=50)
         monkeypatch.setattr(channels, "_CHUNK_ELEMENTS", budget)

@@ -178,6 +178,27 @@ class TestValidators:
     def test_validate_twirl_resource_limit(self):
         assert main(["validate-twirl", "--d", "16", "--k", "3"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate-twirl", "--d", "1"],
+            ["validate-twirl", "--samples", "0"],
+            ["validate-channel", "--d", "0"],
+            ["validate-channel", "--samples", "0"],
+            ["validate-channel", "--basis", "bogus"],
+            ["ratio-sweep", "--n-min", "0"],
+            ["ratio-sweep", "--instances", "1"],
+            ["validate-variance", "--d", "3"],
+            ["validate-variance", "--shots", "1"],
+        ],
+        ids="_".join,
+    )
+    def test_bad_flag_is_one_line_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error:") and captured.err.count("\n") == 1
+
     def test_validate_variance(self, capsys):
         code = main(["validate-variance", "--d", "4", "--shots", "40000", "--tolerance", "0.1"])
         assert code == 0

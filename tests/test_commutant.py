@@ -240,21 +240,40 @@ def _random_operator(seed, dim):
     return g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
 
 
+def _rank_two_operator(seed, dim):
+    g = RngStream(seed).generator
+    left = g.standard_normal((dim, 2)) + 1j * g.standard_normal((dim, 2))
+    right = g.standard_normal((dim, 2)) + 1j * g.standard_normal((dim, 2))
+    return left @ right.conj().T
+
+
+#: Inputs on each side of mc_twirl's rank selection: full rank and rank two
+#: take the dense kernel, Pi^{(x)k} of a complex vector the rank-one one
+#: (halved, so that its singular value is not 1).
+_KERNEL_INPUTS = {
+    "full": lambda seed, d, k: _random_operator(seed, d**k),
+    "rank1": lambda seed, d, k: 0.5 * _projector_power(haar_state_vector(RngStream(seed), d), k),
+    "rank2": lambda seed, d, k: _rank_two_operator(seed, d**k),
+}
+
+
 class TestMonteCarloTwirlKernel:
+    @pytest.mark.parametrize("make_input", _KERNEL_INPUTS.values(), ids=_KERNEL_INPUTS.keys())
     @pytest.mark.parametrize("group", ["O", "U"])
     @pytest.mark.parametrize("k, d", [(1, 4), (2, 3), (3, 3)])
-    def test_matches_reference_on_same_stream(self, group, k, d):
-        a = _random_operator(60 + k, d**k)
+    def test_matches_reference_on_same_stream(self, make_input, group, k, d):
+        a = make_input(60 + k, d, k)
         mc = mc_twirl(RngStream(61, (k,)), a, group, k, samples=300)
         mean, stderr = _reference_mc_twirl(RngStream(61, (k,)), a, group, k, 300)
         assert np.max(np.abs(mc.mean - mean)) <= 1e-12
         assert np.max(np.abs(mc.stderr - stderr)) <= 1e-12
 
+    @pytest.mark.parametrize("make_input", _KERNEL_INPUTS.values(), ids=_KERNEL_INPUTS.keys())
     @pytest.mark.parametrize("group", ["O", "U"])
     @pytest.mark.parametrize("budget", [1, 81 * 7])
-    def test_chunk_size_does_not_change_the_result(self, monkeypatch, group, budget):
+    def test_chunk_size_does_not_change_the_result(self, monkeypatch, make_input, group, budget):
         # At d^k = 9 a sample holds 81 elements: one-sample chunks, then 7.
-        a = _random_operator(62, 9)
+        a = make_input(62, 3, 2)
         whole = mc_twirl(RngStream(63), a, group, 2, samples=50)
         monkeypatch.setattr(commutant, "_CHUNK_ELEMENTS", budget)
         chunked = mc_twirl(RngStream(63), a, group, 2, samples=50)
