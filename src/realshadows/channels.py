@@ -16,6 +16,7 @@ spectral form; dense superoperator matrices appear only in tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,9 +77,6 @@ class EnsembleSpec:
     @property
     def d(self) -> int:
         return 2**self.n
-
-    def group_for(self, j: int) -> str:
-        return self.groups[0] if self.scope == "global" else self.groups[j]
 
     def label(self) -> str:
         groups = self.groups[0] if len(set(self.groups)) == 1 else ",".join(self.groups)
@@ -199,6 +197,16 @@ def _indicator(lam: float) -> float:
     return 0.0 if abs(lam) <= _ZERO_EIGENVALUE_ATOL else 1.0
 
 
+def pauli_inverse_eigenvalue(spectrum: ChannelSpectrum, letter: str) -> float:
+    """The eigenvalue of M^-1 on a single-qubit Pauli letter under a qubit
+    channel: 1 on I, 1/lambda_sym on the symmetric X and Z, 1/lambda_anti on
+    the antisymmetric Y, and 0 where that block is annihilated (the letter is
+    invisible)."""
+    if letter == "I":
+        return 1.0
+    return _inverse_eigenvalue(spectrum.lambda_anti if letter == "Y" else spectrum.lambda_sym)
+
+
 def _apply_global_blocks(a: np.ndarray, lam_sym: float, lam_anti: float) -> np.ndarray:
     d = a.shape[0]
     tr = (np.trace(a) / d) * np.eye(d)
@@ -242,26 +250,22 @@ def visible_projector(desc: ChannelDescriptor, a) -> np.ndarray:
     return _dispatch(desc, a, _indicator)
 
 
+def factor_visible_dimension(spectrum: ChannelSpectrum, d: int) -> int:
+    """Dimension of the visible operator subspace of one d-dimensional tensor
+    factor: the trace block plus every block whose eigenvalue is non-zero."""
+    dim = 1
+    if _indicator(spectrum.lambda_sym):
+        dim += d * (d + 1) // 2 - 1
+    if _indicator(spectrum.lambda_anti):
+        dim += d * (d - 1) // 2
+    return dim
+
+
 def visible_dimension(desc: ChannelDescriptor) -> int:
     """Dimension of the visible operator subspace."""
     if desc.spec.scope == "global":
-        d = desc.spec.d
-        sp = desc.spectrum
-        dim = 1
-        if _indicator(sp.lambda_sym):
-            dim += d * (d + 1) // 2 - 1
-        if _indicator(sp.lambda_anti):
-            dim += d * (d - 1) // 2
-        return dim
-    dim = 1
-    for sp in desc.spectra:
-        per_qubit = 1
-        if _indicator(sp.lambda_sym):
-            per_qubit += 2
-        if _indicator(sp.lambda_anti):
-            per_qubit += 1
-        dim *= per_qubit
-    return dim
+        return factor_visible_dimension(desc.spectrum, desc.spec.d)
+    return math.prod(factor_visible_dimension(sp, 2) for sp in desc.spectra)
 
 
 def mixture_decomposition(desc: ChannelDescriptor):
@@ -313,6 +317,8 @@ def mc_channel(rng: "sampling.RngStream", spec: EnsembleSpec, a, samples: int):
 
     Returns (mean, stderr) with a per-entry standard error of the mean.
     """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     m = as_operator(a)
     d = spec.d
     if m.shape[0] != d:

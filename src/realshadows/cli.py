@@ -22,10 +22,11 @@ from .channels import (
     visible_dimension,
 )
 from .commutant import closed_form_twirl, mc_twirl, twirl_project
-from .engine import ConfigError, ExperimentConfig, run_experiment
+from .engine import ConfigError, ExperimentConfig, collect_records, estimate, run_experiment
 from .linalg import kron
 from .sampling import RngStream, haar_state_vector, random_pure_state
 from .variance import (
+    predict_variance,
     random_symmetric_observable,
     ratio_sweep,
     var_global_real,
@@ -93,8 +94,8 @@ def _load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
     if overrides.shots is not None:
         raw["shots"] = overrides.shots
     if overrides.out is not None:
-        raw.setdefault("emit", {})
-        raw["emit"]["csv"] = overrides.out
+        emit = raw.get("emit") or {}
+        raw["emit"] = dict(emit, csv=overrides.out) if isinstance(emit, dict) else emit
     if overrides.allow_bias:
         raw["allow_bias"] = True
     return ExperimentConfig.from_dict(raw)
@@ -102,7 +103,7 @@ def _load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args)
-    reports, _ = run_experiment(config)
+    reports = run_experiment(config)
     for r in reports:
         print(
             f"{r.observable_id}: mean={r.mean:.6g} mom={r.median_of_means:.6g} "
@@ -186,8 +187,6 @@ def cmd_validate_twirl(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_variance(args: argparse.Namespace) -> int:
-    from .engine import collect_records, estimate
-
     n = _qubit_count(args.d)
     _require_at_least("--shots", args.shots, 2, " for an empirical variance")
     if not args.tolerance > 0:
@@ -203,13 +202,14 @@ def cmd_validate_variance(args: argparse.Namespace) -> int:
     for group in ("orthogonal", "unitary"):
         spec = global_ensemble(group, basis_from_tag("computational", n))
         records = collect_records(RngStream(args.seed, (12,)), rho, spec, args.shots)
-        report = estimate(records, a, rho=rho)
-        rel = abs(report.empirical_variance - report.predicted_variance) / report.predicted_variance
+        empirical = estimate(records, a).empirical_variance
+        predicted = predict_variance(spec, a, rho).value
+        rel = abs(empirical - predicted) / predicted
         case_ok = rel <= args.tolerance
         ok = ok and case_ok
         print(
-            f"global {group}: empirical={report.empirical_variance:.6g} "
-            f"predicted={report.predicted_variance:.6g} rel_err={rel:.3%} "
+            f"global {group}: empirical={empirical:.6g} "
+            f"predicted={predicted:.6g} rel_err={rel:.3%} "
             f"-> {'PASS' if case_ok else 'FAIL'}"
         )
     print(f"variance validation: {'PASS' if ok else 'FAIL'}")

@@ -22,12 +22,20 @@ from .channels import (
     ChannelDescriptor,
     EnsembleSpec,
     channel_for,
+    pauli_inverse_eigenvalue,
     pseudo_inverse,
     visible_projector,
 )
 from .linalg import as_operator, batched_kron, identity, norm2
 from .pauli import PAULIS, PauliString
-from .sampling import RNG_ALGORITHM, RngStream, haar_frames, sample_transform_arrays
+from .sampling import (
+    RNG_ALGORITHM,
+    RngStream,
+    haar_frames,
+    random_pure_state,
+    sample_transform_arrays,
+)
+from .variance import predict_variance, random_symmetric_observable
 
 _PROB_SUM_TOL = 1e-6
 
@@ -225,17 +233,6 @@ def shadow_from_vector(spec: EnsembleSpec, v: np.ndarray) -> np.ndarray:
     return pseudo_inverse(channel_for(spec), np.outer(v, v.conj()))
 
 
-def _pauli_inverse_factor(group: str, letter: str) -> np.ndarray | None:
-    """M^-1 applied to a single-qubit Pauli, or None when it is annihilated."""
-    if letter == "I":
-        return PAULIS["I"]
-    if group == "orthogonal":
-        if letter == "Y":
-            return None
-        return 2.0 * PAULIS[letter]
-    return 3.0 * PAULIS[letter]
-
-
 def per_shot_estimates(records: ShadowRecords, observable) -> np.ndarray:
     """o_s = v_s^dag M^-1(O) v_s for every shot, without materializing shadows.
 
@@ -248,15 +245,16 @@ def per_shot_estimates(records: ShadowRecords, observable) -> np.ndarray:
     if isinstance(observable, PauliString) and spec.scope == "local":
         if observable.n != spec.n:
             raise ValueError("observable qubit count does not match the ensemble")
+        spectra = channel_for(spec).spectra
         values = np.full(s_count, complex(observable.coefficient))
         for j, letter in enumerate(observable.letters):
             if letter == "I":
                 continue
-            tilde = _pauli_inverse_factor(spec.group_for(j), letter)
-            if tilde is None:
+            factor = pauli_inverse_eigenvalue(spectra[j], letter)
+            if factor == 0.0:
                 return np.zeros(s_count)
             v = records.vectors[:, j]
-            values *= np.einsum("sp,pq,sq->s", v.conj(), tilde, v)
+            values *= np.einsum("sp,pq,sq->s", v.conj(), factor * PAULIS[letter], v)
         return values.real
     obs = observable.to_matrix() if isinstance(observable, PauliString) else as_operator(observable)
     if obs.shape[0] != spec.d:
@@ -286,14 +284,19 @@ def median_of_means(values: np.ndarray, batches: int) -> float:
 
 @dataclass
 class EstimateReport:
+    """Sample statistics of one observable's per-shot estimates.
+
+    `predicted_variance`, `bias_warning` and `target` stay None until a caller
+    that knows the simulated state fills them, as `run_experiment` does.
+    """
+
     observable_id: str
     mean: float
     median_of_means: float
     empirical_variance: float
-    predicted_variance: float | None
-    predicted_kind: str | None
     shots: int
-    bias_warning: bool
+    predicted_variance: float | None = None
+    bias_warning: bool | None = None
     target: float | None = None
 
 
@@ -301,8 +304,8 @@ def _has_invisible_component(desc: ChannelDescriptor, observable) -> bool:
     spec = desc.spec
     if isinstance(observable, PauliString) and spec.scope == "local":
         return any(
-            letter == "Y" and spec.group_for(j) == "orthogonal"
-            for j, letter in enumerate(observable.letters)
+            pauli_inverse_eigenvalue(sp, letter) == 0.0
+            for sp, letter in zip(desc.spectra, observable.letters)
         )
     obs = observable.to_matrix() if isinstance(observable, PauliString) else as_operator(observable)
     invisible = obs - visible_projector(desc, obs)
@@ -310,53 +313,20 @@ def _has_invisible_component(desc: ChannelDescriptor, observable) -> bool:
 
 
 def estimate(
-    records: ShadowRecords,
-    observable,
-    batches: int = 1,
-    rho=None,
-    observable_id: str | None = None,
-    bias_warning: bool | None = None,
+    records: ShadowRecords, observable, batches: int = 1, observable_id: str | None = None
 ) -> EstimateReport:
-    """Aggregate per-shot estimates into a report.
-
-    `rho` is the simulation-only true state; when given, the report carries
-    the exact predicted variance and the target expectation value.
-    `bias_warning` is the observable's invisible-component check when the
-    caller already ran it; None runs it here.
-    """
+    """Aggregate per-shot estimates into a report; reads nothing but the records."""
     values = per_shot_estimates(records, observable)
     count = values.shape[0]
-    if batches > count:
-        raise ValueError(f"cannot split {count} records into {batches} batches")
-    mean = float(values.mean())
     mom = median_of_means(values, batches)
-    emp_var = float(np.var(values, ddof=1)) if count >= 2 else 0.0
-    predicted = None
-    predicted_kind = None
-    from . import variance  # local import; variance depends on this module
-
-    prediction = variance.predict_variance(records.spec, observable, rho)
-    if prediction is not None:
-        predicted = prediction.value
-        predicted_kind = prediction.kind
-    target = None
-    if rho is not None:
-        obs = observable.to_matrix() if isinstance(observable, PauliString) else as_operator(observable)
-        target = float(np.sum(obs * as_operator(rho).T).real)  # Tr[O rho] in O(d^2)
     if observable_id is None:
         observable_id = str(observable) if isinstance(observable, PauliString) else "operator"
-    if bias_warning is None:
-        bias_warning = _has_invisible_component(channel_for(records.spec), observable)
     return EstimateReport(
         observable_id=observable_id,
-        mean=mean,
+        mean=float(values.mean()),
         median_of_means=mom,
-        empirical_variance=emp_var,
-        predicted_variance=predicted,
-        predicted_kind=predicted_kind,
+        empirical_variance=float(np.var(values, ddof=1)) if count >= 2 else 0.0,
         shots=count,
-        bias_warning=bias_warning,
-        target=target,
     )
 
 
@@ -389,8 +359,6 @@ def build_state(state: dict, n: int) -> np.ndarray:
         rho[idx, idx] = 1.0
         return rho
     if kind == "random_pure":
-        from .sampling import random_pure_state
-
         return random_pure_state(RngStream(int(state.get("seed", 0))), d)
     if kind == "product":
         factors = state.get("factors")
@@ -416,8 +384,6 @@ def build_observable(obs: dict, n: int) -> tuple[str, PauliString | np.ndarray]:
         p = PauliString.from_string(string, complex(obs.get("coefficient", 1.0)))
         return str(obs.get("id", string)), p
     if kind == "random_symmetric":
-        from .variance import random_symmetric_observable
-
         seed = int(obs.get("seed", 0))
         a = random_symmetric_observable(RngStream(seed), 2**n)
         return str(obs.get("id", f"random_symmetric:{seed}")), a
@@ -480,7 +446,6 @@ class ExperimentConfig:
     observables: list[dict]
     batches: int = 1
     out_csv: str | None = None
-    records_out: str | None = None
     allow_bias: bool = False
     epsilon: float | None = None
     raw: dict = field(default_factory=dict)
@@ -510,6 +475,8 @@ class ExperimentConfig:
         if not isinstance(observables, list) or not observables:
             raise ConfigError("observables must be a non-empty list")
         emit = cfg.get("emit", {}) or {}
+        if not isinstance(emit, dict) or set(emit) - {"csv"}:
+            raise ConfigError(f"emit takes only a csv path, got {emit!r}")
         return cls(
             seed=seed,
             n=n,
@@ -521,7 +488,6 @@ class ExperimentConfig:
             observables=[dict(o) for o in observables],
             batches=batches,
             out_csv=emit.get("csv"),
-            records_out=emit.get("records"),
             allow_bias=bool(cfg.get("allow_bias", False)),
             epsilon=_epsilon(cfg.get("epsilon")),
             raw=dict(cfg),
@@ -560,13 +526,14 @@ def write_reports_csv(path: str, reports: list[EstimateReport]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def run_experiment(config: ExperimentConfig, keep_records: bool = False):
+def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
     """Run the full pipeline; deterministic given (seed, config).
 
     All observables are estimated from one shared record set.  An observable
     with components outside the ensemble's visible space raises ConfigError
-    before any shot is drawn, unless the config allows bias.  Returns
-    (reports, records) where records is None unless requested or persisted.
+    before any shot is drawn, unless the config allows bias.  Each report
+    carries the exact predicted variance, the target Tr[O rho] of the
+    simulated state and the invisible-component flag.
     """
     t0 = time.perf_counter()
     spec = config.ensemble_spec()
@@ -582,10 +549,16 @@ def run_experiment(config: ExperimentConfig, keep_records: bool = False):
                     "of this ensemble; rerun with --allow-bias to estimate its visible part"
                 )
     records = collect_records(RngStream(config.seed), rho, spec, config.shots)
-    reports = [
-        estimate(records, obs, config.batches, rho=rho, observable_id=oid, bias_warning=flagged)
-        for (oid, obs), flagged in zip(observables, invisible)
-    ]
+    state = as_operator(rho)
+    reports = []
+    for (oid, obs), flagged in zip(observables, invisible):
+        report = estimate(records, obs, config.batches, oid)
+        prediction = predict_variance(spec, obs, rho)
+        report.predicted_variance = None if prediction is None else prediction.value
+        matrix = obs.to_matrix() if isinstance(obs, PauliString) else as_operator(obs)
+        report.target = float(np.sum(matrix * state.T).real)  # Tr[O rho] in O(d^2)
+        report.bias_warning = flagged
+        reports.append(report)
     if config.out_csv:
         write_reports_csv(config.out_csv, reports)
         meta = {
@@ -616,10 +589,4 @@ def run_experiment(config: ExperimentConfig, keep_records: bool = False):
         with open(config.out_csv + ".meta.json", "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
-    if config.records_out:
-        np.savez_compressed(
-            config.records_out,
-            scope=spec.scope,
-            vectors=records.vectors,
-        )
-    return reports, (records if (keep_records or config.records_out) else None)
+    return reports

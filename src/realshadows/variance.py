@@ -12,11 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import EnsembleSpec, InvisibleObservableError
-from .engine import per_shot_estimates
+from .channels import (
+    EnsembleSpec,
+    InvisibleObservableError,
+    channel_for,
+    factor_visible_dimension,
+    pauli_inverse_eigenvalue,
+)
 from .linalg import as_operator, norm_inf, sym_part, traceless_part
 from .pauli import PAULIS, PauliString
-from .sampling import RngStream
+from .sampling import RngStream, random_pure_state
 
 #: An observable with ||A - A^T|| above this fraction of ||A|| is treated as
 #: having an antisymmetric part.
@@ -27,7 +32,6 @@ _ANTISYM_RTOL = 1e-12
 class VariancePrediction:
     kind: str  # "exact" | "upper_bound"
     value: float
-    ensemble: EnsembleSpec | None = None
     assumptions: str = ""
 
 
@@ -128,51 +132,6 @@ def overlap_f(p: PauliString, q: PauliString) -> float:
     return float(2**s)
 
 
-def second_moment_local_pauli(p: PauliString, rho=None) -> float:
-    """E[o^2] = 2^k under local orthogonal shadows, exactly and for any state."""
-    if not p.locally_real:
-        raise InvisibleObservableError(
-            "the Pauli string contains Y and is invisible to local orthogonal shadows"
-        )
-    return float(abs(p.coefficient) ** 2 * 2**p.weight)
-
-
-def _local_second_moment(p: PauliString, groups) -> float | None:
-    """Exact, state-independent E[o^2] per-site product; None when invisible."""
-    value = float(abs(p.coefficient) ** 2)
-    for j, letter in enumerate(p.letters):
-        if letter == "I":
-            continue
-        if groups[j] == "orthogonal":
-            if letter == "Y":
-                return None
-            value *= 2.0
-        else:
-            value *= 3.0
-    return value
-
-
-def var_local_pauli_exact(p: PauliString, rho, groups) -> VariancePrediction:
-    """Exact variance of a Pauli-string estimator under a (possibly mixed)
-    local ensemble: per-site second-moment factors minus the squared mean."""
-    second = _local_second_moment(p, groups)
-    if second is None:
-        return VariancePrediction(
-            "exact", 0.0, assumptions="invisible observable; the estimator is identically zero"
-        )
-    state = as_operator(rho)
-    mean = _trace_product(p.to_matrix(), state)
-    return VariancePrediction("exact", float(second - mean**2), assumptions="local Pauli")
-
-
-def _resolve_groups(ensemble) -> tuple[str, ...]:
-    if isinstance(ensemble, EnsembleSpec):
-        if ensemble.scope != "local":
-            raise ValueError("local bounds need a local ensemble")
-        return ensemble.groups
-    return tuple(ensemble)
-
-
 def _qubit_component_norms(a: np.ndarray, n: int, j: int) -> dict[str, float]:
     left = 2**j
     right = 2 ** (n - 1 - j)
@@ -184,115 +143,101 @@ def _qubit_component_norms(a: np.ndarray, n: int, j: int) -> dict[str, float]:
     return out
 
 
-def bound_local(observable, ensemble) -> VariancePrediction:
+def _require_visible(spec: EnsembleSpec, spectra, j: int, letter: str) -> None:
+    if pauli_inverse_eigenvalue(spectra[j], letter) == 0.0:
+        raise InvisibleObservableError(
+            f"qubit {j}: {letter} is outside the visible space of its {spec.groups[j]} channel"
+        )
+
+
+def _pauli_second_moment(spectra, p: PauliString) -> float:
+    """E[o^2] of a Pauli string under a local ensemble, exact for any state:
+    E[<v|P|v>^2] = lambda on each site, so a site contributes
+    lambda^-2 * lambda = 1/lambda.  It is 0 when a site annihilates its letter."""
+    value = float(abs(p.coefficient) ** 2)
+    for sp, letter in zip(spectra, p.letters):
+        value *= pauli_inverse_eigenvalue(sp, letter)
+    return value
+
+
+def bound_local(observable, spec: EnsembleSpec) -> VariancePrediction:
     """Variance upper bound for local shadows.
 
-    A single locally real Pauli string gets the per-site product of 2
-    (orthogonal site) or 3 (unitary site).  A general k-local operator gets
-    3^k (orthogonal) / 4^k (unitary) per-site factors times ||A||_inf^2.
-    A Y component on an orthogonal site is rejected: the observable is
-    invisible there.
+    A single Pauli string gets its exact second moment, |c|^2 times the
+    product of its per-site M^-1 eigenvalues.  A general k-local operator
+    gets ||A||_inf^2 times the visible operator dimension of each qubit in its
+    support (3 orthogonal, 4 unitary).  A component that a site's channel
+    annihilates is rejected: the observable is invisible there.
     """
-    groups = _resolve_groups(ensemble)
+    if spec.scope != "local":
+        raise ValueError("local bounds need a local ensemble")
+    spectra = channel_for(spec).spectra
     if isinstance(observable, PauliString):
-        if observable.n != len(groups):
+        if observable.n != spec.n:
             raise ValueError("observable and ensemble qubit counts differ")
-        value = float(abs(observable.coefficient) ** 2)
-        for j, letter in enumerate(observable.letters):
-            if letter == "I":
-                continue
-            if groups[j] == "orthogonal":
-                if letter == "Y":
-                    raise InvisibleObservableError(
-                        f"qubit {j}: Y under an orthogonal site is outside the visible space"
-                    )
-                value *= 2.0
-            else:
-                value *= 3.0
-        return VariancePrediction("upper_bound", value, assumptions="single Pauli string")
+        for j in observable.support:
+            _require_visible(spec, spectra, j, observable.letters[j])
+        return VariancePrediction(
+            "upper_bound", _pauli_second_moment(spectra, observable), "single Pauli string"
+        )
     if isinstance(observable, (list, tuple)):
-        matrices = [p.to_matrix() for p in observable]
-        n = observable[0].n
-        m = np.sum(matrices, axis=0)
-        supports = [set(p.support) for p in observable]
-        support = sorted(set().union(*supports))
+        if any(p.n != spec.n for p in observable):
+            raise ValueError("observable and ensemble qubit counts differ")
+        m = np.sum([p.to_matrix() for p in observable], axis=0)
+        support = sorted(set().union(*(p.support for p in observable)))
         for p in observable:
             for j in p.support:
-                if p.letters[j] == "Y" and groups[j] == "orthogonal":
-                    raise InvisibleObservableError(
-                        f"qubit {j}: Y under an orthogonal site is outside the visible space"
-                    )
+                _require_visible(spec, spectra, j, p.letters[j])
     else:
         m = as_operator(observable)
-        n = len(groups)
-        if m.shape[0] != 2**n:
+        if m.shape[0] != spec.d:
             raise ValueError("observable dimension does not match the ensemble")
+        tol = 1e-12 * max(1.0, float(np.linalg.norm(m)))
         support = []
-        for j in range(n):
-            norms = _qubit_component_norms(m, n, j)
-            if norms["Y"] > 1e-12 * max(1.0, float(np.linalg.norm(m))):
-                if groups[j] == "orthogonal":
-                    raise InvisibleObservableError(
-                        f"qubit {j}: Y under an orthogonal site is outside the visible space"
-                    )
-            if max(norms.values()) > 1e-12 * max(1.0, float(np.linalg.norm(m))):
+        for j in range(spec.n):
+            norms = _qubit_component_norms(m, spec.n, j)
+            for letter, norm in norms.items():
+                if norm > tol:
+                    _require_visible(spec, spectra, j, letter)
+            if max(norms.values()) > tol:
                 support.append(j)
     value = float(norm_inf(m)) ** 2
     for j in support:
-        value *= 3.0 if groups[j] == "orthogonal" else 4.0
+        value *= factor_visible_dimension(spectra[j], 2)
     return VariancePrediction(
         "upper_bound", value, assumptions="k-local operator, spectral-norm bound"
     )
 
 
-def empirical_variance(records, observable) -> float:
-    """Unbiased sample variance of the per-shot estimates."""
-    values = per_shot_estimates(records, observable)
-    if values.shape[0] < 2:
-        raise ValueError("need at least two records for a sample variance")
-    return float(np.var(values, ddof=1))
-
-
 def predict_variance(spec: EnsembleSpec, observable, rho=None) -> VariancePrediction | None:
     """Best available variance prediction for an observable under an ensemble."""
     if spec.scope == "local" and isinstance(observable, PauliString):
-        second = _local_second_moment(observable, spec.groups)
-        if second is None:
-            return VariancePrediction(
-                "exact", 0.0, spec, "invisible observable; the estimator is identically zero"
-            )
+        second = _pauli_second_moment(channel_for(spec).spectra, observable)
+        if second == 0.0:
+            return VariancePrediction("exact", 0.0, "the estimator is identically zero")
         if rho is None:
-            return VariancePrediction(
-                "upper_bound", second, spec, "state-independent second moment"
-            )
-        pred = var_local_pauli_exact(observable, rho, spec.groups)
-        pred.ensemble = spec
-        return pred
+            return VariancePrediction("upper_bound", second, "state-independent second moment")
+        mean = _trace_product(observable.to_matrix(), as_operator(rho))
+        return VariancePrediction("exact", float(second - mean**2), "local Pauli")
     if spec.scope == "local":
         try:
-            pred = bound_local(observable, spec)
+            return bound_local(observable, spec)
         except InvisibleObservableError:
             return None
-        pred.ensemble = spec
-        return pred
     if rho is None:
         return None
     d = spec.d
     if spec.groups[0] == "unitary":
-        pred = var_global_unitary(_as_matrix(observable), rho)
-    else:
-        alpha = spec.basis.alpha_total
-        if abs(alpha - d) <= 1e-12:
-            pred = var_global_real(_as_matrix(observable), rho)
-        elif abs(d - 2.0 + alpha) < 1e-12:
-            return None  # degenerate spectrum; no closed form at this point
-        else:
-            m = _as_matrix(observable)
-            if np.linalg.norm(m - m.T) > _ANTISYM_RTOL * np.linalg.norm(m):
-                return None  # var_global_alpha is unverified off symmetric observables
-            pred = var_global_alpha(m, rho, d, alpha)
-    pred.ensemble = spec
-    return pred
+        return var_global_unitary(_as_matrix(observable), rho)
+    alpha = spec.basis.alpha_total
+    if abs(alpha - d) <= 1e-12:
+        return var_global_real(_as_matrix(observable), rho)
+    if abs(d - 2.0 + alpha) < 1e-12:
+        return None  # degenerate spectrum; no closed form at this point
+    m = _as_matrix(observable)
+    if np.linalg.norm(m - m.T) > _ANTISYM_RTOL * np.linalg.norm(m):
+        return None  # var_global_alpha is unverified off symmetric observables
+    return var_global_alpha(m, rho, d, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +257,6 @@ def random_symmetric_observable(rng: RngStream, d: int) -> np.ndarray:
 
 def ratio_instance(rng: RngStream, d: int) -> tuple[float, float, float]:
     """(var_real, var_unitary, ratio) for one random state/observable pair."""
-    from .sampling import random_pure_state
-
     rho = random_pure_state(rng.child(0), d)
     a = random_symmetric_observable(rng.child(1), d)
     var_real = var_global_real(a, rho).value

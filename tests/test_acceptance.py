@@ -21,12 +21,18 @@ from realshadows.channels import (
     orthogonal_spectrum,
 )
 from realshadows.commutant import closed_form_twirl, twirl_project
-from realshadows.engine import collect_records, estimate, per_shot_estimates
+from realshadows.engine import (
+    _has_invisible_component,
+    collect_records,
+    estimate,
+    per_shot_estimates,
+)
 from realshadows.linalg import identity, kron, sym_part
 from realshadows.pauli import PAULIS, PauliString, Y, Z
 from realshadows.sampling import RngStream, haar_state_vector, haar_unitaries, random_pure_state
 from realshadows.variance import (
     overlap_f,
+    predict_variance,
     random_symmetric_observable,
     ratio_sweep,
     var_global_real,
@@ -104,8 +110,9 @@ def test_criterion_4_variance_exactness_global_real():
     rho = random_pure_state(RngStream(3), d)
     a = random_symmetric_observable(RngStream(4), d)
     records = collect_records(RngStream(7), rho, spec, 100000)
-    report = estimate(records, a, rho=rho)
-    rel = abs(report.empirical_variance - report.predicted_variance) / report.predicted_variance
+    emp = estimate(records, a).empirical_variance
+    pred = predict_variance(spec, a, rho).value
+    rel = abs(emp - pred) / pred
     assert rel <= 0.05, rel
     _report(4, "global-real variance exactness", t0)
 
@@ -212,15 +219,16 @@ def test_criterion_9_bias_semantics():
     rho = random_pure_state(RngStream(23), d)
     obs = kron(Y, PAULIS["I"])
     records = collect_records(RngStream(24), rho, spec, 20000)
-    report = estimate(records, obs, rho=rho)
+    report = estimate(records, obs)
+    target = float(np.trace(obs @ rho).real)
     target_sym = float(np.trace(sym_part(obs) @ rho).real)
     assert target_sym == pytest.approx(0.0, abs=1e-12)
     sigma = np.sqrt(report.empirical_variance / report.shots)
     assert abs(report.mean - target_sym) <= 3.0 * sigma + 1e-12
     # the estimator deliberately misses Tr[Y (x) 1 rho] != 0 for this state
-    assert abs(report.target) > 0.1
-    assert abs(report.mean - report.target) > 0.1
-    assert report.bias_warning
+    assert abs(target) > 0.1
+    assert abs(report.mean - target) > 0.1
+    assert _has_invisible_component(channel_for(spec), obs)
     _report(9, "bias semantics for invisible observables", t0)
 
 

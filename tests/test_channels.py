@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from realshadows import channels
 from realshadows.bases import basis_from_tag, computational_basis, make_basis, sh_basis
 from realshadows.channels import (
+    GROUPS,
     EnsembleSpec,
     apply_channel,
     channel_for,
@@ -15,13 +18,14 @@ from realshadows.channels import (
     mc_channel,
     mixture_decomposition,
     orthogonal_spectrum,
+    pauli_inverse_eigenvalue,
     pauli_parity_decompose,
     pseudo_inverse,
     unitary_spectrum,
     visible_dimension,
     visible_projector,
 )
-from realshadows.commutant import twirl_project
+from realshadows.commutant import mc_twirl, twirl_project
 from realshadows.linalg import (
     batched_kron,
     hs_inner,
@@ -33,6 +37,7 @@ from realshadows.linalg import (
 )
 from realshadows.pauli import PAULIS, X, Y, Z
 from realshadows.sampling import RngStream, sample_transform_arrays
+from realshadows.variance import bound_local
 
 ATOL = 1e-10
 
@@ -254,6 +259,28 @@ class TestVisibleProjector:
         assert operators_close(visible_projector(desc, Z), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("groups", list(itertools.product(GROUPS, repeat=2)))
+class TestPerSiteRule:
+    """The per-qubit M^-1 eigenvalues and visible dimensions that the
+    estimators and bounds use agree with the dense channel."""
+
+    def test_pauli_eigenvalues_match_pseudo_inverse(self, groups):
+        desc = channel_for(local_ensemble(groups, 2))
+        for letters in itertools.product("IXYZ", repeat=2):
+            p = kron(*(PAULIS[letter] for letter in letters))
+            factor = np.prod(
+                [pauli_inverse_eigenvalue(sp, letter) for sp, letter in zip(desc.spectra, letters)]
+            )
+            assert np.max(np.abs(factor * p - pseudo_inverse(desc, p))) <= 1e-12, letters
+
+    def test_bound_site_factor_is_visible_dimension(self, groups):
+        for group in groups:
+            qubit = local_ensemble(group, 1)
+            assert bound_local(Z, qubit).value == visible_dimension(channel_for(qubit))
+        spec = local_ensemble(groups, 2)
+        assert bound_local(kron(Z, X), spec).value == visible_dimension(channel_for(spec))
+
+
 class TestSpectrumAgainstSuperoperator:
     @pytest.mark.parametrize("basis_maker", [lambda: sh_basis(1), lambda: _tilted_basis(0.3), lambda: computational_basis(1)])
     def test_blockwise_matches_brute_force_diagonalization(self, basis_maker):
@@ -366,6 +393,14 @@ class TestChannelOracle:
         exact = apply_channel(desc, a)
         mc, stderr = mc_channel(RngStream(seed), spec, a, samples=100000)
         assert np.all(np.abs(mc - exact) <= 3 * stderr + 1e-12)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_oracles_reject_nonpositive_samples(self, samples):
+        spec = global_ensemble("orthogonal", computational_basis(1))
+        with pytest.raises(ValueError, match="sample"):
+            mc_channel(RngStream(67), spec, Z, samples)
+        with pytest.raises(ValueError, match="sample"):
+            mc_twirl(RngStream(67), identity(4), "O", 2, samples)
 
 
 def _reference_mc_channel(rng, spec, a, samples):

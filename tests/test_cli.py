@@ -114,6 +114,36 @@ class TestEstimateCommand:
         assert (key if key != "ensemble" else "basis") in err
         assert not (tmp_path / "out.csv").exists()
 
+    @staticmethod
+    def _one_qubit_config(emit) -> dict:
+        return {
+            "seed": 3,
+            "n": 1,
+            "ensemble": {"scope": "local", "groups": ["orthogonal"]},
+            "state": {"kind": "maximally_mixed"},
+            "shots": 100,
+            "observables": [{"id": "Z", "kind": "pauli", "string": "Z"}],
+            "emit": emit,
+        }
+
+    @pytest.mark.parametrize("extra", ["records", "json", None])
+    def test_emit_takes_only_csv(self, tmp_path, capsys, extra):
+        csv = str(tmp_path / "out.csv")
+        emit = [csv] if extra is None else {"csv": csv, extra: str(tmp_path / f"out.{extra}")}
+        path = _write_config(tmp_path, self._one_qubit_config(emit))
+        for flags in ([], ["--out", csv]):
+            assert main(["estimate", "--config", path, *flags]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:") and err.count("\n") == 1
+            assert "emit" in err
+            assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_out_flag_with_null_emit(self, tmp_path):
+        path = _write_config(tmp_path, self._one_qubit_config(None))
+        out = tmp_path / "out.csv"
+        assert main(["estimate", "--config", path, "--out", str(out)]) == 0
+        assert out.read_text().startswith("observable_id,")
+
     def test_unknown_flag_is_usage_error(self, estimate_config):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--config", estimate_config, "--frobnicate"])

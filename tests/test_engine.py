@@ -35,7 +35,7 @@ from realshadows.engine import (
 from realshadows.linalg import batched_kron, identity, kron, operators_close, sym_part
 from realshadows.pauli import PauliString, X, Y, Z
 from realshadows.sampling import RngStream, random_pure_state, sample_transform_arrays
-from realshadows.variance import random_symmetric_observable
+from realshadows.variance import predict_variance, random_symmetric_observable
 
 H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -181,13 +181,14 @@ class TestDirectSampler:
         rho = make_state(50, spec.d)
         a = random_symmetric_observable(RngStream(51), spec.d)
         records = collect_records(RngStream(52), rho, spec, shots)
-        report = estimate(records, a, rho=rho)
-        assert report.predicted_kind == "exact"
+        report = estimate(records, a)
+        prediction = predict_variance(spec, a, rho)
+        assert prediction.kind == "exact"
         visible = np.trace(visible_projector(channel_for(spec), a) @ rho).real
-        assert abs(report.mean - visible) <= 4 * np.sqrt(report.predicted_variance / shots)
+        assert abs(report.mean - visible) <= 4 * np.sqrt(prediction.value / shots)
         values = per_shot_estimates(records, a)
         se_var = np.std((values - values.mean()) ** 2, ddof=1) / np.sqrt(shots)
-        assert abs(report.empirical_variance - report.predicted_variance) <= 4 * se_var
+        assert abs(report.empirical_variance - prediction.value) <= 4 * se_var
 
     @pytest.mark.parametrize("group,tag,make_state", _GLOBAL_CASES)
     def test_unit_norm_and_same_seed_bytes(self, group, tag, make_state):
@@ -324,12 +325,12 @@ class TestEstimate:
         spec = global_ensemble("orthogonal", computational_basis(1))
         rho = identity(2) / 2
         records = collect_records(RngStream(16), rho, spec, 100000)
-        report = estimate(records, Z, rho=rho)
+        report = estimate(records, Z)
         sigma = np.sqrt(report.empirical_variance / report.shots)
         assert abs(report.mean) <= 3 * sigma
         assert report.empirical_variance == pytest.approx(2.0, rel=0.05)
-        assert report.predicted_variance == 2.0
-        assert not report.bias_warning
+        assert predict_variance(spec, Z, rho).value == 2.0
+        assert not engine._has_invisible_component(channel_for(spec), Z)
 
     def test_angle_integral_oracle_for_pinned_variance(self):
         # Exact 8-point quadrature over O(2): E[o^2] = 4 <cos^2 2theta> = 2.
@@ -355,18 +356,18 @@ class TestEstimate:
         rho = random_pure_state(RngStream(17), 4)
         a = random_symmetric_observable(RngStream(18), 4)
         records = collect_records(RngStream(19), rho, spec, 100000)
-        report = estimate(records, a, rho=rho)
+        report = estimate(records, a)
         sigma = np.sqrt(report.empirical_variance / report.shots)
-        assert abs(report.mean - report.target) <= 3 * sigma
+        assert abs(report.mean - np.trace(a @ rho).real) <= 3 * sigma
 
     def test_unbiased_locally_symmetric(self):
         spec = local_ensemble("orthogonal", 2)
         rho = random_pure_state(RngStream(20), 4)
         p = PauliString.from_string("XZ")
         records = collect_records(RngStream(21), rho, spec, 100000)
-        report = estimate(records, p, rho=rho)
+        report = estimate(records, p)
         sigma = np.sqrt(report.empirical_variance / report.shots)
-        assert abs(report.mean - report.target) <= 3 * sigma
+        assert abs(report.mean - np.trace(p.to_matrix() @ rho).real) <= 3 * sigma
 
     def test_bias_identity_off_visible_space(self):
         # mean converges to Tr[O_sym rho], not Tr[O rho]
@@ -374,21 +375,22 @@ class TestEstimate:
         rho = 0.5 * (identity(2) + 0.6 * Y + 0.3 * X)
         obs = X + Y  # symmetric part is X
         records = collect_records(RngStream(22), rho, spec, 100000)
-        report = estimate(records, obs, rho=rho)
+        report = estimate(records, obs)
         sigma = np.sqrt(report.empirical_variance / report.shots)
         target_sym = np.trace(sym_part(obs) @ rho).real
         assert abs(report.mean - target_sym) <= 3 * sigma
-        assert abs(report.mean - report.target) > 5 * sigma  # genuinely biased
-        assert report.bias_warning
+        assert abs(report.mean - np.trace(obs @ rho).real) > 5 * sigma  # genuinely biased
+        assert engine._has_invisible_component(channel_for(spec), obs)
 
     def test_invisible_observable_reports_bias(self):
         spec = global_ensemble("orthogonal", computational_basis(2))
         rho = random_pure_state(RngStream(23), 4)
         records = collect_records(RngStream(24), rho, spec, 500)
-        report = estimate(records, kron(Y, identity(2)), rho=rho)
+        obs = kron(Y, identity(2))
+        report = estimate(records, obs)
         assert report.mean == 0.0
-        assert report.bias_warning
-        assert report.predicted_variance == pytest.approx(0.0, abs=1e-12)
+        assert engine._has_invisible_component(channel_for(spec), obs)
+        assert predict_variance(spec, obs, rho).value == pytest.approx(0.0, abs=1e-12)
 
     def test_channel_consistency(self):
         # frequency-weighted average of U^dag Pi_w U converges to M(rho)
@@ -439,13 +441,21 @@ class TestConfigAndRun:
 
     def test_shared_records_across_observables(self, tmp_path):
         config = ExperimentConfig.from_dict(self._config_dict(tmp_path))
-        reports, records = run_experiment(config, keep_records=True)
+        reports = run_experiment(config)
         assert len(reports) == 2
-        # estimating from the returned records reproduces the reports exactly
+        # both reports come from one record set drawn from the config's seed
         rho = build_state(config.state, config.n)
-        again = estimate(records, PauliString.from_string("ZZ"), 4, rho=rho, observable_id="ZZ")
-        assert again.mean == reports[0].mean
-        assert again.median_of_means == reports[0].median_of_means
+        spec = config.ensemble_spec()
+        records = collect_records(RngStream(config.seed), rho, spec, config.shots)
+        for report, string in zip(reports, ("ZZ", "XI")):
+            p = PauliString.from_string(string)
+            again = estimate(records, p, 4, observable_id=string)
+            assert again.mean == report.mean
+            assert again.median_of_means == report.median_of_means
+            # run_experiment attaches the oracle fields of the simulated state
+            assert report.predicted_variance == predict_variance(spec, p, rho).value
+            assert report.target == pytest.approx(np.trace(p.to_matrix() @ rho).real, abs=1e-12)
+            assert report.bias_warning is False
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = self._config_dict(tmp_path)
@@ -467,17 +477,6 @@ class TestConfigAndRun:
         assert sc["epsilon"] == 0.1
         assert sc["m_observables"] == 2
         assert "order" in sc["form"] or "O(" in sc["form"]
-
-    def test_records_persistence(self, tmp_path):
-        path = str(tmp_path / "records.npz")
-        cfg = self._config_dict(tmp_path)
-        cfg["emit"]["records"] = path
-        _, records = run_experiment(ExperimentConfig.from_dict(cfg))
-        data = np.load(path)
-        assert str(data["scope"]) == "local"
-        assert data["vectors"].shape == (2000, 2, 2)
-        assert np.array_equal(data["vectors"], records.vectors)
-        assert np.allclose(np.linalg.norm(data["vectors"], axis=2), 1.0, atol=1e-12)
 
     def test_config_validation_errors(self):
         with pytest.raises(ConfigError):

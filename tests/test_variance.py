@@ -5,22 +5,19 @@ from realshadows.bases import basis_from_tag, computational_basis, sh_basis
 from realshadows.channels import InvisibleObservableError, global_ensemble, local_ensemble
 from realshadows.commutant import twirl_project
 from realshadows.engine import collect_records, estimate, per_shot_estimates
-from realshadows.linalg import identity, kron, operators_close, sym_part
+from realshadows.linalg import identity, kron, norm_inf, operators_close, sym_part
 from realshadows.pauli import PAULIS, PauliString, X, Y, Z
 from realshadows.sampling import RngStream, random_pure_state
 from realshadows.variance import (
     bound_local,
-    empirical_variance,
     overlap_f,
     predict_variance,
     random_symmetric_observable,
     ratio_sweep,
     reality_interpolation,
-    second_moment_local_pauli,
     var_global_alpha,
     var_global_real,
     var_global_unitary,
-    var_local_pauli_exact,
 )
 
 
@@ -67,7 +64,7 @@ class TestGlobalPredictors:
         rho = identity(d) / d
         a = kron(Z, PAULIS["I"])
         records = collect_records(RngStream(3), rho, spec, 100000)
-        emp = empirical_variance(records, a)
+        emp = estimate(records, a).empirical_variance
         pred = var_global_alpha(a, rho, d, 0.0).value
         assert emp == pytest.approx(pred, rel=0.05)
 
@@ -150,20 +147,22 @@ def test_overlap_factor_against_three_factor_integral():
 
 
 class TestLocalSecondMoments:
+    # The second moment of a single Pauli string is bound_local's value;
+    # predict_variance subtracts the squared mean from it.
     def test_weight_one(self):
-        assert second_moment_local_pauli(PauliString.from_string("XII")) == 2.0
+        spec = local_ensemble("orthogonal", 3)
+        assert bound_local(PauliString.from_string("XII"), spec).value == 2.0
 
     def test_weight_zero(self):
         p = PauliString.from_string("II")
-        assert second_moment_local_pauli(p) == 1.0
+        spec = local_ensemble("orthogonal", 2)
+        assert bound_local(p, spec).value == 1.0
         rho = identity(4) / 4
-        assert var_local_pauli_exact(p, rho, ("orthogonal", "orthogonal")).value == pytest.approx(
-            0.0, abs=1e-12
-        )
+        assert predict_variance(spec, p, rho).value == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_y(self):
         with pytest.raises(InvisibleObservableError):
-            second_moment_local_pauli(PauliString.from_string("XY"))
+            bound_local(PauliString.from_string("XY"), local_ensemble("orthogonal", 2))
 
     def test_stabilizer_state_variance(self):
         # X(x)Z eigenstate: E[o^2] = 4, Tr[P rho] = 1, Var = 3; check by simulation
@@ -171,10 +170,10 @@ class TestLocalSecondMoments:
         plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
         v = np.kron(plus, [1.0, 0.0]).astype(complex)
         rho = np.outer(v, v.conj())
-        assert second_moment_local_pauli(p) == 4.0
-        pred = var_local_pauli_exact(p, rho, ("orthogonal", "orthogonal"))
-        assert pred.value == pytest.approx(3.0, abs=1e-12)
         spec = local_ensemble("orthogonal", 2)
+        assert bound_local(p, spec).value == 4.0
+        pred = predict_variance(spec, p, rho)
+        assert pred.value == pytest.approx(3.0, abs=1e-12)
         records = collect_records(RngStream(8), rho, spec, 30000)
         values = per_shot_estimates(records, p)
         second = np.mean(values**2)
@@ -183,47 +182,53 @@ class TestLocalSecondMoments:
 
     def test_state_independence(self):
         p = PauliString.from_string("XZI")
+        spec = local_ensemble("orthogonal", 3)
         for seed in range(3):
             rho = random_pure_state(RngStream(9, (seed,)), 8)
-            assert second_moment_local_pauli(p, rho) == 4.0
+            mean = np.trace(p.to_matrix() @ rho).real
+            assert predict_variance(spec, p, rho).value + mean**2 == pytest.approx(4.0, abs=1e-12)
 
 
 class TestBoundLocal:
     def test_pauli_bounds(self):
         p = PauliString.from_string("XZI")
-        assert bound_local(p, ("orthogonal",) * 3).value == 4.0
-        assert bound_local(p, ("unitary",) * 3).value == 9.0
+        assert bound_local(p, local_ensemble("orthogonal", 3)).value == 4.0
+        assert bound_local(p, local_ensemble("unitary", 3)).value == 9.0
 
     def test_mixed_sites_multiply(self):
         # orthogonal on the X site, unitary on the Z site: 2 * 3 = 6
         p = PauliString.from_string("XZ")
-        assert bound_local(p, ("orthogonal", "unitary")).value == 6.0
+        assert bound_local(p, local_ensemble(("orthogonal", "unitary"), 2)).value == 6.0
 
     def test_operator_bound(self):
         # k = 3 locally real operator with ||A||_inf = 1
         a = kron(X, Z, X)
-        assert bound_local(a, ("orthogonal",) * 3).value == pytest.approx(27.0)
-        assert bound_local(a, ("unitary",) * 3).value == pytest.approx(64.0)
+        assert bound_local(a, local_ensemble("orthogonal", 3)).value == pytest.approx(27.0)
+        assert bound_local(a, local_ensemble("unitary", 3)).value == pytest.approx(64.0)
 
     def test_pauli_sum_input(self):
         terms = [PauliString.from_string("XZ", 0.5), PauliString.from_string("ZX", 0.5)]
-        pred = bound_local(terms, ("orthogonal", "orthogonal"))
+        pred = bound_local(terms, local_ensemble("orthogonal", 2))
         a = 0.5 * kron(X, Z) + 0.5 * kron(Z, X)
-        from realshadows.linalg import norm_inf
-
         assert pred.value == pytest.approx(9.0 * norm_inf(a) ** 2)
+        with pytest.raises(ValueError):
+            bound_local([PauliString.from_string("XXX")], local_ensemble("orthogonal", 2))
 
     def test_identity_sites_do_not_count(self):
         a = kron(X, PAULIS["I"])
-        assert bound_local(a, ("orthogonal", "orthogonal")).value == pytest.approx(3.0)
+        assert bound_local(a, local_ensemble("orthogonal", 2)).value == pytest.approx(3.0)
 
     def test_y_rejected_under_orthogonal(self):
+        spec = local_ensemble("orthogonal", 2)
         with pytest.raises(InvisibleObservableError):
-            bound_local(PauliString.from_string("YI"), ("orthogonal", "orthogonal"))
+            bound_local(PauliString.from_string("YI"), spec)
         with pytest.raises(InvisibleObservableError):
-            bound_local(kron(Y, PAULIS["I"]), ("orthogonal", "orthogonal"))
+            bound_local(kron(Y, PAULIS["I"]), spec)
+        with pytest.raises(InvisibleObservableError):
+            bound_local([PauliString.from_string("XY")], spec)
         # but fine under a unitary site
-        assert bound_local(PauliString.from_string("YI"), ("unitary", "orthogonal")).value == 3.0
+        mixed = local_ensemble(("unitary", "orthogonal"), 2)
+        assert bound_local(PauliString.from_string("YI"), mixed).value == 3.0
 
     def test_ensemble_spec_accepted(self):
         spec = local_ensemble("orthogonal", 2)
@@ -261,13 +266,7 @@ class TestEmpiricalVariance:
     def test_constant_estimator(self):
         spec = local_ensemble("orthogonal", 2)
         records = collect_records(RngStream(11), identity(4) / 4, spec, 100)
-        assert empirical_variance(records, PauliString.from_string("II")) == 0.0
-
-    def test_needs_two_records(self):
-        spec = local_ensemble("orthogonal", 1)
-        records = collect_records(RngStream(12), identity(2) / 2, spec, 1)
-        with pytest.raises(ValueError):
-            empirical_variance(records, PauliString.from_string("Z"))
+        assert estimate(records, PauliString.from_string("II")).empirical_variance == 0.0
 
     @pytest.mark.parametrize("group", ["orthogonal", "unitary"])
     def test_matches_exact_global_predictors(self, group):
@@ -276,7 +275,7 @@ class TestEmpiricalVariance:
         rho = random_pure_state(RngStream(13), d)
         a = random_symmetric_observable(RngStream(14), d)
         records = collect_records(RngStream(15, (ord(group[0]),)), rho, spec, 100000)
-        emp = empirical_variance(records, a)
+        emp = estimate(records, a).empirical_variance
         if group == "orthogonal":
             pred = var_global_real(a, rho).value
         else:
@@ -318,8 +317,6 @@ class TestPredictVariance:
         rho = random_pure_state(RngStream(80), spec.d)
         a = _random_hermitian(81, spec.d)
         assert predict_variance(spec, a, rho) is None
-        records = collect_records(RngStream(82), rho, spec, 20)
-        assert estimate(records, a, rho=rho).predicted_variance is None
         assert predict_variance(spec, PauliString.from_string("XYZ"), rho) is None
 
     @pytest.mark.parametrize("tag", ["sh", "random:5"])
