@@ -29,8 +29,6 @@ from .variance import (
     predict_variance,
     random_symmetric_observable,
     ratio_sweep,
-    var_global_real,
-    var_global_unitary,
     write_ratio_csv,
 )
 
@@ -191,10 +189,11 @@ def cmd_validate_variance(args: argparse.Namespace) -> int:
     _require_at_least("--shots", args.shots, 2, " for an empirical variance")
     if not args.tolerance > 0:
         raise ConfigError(f"--tolerance must be positive, got {args.tolerance}")
-    pinned_real = var_global_real(np.diag([1.0, -1.0]).astype(complex), np.eye(2) / 2.0).value
-    pinned_unitary = var_global_unitary(
-        np.diag([1.0, -1.0]).astype(complex), np.eye(2) / 2.0
-    ).value
+    z, mixed = np.diag([1.0, -1.0]), np.eye(2) / 2.0
+    pinned_real, pinned_unitary = (
+        predict_variance(global_ensemble(g, basis_from_tag("computational", 1)), z, mixed).value
+        for g in ("orthogonal", "unitary")
+    )
     print(f"pinned d=2 A=Z rho=I/2: real={pinned_real}, unitary={pinned_unitary}")
     ok = pinned_real == 2.0 and pinned_unitary == 3.0
     rho = random_pure_state(RngStream(args.seed, (10,)), args.d)

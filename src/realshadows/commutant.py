@@ -59,6 +59,30 @@ class BrauerPairing:
         pi = {a: b - self.k for a, b in self.pairs}
         return tuple(pi[a] for a in range(1, self.k + 1))
 
+    def loops(self) -> tuple[tuple[tuple[int, bool], ...], ...]:
+        """The loops of Tr[(X_0 (x) ... (x) X_{k-1}) R] for this pairing's R.
+
+        Operand m joins label m + 1 (its row index) to label k + m + 1 (its
+        column index) and each pair joins two labels, so the contraction closes
+        into loops, and the trace is the product of the loops' traces.  A loop
+        is a tuple of (operand, transposed) steps for Tr[X_a X_b ...]; a step is
+        transposed when the walk enters its operand through the column label.
+        Each loop starts untransposed at its lowest operand.
+        """
+        k = self.k
+        partner = {a: b for pair in self.pairs for a, b in (pair, pair[::-1])}
+        loops: list[tuple[tuple[int, bool], ...]] = []
+        for start in range(k):
+            if any(op == start for loop in loops for op, _ in loop):
+                continue
+            loop, m, transposed = [], start, False
+            while not loop or m != start:
+                loop.append((m, transposed))
+                label = partner[m + 1 if transposed else k + m + 1]
+                m, transposed = (label - 1, False) if label <= k else (label - k - 1, True)
+            loops.append(tuple(loop))
+        return tuple(loops)
+
     def label(self) -> str:
         if self.is_permutation:
             return "S" + "".join(str(p) for p in self.permutation())

@@ -286,8 +286,8 @@ def median_of_means(values: np.ndarray, batches: int) -> float:
 class EstimateReport:
     """Sample statistics of one observable's per-shot estimates.
 
-    `predicted_variance`, `bias_warning` and `target` stay None until a caller
-    that knows the simulated state fills them, as `run_experiment` does.
+    `predicted_variance` and `bias_warning` stay None until a caller that
+    knows the simulated state fills them, as `run_experiment` does.
     """
 
     observable_id: str
@@ -297,7 +297,6 @@ class EstimateReport:
     shots: int
     predicted_variance: float | None = None
     bias_warning: bool | None = None
-    target: float | None = None
 
 
 def _has_invisible_component(desc: ChannelDescriptor, observable) -> bool:
@@ -532,8 +531,8 @@ def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
     All observables are estimated from one shared record set.  An observable
     with components outside the ensemble's visible space raises ConfigError
     before any shot is drawn, unless the config allows bias.  Each report
-    carries the exact predicted variance, the target Tr[O rho] of the
-    simulated state and the invisible-component flag.
+    carries the predicted variance for the simulated state and the
+    invisible-component flag.
     """
     t0 = time.perf_counter()
     spec = config.ensemble_spec()
@@ -549,14 +548,11 @@ def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
                     "of this ensemble; rerun with --allow-bias to estimate its visible part"
                 )
     records = collect_records(RngStream(config.seed), rho, spec, config.shots)
-    state = as_operator(rho)
     reports = []
     for (oid, obs), flagged in zip(observables, invisible):
         report = estimate(records, obs, config.batches, oid)
         prediction = predict_variance(spec, obs, rho)
         report.predicted_variance = None if prediction is None else prediction.value
-        matrix = obs.to_matrix() if isinstance(obs, PauliString) else as_operator(obs)
-        report.target = float(np.sum(matrix * state.T).real)  # Tr[O rho] in O(d^2)
         report.bias_warning = flagged
         reports.append(report)
     if config.out_csv:

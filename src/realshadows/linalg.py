@@ -126,11 +126,5 @@ def antisym_part(a) -> np.ndarray:
     return 0.5 * (m - m.T)
 
 
-def traceless_part(a) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
-    d = m.shape[0]
-    return m - (np.trace(m) / d) * np.eye(d)
-
-
 def operators_close(a, b, atol: float = ATOL) -> bool:
     return bool(np.allclose(np.asarray(a), np.asarray(b), rtol=0.0, atol=atol))

@@ -1,118 +1,116 @@
 """Closed-form variance predictors and bounds for shadow estimators.
 
 All predictors consume the true simulated state: they are validation oracles,
-not estimators of unknown states.  Global formulas are exact; the local
+not estimators of unknown states.  The global predictor is exact; the local
 results are exact for single Pauli strings (their second moment is state
 independent) and upper bounds for general local operators.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bases import computational_basis
 from .channels import (
     EnsembleSpec,
     InvisibleObservableError,
     channel_for,
     factor_visible_dimension,
+    global_ensemble,
     pauli_inverse_eigenvalue,
+    pseudo_inverse,
 )
-from .linalg import as_operator, norm_inf, sym_part, traceless_part
+from .commutant import enumerate_pairings, pair_twirl_coefficients, triple_twirl_coefficients
+from .linalg import as_operator, norm_inf, sym_part
 from .pauli import PAULIS, PauliString
 from .sampling import RngStream, random_pure_state
-
-#: An observable with ||A - A^T|| above this fraction of ||A|| is treated as
-#: having an antisymmetric part.
-_ANTISYM_RTOL = 1e-12
 
 
 @dataclass
 class VariancePrediction:
     kind: str  # "exact" | "upper_bound"
     value: float
-    assumptions: str = ""
 
 
-def _as_matrix(observable) -> np.ndarray:
-    if isinstance(observable, PauliString):
-        return observable.to_matrix()
-    return as_operator(observable)
+# ---------------------------------------------------------------------------
+# Global ensembles.  With v = U^dag|w> drawn with probability <v|rho|v>, the
+# estimate o = <v|A~|v> has E[o^(k-1)] = sum_w Tr[(rho (x) A~ (x) ...) E_U
+# (U^dag Pi_w U)^{(x)k}], a sum over enumerate_pairings(k) (only the
+# permutations for U(d)) of words: products of the traces of a pairing's loops.
 
 
-def _trace_product(x: np.ndarray, y: np.ndarray) -> float:
-    """Re Tr[x y] in O(d^2), without forming the product."""
-    return float(np.sum(x * y.T).real)
+def _trace_words(k: int, symmetric: bool) -> Counter:
+    """{(is_permutation, word): multiplicity}.  A word is a pairing's sorted
+    loops, every A~ written as operand 1 and, for a symmetric A~, every step
+    untransposed: 3 words at k = 2, 9 (7 if symmetric) at k = 3."""
+    words: Counter = Counter()
+    for p in enumerate_pairings(k):
+        loops = (tuple((min(op, 1), t and not symmetric) for op, t in loop) for loop in p.loops())
+        words[p.is_permutation, tuple(sorted(loops))] += 1
+    return words
 
 
-def var_global_real(a, rho, d: int | None = None) -> VariancePrediction:
-    """Exact estimator variance for global orthogonal shadows, real basis."""
-    m = _as_matrix(a)
-    state = as_operator(rho)
-    dim = m.shape[0]
-    if d is not None and d != dim:
-        raise ValueError("stated dimension does not match the observable")
-    s0 = traceless_part(sym_part(m))
-    value = (dim + 2.0) / (2.0 * dim + 8.0) * (
-        _trace_product(s0, s0) + 4.0 * _trace_product(state @ s0, s0)
-    ) - _trace_product(s0, state) ** 2
-    return VariancePrediction("exact", float(value), assumptions="global orthogonal, alpha = d")
+_WORDS = {(k, sym): _trace_words(k, sym) for k in (2, 3) for sym in (False, True)}
 
 
-def var_global_unitary(a, rho) -> VariancePrediction:
-    """Exact estimator variance for global unitary shadows."""
-    m = _as_matrix(a)
-    state = as_operator(rho)
-    dim = m.shape[0]
-    a0 = traceless_part(m)
-    value = (dim + 1.0) / (dim + 2.0) * (
-        _trace_product(a0, a0) + 2.0 * _trace_product(state @ a0, a0)
-    ) - _trace_product(state, a0) ** 2
-    return VariancePrediction("exact", float(value), assumptions="global unitary")
+@functools.lru_cache(maxsize=64)
+def _word_coefficients(unitary: bool, d: int, alpha_total: float) -> tuple:
+    """(permutation, contraction) coefficients of sum_w E_U (U^dag Pi_w U)^{(x)k}
+    for k = 2, 3.  U(d) has one coefficient.  The O(d) ones (permutation
+    first, contraction last) are linear in alpha_w, so summed over w they are
+    d times the coefficients at alpha_total / d."""
+    if unitary:
+        return tuple((1.0 / math.prod(range(d + 1, d + k)), 0.0) for k in (2, 3))
+    c2 = pair_twirl_coefficients(alpha_total / d, d)
+    c3 = triple_twirl_coefficients(alpha_total / d, d)
+    return tuple((d * c[0], d * c[-1]) for c in (c2, c3))
 
 
-def reality_interpolation(a, d: int, alpha: float) -> np.ndarray:
-    """The effective observable A_tilde seen through a reality-alpha channel."""
-    m = as_operator(a)
-    denom = d * (d - 2.0 + alpha)
-    if abs(d - 2.0 + alpha) < 1e-12:
-        raise ValueError("degenerate at d - 2 + alpha = 0; use the spectral treatment")
-    return ((d * d - alpha) * m + (alpha * d + alpha - 2.0 * d) * m.T) / denom
+def _predict_global(spec: EnsembleSpec, m: np.ndarray, state: np.ndarray) -> VariancePrediction:
+    """Exact Var[o] = E[o^2] - E[o]^2 from the k = 3 and k = 2 words.
 
+    E[o] is the visible target Tr[P_vis(A) rho].  Var is unchanged by
+    A -> A - Tr[A]/d (each o shifts by Tr[A]/d), so the words take the
+    traceless A~ and no (Tr A)^2 cancels against the mean.  Every loop is an
+    O(d^2) trace but Tr[rho X Y] = Tr[(rho X) Y], which shares rho A~ and
+    rho A~^T (only rho A~ when A~ is symmetric)."""
+    d = spec.d
+    tilde = pseudo_inverse(channel_for(spec), m)
+    tilde.flat[:: d + 1] -= np.trace(m) / d
+    unitary = spec.groups[0] == "unitary"
+    # U(d) words are permutations, which never transpose an operand.
+    symmetric = unitary or np.array_equal(tilde, tilde.T)
+    operands = {(0, False): state, (1, False): tilde, (1, True): tilde.T}
+    traces: dict = {}
+    products: dict = {}
 
-def var_global_alpha(a, rho, d: int, alpha: float) -> VariancePrediction:
-    """Exact estimator variance for global orthogonal shadows with a basis of
-    total reality alpha.
+    def trace(loop) -> complex:
+        if loop not in traces:
+            mats = [operands[step] for step in loop]
+            if len(mats) == 3:  # rho leads its loop: Tr[rho X Y]
+                if loop[1] not in products:
+                    products[loop[1]] = state @ mats[1]
+                mats = [products[loop[1]], mats[2]]
+            traces[loop] = mats[0].trace() if len(mats) == 1 else np.einsum("ij,ji->", *mats)
+        return traces[loop]
 
-    Checked by simulation for symmetric observables only: an observable with
-    an antisymmetric part is mispredicted when alpha != d, so
-    `predict_variance` gives no prediction for it there.
-    """
-    m = _as_matrix(a)
-    state = as_operator(rho)
-    if m.shape[0] != d:
-        raise ValueError("stated dimension does not match the observable")
-    tilde = reality_interpolation(m, d, alpha)
-    t0 = tilde - (np.trace(m) / d) * np.eye(d)
-    p_alpha = (d * d - alpha) / ((d - 1.0) * (d + 2.0))
-    prefactor = 1.0 / ((1.0 - p_alpha) ** 2 * d * (d - 1.0) * (d + 2.0) * (d + 4.0))
-    t0_t = t0.T
-    state_t0 = state @ t0
-    state_t0_t = state @ t0_t
-    term_plain = (d * d - 3.0 * alpha + 2.0 * d) * (
-        _trace_product(t0, t0) + 2.0 * _trace_product(state_t0, t0)
-    )
-    term_transposed = (alpha * d + alpha - 2.0 * d) * (
-        _trace_product(t0, t0_t)
-        + 2.0 * _trace_product(state_t0, t0_t)
-        + 2.0 * _trace_product(state_t0_t, t0)
-        + 2.0 * _trace_product(state_t0_t, t0_t)
-    )
-    value = prefactor * (term_plain + term_transposed) - _trace_product(t0, state) ** 2
-    return VariancePrediction(
-        "exact", float(value), assumptions=f"global orthogonal, alpha = {alpha}"
-    )
+    moments = []
+    for k, (c_perm, c_omega) in zip((2, 3), _word_coefficients(unitary, d, spec.basis.alpha_total)):
+        sums = [0.0, 0.0]  # contractions, permutations
+        for (is_permutation, word), count in _WORDS[k, symmetric].items():
+            if is_permutation or not unitary:
+                value = count
+                for loop in word:
+                    value *= trace(loop)
+                sums[is_permutation] += value
+        moments.append((c_perm * sums[True] + c_omega * sums[False]).real)
+    mean, second = moments
+    return VariancePrediction("exact", float(second - mean**2))
 
 
 def overlap_f(p: PauliString, q: PauliString) -> float:
@@ -177,9 +175,7 @@ def bound_local(observable, spec: EnsembleSpec) -> VariancePrediction:
             raise ValueError("observable and ensemble qubit counts differ")
         for j in observable.support:
             _require_visible(spec, spectra, j, observable.letters[j])
-        return VariancePrediction(
-            "upper_bound", _pauli_second_moment(spectra, observable), "single Pauli string"
-        )
+        return VariancePrediction("upper_bound", _pauli_second_moment(spectra, observable))
     if isinstance(observable, (list, tuple)):
         if any(p.n != spec.n for p in observable):
             raise ValueError("observable and ensemble qubit counts differ")
@@ -204,21 +200,22 @@ def bound_local(observable, spec: EnsembleSpec) -> VariancePrediction:
     value = float(norm_inf(m)) ** 2
     for j in support:
         value *= factor_visible_dimension(spectra[j], 2)
-    return VariancePrediction(
-        "upper_bound", value, assumptions="k-local operator, spectral-norm bound"
-    )
+    return VariancePrediction("upper_bound", value)
 
 
 def predict_variance(spec: EnsembleSpec, observable, rho=None) -> VariancePrediction | None:
-    """Best available variance prediction for an observable under an ensemble."""
+    """Best available variance prediction for an observable under an ensemble.
+
+    Global ensembles: the exact variance given the state, None without one.
+    """
     if spec.scope == "local" and isinstance(observable, PauliString):
         second = _pauli_second_moment(channel_for(spec).spectra, observable)
         if second == 0.0:
-            return VariancePrediction("exact", 0.0, "the estimator is identically zero")
+            return VariancePrediction("exact", 0.0)  # the estimator is identically zero
         if rho is None:
-            return VariancePrediction("upper_bound", second, "state-independent second moment")
-        mean = _trace_product(observable.to_matrix(), as_operator(rho))
-        return VariancePrediction("exact", float(second - mean**2), "local Pauli")
+            return VariancePrediction("upper_bound", second)  # state-independent second moment
+        mean = float(np.sum(observable.to_matrix() * as_operator(rho).T).real)  # Tr[P rho]
+        return VariancePrediction("exact", float(second - mean**2))
     if spec.scope == "local":
         try:
             return bound_local(observable, spec)
@@ -226,18 +223,8 @@ def predict_variance(spec: EnsembleSpec, observable, rho=None) -> VariancePredic
             return None
     if rho is None:
         return None
-    d = spec.d
-    if spec.groups[0] == "unitary":
-        return var_global_unitary(_as_matrix(observable), rho)
-    alpha = spec.basis.alpha_total
-    if abs(alpha - d) <= 1e-12:
-        return var_global_real(_as_matrix(observable), rho)
-    if abs(d - 2.0 + alpha) < 1e-12:
-        return None  # degenerate spectrum; no closed form at this point
-    m = _as_matrix(observable)
-    if np.linalg.norm(m - m.T) > _ANTISYM_RTOL * np.linalg.norm(m):
-        return None  # var_global_alpha is unverified off symmetric observables
-    return var_global_alpha(m, rho, d, alpha)
+    m = observable.to_matrix() if isinstance(observable, PauliString) else as_operator(observable)
+    return _predict_global(spec, m, as_operator(rho))
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +242,13 @@ def random_symmetric_observable(rng: RngStream, d: int) -> np.ndarray:
     return sym_part(a)
 
 
-def ratio_instance(rng: RngStream, d: int) -> tuple[float, float, float]:
-    """(var_real, var_unitary, ratio) for one random state/observable pair."""
-    rho = random_pure_state(rng.child(0), d)
-    a = random_symmetric_observable(rng.child(1), d)
-    var_real = var_global_real(a, rho).value
-    var_unitary = var_global_unitary(a, rho).value
+def ratio_instance(rng: RngStream, orthogonal, unitary) -> tuple[float, float, float]:
+    """(var_real, var_unitary, ratio) for one random state/observable pair
+    under the global orthogonal and unitary ensembles of one dimension."""
+    rho = random_pure_state(rng.child(0), orthogonal.d)
+    a = random_symmetric_observable(rng.child(1), orthogonal.d)
+    var_real = _predict_global(orthogonal, a, rho).value
+    var_unitary = _predict_global(unitary, a, rho).value
     return var_real, var_unitary, var_real / var_unitary
 
 
@@ -274,11 +262,11 @@ def ratio_sweep(n_values, instances: int, seed: int):
     rows = []
     summary = []
     for n in n_values:
-        d = 2**n
+        specs = [global_ensemble(g, computational_basis(int(n))) for g in ("orthogonal", "unitary")]
         base = RngStream(seed, (int(n),))
         ratios = np.empty(instances)
         for i in range(instances):
-            var_real, var_unitary, ratio = ratio_instance(base.child(i), d)
+            var_real, var_unitary, ratio = ratio_instance(base.child(i), *specs)
             ratios[i] = ratio
             rows.append(
                 {

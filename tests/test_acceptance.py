@@ -35,8 +35,6 @@ from realshadows.variance import (
     predict_variance,
     random_symmetric_observable,
     ratio_sweep,
-    var_global_real,
-    var_global_unitary,
 )
 
 
@@ -102,8 +100,9 @@ def test_criterion_4_variance_exactness_global_real():
     t0 = time.perf_counter()
     # pinned case: the predictors are exactly 2 (real) and 3 (unitary)
     rho2 = identity(2) / 2
-    assert var_global_real(Z, rho2).value == 2.0
-    assert var_global_unitary(Z, rho2).value == 3.0
+    basis2 = computational_basis(1)
+    assert predict_variance(global_ensemble("orthogonal", basis2), Z, rho2).value == 2.0
+    assert predict_variance(global_ensemble("unitary", basis2), Z, rho2).value == 3.0
     # random instance at d = 4: empirical within 5% of the exact value
     d, n = 4, 2
     spec = global_ensemble("orthogonal", computational_basis(n))

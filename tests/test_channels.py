@@ -27,13 +27,13 @@ from realshadows.channels import (
 )
 from realshadows.commutant import mc_twirl, twirl_project
 from realshadows.linalg import (
+    antisym_part,
     batched_kron,
     hs_inner,
     identity,
     kron,
     operators_close,
     sym_part,
-    traceless_part,
 )
 from realshadows.pauli import PAULIS, X, Y, Z
 from realshadows.sampling import RngStream, sample_transform_arrays
@@ -157,6 +157,28 @@ class TestApplyChannel:
         desc = channel_for(global_ensemble("orthogonal", computational_basis(2)))
         with pytest.raises(ValueError):
             apply_channel(desc, identity(2))
+
+    @pytest.mark.parametrize("tag", ["computational", "sh", "random:5"])
+    @pytest.mark.parametrize("group", ["orthogonal", "unitary"])
+    def test_global_blocks_match_three_block_reference(self, tag, group):
+        # The block split as tr + lam_sym sym0 + lam_anti anti, with tr and
+        # sym0 formed as matrices: the same arithmetic, so equal bit for bit.
+        for n in (1, 3):
+            desc = channel_for(global_ensemble(group, basis_from_tag(tag, n)))
+            d = 2**n
+            for a in (_random_matrix(n, d), X if n == 1 else kron(Y, Y, Z)):
+                for fn, lam_of in (
+                    (apply_channel, lambda lam: lam),
+                    (pseudo_inverse, lambda lam: 0.0 if abs(lam) <= 1e-12 else 1.0 / lam),
+                ):
+                    sp = desc.spectrum
+                    tr = (np.trace(a) / d) * np.eye(d)
+                    reference = (
+                        tr
+                        + lam_of(sp.lambda_sym) * (sym_part(a) - tr)
+                        + lam_of(sp.lambda_anti) * antisym_part(a)
+                    )
+                    assert np.array_equal(fn(desc, a), reference)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from(["orthogonal", "unitary"]))
@@ -367,7 +389,7 @@ class TestPauliParity:
         assert operators_close(odd_fast, odd, atol=ATOL)
         assert operators_close(tr, (np.trace(a) / d) * identity(d), atol=ATOL)
         # the theorem itself
-        assert operators_close(even_fast, sym_part(traceless_part(a)), atol=ATOL)
+        assert operators_close(even_fast, sym_part(a - (np.trace(a) / d) * identity(d)), atol=ATOL)
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):

@@ -54,6 +54,26 @@ class TestPairings:
         assert len(perms) == 6
         assert len(contractions) == 9
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_loops_trace_the_realization(self, k):
+        # Tr[(X_0 (x) ... (x) X_{k-1}) R] is the product of the loop traces.
+        d = 3
+        g = RngStream(70, (k,)).generator
+        ops = [g.standard_normal((d, d)) + 1j * g.standard_normal((d, d)) for _ in range(k)]
+        for p in enumerate_pairings(k):
+            loops = p.loops()
+            assert sorted(op for loop in loops for op, _ in loop) == list(range(k))
+            # a permutation's loops are its cycles, with no transposed step
+            assert p.is_permutation == all(not t for loop in loops for _, t in loop)
+            value = 1.0
+            for loop in loops:
+                product = identity(d)
+                for op, transposed in loop:
+                    product = product @ (ops[op].T if transposed else ops[op])
+                value *= np.trace(product)
+            expected = np.trace(kron(*ops) @ realize(p, d))
+            assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected)), p.label()
+
 
 class TestRealize:
     @pytest.mark.parametrize("d", [2, 3])

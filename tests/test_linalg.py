@@ -16,7 +16,6 @@ from realshadows.linalg import (
     partial_trace_first,
     sum_abs2,
     sym_part,
-    traceless_part,
 )
 from realshadows.pauli import I2, X, Y, Z
 
@@ -145,8 +144,6 @@ class TestSymmetrySplits:
     def test_pauli_examples(self):
         assert operators_close(sym_part(Y), np.zeros((2, 2)))
         assert operators_close(antisym_part(X), np.zeros((2, 2)))
-        proj0 = np.diag([1.0, 0.0]).astype(complex)
-        assert operators_close(traceless_part(proj0), Z / 2)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))

@@ -1,23 +1,26 @@
 import numpy as np
 import pytest
 
-from realshadows.bases import basis_from_tag, computational_basis, sh_basis
-from realshadows.channels import InvisibleObservableError, global_ensemble, local_ensemble
+from realshadows.bases import basis_from_tag, computational_basis, make_basis, sh_basis
+from realshadows.channels import (
+    InvisibleObservableError,
+    channel_for,
+    global_ensemble,
+    local_ensemble,
+    pseudo_inverse,
+    visible_projector,
+)
 from realshadows.commutant import twirl_project
 from realshadows.engine import collect_records, estimate, per_shot_estimates
 from realshadows.linalg import identity, kron, norm_inf, operators_close, sym_part
 from realshadows.pauli import PAULIS, PauliString, X, Y, Z
-from realshadows.sampling import RngStream, random_pure_state
+from realshadows.sampling import RngStream, haar_state_vector, random_pure_state
 from realshadows.variance import (
     bound_local,
     overlap_f,
     predict_variance,
     random_symmetric_observable,
     ratio_sweep,
-    reality_interpolation,
-    var_global_alpha,
-    var_global_real,
-    var_global_unitary,
 )
 
 
@@ -27,35 +30,93 @@ def _random_hermitian(seed, d):
     return 0.5 * (m + m.conj().T)
 
 
+def _rank_two_state(seed, d):
+    rng = RngStream(seed)
+    u, v = haar_state_vector(rng.child(0), d), haar_state_vector(rng.child(1), d)
+    return 0.7 * np.outer(u, u.conj()) + 0.3 * np.outer(v, v.conj())
+
+
+def _global(group, tag, n):
+    return global_ensemble(group, basis_from_tag(tag, n))
+
+
+# Reference formulas: the hand-derived global predictors that the Brauer-word
+# predictor replaced, kept here as independent checks where they are right.
+# var_ref_real and var_ref_unitary hold for every observable; var_ref_alpha
+# only for symmetric ones, and not at d - 2 + alpha = 0.
+
+
+def _tr(x, y):
+    return float(np.sum(x * y.T).real)
+
+
+def traceless_part(a):
+    return a - (np.trace(a) / a.shape[0]) * np.eye(a.shape[0])
+
+
+def var_ref_real(a, rho):
+    """Global orthogonal shadows, real basis."""
+    d = a.shape[0]
+    s0 = traceless_part(sym_part(a))
+    return (d + 2.0) / (2.0 * d + 8.0) * (_tr(s0, s0) + 4.0 * _tr(rho @ s0, s0)) - _tr(s0, rho) ** 2
+
+
+def var_ref_unitary(a, rho):
+    """Global unitary shadows."""
+    d = a.shape[0]
+    a0 = traceless_part(a)
+    return (d + 1.0) / (d + 2.0) * (_tr(a0, a0) + 2.0 * _tr(rho @ a0, a0)) - _tr(rho, a0) ** 2
+
+
+def reality_interpolation(a, d, alpha):
+    """The effective observable A_tilde seen through a reality-alpha channel."""
+    return ((d * d - alpha) * a + (alpha * d + alpha - 2.0 * d) * a.T) / (d * (d - 2.0 + alpha))
+
+
+def var_ref_alpha(a, rho, d, alpha):
+    """Global orthogonal shadows, basis of total reality alpha."""
+    t0 = reality_interpolation(a, d, alpha) - (np.trace(a) / d) * np.eye(d)
+    t0_t = t0.T
+    p_alpha = (d * d - alpha) / ((d - 1.0) * (d + 2.0))
+    prefactor = 1.0 / ((1.0 - p_alpha) ** 2 * d * (d - 1.0) * (d + 2.0) * (d + 4.0))
+    plain = (d * d - 3.0 * alpha + 2.0 * d) * (_tr(t0, t0) + 2.0 * _tr(rho @ t0, t0))
+    transposed = (alpha * d + alpha - 2.0 * d) * (
+        _tr(t0, t0_t)
+        + 2.0 * _tr(rho @ t0, t0_t)
+        + 2.0 * _tr(rho @ t0_t, t0)
+        + 2.0 * _tr(rho @ t0_t, t0_t)
+    )
+    return prefactor * (plain + transposed) - _tr(t0, rho) ** 2
+
+
 class TestGlobalPredictors:
     def test_pinned_case(self):
         rho = identity(2) / 2
-        assert var_global_real(Z, rho).value == 2.0
-        assert var_global_unitary(Z, rho).value == 3.0
-        assert var_global_real(Z, rho).value / var_global_unitary(Z, rho).value == pytest.approx(
-            2.0 / 3.0
-        )
+        real = predict_variance(_global("orthogonal", "computational", 1), Z, rho).value
+        unitary = predict_variance(_global("unitary", "computational", 1), Z, rho).value
+        assert real == 2.0
+        assert unitary == 3.0
+        assert real / unitary == pytest.approx(2.0 / 3.0)
 
     def test_trivial_observables(self):
         rho = random_pure_state(RngStream(0), 4)
-        assert var_global_real(identity(4), rho).value == pytest.approx(0.0, abs=1e-12)
-        assert var_global_real(kron(Y, PAULIS["I"]), rho).value == pytest.approx(0.0, abs=1e-12)
-        assert var_global_unitary(identity(4), rho).value == pytest.approx(0.0, abs=1e-12)
+        real = _global("orthogonal", "computational", 2)
+        unitary = _global("unitary", "computational", 2)
+        assert predict_variance(real, identity(4), rho).value == pytest.approx(0.0, abs=1e-12)
+        assert predict_variance(real, kron(Y, PAULIS["I"]), rho).value == pytest.approx(
+            0.0, abs=1e-12
+        )
+        assert predict_variance(unitary, identity(4), rho).value == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_alpha_d_reduces_to_real_formula(self, d):
         rho = random_pure_state(RngStream(1, (d,)), d)
         a = _random_hermitian(2 + d, d)
-        full = var_global_alpha(a, rho, d, float(d)).value
-        real = var_global_real(a, rho).value
+        spec = global_ensemble("orthogonal", computational_basis(d.bit_length() - 1))
+        full = var_ref_alpha(a, rho, d, float(d))
+        real = var_ref_real(a, rho)
         assert full == pytest.approx(real, rel=1e-10, abs=1e-10)
-
-    def test_singular_point_rejected(self):
-        rho = identity(2) / 2
-        with pytest.raises(ValueError):
-            var_global_alpha(Z, rho, 2, 0.0)
-        with pytest.raises(ValueError):
-            reality_interpolation(Z, 2, 0.0)
+        assert predict_variance(spec, a, rho).value == pytest.approx(real, rel=1e-10, abs=1e-10)
 
     def test_alpha_zero_matches_empirical_sh_shadows(self):
         # d = 4, SH basis (alpha = 0): predictor vs 1e5-shot simulation
@@ -65,29 +126,109 @@ class TestGlobalPredictors:
         a = kron(Z, PAULIS["I"])
         records = collect_records(RngStream(3), rho, spec, 100000)
         emp = estimate(records, a).empirical_variance
-        pred = var_global_alpha(a, rho, d, 0.0).value
+        pred = predict_variance(spec, a, rho).value
         assert emp == pytest.approx(pred, rel=0.05)
 
     def test_large_d_asymptotic_bound(self):
-        # Var <~ ||A_tilde_0||_2^2 / (1 + f) at d = 64
-        d = 64
+        # Var <~ ||A_tilde_0||_2^2 / (1 + f) at d = 64, for bases of total
+        # reality f d: a qubit basis with alpha_w = f on the first qubit and
+        # the computational basis on the rest.
+        n = 6
+        d = 2**n
         rho = random_pure_state(RngStream(4), d)
         a = random_symmetric_observable(RngStream(5), d)
         for f in (0.0, 0.5, 1.0):
-            alpha = f * d
-            value = var_global_alpha(a, rho, d, alpha).value
+            phase = np.exp(1j * np.arccos(np.sqrt(f)))  # alpha_w = cos^2 = f
+            qubit = np.array([[1.0, 1.0], [phase, -phase]]) / np.sqrt(2.0)
+            basis = make_basis(kron(qubit, identity(d // 2)), f"alpha={f}")
+            alpha = basis.alpha_total
+            assert alpha == pytest.approx(f * d)
+            value = predict_variance(global_ensemble("orthogonal", basis), a, rho).value
             tilde0 = reality_interpolation(a, d, alpha) - (np.trace(a) / d) * identity(d)
             bound = float(np.linalg.norm(tilde0)) ** 2 / (1.0 + f)
             assert value <= 1.15 * bound
 
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_real_never_exceeds_unitary(self, d):
-        # exact-formula inequality over random instances
+        # exact-predictor inequality over random instances
+        n = d.bit_length() - 1
+        real = _global("orthogonal", "computational", n)
+        unitary = _global("unitary", "computational", n)
         for i in range(334):
             rng = RngStream(6, (d, i))
             rho = random_pure_state(rng.child(0), d)
             a = random_symmetric_observable(rng.child(1), d)
-            assert var_global_real(a, rho).value <= var_global_unitary(a, rho).value + 1e-12
+            assert (
+                predict_variance(real, a, rho).value
+                <= predict_variance(unitary, a, rho).value + 1e-12
+            )
+
+
+class TestBrauerWordPredictor:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_agrees_with_reference_formulas(self, n):
+        # Every case where a hand-derived formula is right, to 1e-12 relative.
+        d = 2**n
+        rng = RngStream(90, (n,))
+        rho = random_pure_state(rng.child(0), d)
+        a = _random_hermitian(91 + n, d)
+        sym = random_symmetric_observable(rng.child(1), d)
+        cases = [
+            (_global("orthogonal", "computational", n), a, var_ref_real(a, rho)),
+            (_global("unitary", "computational", n), a, var_ref_unitary(a, rho)),
+        ]
+        for tag in ("sh", "random:5"):
+            spec = _global("orthogonal", tag, n)
+            alpha = spec.basis.alpha_total
+            if abs(d - 2.0 + alpha) > 1e-12:
+                cases.append((spec, sym, var_ref_alpha(sym, rho, d, alpha)))
+        assert len(cases) == (3 if n == 1 else 4)
+        for spec, obs, reference in cases:
+            assert predict_variance(spec, obs, rho).value == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("group", ["orthogonal", "unitary"])
+    @pytest.mark.parametrize("tag", ["computational", "sh", "random:5"])
+    def test_matches_gram_projection_twirl(self, n, group, tag):
+        # Var = sum_w Tr[(rho (x) A~ (x) A~) T_w] - Tr[P_vis(A) rho]^2, with the
+        # twirls T_w of Pi_w^{(x)3} from the Gram projection (linear, so it is
+        # applied once to their sum).
+        spec = _global(group, tag, n)
+        d = spec.d
+        rho = _rank_two_state(92 + n, d)
+        a = _random_hermitian(93 + n, d)
+        desc = channel_for(spec)
+        tilde = pseudo_inverse(desc, a)
+        columns = spec.basis.vectors
+        projectors = sum(
+            kron(*[np.outer(columns[:, w], columns[:, w].conj())] * 3) for w in range(d)
+        )
+        twirl = twirl_project(projectors, group[0].upper(), 3)
+        second = np.trace(kron(rho, tilde, tilde) @ twirl).real
+        mean = np.trace(visible_projector(desc, a) @ rho).real
+        assert predict_variance(spec, a, rho).value == pytest.approx(
+            second - mean**2, rel=1e-10, abs=1e-10
+        )
+
+    @pytest.mark.parametrize(
+        "tag, n, rank",
+        [("sh", 1, 1), ("sh", 2, 1), ("random:5", 2, 2), ("sh", 3, 2), ("random:5", 3, 1)],
+    )
+    def test_complex_observable_matches_simulation(self, tag, n, rank):
+        # Complex Hermitian A under a complex basis, and the degenerate
+        # d - 2 + alpha = 0 point at n = 1 (sh): empirical variance within 4
+        # standard errors of the prediction.
+        spec = _global("orthogonal", tag, n)
+        d = spec.d
+        rho = random_pure_state(RngStream(94, (n,)), d) if rank == 1 else _rank_two_state(95, d)
+        a = _random_hermitian(96 + n, d)
+        pred = predict_variance(spec, a, rho)
+        assert pred.kind == "exact"
+        records = collect_records(RngStream(97, (n, rank)), rho, spec, 200000)
+        values = per_shot_estimates(records, a)
+        emp = np.var(values, ddof=1)
+        se = np.std((values - values.mean()) ** 2, ddof=1) / np.sqrt(values.shape[0])
+        assert abs(emp - pred.value) <= 4 * se, (emp, pred.value, se)
 
 
 class TestOverlapF:
@@ -276,10 +417,9 @@ class TestEmpiricalVariance:
         a = random_symmetric_observable(RngStream(14), d)
         records = collect_records(RngStream(15, (ord(group[0]),)), rho, spec, 100000)
         emp = estimate(records, a).empirical_variance
-        if group == "orthogonal":
-            pred = var_global_real(a, rho).value
-        else:
-            pred = var_global_unitary(a, rho).value
+        pred = predict_variance(spec, a, rho).value
+        reference = var_ref_real(a, rho) if group == "orthogonal" else var_ref_unitary(a, rho)
+        assert pred == pytest.approx(reference, rel=1e-12)
         assert emp == pytest.approx(pred, rel=0.05)
 
 
@@ -301,23 +441,9 @@ class TestPredictVariance:
         spec = global_ensemble("orthogonal", computational_basis(1))
         assert predict_variance(spec, Z) is None
 
-    def test_degenerate_global_is_none(self):
-        spec = global_ensemble("orthogonal", sh_basis(1))
-        assert predict_variance(spec, Z, identity(2) / 2) is None
-
     def test_local_dense_complex_observable_is_none(self):
         spec = local_ensemble("orthogonal", 1)
         assert predict_variance(spec, Y, identity(2) / 2) is None
-
-    @pytest.mark.parametrize("tag", ["sh", "random:5"])
-    def test_global_alpha_with_antisymmetric_part_is_none(self, tag):
-        # var_global_alpha mispredicts such observables (d = 16, sh: 293.5
-        # measured against 483.5 predicted), so no value is reported.
-        spec = global_ensemble("orthogonal", basis_from_tag(tag, 3))
-        rho = random_pure_state(RngStream(80), spec.d)
-        a = _random_hermitian(81, spec.d)
-        assert predict_variance(spec, a, rho) is None
-        assert predict_variance(spec, PauliString.from_string("XYZ"), rho) is None
 
     @pytest.mark.parametrize("tag", ["sh", "random:5"])
     def test_global_alpha_symmetric_observable_is_predicted(self, tag):
@@ -326,7 +452,8 @@ class TestPredictVariance:
         a = sym_part(_random_hermitian(81, spec.d))
         pred = predict_variance(spec, a, rho)
         assert pred.kind == "exact"
-        assert pred.value == var_global_alpha(a, rho, spec.d, spec.basis.alpha_total).value
+        reference = var_ref_alpha(a, rho, spec.d, spec.basis.alpha_total)
+        assert pred.value == pytest.approx(reference, rel=1e-12)
 
 
 class TestRandomSymmetricObservable:
