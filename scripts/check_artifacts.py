@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""Same-seed artifact check: regenerate two estimate CSVs and compare them
+with the references committed under tests/data/.
+
+The two runs are the `run_estimate_demo.py` configuration (local orthogonal,
+n = 3) and a small global orthogonal one (n = 4, computational basis, Pauli
+strings and random symmetric observables).  Text cells must match exactly and
+each numeric cell x within 1e-12 * (1 + |x|), so that BLAS builds that round
+differently still pass.
+
+    python3 scripts/check_artifacts.py           # compare; exit 1 on a mismatch
+    python3 scripts/check_artifacts.py --update  # rewrite the references
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from realshadows.cli import main
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from run_estimate_demo import CONFIG as DEMO_CONFIG  # noqa: E402
+
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+RTOL = 1e-12
+TEXT_COLUMNS = ("observable_id", "bias_warning")
+
+GLOBAL_CONFIG = {
+    "seed": 11,
+    "n": 4,
+    "ensemble": {"scope": "global", "groups": ["orthogonal"], "basis": "computational"},
+    "state": {"kind": "random_pure", "seed": 5},
+    "shots": 4000,
+    "batches": 8,
+    "allow_bias": True,
+    "observables": [
+        {"id": "ZZII", "kind": "pauli", "string": "ZZII"},
+        {"id": "XYYZ", "kind": "pauli", "string": "XYYZ"},
+        {"id": "IXIX", "kind": "pauli", "string": "IXIX", "coefficient": 0.5},
+        {"id": "IIII", "kind": "pauli", "string": "IIII"},
+        {"id": "YIXZ", "kind": "pauli", "string": "YIXZ"},
+        {"id": "sym0", "kind": "random_symmetric", "seed": 3},
+        {"id": "sym1", "kind": "random_symmetric", "seed": 4},
+    ],
+}
+
+RUNS = {"demo_local_n3.csv": DEMO_CONFIG, "global_orthogonal_n4.csv": GLOBAL_CONFIG}
+
+
+def _run(config: dict, workdir: Path, name: str) -> str:
+    csv = workdir / name
+    path = workdir / (name + ".json")
+    path.write_text(json.dumps(dict(config, emit={"csv": str(csv)})))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["estimate", "--config", str(path)])
+    if code != 0:
+        raise SystemExit(f"{name}: estimate exited with {code}")
+    return csv.read_text()
+
+
+def _mismatches(reference: str, fresh: str) -> list[str]:
+    ref_lines, new_lines = reference.strip().split("\n"), fresh.strip().split("\n")
+    if ref_lines[0] != new_lines[0] or len(ref_lines) != len(new_lines):
+        return ["header or row count differs"]
+    header = ref_lines[0].split(",")
+    bad = []
+    for ref_line, new_line in zip(ref_lines[1:], new_lines[1:]):
+        for column, a, b in zip(header, ref_line.split(","), new_line.split(",")):
+            if column in TEXT_COLUMNS or a == "" or b == "":
+                ok = a == b
+            else:
+                x, y = float(a), float(b)
+                ok = abs(x - y) <= RTOL * (1.0 + abs(x))
+            if not ok:
+                bad.append(f"{column}: {a} != {b} (row {ref_line.split(',')[0]})")
+    return bad
+
+
+def check(update: bool) -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, config in RUNS.items():
+            fresh = _run(config, Path(tmp), name)
+            reference = DATA / name
+            if update:
+                DATA.mkdir(parents=True, exist_ok=True)
+                reference.write_text(fresh)
+                print(f"{name}: reference written")
+                continue
+            bad = _mismatches(reference.read_text(), fresh)
+            failures += bool(bad)
+            print(f"{name}: {'FAIL' if bad else 'PASS'}")
+            for line in bad:
+                print(f"  {line}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--update", action="store_true", help="rewrite the references")
+    sys.exit(check(parser.parse_args().update))

@@ -207,6 +207,21 @@ def pauli_inverse_eigenvalue(spectrum: ChannelSpectrum, letter: str) -> float:
     return _inverse_eigenvalue(spectrum.lambda_anti if letter == "Y" else spectrum.lambda_sym)
 
 
+def pauli_string_inverse_eigenvalue(desc: ChannelDescriptor, p) -> float:
+    """The eigenvalue of M^-1 on a Pauli string `p`, 0 when it is invisible.
+
+    A local channel multiplies its sites' letter eigenvalues.  A global one
+    takes that of the string's block: the trace block for the identity, else
+    the symmetric block (read as the letter Z) for an even number of Y
+    letters, since P^T = (-1)^#Y P, and the antisymmetric one (Y) for odd."""
+    if desc.spec.scope == "local":
+        return math.prod(
+            pauli_inverse_eigenvalue(sp, letter) for sp, letter in zip(desc.spectra, p.letters)
+        )
+    letter = "I" if not p.support else "YZ"[p.y_count() % 2 == 0]
+    return pauli_inverse_eigenvalue(desc.spectrum, letter)
+
+
 def _apply_global_blocks(a: np.ndarray, lam_sym: float, lam_anti: float) -> np.ndarray:
     """tr + lam_sym sym0 + lam_anti anti for a = tr + sym0 + anti, in five
     elementwise passes: off the diagonal, tr is zero and sym0 = (a + a^T)/2;
@@ -252,6 +267,53 @@ def pseudo_inverse(desc: ChannelDescriptor, a) -> np.ndarray:
 def visible_projector(desc: ChannelDescriptor, a) -> np.ndarray:
     """Orthogonal projection onto the visible space (image of M)."""
     return _dispatch(desc, a, _indicator)
+
+
+def invisible_norm(desc: ChannelDescriptor, a) -> float:
+    """Frobenius norm of the part of `a` in the blocks the channel annihilates.
+
+    A global channel can annihilate only its antisymmetric block (O(d) in a
+    real basis) or its symmetric-traceless one (O(2) with alpha = 0), so the
+    norm is read off the transpose split of `a`, and no pass is made when
+    neither eigenvalue is zero.  A local channel takes a - visible_projector(a).
+    """
+    m = as_operator(a)
+    d = desc.spec.d
+    if m.shape[0] != d:
+        raise ValueError(f"operator dimension {m.shape[0]} does not match ensemble dimension {d}")
+    if desc.spec.scope == "local":
+        return float(np.linalg.norm(m - visible_projector(desc, m)))
+    sp = desc.spectrum
+    squared = 0.0
+    if not _indicator(sp.lambda_anti):
+        squared += np.linalg.norm(0.5 * (m - m.T)) ** 2
+    if not _indicator(sp.lambda_sym):
+        sym0 = 0.5 * (m + m.T)
+        sym0.flat[:: d + 1] -= np.trace(m) / d
+        squared += np.linalg.norm(sym0) ** 2
+    return float(np.sqrt(squared))
+
+
+@dataclass(eq=False)
+class InvertedObservable:
+    """A dense observable A with its pseudo-inverse M^+(A) under one
+    ensemble's channel, formed once so that a run's estimator and variance
+    predictor share it."""
+
+    spec: EnsembleSpec
+    matrix: np.ndarray
+    inverse: np.ndarray
+
+
+def invert(desc: ChannelDescriptor, observable) -> InvertedObservable:
+    """A dense observable with its pseudo-inverse under `desc`; one already
+    inverted for this ensemble is returned as it is."""
+    if isinstance(observable, InvertedObservable):
+        if observable.spec is not desc.spec:
+            raise ValueError("the observable was inverted under another ensemble")
+        return observable
+    m = as_operator(observable)
+    return InvertedObservable(desc.spec, m, pseudo_inverse(desc, m))
 
 
 def factor_visible_dimension(spectrum: ChannelSpectrum, d: int) -> int:

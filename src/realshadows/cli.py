@@ -1,6 +1,7 @@
 """Command-line workbench: estimation runs, validators, and the ratio sweep.
 
-Exit codes: 0 pass, 1 validation fail, 2 usage error, 3 I/O error.
+Exit codes: 0 pass, 1 validation fail, 2 usage error (a size limit
+included), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .channels import (
 )
 from .commutant import closed_form_twirl, mc_twirl, twirl_project
 from .engine import ConfigError, ExperimentConfig, collect_records, estimate, run_experiment
-from .linalg import kron
+from .linalg import ResourceLimitError, check_qubit_count, kron
 from .sampling import RngStream, haar_state_vector, random_pure_state
 from .variance import (
     predict_variance,
@@ -186,6 +187,7 @@ def cmd_validate_twirl(args: argparse.Namespace) -> int:
 
 def cmd_validate_variance(args: argparse.Namespace) -> int:
     n = _qubit_count(args.d)
+    check_qubit_count(n)
     _require_at_least("--shots", args.shots, 2, " for an empirical variance")
     if not args.tolerance > 0:
         raise ConfigError(f"--tolerance must be positive, got {args.tolerance}")
@@ -287,7 +289,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ResourceLimitError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, json.JSONDecodeError) as exc:

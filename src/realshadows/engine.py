@@ -5,7 +5,8 @@ estimator reads: Tr[O M^-1(|v><v|)] = v^dag M^-1(O) v.  ShadowRecords holds
 (S, d) vectors for global ensembles and (S, n, 2) per-qubit vectors for local
 ones, whose Kronecker product is the full v.  Shots are drawn from the factor
 Psi of rho = Psi Psi^dag: local ones by a factor-wise Born function, global
-ones by an exact direct sampler that needs no d x d Haar matrix.
+ones by an exact direct sampler that needs no d x d Haar matrix.  Global
+orthogonal shots in a real basis are real, and are stored as float64.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from .channels import (
     ChannelDescriptor,
     EnsembleSpec,
     channel_for,
+    invert,
+    invisible_norm,
     pauli_inverse_eigenvalue,
+    pauli_string_inverse_eigenvalue,
     pseudo_inverse,
-    visible_projector,
 )
-from .linalg import as_operator, batched_kron, identity, norm2
+from .linalg import as_operator, batched_kron, check_qubit_count, identity, norm2
 from .pauli import PAULIS, PauliString
 from .sampling import (
     RNG_ALGORITHM,
@@ -56,7 +59,8 @@ class ShadowRecords:
     """The measured vectors v = U^dag|w> of a batch of shots.
 
     `vectors` is (S, d) for global ensembles and (S, n, 2) for local ones,
-    where row j of a shot is the qubit-j vector U_j^dag|b_j>.
+    where row j of a shot is the qubit-j vector U_j^dag|b_j>.  They are
+    float64 for a global orthogonal ensemble in a real basis, else complex.
     """
 
     spec: EnsembleSpec
@@ -153,6 +157,11 @@ def _global_probabilities(spec: EnsembleSpec, phi: np.ndarray) -> np.ndarray:
     return _checked(amp.real**2 + amp.imag**2)
 
 
+def _real_records(spec: EnsembleSpec) -> bool:
+    """True when every measured vector is real: O(d) in a basis of real vectors."""
+    return spec.groups[0] == "orthogonal" and not spec.basis.vectors.imag.any()
+
+
 def _global_vectors(rng: RngStream, factor: np.ndarray, spec: EnsembleSpec, shots: int):
     """Measured vectors v = U^dag|w> of global shots, drawn exactly without U.
 
@@ -164,14 +173,17 @@ def _global_vectors(rng: RngStream, factor: np.ndarray, spec: EnsembleSpec, shot
     the frame of x_perp (any M with M^dag M equal to that frame's Gram matrix
     gives the same law).  O(d) work per shot, plus basis^dag phi for a
     non-computational basis.  Columns, G, outcomes and H draw from
-    rng.child(0..3), so the draws do not depend on the chunk size.
+    rng.child(0..3), so the draws do not depend on the chunk size.  With
+    O(d) in a real basis, G, x, Q_k, H and M are real, so v is real and only
+    its real part is kept.
     """
     real = spec.groups[0] == "orthogonal"
     weights, q_mix, a_mix = _mixture_frames(factor, real)
     width = q_mix.shape[2]
     cum = np.cumsum(weights)
     column_rng, frame_rng, outcome_rng, complement_rng = (rng.child(i) for i in range(4))
-    vectors = np.empty((shots, spec.d), dtype=complex)
+    real_records = _real_records(spec)
+    vectors = np.empty((shots, spec.d), dtype=float if real_records else complex)
     # About a dozen (S, d, r0) work arrays are live per chunk.
     chunk = max(1, _CHUNK_ELEMENTS // (16 * spec.d))
     for start in range(0, shots, chunk):
@@ -189,7 +201,7 @@ def _global_vectors(rng: RngStream, factor: np.ndarray, spec: EnsembleSpec, shot
             frame, c = _frames((x - g @ y)[:, :, 0], real)
             h = haar_frames(complement_rng, spec.d, width, s, real, orthogonal_to=q)
             v += h @ (np.linalg.qr(frame, mode="r") @ c)[:, :, None]
-        vectors[start : start + s] = v[:, :, 0]
+        vectors[start : start + s] = v[:, :, 0].real if real_records else v[:, :, 0]
     return vectors
 
 
@@ -237,14 +249,18 @@ def per_shot_estimates(records: ShadowRecords, observable) -> np.ndarray:
     """o_s = v_s^dag M^-1(O) v_s for every shot, without materializing shadows.
 
     Pauli strings under local ensembles use the factorized per-qubit fast
-    path; everything else contracts the pseudo-inverted observable against
-    the full measured vectors.
+    path, and under global ones their action, O(d) per shot.  A dense
+    observable (or an `InvertedObservable`) contracts its pseudo-inverse
+    against the full measured vectors.  Real records take the real part of
+    the operator, which is exact for real v.
     """
     spec = records.spec
     s_count = len(records)
-    if isinstance(observable, PauliString) and spec.scope == "local":
+    if isinstance(observable, PauliString):
         if observable.n != spec.n:
             raise ValueError("observable qubit count does not match the ensemble")
+        if spec.scope == "global":
+            return _global_pauli_estimates(records, observable)
         spectra = channel_for(spec).spectra
         values = np.full(s_count, complex(observable.coefficient))
         for j, letter in enumerate(observable.letters):
@@ -256,15 +272,34 @@ def per_shot_estimates(records: ShadowRecords, observable) -> np.ndarray:
             v = records.vectors[:, j]
             values *= np.einsum("sp,pq,sq->s", v.conj(), factor * PAULIS[letter], v)
         return values.real
-    obs = observable.to_matrix() if isinstance(observable, PauliString) else as_operator(observable)
-    if obs.shape[0] != spec.d:
-        raise ValueError("observable dimension does not match the ensemble")
-    tilde = pseudo_inverse(channel_for(spec), obs)
+    tilde = invert(channel_for(spec), observable).inverse
+    if not np.iscomplexobj(records.vectors):
+        tilde = tilde.real
     values = np.empty(s_count)
     chunk = max(1, _CHUNK_ELEMENTS // spec.d)
     for start in range(0, s_count, chunk):
         v = full_vectors(spec, records.vectors[start : start + chunk])
         values[start : start + chunk] = (v @ tilde.T * v.conj()).sum(axis=1).real
+    return values
+
+
+def _global_pauli_estimates(records: ShadowRecords, p: PauliString) -> np.ndarray:
+    """o_s = mu <v_s|P|v_s> = mu sum_j conj(v[j ^ flip]) phase[j] v[j], with mu
+    the M^-1 eigenvalue of the string's block; zeros when it is invisible."""
+    spec = records.spec
+    mu = pauli_string_inverse_eigenvalue(channel_for(spec), p)
+    if mu == 0.0:
+        return np.zeros(len(records))
+    flip, phase = p.action()
+    phase = mu * phase
+    if not np.iscomplexobj(records.vectors):
+        phase = phase.real
+    partner = np.arange(spec.d) ^ flip
+    values = np.empty(len(records))
+    chunk = max(1, _CHUNK_ELEMENTS // spec.d)
+    for start in range(0, len(records), chunk):
+        v = records.vectors[start : start + chunk]
+        values[start : start + chunk] = ((v[:, partner].conj() * v) @ phase).real
     return values
 
 
@@ -300,15 +335,10 @@ class EstimateReport:
 
 
 def _has_invisible_component(desc: ChannelDescriptor, observable) -> bool:
-    spec = desc.spec
-    if isinstance(observable, PauliString) and spec.scope == "local":
-        return any(
-            pauli_inverse_eigenvalue(sp, letter) == 0.0
-            for sp, letter in zip(desc.spectra, observable.letters)
-        )
-    obs = observable.to_matrix() if isinstance(observable, PauliString) else as_operator(observable)
-    invisible = obs - visible_projector(desc, obs)
-    return norm2(invisible) > 1e-10 * max(1.0, norm2(obs))
+    if isinstance(observable, PauliString):
+        return pauli_string_inverse_eigenvalue(desc, observable) == 0.0
+    obs = as_operator(observable)
+    return invisible_norm(desc, obs) > 1e-10 * max(1.0, norm2(obs))
 
 
 def estimate(
@@ -466,6 +496,7 @@ class ExperimentConfig:
             groups = [groups]
         seed = _integer(cfg, "seed", 0, 2**64 - 1)
         n = _integer(cfg, "n", 1)
+        check_qubit_count(n)
         if scope == "local" and len(groups) == 1:
             groups = groups * n
         shots = _integer(cfg, "shots", 1)
@@ -550,6 +581,8 @@ def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
     records = collect_records(RngStream(config.seed), rho, spec, config.shots)
     reports = []
     for (oid, obs), flagged in zip(observables, invisible):
+        if not isinstance(obs, PauliString):
+            obs = invert(desc, obs)  # one pseudo-inverse for the estimate and the prediction
         report = estimate(records, obs, config.batches, oid)
         prediction = predict_variance(spec, obs, rho)
         report.predicted_variance = None if prediction is None else prediction.value

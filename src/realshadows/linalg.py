@@ -13,12 +13,23 @@ import numpy as np
 #: Tolerance for structural (closed-form) equality checks.
 ATOL = 1e-10
 
-#: Largest dimension ``kron`` will produce unless overridden.
+#: Largest dimension ``kron`` will produce unless overridden, and the size
+#: budget of a run: its d x d state and dense observables (n <= 13).
 MAX_KRON_DIM = 8192
 
 
 class ResourceLimitError(ValueError):
     """A dense operation would exceed the configured size limits."""
+
+
+def check_qubit_count(n: int) -> None:
+    """Raise ResourceLimitError when d = 2^n exceeds MAX_KRON_DIM; checked
+    before anything of dimension d is allocated."""
+    limit = MAX_KRON_DIM.bit_length() - 1
+    if n > limit:
+        raise ResourceLimitError(
+            f"dimension 2^{n} exceeds the size limit {MAX_KRON_DIM} (n <= {limit})"
+        )
 
 
 def as_operator(a) -> np.ndarray:

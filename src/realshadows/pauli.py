@@ -15,6 +15,10 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 PAULIS = {"I": I2, "X": X, "Y": Y, "Z": Z}
 
+#: Per-qubit action P|b> = i^[P = Y] sign[b] |b ^ flip>.
+_FLIPS = {"I": 0, "X": 1, "Y": 1, "Z": 0}
+_SIGNS = {p: np.array([1.0, -1.0 if p in "YZ" else 1.0]) for p in "IXYZ"}
+
 
 @dataclass(frozen=True)
 class PauliString:
@@ -53,6 +57,18 @@ class PauliString:
 
     def y_count(self) -> int:
         return sum(1 for p in self.letters if p == "Y")
+
+    def action(self) -> tuple[int, np.ndarray]:
+        """(flip, phase) with P|j> = phase[j] |j ^ flip>, qubit 0 the most
+        significant bit of j: `flip` masks the X and Y sites, and phase is
+        c i^(#Y) times the Kronecker product of the per-qubit sign pairs, so
+        it takes O(d) work and no d x d matrix."""
+        flip = 0
+        signs = np.ones(1)
+        for letter in self.letters:
+            flip = 2 * flip + _FLIPS[letter]
+            signs = np.multiply.outer(signs, _SIGNS[letter]).ravel()
+        return flip, (self.coefficient * (1, 1j, -1, -1j)[self.y_count() % 4]) * signs
 
     def to_matrix(self) -> np.ndarray:
         return self.coefficient * kron(*(PAULIS[p] for p in self.letters))

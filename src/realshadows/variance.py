@@ -17,13 +17,16 @@ import numpy as np
 
 from .bases import computational_basis
 from .channels import (
+    ChannelDescriptor,
     EnsembleSpec,
+    InvertedObservable,
     InvisibleObservableError,
     channel_for,
     factor_visible_dimension,
     global_ensemble,
+    invert,
     pauli_inverse_eigenvalue,
-    pseudo_inverse,
+    pauli_string_inverse_eigenvalue,
 )
 from .commutant import enumerate_pairings, pair_twirl_coefficients, triple_twirl_coefficients
 from .linalg import as_operator, norm_inf, sym_part
@@ -42,6 +45,8 @@ class VariancePrediction:
 # estimate o = <v|A~|v> has E[o^(k-1)] = sum_w Tr[(rho (x) A~ (x) ...) E_U
 # (U^dag Pi_w U)^{(x)k}], a sum over enumerate_pairings(k) (only the
 # permutations for U(d)) of words: products of the traces of a pairing's loops.
+# A loop is a tuple of (operand, transposed) steps, operand 0 for rho (which
+# leads its loop) and 1 for A~.
 
 
 def _trace_words(k: int, symmetric: bool) -> Counter:
@@ -71,34 +76,68 @@ def _word_coefficients(unitary: bool, d: int, alpha_total: float) -> tuple:
     return tuple((d * c[0], d * c[-1]) for c in (c2, c3))
 
 
-def _predict_global(spec: EnsembleSpec, m: np.ndarray, state: np.ndarray) -> VariancePrediction:
+def _dense_traces(spec: EnsembleSpec, observable, state: np.ndarray):
+    """Loop traces of a dense A~, the traceless part of M^-1(A), and whether
+    the words may drop transposes.  Every loop is an O(d^2) trace but
+    Tr[rho X Y] = Tr[(rho X) Y], which shares rho A~ and rho A~^T (only
+    rho A~ when A~ is symmetric)."""
+    d = spec.d
+    inverted = invert(channel_for(spec), observable)
+    tilde = inverted.inverse.copy()
+    tilde.flat[:: d + 1] -= np.trace(inverted.matrix) / d
+    # U(d) words are permutations, which never transpose an operand.
+    symmetric = spec.groups[0] == "unitary" or np.array_equal(tilde, tilde.T)
+    operands = {(0, False): state, (1, False): tilde, (1, True): tilde.T}
+    products: dict = {}
+
+    def trace(loop) -> complex:
+        mats = [operands[step] for step in loop]
+        if len(mats) == 3:  # rho leads its loop: Tr[rho X Y]
+            if loop[1] not in products:
+                products[loop[1]] = state @ mats[1]
+            mats = [products[loop[1]], mats[2]]
+        return mats[0].trace() if len(mats) == 1 else np.einsum("ij,ji->", *mats)
+
+    return trace, symmetric
+
+
+def _pauli_traces(spec: EnsembleSpec, p: PauliString, state: np.ndarray):
+    """Loop traces of A~ = mu p for a Pauli string p = c P, and whether the
+    words may drop transposes.
+
+    A~^2 = kappa^2 with kappa = mu c, and A~^T = s A~ with s = (-1)^#Y, so a
+    loop of m A~ steps, t of them transposed, is s^t kappa^(m - 1) Tr[rho A~]
+    for odd m and s^t kappa^m for even m after rho, and 0 (odd m) or
+    s^t kappa^m d (even m) without it.  Only Tr[rho P] takes O(d) work; the
+    identity string's traceless part is zero."""
+    mu = pauli_string_inverse_eigenvalue(channel_for(spec), p)
+    kappa = mu * p.coefficient if p.support else 0.0
+    rho_tilde = mu * _pauli_trace(p, state) if p.support else 0.0
+    sign = -1 if p.y_count() % 2 else 1
+
+    def trace(loop) -> complex:
+        m = sum(op for op, _ in loop)
+        value = sign ** sum(t for _, t in loop) * kappa ** (m - m % 2)
+        if loop[0][0] == 0:
+            return value * rho_tilde if m % 2 else value
+        return 0.0 if m % 2 else value * spec.d
+
+    return trace, spec.groups[0] == "unitary" or sign == 1
+
+
+def _predict_global(spec: EnsembleSpec, observable, state: np.ndarray) -> VariancePrediction:
     """Exact Var[o] = E[o^2] - E[o]^2 from the k = 3 and k = 2 words.
 
     E[o] is the visible target Tr[P_vis(A) rho].  Var is unchanged by
     A -> A - Tr[A]/d (each o shifts by Tr[A]/d), so the words take the
-    traceless A~ and no (Tr A)^2 cancels against the mean.  Every loop is an
-    O(d^2) trace but Tr[rho X Y] = Tr[(rho X) Y], which shares rho A~ and
-    rho A~^T (only rho A~ when A~ is symmetric)."""
+    traceless A~ and no (Tr A)^2 cancels against the mean.  The loop traces
+    come from a Pauli string's action or from the dense A~; the word sum is
+    the same."""
+    source = _pauli_traces if isinstance(observable, PauliString) else _dense_traces
+    loop_trace, symmetric = source(spec, observable, state)
     d = spec.d
-    tilde = pseudo_inverse(channel_for(spec), m)
-    tilde.flat[:: d + 1] -= np.trace(m) / d
     unitary = spec.groups[0] == "unitary"
-    # U(d) words are permutations, which never transpose an operand.
-    symmetric = unitary or np.array_equal(tilde, tilde.T)
-    operands = {(0, False): state, (1, False): tilde, (1, True): tilde.T}
     traces: dict = {}
-    products: dict = {}
-
-    def trace(loop) -> complex:
-        if loop not in traces:
-            mats = [operands[step] for step in loop]
-            if len(mats) == 3:  # rho leads its loop: Tr[rho X Y]
-                if loop[1] not in products:
-                    products[loop[1]] = state @ mats[1]
-                mats = [products[loop[1]], mats[2]]
-            traces[loop] = mats[0].trace() if len(mats) == 1 else np.einsum("ij,ji->", *mats)
-        return traces[loop]
-
     moments = []
     for k, (c_perm, c_omega) in zip((2, 3), _word_coefficients(unitary, d, spec.basis.alpha_total)):
         sums = [0.0, 0.0]  # contractions, permutations
@@ -106,11 +145,20 @@ def _predict_global(spec: EnsembleSpec, m: np.ndarray, state: np.ndarray) -> Var
             if is_permutation or not unitary:
                 value = count
                 for loop in word:
-                    value *= trace(loop)
+                    if loop not in traces:
+                        traces[loop] = loop_trace(loop)
+                    value *= traces[loop]
                 sums[is_permutation] += value
         moments.append((c_perm * sums[True] + c_omega * sums[False]).real)
     mean, second = moments
     return VariancePrediction("exact", float(second - mean**2))
+
+
+def _pauli_trace(p: PauliString, state: np.ndarray) -> complex:
+    """Tr[rho P] = sum_j phase[j] rho[j, j ^ flip], O(d) from the string's action."""
+    flip, phase = p.action()
+    j = np.arange(phase.shape[0])
+    return complex(phase @ state[j, j ^ flip])
 
 
 def overlap_f(p: PauliString, q: PauliString) -> float:
@@ -148,14 +196,11 @@ def _require_visible(spec: EnsembleSpec, spectra, j: int, letter: str) -> None:
         )
 
 
-def _pauli_second_moment(spectra, p: PauliString) -> float:
+def _pauli_second_moment(desc: ChannelDescriptor, p: PauliString) -> float:
     """E[o^2] of a Pauli string under a local ensemble, exact for any state:
     E[<v|P|v>^2] = lambda on each site, so a site contributes
     lambda^-2 * lambda = 1/lambda.  It is 0 when a site annihilates its letter."""
-    value = float(abs(p.coefficient) ** 2)
-    for sp, letter in zip(spectra, p.letters):
-        value *= pauli_inverse_eigenvalue(sp, letter)
-    return value
+    return float(abs(p.coefficient) ** 2) * pauli_string_inverse_eigenvalue(desc, p)
 
 
 def bound_local(observable, spec: EnsembleSpec) -> VariancePrediction:
@@ -169,13 +214,14 @@ def bound_local(observable, spec: EnsembleSpec) -> VariancePrediction:
     """
     if spec.scope != "local":
         raise ValueError("local bounds need a local ensemble")
-    spectra = channel_for(spec).spectra
+    desc = channel_for(spec)
+    spectra = desc.spectra
     if isinstance(observable, PauliString):
         if observable.n != spec.n:
             raise ValueError("observable and ensemble qubit counts differ")
         for j in observable.support:
             _require_visible(spec, spectra, j, observable.letters[j])
-        return VariancePrediction("upper_bound", _pauli_second_moment(spectra, observable))
+        return VariancePrediction("upper_bound", _pauli_second_moment(desc, observable))
     if isinstance(observable, (list, tuple)):
         if any(p.n != spec.n for p in observable):
             raise ValueError("observable and ensemble qubit counts differ")
@@ -207,24 +253,32 @@ def predict_variance(spec: EnsembleSpec, observable, rho=None) -> VariancePredic
     """Best available variance prediction for an observable under an ensemble.
 
     Global ensembles: the exact variance given the state, None without one.
+    `observable` is a Pauli string, a dense matrix or an `InvertedObservable`.
     """
+    if rho is not None:
+        rho = as_operator(rho)
+        if rho.shape[0] != spec.d:
+            raise ValueError("state dimension does not match the ensemble")
+    if isinstance(observable, PauliString) and observable.n != spec.n:
+        raise ValueError("observable qubit count does not match the ensemble")
     if spec.scope == "local" and isinstance(observable, PauliString):
-        second = _pauli_second_moment(channel_for(spec).spectra, observable)
+        second = _pauli_second_moment(channel_for(spec), observable)
         if second == 0.0:
             return VariancePrediction("exact", 0.0)  # the estimator is identically zero
         if rho is None:
             return VariancePrediction("upper_bound", second)  # state-independent second moment
-        mean = float(np.sum(observable.to_matrix() * as_operator(rho).T).real)  # Tr[P rho]
+        mean = _pauli_trace(observable, rho).real
         return VariancePrediction("exact", float(second - mean**2))
     if spec.scope == "local":
+        if isinstance(observable, InvertedObservable):
+            observable = observable.matrix
         try:
             return bound_local(observable, spec)
         except InvisibleObservableError:
             return None
     if rho is None:
         return None
-    m = observable.to_matrix() if isinstance(observable, PauliString) else as_operator(observable)
-    return _predict_global(spec, m, as_operator(rho))
+    return _predict_global(spec, observable, rho)
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,16 @@ class TestEstimateCommand:
             assert "emit" in err
             assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
+    @pytest.mark.parametrize("n", [14, 20, 30, 10**6])
+    def test_oversize_n_fails_before_allocating(self, tmp_path, capsys, n):
+        cfg = self._one_qubit_config({"csv": str(tmp_path / "out.csv")})
+        cfg["n"] = n
+        assert main(["estimate", "--config", _write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert "8192" in err and "n <= 13" in err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_out_flag_with_null_emit(self, tmp_path):
         path = _write_config(tmp_path, self._one_qubit_config(None))
         out = tmp_path / "out.csv"
@@ -220,6 +230,7 @@ class TestValidators:
             ["ratio-sweep", "--instances", "1"],
             ["validate-variance", "--d", "3"],
             ["validate-variance", "--shots", "1"],
+            ["validate-variance", "--d", "16384"],
         ],
         ids="_".join,
     )
@@ -228,6 +239,10 @@ class TestValidators:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("configuration error:") and captured.err.count("\n") == 1
+
+    def test_validate_variance_names_the_size_limit(self, capsys):
+        assert main(["validate-variance", "--d", str(2**30)]) == 2
+        assert "8192" in capsys.readouterr().err
 
     def test_validate_variance(self, capsys):
         code = main(["validate-variance", "--d", "4", "--shots", "40000", "--tolerance", "0.1"])

@@ -310,13 +310,13 @@ class TestPerShotEstimates:
         assert np.all(per_shot_estimates(records, PauliString.from_string("YI")) == 0.0)
 
     def test_pauli_string_under_global_ensemble(self):
+        # The string's action and its dense matrix agree up to rounding.
         spec = global_ensemble("orthogonal", computational_basis(2))
         rho = random_pure_state(RngStream(40), 4)
         records = collect_records(RngStream(41), rho, spec, 100)
         p = PauliString.from_string("ZZ")
-        assert np.array_equal(
-            per_shot_estimates(records, p), per_shot_estimates(records, p.to_matrix())
-        )
+        dense = per_shot_estimates(records, p.to_matrix())
+        assert np.all(np.abs(per_shot_estimates(records, p) - dense) <= 1e-12 * (1 + np.abs(dense)))
 
 
 class TestEstimate:
