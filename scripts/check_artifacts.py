@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Same-seed artifact check: regenerate two estimate CSVs and compare them
-with the references committed under tests/data/.
+"""Same-seed artifact check: regenerate three CSVs and compare them with the
+references committed under tests/data/.
 
-The two runs are the `run_estimate_demo.py` configuration (local orthogonal,
-n = 3) and a small global orthogonal one (n = 4, computational basis, Pauli
-strings and random symmetric observables).  Text cells must match exactly and
+The runs are the `run_estimate_demo.py` configuration (local orthogonal,
+n = 3), a small global orthogonal one (n = 4, computational basis, Pauli
+strings and random symmetric observables) and a ratio sweep (n = 1..5, 10
+instances per n, seed 5).  Text cells must match exactly and
 each numeric cell x within 1e-12 * (1 + |x|), so that BLAS builds that round
 differently still pass.
 
@@ -48,17 +49,28 @@ GLOBAL_CONFIG = {
     ],
 }
 
-RUNS = {"demo_local_n3.csv": DEMO_CONFIG, "global_orthogonal_n4.csv": GLOBAL_CONFIG}
+RATIO_SWEEP = ["ratio-sweep", "--n-min", "1", "--n-max", "5", "--instances", "10", "--seed", "5"]
+
+#: Each reference with its run: an estimate configuration or CLI arguments.
+RUNS = {
+    "demo_local_n3.csv": DEMO_CONFIG,
+    "global_orthogonal_n4.csv": GLOBAL_CONFIG,
+    "ratio_sweep_n1-5.csv": RATIO_SWEEP,
+}
 
 
-def _run(config: dict, workdir: Path, name: str) -> str:
+def _run(run, workdir: Path, name: str) -> str:
     csv = workdir / name
-    path = workdir / (name + ".json")
-    path.write_text(json.dumps(dict(config, emit={"csv": str(csv)})))
+    if isinstance(run, dict):
+        path = workdir / (name + ".json")
+        path.write_text(json.dumps(dict(run, emit={"csv": str(csv)})))
+        argv = ["estimate", "--config", str(path)]
+    else:
+        argv = run + ["--out", str(csv)]
     with contextlib.redirect_stdout(io.StringIO()):
-        code = main(["estimate", "--config", str(path)])
+        code = main(argv)
     if code != 0:
-        raise SystemExit(f"{name}: estimate exited with {code}")
+        raise SystemExit(f"{name}: {argv[0]} exited with {code}")
     return csv.read_text()
 
 
@@ -83,8 +95,8 @@ def _mismatches(reference: str, fresh: str) -> list[str]:
 def check(update: bool) -> int:
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name, config in RUNS.items():
-            fresh = _run(config, Path(tmp), name)
+        for name, run in RUNS.items():
+            fresh = _run(run, Path(tmp), name)
             reference = DATA / name
             if update:
                 DATA.mkdir(parents=True, exist_ok=True)

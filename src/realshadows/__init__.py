@@ -15,14 +15,11 @@ from .channels import (
     ChannelDescriptor,
     ChannelSpectrum,
     EnsembleSpec,
-    InvisibleObservableError,
     apply_channel,
     channel_for,
-    depolarize,
     global_ensemble,
+    has_invisible_part,
     local_ensemble,
-    mixture_decomposition,
-    pauli_parity_decompose,
     pseudo_inverse,
     visible_projector,
 )
@@ -44,21 +41,11 @@ from .engine import (
     per_shot_estimates,
     run_experiment,
     full_vectors,
-    shadow_from_vector,
 )
-from .linalg import ResourceLimitError, kron, partial_trace_first
+from .linalg import ResourceLimitError, kron
 from .pauli import PauliString
-from .sampling import (
-    RngStream,
-    haar_orthogonal,
-    haar_unitary,
-    real_clifford_1q,
-    sample_transform_arrays,
-)
+from .sampling import RngStream, sample_transform_arrays
 from .variance import (
-    VariancePrediction,
-    bound_local,
-    overlap_f,
     random_symmetric_observable,
     ratio_sweep,
 )
@@ -74,14 +61,11 @@ __all__ = [
     "ChannelDescriptor",
     "ChannelSpectrum",
     "EnsembleSpec",
-    "InvisibleObservableError",
     "apply_channel",
     "channel_for",
-    "depolarize",
     "global_ensemble",
+    "has_invisible_part",
     "local_ensemble",
-    "mixture_decomposition",
-    "pauli_parity_decompose",
     "pseudo_inverse",
     "visible_projector",
     "BrauerPairing",
@@ -99,19 +83,11 @@ __all__ = [
     "per_shot_estimates",
     "run_experiment",
     "full_vectors",
-    "shadow_from_vector",
     "ResourceLimitError",
     "kron",
-    "partial_trace_first",
     "PauliString",
     "RngStream",
-    "haar_orthogonal",
-    "haar_unitary",
-    "real_clifford_1q",
     "sample_transform_arrays",
-    "VariancePrediction",
-    "bound_local",
-    "overlap_f",
     "random_symmetric_observable",
     "ratio_sweep",
 ]

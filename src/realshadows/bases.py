@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron
-from .sampling import RngStream, haar_unitary
+from .linalg import check_qubit_count, kron
+from .sampling import RngStream, haar_unitaries
 
 ORTHONORMAL_ATOL = 1e-10
 
@@ -29,22 +29,14 @@ class MeasurementBasis:
     alpha_total: float
     tag: str
 
-    def vector(self, w: int) -> np.ndarray:
-        return self.vectors[:, w]
 
-
-def reality(vectors, validate: bool = True) -> tuple[np.ndarray, float]:
-    """Per-vector alpha_w = |<w|w*>|^2 and the basis total alpha = sum_w alpha_w.
-
-    Accepts a MeasurementBasis or a matrix whose columns are the vectors.
-    """
-    if isinstance(vectors, MeasurementBasis):
-        vectors = vectors.vectors
+def reality(vectors) -> tuple[np.ndarray, float]:
+    """Per-vector alpha_w = |<w|w*>|^2 and the basis total alpha = sum_w alpha_w
+    of a matrix whose columns are the basis vectors."""
     v = np.asarray(vectors, dtype=complex)
-    if validate:
-        gram = v.conj().T @ v
-        if not np.allclose(gram, np.eye(v.shape[1]), rtol=0.0, atol=ORTHONORMAL_ATOL):
-            raise ValueError("basis vectors are not orthonormal")
+    gram = v.conj().T @ v
+    if not np.allclose(gram, np.eye(v.shape[1]), rtol=0.0, atol=ORTHONORMAL_ATOL):
+        raise ValueError("basis vectors are not orthonormal")
     # <w|w*> = conj(sum_j w_j^2), so alpha_w = |sum_j w_j^2|^2.
     overlaps = np.einsum("jw,jw->w", v, v)
     alpha = np.abs(overlaps) ** 2
@@ -93,11 +85,12 @@ def random_basis(rng: RngStream, d: int, tag: str = "random") -> MeasurementBasi
     """A protocol-defining random basis: the columns of a Haar unitary."""
     if d < 2:
         raise ValueError("need dimension >= 2")
-    return make_basis(haar_unitary(rng, d), tag)
+    return make_basis(haar_unitaries(rng, d, 1)[0], tag)
 
 
 def basis_from_tag(tag: str, n: int) -> MeasurementBasis:
     """Resolve a CLI/config basis tag: computational | sh | random:SEED."""
+    check_qubit_count(n)
     if tag == "computational":
         return computational_basis(n)
     if tag == "sh":

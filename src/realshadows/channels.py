@@ -1,5 +1,5 @@
 """Measurement channels for every ensemble: block spectra, pseudo-inverses,
-visible-space projectors.
+visible-space projectors, and the one rule that decides visibility.
 
 A global channel acts blockwise on the trace part (eigenvalue 1), the
 symmetric-traceless part and the antisymmetric part of its input:
@@ -10,7 +10,9 @@ symmetric-traceless part and the antisymmetric part of its input:
 
 with alpha the total reality of the measurement basis.  Local channels act
 qubit by qubit with the d = 2 blocks (orthogonal qubit: Y killed, X/Z scaled
-by 1/2; unitary qubit: X/Y/Z scaled by 1/3).  Channels are kept in this
+by 1/2; unitary qubit: X/Y/Z scaled by 1/3).  A block with eigenvalue 0 is
+invisible: the estimators see only the rest of an observable, and
+`has_invisible_part` is where that is decided.  Channels are kept in this
 spectral form; dense superoperator matrices appear only in tests.
 """
 
@@ -22,14 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import MeasurementBasis, computational_basis
-from .linalg import (
-    antisym_part,
-    as_operator,
-    batched_kron,
-    operators_close,
-    sum_abs2,
-    sym_part,
-)
+from .linalg import as_operator, batched_kron, norm2, operators_close, sum_abs2
+from .pauli import PauliString
 from . import sampling
 
 GROUPS = ("unitary", "orthogonal")
@@ -39,10 +35,6 @@ _ZERO_EIGENVALUE_ATOL = 1e-12
 
 #: Element budget per (chunk, d, d) Monte Carlo array: 4096 samples at d = 16.
 _CHUNK_ELEMENTS = 1 << 20
-
-
-class InvisibleObservableError(ValueError):
-    """The observable has no visible component under the requested ensemble."""
 
 
 @dataclass(eq=False)
@@ -104,7 +96,6 @@ class ChannelSpectrum:
     lambda_anti: float
     p_alpha: float
     alpha: float
-    lambda_trace: float = 1.0
 
 
 def orthogonal_spectrum(d: int, alpha: float) -> ChannelSpectrum:
@@ -147,15 +138,6 @@ def channel_for(spec: EnsembleSpec) -> ChannelDescriptor:
     return ChannelDescriptor(spec, spectra)
 
 
-def depolarize(a, p: float, d: int | None = None) -> np.ndarray:
-    """D_p(A) = p Tr[A]/d 1 + (1-p) A.  p may lie outside [0, 1] (inverses)."""
-    m = as_operator(a)
-    dim = m.shape[0]
-    if d is not None and d != dim:
-        raise ValueError(f"stated dimension {d} does not match matrix dimension {dim}")
-    return (p * np.trace(m) / dim) * np.eye(dim) + (1.0 - p) * m
-
-
 # ---------------------------------------------------------------------------
 # Per-qubit tensor helpers (qubit 0 is the leftmost factor).
 
@@ -169,6 +151,13 @@ def _six_axes(a: np.ndarray, n: int, j: int):
 def qubit_partial_transpose(a: np.ndarray, n: int, j: int) -> np.ndarray:
     d = a.shape[0]
     return _six_axes(a, n, j).swapaxes(1, 4).reshape(d, d)
+
+
+def qubit_support(a: np.ndarray, n: int) -> list[int]:
+    """The qubits an n-qubit operator acts on: each j where it differs from
+    its trace part Tr_j[a] (x) 1/2 by more than 1e-12 max(1, ||a||_2)."""
+    tol = 1e-12 * max(1.0, norm2(a))
+    return [j for j in range(n) if norm2(a - _qubit_trace_part(a, n, j)) > tol]
 
 
 def _qubit_trace_part(a: np.ndarray, n: int, j: int) -> np.ndarray:
@@ -269,31 +258,6 @@ def visible_projector(desc: ChannelDescriptor, a) -> np.ndarray:
     return _dispatch(desc, a, _indicator)
 
 
-def invisible_norm(desc: ChannelDescriptor, a) -> float:
-    """Frobenius norm of the part of `a` in the blocks the channel annihilates.
-
-    A global channel can annihilate only its antisymmetric block (O(d) in a
-    real basis) or its symmetric-traceless one (O(2) with alpha = 0), so the
-    norm is read off the transpose split of `a`, and no pass is made when
-    neither eigenvalue is zero.  A local channel takes a - visible_projector(a).
-    """
-    m = as_operator(a)
-    d = desc.spec.d
-    if m.shape[0] != d:
-        raise ValueError(f"operator dimension {m.shape[0]} does not match ensemble dimension {d}")
-    if desc.spec.scope == "local":
-        return float(np.linalg.norm(m - visible_projector(desc, m)))
-    sp = desc.spectrum
-    squared = 0.0
-    if not _indicator(sp.lambda_anti):
-        squared += np.linalg.norm(0.5 * (m - m.T)) ** 2
-    if not _indicator(sp.lambda_sym):
-        sym0 = 0.5 * (m + m.T)
-        sym0.flat[:: d + 1] -= np.trace(m) / d
-        squared += np.linalg.norm(sym0) ** 2
-    return float(np.sqrt(squared))
-
-
 @dataclass(eq=False)
 class InvertedObservable:
     """A dense observable A with its pseudo-inverse M^+(A) under one
@@ -316,6 +280,41 @@ def invert(desc: ChannelDescriptor, observable) -> InvertedObservable:
     return InvertedObservable(desc.spec, m, pseudo_inverse(desc, m))
 
 
+def has_invisible_part(desc: ChannelDescriptor, observable) -> bool:
+    """Whether the channel annihilates part of `observable`, so that its
+    estimates see only the visible part.
+
+    A Pauli string is invisible as a whole when its M^-1 eigenvalue is 0.  A
+    dense A (or an `InvertedObservable`) has an invisible part when the norm
+    of its annihilated blocks exceeds 1e-10 max(1, ||A||_2).  A global
+    channel can annihilate only its antisymmetric block (O(d) in a real
+    basis) or its symmetric-traceless one (O(2) with alpha = 0), so that norm
+    is read off the transpose split of A, with no pass when neither
+    eigenvalue is zero.  A local channel takes A - visible_projector(A).
+    """
+    if isinstance(observable, PauliString):
+        return pauli_string_inverse_eigenvalue(desc, observable) == 0.0
+    if isinstance(observable, InvertedObservable):
+        observable = observable.matrix
+    m = as_operator(observable)
+    d = desc.spec.d
+    if m.shape[0] != d:
+        raise ValueError(f"operator dimension {m.shape[0]} does not match ensemble dimension {d}")
+    if desc.spec.scope == "local":
+        invisible = float(np.linalg.norm(m - visible_projector(desc, m)))
+    else:
+        sp = desc.spectrum
+        squared = 0.0
+        if not _indicator(sp.lambda_anti):
+            squared += np.linalg.norm(0.5 * (m - m.T)) ** 2
+        if not _indicator(sp.lambda_sym):
+            sym0 = 0.5 * (m + m.T)
+            sym0.flat[:: d + 1] -= np.trace(m) / d
+            squared += np.linalg.norm(sym0) ** 2
+        invisible = float(np.sqrt(squared))
+    return invisible > 1e-10 * max(1.0, norm2(m))
+
+
 def factor_visible_dimension(spectrum: ChannelSpectrum, d: int) -> int:
     """Dimension of the visible operator subspace of one d-dimensional tensor
     factor: the trace block plus every block whose eigenvalue is non-zero."""
@@ -332,42 +331,6 @@ def visible_dimension(desc: ChannelDescriptor) -> int:
     if desc.spec.scope == "global":
         return factor_visible_dimension(desc.spectrum, desc.spec.d)
     return math.prod(factor_visible_dimension(sp, 2) for sp in desc.spectra)
-
-
-def mixture_decomposition(desc: ChannelDescriptor):
-    """Weights (q - q', 2q', p_alpha) expressing a global orthogonal channel as
-    (q - q') D_p(A) + 2q' D_p(A_sym), a tunable mix of unitary-like and
-    real-like shadow channels."""
-    spec = desc.spec
-    if spec.scope != "global" or spec.groups[0] != "orthogonal":
-        raise ValueError("mixture decomposition applies to global orthogonal ensembles")
-    d = spec.d
-    alpha = desc.spectrum.alpha
-    denom = d - 2.0 + alpha
-    if abs(denom) < 1e-12:
-        raise ValueError(
-            "degenerate decomposition at d - 2 + alpha = 0; use the spectral form"
-        )
-    q = (d * d - alpha) / (d * denom)
-    q_prime = 1.0 - q
-    return q - q_prime, 2.0 * q_prime, desc.spectrum.p_alpha
-
-
-def pauli_parity_decompose(a, n: int):
-    """Split an operator into (trace part, even-Y part, odd-Y part).
-
-    In the Pauli basis the non-identity strings with an even number of Y
-    letters span the symmetric-traceless operators and the odd-Y strings the
-    antisymmetric ones, so the split is computed from transposes.
-    """
-    m = as_operator(a)
-    if m.shape[0] != 2**n:
-        raise ValueError("dimension is not 2**n")
-    d = m.shape[0]
-    tr = (np.trace(m) / d) * np.eye(d)
-    even_y = sym_part(m) - tr
-    odd_y = antisym_part(m)
-    return tr, even_y, odd_y
 
 
 def mc_channel(rng: "sampling.RngStream", spec: EnsembleSpec, a, samples: int):

@@ -85,9 +85,15 @@ def _ensemble_from_flag(name: str, n: int, basis_tag: str) -> EnsembleSpec:
     return local_ensemble(group, n)
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"the configuration holds {name}, which JSON does not allow")
+
+
 def _load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
     with open(path) as fh:
-        raw = json.load(fh)
+        raw = json.load(fh, parse_constant=_reject_constant)
+    if not isinstance(raw, dict):
+        raise ConfigError("configuration must be a JSON object")
     if overrides.seed is not None:
         raw["seed"] = overrides.seed
     if overrides.shots is not None:
@@ -193,7 +199,7 @@ def cmd_validate_variance(args: argparse.Namespace) -> int:
         raise ConfigError(f"--tolerance must be positive, got {args.tolerance}")
     z, mixed = np.diag([1.0, -1.0]), np.eye(2) / 2.0
     pinned_real, pinned_unitary = (
-        predict_variance(global_ensemble(g, basis_from_tag("computational", 1)), z, mixed).value
+        predict_variance(global_ensemble(g, basis_from_tag("computational", 1)), z, mixed)
         for g in ("orthogonal", "unitary")
     )
     print(f"pinned d=2 A=Z rho=I/2: real={pinned_real}, unitary={pinned_unitary}")
@@ -204,7 +210,7 @@ def cmd_validate_variance(args: argparse.Namespace) -> int:
         spec = global_ensemble(group, basis_from_tag("computational", n))
         records = collect_records(RngStream(args.seed, (12,)), rho, spec, args.shots)
         empirical = estimate(records, a).empirical_variance
-        predicted = predict_variance(spec, a, rho).value
+        predicted = predict_variance(spec, a, rho)
         rel = abs(empirical - predicted) / predicted
         case_ok = rel <= args.tolerance
         ok = ok and case_ok

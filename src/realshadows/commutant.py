@@ -52,13 +52,6 @@ class BrauerPairing:
     def is_permutation(self) -> bool:
         return all(a <= self.k < b for a, b in self.pairs)
 
-    def permutation(self) -> tuple[int, ...]:
-        """pi mapping input slot a to output slot pi(a), 1-based, or raise."""
-        if not self.is_permutation:
-            raise ValueError("pairing is not a permutation")
-        pi = {a: b - self.k for a, b in self.pairs}
-        return tuple(pi[a] for a in range(1, self.k + 1))
-
     def loops(self) -> tuple[tuple[tuple[int, bool], ...], ...]:
         """The loops of Tr[(X_0 (x) ... (x) X_{k-1}) R] for this pairing's R.
 
@@ -82,15 +75,6 @@ class BrauerPairing:
                 m, transposed = (label - 1, False) if label <= k else (label - k - 1, True)
             loops.append(tuple(loop))
         return tuple(loops)
-
-    def label(self) -> str:
-        if self.is_permutation:
-            return "S" + "".join(str(p) for p in self.permutation())
-        caps = [p for p in self.pairs if p[1] <= self.k]
-        cups = [(a - self.k, b - self.k) for a, b in self.pairs if a > self.k]
-        cup = "".join(str(x) for x in sorted(cups[0]))
-        cap = "".join(str(x) for x in sorted(caps[0]))
-        return f"Omega({cup};{cap})"
 
 
 def enumerate_pairings(k: int) -> list[BrauerPairing]:
@@ -251,7 +235,7 @@ def closed_form_twirl(alpha_w, d: int, k: int) -> np.ndarray:
         def coeff(p: BrauerPairing) -> float:
             if not p.is_permutation:
                 return c_omega
-            return c_id if p.permutation() == (1, 2) else c_swap
+            return c_id if p.pairs == ((1, 3), (2, 4)) else c_swap  # identity, else swap
 
     elif k == 3:
         c_perm, c_omega = (float(c) for c in triple_twirl_coefficients(alpha_w, d))
@@ -271,7 +255,6 @@ def closed_form_twirl(alpha_w, d: int, k: int) -> np.ndarray:
 class MonteCarloTwirl:
     mean: np.ndarray
     stderr: np.ndarray
-    samples: int
 
 
 def _haar(rng: RngStream, group: str, d: int, count: int) -> np.ndarray:
@@ -330,7 +313,7 @@ def mc_twirl(
         total, total_sq = _dense_sums(rng, group, d, k, m, samples, chunk)
     mean = total / samples
     var = np.maximum(total_sq / samples - np.abs(mean) ** 2, 0.0)
-    return MonteCarloTwirl(mean, np.sqrt(var / samples), samples)
+    return MonteCarloTwirl(mean, np.sqrt(var / samples))
 
 
 def _rank_one_sums(rng, group, d, k, l, r, samples, chunk):

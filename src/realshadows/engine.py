@@ -12,6 +12,7 @@ orthogonal shots in a real basis are real, and are stored as float64.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -20,16 +21,14 @@ import numpy as np
 from . import __version__
 from .bases import basis_from_tag
 from .channels import (
-    ChannelDescriptor,
     EnsembleSpec,
     channel_for,
+    has_invisible_part,
     invert,
-    invisible_norm,
     pauli_inverse_eigenvalue,
     pauli_string_inverse_eigenvalue,
-    pseudo_inverse,
 )
-from .linalg import as_operator, batched_kron, check_qubit_count, identity, norm2
+from .linalg import as_operator, batched_kron, check_qubit_count, identity, is_hermitian
 from .pauli import PAULIS, PauliString
 from .sampling import (
     RNG_ALGORITHM,
@@ -41,6 +40,10 @@ from .sampling import (
 from .variance import predict_variance, random_symmetric_observable
 
 _PROB_SUM_TOL = 1e-6
+
+#: Largest magnitude of a configured number, which keeps every second
+#: moment of an estimate (at most about |c|^2 4^n) inside float64.
+_MAX_MAGNITUDE = 1e100
 
 #: Eigenvalues of rho at or below this are rounding noise of a lower-rank
 #: state; dropping them keeps the factor Psi one column wide for pure states.
@@ -237,14 +240,6 @@ def collect_records(rng: RngStream, rho, spec: EnsembleSpec, shots: int) -> Shad
     return ShadowRecords(spec, vectors)
 
 
-def shadow_from_vector(spec: EnsembleSpec, v: np.ndarray) -> np.ndarray:
-    """The dense classical shadow M^-1(|v><v|) of one full measured vector.
-
-    The estimators never form it; it is the reference they are checked against.
-    """
-    return pseudo_inverse(channel_for(spec), np.outer(v, v.conj()))
-
-
 def per_shot_estimates(records: ShadowRecords, observable) -> np.ndarray:
     """o_s = v_s^dag M^-1(O) v_s for every shot, without materializing shadows.
 
@@ -334,13 +329,6 @@ class EstimateReport:
     bias_warning: bool | None = None
 
 
-def _has_invisible_component(desc: ChannelDescriptor, observable) -> bool:
-    if isinstance(observable, PauliString):
-        return pauli_string_inverse_eigenvalue(desc, observable) == 0.0
-    obs = as_operator(observable)
-    return invisible_norm(desc, obs) > 1e-10 * max(1.0, norm2(obs))
-
-
 def estimate(
     records: ShadowRecords, observable, batches: int = 1, observable_id: str | None = None
 ) -> EstimateReport:
@@ -373,22 +361,23 @@ _STATE_LABELS = {
 
 
 def build_state(state: dict, n: int) -> np.ndarray:
+    check_qubit_count(n)
     d = 2**n
     kind = state.get("kind")
     if kind == "maximally_mixed":
         return identity(d) / d
     if kind == "computational":
         if "bits" in state:
-            idx = int(str(state["bits"]), 2)
-        else:
-            idx = int(state.get("index", 0))
-        if not 0 <= idx < d:
-            raise ConfigError(f"computational index {idx} out of range for n={n}")
+            try:
+                state = dict(state, index=int(str(state["bits"]), 2))
+            except ValueError:
+                raise ConfigError(f"bits must be a binary string, got {state['bits']!r}") from None
+        idx = _integer(state, "index", 0, d - 1, 0)
         rho = np.zeros((d, d), dtype=complex)
         rho[idx, idx] = 1.0
         return rho
     if kind == "random_pure":
-        return random_pure_state(RngStream(int(state.get("seed", 0))), d)
+        return random_pure_state(RngStream(_integer(state, "seed", 0, 2**64 - 1, 0)), d)
     if kind == "product":
         factors = state.get("factors")
         if not isinstance(factors, list) or len(factors) != n:
@@ -405,33 +394,42 @@ def build_state(state: dict, n: int) -> np.ndarray:
 
 
 def build_observable(obs: dict, n: int) -> tuple[str, PauliString | np.ndarray]:
+    """(id, operator) of one configured observable.  An id may not hold a
+    comma, a quote or a line break, which would break its CSV row."""
+    check_qubit_count(n)
+    d = 2**n
     kind = obs.get("kind", "pauli")
     if kind == "pauli":
         string = obs.get("string")
-        if not isinstance(string, str) or len(string) != n:
-            raise ConfigError(f"pauli observable needs a length-{n} string")
-        p = PauliString.from_string(string, complex(obs.get("coefficient", 1.0)))
-        return str(obs.get("id", string)), p
-    if kind == "random_symmetric":
-        seed = int(obs.get("seed", 0))
-        a = random_symmetric_observable(RngStream(seed), 2**n)
-        return str(obs.get("id", f"random_symmetric:{seed}")), a
-    if kind == "basis_projector":
-        idx = int(obs.get("index", 0))
-        d = 2**n
-        if not 0 <= idx < d:
-            raise ConfigError(f"projector index {idx} out of range")
-        m = np.zeros((d, d), dtype=complex)
-        m[idx, idx] = 1.0
-        return str(obs.get("id", f"projector:{idx}")), m
-    if kind == "matrix":
-        real = np.asarray(obs.get("real"), dtype=float)
-        imag = np.asarray(obs.get("imag", np.zeros_like(real)), dtype=float)
-        m = real + 1j * imag
-        if m.shape != (2**n, 2**n):
-            raise ConfigError("matrix observable has the wrong shape")
-        return str(obs.get("id", "matrix")), m
-    raise ConfigError(f"unknown observable kind {kind!r}")
+        if not isinstance(string, str) or len(string) != n or set(string.upper()) - set(PAULIS):
+            raise ConfigError(f"pauli observable needs a length-{n} string of I, X, Y and Z")
+        coefficient = _number(obs.get("coefficient", 1.0), "coefficient", complex)
+        op = PauliString.from_string(string, coefficient)
+        default = string
+    elif kind == "random_symmetric":
+        seed = _integer(obs, "seed", 0, 2**64 - 1, 0)
+        op = random_symmetric_observable(RngStream(seed), d)
+        default = f"random_symmetric:{seed}"
+    elif kind == "basis_projector":
+        idx = _integer(obs, "index", 0, d - 1, 0)
+        op = np.zeros((d, d), dtype=complex)
+        op[idx, idx] = 1.0
+        default = f"projector:{idx}"
+    elif kind == "matrix":
+        try:
+            real = np.asarray(obs.get("real"), dtype=float)
+            op = real + 1j * np.asarray(obs.get("imag", 0.0), dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError("matrix observable needs numeric real and imag parts") from None
+        if op.shape != (d, d) or not (np.all(np.abs(op) <= _MAX_MAGNITUDE) and is_hermitian(op)):
+            raise ConfigError(f"matrix observable must be Hermitian, {d} x {d}, entries <= 1e100")
+        default = "matrix"
+    else:
+        raise ConfigError(f"unknown observable kind {kind!r}")
+    oid = str(obs.get("id", default))
+    if set(oid) & set(',"\r\n'):
+        raise ConfigError(f"observable id {oid!r} holds a comma, a quote or a line break")
+    return oid, op
 
 
 def _integer(cfg: dict, key: str, low: int, high: int | None = None, default=None) -> int:
@@ -449,16 +447,25 @@ def _integer(cfg: dict, key: str, low: int, high: int | None = None, default=Non
     return number
 
 
-def _epsilon(value) -> float | None:
-    if value is None:
-        return None
+def _number(value, key: str, kind=float):
+    """`value` as a float (or complex) of magnitude at most _MAX_MAGNITUDE,
+    or ConfigError naming the key."""
     try:
         if isinstance(value, bool):
             raise ValueError
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"epsilon must be a number, got {value!r}") from None
-    if not (np.isfinite(number) and number > 0.0):
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if not abs(number) <= _MAX_MAGNITUDE:  # NaN fails too
+        raise ConfigError(f"{key} must be a number of magnitude at most 1e100, got {value!r}")
+    return number
+
+
+def _epsilon(value) -> float | None:
+    if value is None:
+        return None
+    number = _number(value, "epsilon")
+    if not number > 0.0:
         raise ConfigError(f"epsilon must be a finite positive number, got {value!r}")
     return number
 
@@ -494,6 +501,8 @@ class ExperimentConfig:
         groups = ens.get("groups", ["orthogonal"])
         if isinstance(groups, str):
             groups = [groups]
+        if not isinstance(groups, list):
+            raise ConfigError(f"groups must be a group name or a list of them, got {groups!r}")
         seed = _integer(cfg, "seed", 0, 2**64 - 1)
         n = _integer(cfg, "n", 1)
         check_qubit_count(n)
@@ -504,9 +513,13 @@ class ExperimentConfig:
         observables = cfg["observables"]
         if not isinstance(observables, list) or not observables:
             raise ConfigError("observables must be a non-empty list")
+        if not all(isinstance(o, dict) for o in [cfg["state"], *observables]):
+            raise ConfigError("the state and every observable must be JSON objects")
         emit = cfg.get("emit", {}) or {}
         if not isinstance(emit, dict) or set(emit) - {"csv"}:
             raise ConfigError(f"emit takes only a csv path, got {emit!r}")
+        if not isinstance(emit.get("csv") or "", str):  # open() takes an int as a file descriptor
+            raise ConfigError(f"emit.csv must be a path, got {emit['csv']!r}")
         return cls(
             seed=seed,
             n=n,
@@ -570,7 +583,7 @@ def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
     rho = build_state(config.state, config.n)
     observables = [build_observable(o, config.n) for o in config.observables]
     desc = channel_for(spec)
-    invisible = [_has_invisible_component(desc, obs) for _, obs in observables]
+    invisible = [has_invisible_part(desc, obs) for _, obs in observables]
     if not config.allow_bias:
         for (oid, _), flagged in zip(observables, invisible):
             if flagged:
@@ -584,12 +597,10 @@ def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
         if not isinstance(obs, PauliString):
             obs = invert(desc, obs)  # one pseudo-inverse for the estimate and the prediction
         report = estimate(records, obs, config.batches, oid)
-        prediction = predict_variance(spec, obs, rho)
-        report.predicted_variance = None if prediction is None else prediction.value
+        report.predicted_variance = predict_variance(spec, obs, rho)
         report.bias_warning = flagged
         reports.append(report)
     if config.out_csv:
-        write_reports_csv(config.out_csv, reports)
         meta = {
             "seed": config.seed,
             "rng_algorithm": RNG_ALGORITHM,
@@ -604,17 +615,22 @@ def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
                 (r.predicted_variance for r in reports if r.predicted_variance is not None),
                 default=None,
             )
+            # In Python floats a quotient beyond float64 is inf, with no warning.
+            order = None
+            if max_var is not None:
+                order = math.log(len(reports)) / config.epsilon / config.epsilon * max_var
+                if not math.isfinite(order):
+                    raise ConfigError(f"epsilon {config.epsilon!r} puts the order beyond float64")
             meta["sample_complexity"] = {
                 "form": "S = O(log(M) / epsilon^2 * max_i Var[o_i])",
                 "m_observables": len(reports),
                 "log_m": float(np.log(len(reports))),
                 "epsilon": config.epsilon,
                 "max_predicted_variance": max_var,
-                "order_argument": None
-                if max_var is None
-                else float(np.log(len(reports)) / config.epsilon**2 * max_var),
+                "order_argument": order,
                 "note": "order bound only; the constant is unspecified",
             }
+        write_reports_csv(config.out_csv, reports)
         with open(config.out_csv + ".meta.json", "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")

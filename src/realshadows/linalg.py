@@ -13,8 +13,8 @@ import numpy as np
 #: Tolerance for structural (closed-form) equality checks.
 ATOL = 1e-10
 
-#: Largest dimension ``kron`` will produce unless overridden, and the size
-#: budget of a run: its d x d state and dense observables (n <= 13).
+#: Largest dimension ``kron`` will produce, and the size budget of a run: its
+#: d x d state and dense observables (n <= 13).
 MAX_KRON_DIM = 8192
 
 
@@ -46,20 +46,18 @@ def identity(d: int) -> np.ndarray:
     return np.eye(int(d), dtype=complex)
 
 
-def kron(*ops, max_dim: int = MAX_KRON_DIM) -> np.ndarray:
+def kron(*ops) -> np.ndarray:
     """Kronecker product of one or more operators, first factor leftmost.
 
-    Raises ResourceLimitError if the output dimension would exceed `max_dim`.
+    Raises ResourceLimitError if the output dimension would exceed MAX_KRON_DIM.
     """
     if not ops:
         raise ValueError("kron needs at least one operator")
     dim = 1
     for op in ops:
         dim *= np.shape(op)[0]
-    if dim > max_dim:
-        raise ResourceLimitError(
-            f"kron output dimension {dim} exceeds the limit {max_dim}"
-        )
+    if dim > MAX_KRON_DIM:
+        raise ResourceLimitError(f"kron output dimension {dim} exceeds the limit {MAX_KRON_DIM}")
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
         out = np.kron(out, np.asarray(op, dtype=complex))
@@ -93,22 +91,6 @@ def sum_abs2(stack: np.ndarray) -> np.ndarray:
     return np.einsum("sij,sij->ij", x, x)
 
 
-def partial_trace_first(a, d1: int) -> np.ndarray:
-    """Trace out the first tensor factor of dimension ``d1``."""
-    m = np.asarray(a)
-    d = m.shape[0]
-    d1 = int(d1)
-    if d1 < 1 or d % d1 != 0:
-        raise ValueError(f"dimension {d} is not divisible by first factor {d1}")
-    d2 = d // d1
-    return np.einsum("ijik->jk", m.reshape(d1, d2, d1, d2))
-
-
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product Tr[a^dagger b]."""
-    return complex(np.vdot(np.asarray(a), np.asarray(b)))
-
-
 def norm2(a) -> float:
     """Schatten 2-norm (Frobenius norm), sqrt(Tr[a^dagger a])."""
     return float(np.linalg.norm(np.asarray(a)))
@@ -130,11 +112,6 @@ def norm_inf(a) -> float:
 def sym_part(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     return 0.5 * (m + m.T)
-
-
-def antisym_part(a) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
-    return 0.5 * (m - m.T)
 
 
 def operators_close(a, b, atol: float = ATOL) -> bool:

@@ -43,17 +43,8 @@ class PauliString:
         return len(self.letters)
 
     @property
-    def weight(self) -> int:
-        return sum(1 for p in self.letters if p != "I")
-
-    @property
     def support(self) -> tuple[int, ...]:
         return tuple(j for j, p in enumerate(self.letters) if p != "I")
-
-    @property
-    def locally_real(self) -> bool:
-        """True when the string contains no Y letter."""
-        return "Y" not in self.letters
 
     def y_count(self) -> int:
         return sum(1 for p in self.letters if p == "Y")

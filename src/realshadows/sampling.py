@@ -102,17 +102,9 @@ def haar_unitaries(rng: RngStream, d: int, count: int) -> np.ndarray:
     return haar_frames(rng, d, d, count)
 
 
-def haar_unitary(rng: RngStream, d: int) -> np.ndarray:
-    return haar_unitaries(rng, d, 1)[0]
-
-
 def haar_orthogonals(rng: RngStream, d: int, count: int) -> np.ndarray:
     """Stack of `count` Haar-random O(d) matrices (real dtype)."""
     return haar_frames(rng, d, d, count, real=True)
-
-
-def haar_orthogonal(rng: RngStream, d: int) -> np.ndarray:
-    return haar_orthogonals(rng, d, 1)[0]
 
 
 def haar_state_vector(rng: RngStream, d: int) -> np.ndarray:
@@ -124,41 +116,6 @@ def random_pure_state(rng: RngStream, d: int) -> np.ndarray:
     """Density matrix of a Haar-random pure state."""
     v = haar_state_vector(rng, d)
     return np.outer(v, v.conj())
-
-
-def _canonical_sign(m: np.ndarray) -> np.ndarray:
-    flat = m.reshape(-1)
-    idx = int(np.argmax(np.abs(flat) > 1e-9))
-    return -m if flat[idx] < 0 else m
-
-
-def _build_real_cliffords() -> tuple[np.ndarray, ...]:
-    # Single-qubit real Cliffords modulo overall sign: 4 rotations by k*pi/4
-    # (signed permutations of the plane) and 4 Hadamard-type reflections.
-    c = np.sqrt(0.5)
-    cos = [1.0, c, 0.0, -c]
-    sin = [0.0, c, 1.0, c]
-    flip = np.array([[1.0, 0.0], [0.0, -1.0]])
-    mats = []
-    for k in range(4):
-        rot = np.array([[cos[k], -sin[k]], [sin[k], cos[k]]])
-        mats.append(_canonical_sign(rot))
-        mats.append(_canonical_sign(rot @ flip))
-    keys = {tuple(np.round(m, 12).reshape(-1)) for m in mats}
-    assert len(keys) == 8, "single-qubit real Clifford enumeration is broken"
-    for m in mats:
-        m.setflags(write=False)
-    return tuple(mats)
-
-
-#: The 8 single-qubit real Cliffords (canonical representatives modulo sign).
-REAL_CLIFFORD_1Q = _build_real_cliffords()
-
-
-def real_clifford_1q(rng: RngStream) -> np.ndarray:
-    """Uniform draw from the 8-element single-qubit real Clifford group."""
-    idx = int(rng.generator.integers(0, len(REAL_CLIFFORD_1Q)))
-    return REAL_CLIFFORD_1Q[idx]
 
 
 def sample_transform_arrays(rng: RngStream, spec: "EnsembleSpec", count: int):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,24 +19,18 @@ from .channels import (
     ChannelDescriptor,
     EnsembleSpec,
     InvertedObservable,
-    InvisibleObservableError,
     channel_for,
     factor_visible_dimension,
     global_ensemble,
+    has_invisible_part,
     invert,
-    pauli_inverse_eigenvalue,
     pauli_string_inverse_eigenvalue,
+    qubit_support,
 )
 from .commutant import enumerate_pairings, pair_twirl_coefficients, triple_twirl_coefficients
 from .linalg import as_operator, norm_inf, sym_part
-from .pauli import PAULIS, PauliString
+from .pauli import PauliString
 from .sampling import RngStream, random_pure_state
-
-
-@dataclass
-class VariancePrediction:
-    kind: str  # "exact" | "upper_bound"
-    value: float
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +118,7 @@ def _pauli_traces(spec: EnsembleSpec, p: PauliString, state: np.ndarray):
     return trace, spec.groups[0] == "unitary" or sign == 1
 
 
-def _predict_global(spec: EnsembleSpec, observable, state: np.ndarray) -> VariancePrediction:
+def _predict_global(spec: EnsembleSpec, observable, state: np.ndarray) -> float:
     """Exact Var[o] = E[o^2] - E[o]^2 from the k = 3 and k = 2 words.
 
     E[o] is the visible target Tr[P_vis(A) rho].  Var is unchanged by
@@ -151,7 +144,7 @@ def _predict_global(spec: EnsembleSpec, observable, state: np.ndarray) -> Varian
                 sums[is_permutation] += value
         moments.append((c_perm * sums[True] + c_omega * sums[False]).real)
     mean, second = moments
-    return VariancePrediction("exact", float(second - mean**2))
+    return float(second - mean**2)
 
 
 def _pauli_trace(p: PauliString, state: np.ndarray) -> complex:
@@ -161,41 +154,6 @@ def _pauli_trace(p: PauliString, state: np.ndarray) -> complex:
     return complex(phase @ state[j, j ^ flip])
 
 
-def overlap_f(p: PauliString, q: PauliString) -> float:
-    """Overlap factor for two locally real Pauli strings: 0 on a non-identity
-    mismatch, else 2**s with s the number of matching non-identity sites."""
-    if p.n != q.n:
-        raise ValueError("Pauli strings act on different qubit counts")
-    if not (p.locally_real and q.locally_real):
-        raise ValueError("overlap_f is defined for locally real (Y-free) strings")
-    s = 0
-    for a, b in zip(p.letters, q.letters):
-        if a == "I" or b == "I":
-            continue
-        if a != b:
-            return 0.0
-        s += 1
-    return float(2**s)
-
-
-def _qubit_component_norms(a: np.ndarray, n: int, j: int) -> dict[str, float]:
-    left = 2**j
-    right = 2 ** (n - 1 - j)
-    a6 = a.reshape(left, 2, right, left, 2, right)
-    out = {}
-    for letter in ("X", "Y", "Z"):
-        comp = np.einsum("im,lmrLiR->lrLR", PAULIS[letter], a6) / 2.0
-        out[letter] = float(np.linalg.norm(comp))
-    return out
-
-
-def _require_visible(spec: EnsembleSpec, spectra, j: int, letter: str) -> None:
-    if pauli_inverse_eigenvalue(spectra[j], letter) == 0.0:
-        raise InvisibleObservableError(
-            f"qubit {j}: {letter} is outside the visible space of its {spec.groups[j]} channel"
-        )
-
-
 def _pauli_second_moment(desc: ChannelDescriptor, p: PauliString) -> float:
     """E[o^2] of a Pauli string under a local ensemble, exact for any state:
     E[<v|P|v>^2] = lambda on each site, so a site contributes
@@ -203,82 +161,38 @@ def _pauli_second_moment(desc: ChannelDescriptor, p: PauliString) -> float:
     return float(abs(p.coefficient) ** 2) * pauli_string_inverse_eigenvalue(desc, p)
 
 
-def bound_local(observable, spec: EnsembleSpec) -> VariancePrediction:
-    """Variance upper bound for local shadows.
+def predict_variance(spec: EnsembleSpec, observable, rho) -> float | None:
+    """The variance of one shot's estimate of `observable` on the state `rho`.
 
-    A single Pauli string gets its exact second moment, |c|^2 times the
-    product of its per-site M^-1 eigenvalues.  A general k-local operator
-    gets ||A||_inf^2 times the visible operator dimension of each qubit in its
-    support (3 orthogonal, 4 unitary).  A component that a site's channel
-    annihilates is rejected: the observable is invisible there.
-    """
-    if spec.scope != "local":
-        raise ValueError("local bounds need a local ensemble")
-    desc = channel_for(spec)
-    spectra = desc.spectra
-    if isinstance(observable, PauliString):
-        if observable.n != spec.n:
-            raise ValueError("observable and ensemble qubit counts differ")
-        for j in observable.support:
-            _require_visible(spec, spectra, j, observable.letters[j])
-        return VariancePrediction("upper_bound", _pauli_second_moment(desc, observable))
-    if isinstance(observable, (list, tuple)):
-        if any(p.n != spec.n for p in observable):
-            raise ValueError("observable and ensemble qubit counts differ")
-        m = np.sum([p.to_matrix() for p in observable], axis=0)
-        support = sorted(set().union(*(p.support for p in observable)))
-        for p in observable:
-            for j in p.support:
-                _require_visible(spec, spectra, j, p.letters[j])
-    else:
-        m = as_operator(observable)
-        if m.shape[0] != spec.d:
-            raise ValueError("observable dimension does not match the ensemble")
-        tol = 1e-12 * max(1.0, float(np.linalg.norm(m)))
-        support = []
-        for j in range(spec.n):
-            norms = _qubit_component_norms(m, spec.n, j)
-            for letter, norm in norms.items():
-                if norm > tol:
-                    _require_visible(spec, spectra, j, letter)
-            if max(norms.values()) > tol:
-                support.append(j)
-    value = float(norm_inf(m)) ** 2
-    for j in support:
-        value *= factor_visible_dimension(spectra[j], 2)
-    return VariancePrediction("upper_bound", value)
-
-
-def predict_variance(spec: EnsembleSpec, observable, rho=None) -> VariancePrediction | None:
-    """Best available variance prediction for an observable under an ensemble.
-
-    Global ensembles: the exact variance given the state, None without one.
     `observable` is a Pauli string, a dense matrix or an `InvertedObservable`.
+    The prediction is exact for global ensembles and for Pauli strings under
+    local ones.  Any other local observable A gets the upper bound
+    ||A||_inf^2 times the visible operator dimension of each qubit it acts
+    on (3 orthogonal, 4 unitary), and None when it has an invisible part.
     """
-    if rho is not None:
-        rho = as_operator(rho)
-        if rho.shape[0] != spec.d:
-            raise ValueError("state dimension does not match the ensemble")
+    rho = as_operator(rho)
+    if rho.shape[0] != spec.d:
+        raise ValueError("state dimension does not match the ensemble")
     if isinstance(observable, PauliString) and observable.n != spec.n:
         raise ValueError("observable qubit count does not match the ensemble")
-    if spec.scope == "local" and isinstance(observable, PauliString):
-        second = _pauli_second_moment(channel_for(spec), observable)
+    if spec.scope == "global":
+        return _predict_global(spec, observable, rho)
+    desc = channel_for(spec)
+    if isinstance(observable, PauliString):
+        second = _pauli_second_moment(desc, observable)
         if second == 0.0:
-            return VariancePrediction("exact", 0.0)  # the estimator is identically zero
-        if rho is None:
-            return VariancePrediction("upper_bound", second)  # state-independent second moment
+            return 0.0  # the estimator is identically zero
         mean = _pauli_trace(observable, rho).real
-        return VariancePrediction("exact", float(second - mean**2))
-    if spec.scope == "local":
-        if isinstance(observable, InvertedObservable):
-            observable = observable.matrix
-        try:
-            return bound_local(observable, spec)
-        except InvisibleObservableError:
-            return None
-    if rho is None:
+        return float(second - mean**2)
+    if has_invisible_part(desc, observable):
         return None
-    return _predict_global(spec, observable, rho)
+    if isinstance(observable, InvertedObservable):
+        observable = observable.matrix
+    m = as_operator(observable)
+    value = float(norm_inf(m)) ** 2
+    for j in qubit_support(m, spec.n):
+        value *= factor_visible_dimension(desc.spectra[j], 2)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +215,8 @@ def ratio_instance(rng: RngStream, orthogonal, unitary) -> tuple[float, float, f
     under the global orthogonal and unitary ensembles of one dimension."""
     rho = random_pure_state(rng.child(0), orthogonal.d)
     a = random_symmetric_observable(rng.child(1), orthogonal.d)
-    var_real = _predict_global(orthogonal, a, rho).value
-    var_unitary = _predict_global(unitary, a, rho).value
+    var_real = _predict_global(orthogonal, a, rho)
+    var_unitary = _predict_global(unitary, a, rho)
     return var_real, var_unitary, var_real / var_unitary
 
 

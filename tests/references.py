@@ -1,0 +1,99 @@
+"""Reference constructions that the tests check the package against.
+
+None of these is on a run path: the dense shadow of one shot, the
+depolarizing mixture form of the global orthogonal channel, the overlap
+factor of two Y-free Pauli strings and the single-qubit real Clifford group.
+"""
+
+import numpy as np
+
+from realshadows.channels import channel_for, pseudo_inverse
+from realshadows.linalg import as_operator
+
+
+def shadow_from_vector(spec, v: np.ndarray) -> np.ndarray:
+    """The dense classical shadow M^-1(|v><v|) of one full measured vector.
+
+    The estimators never form it; it is the reference they are checked against.
+    """
+    return pseudo_inverse(channel_for(spec), np.outer(v, v.conj()))
+
+
+def depolarize(a, p: float, d: int | None = None) -> np.ndarray:
+    """D_p(A) = p Tr[A]/d 1 + (1-p) A.  p may lie outside [0, 1] (inverses)."""
+    m = as_operator(a)
+    dim = m.shape[0]
+    if d is not None and d != dim:
+        raise ValueError(f"stated dimension {d} does not match matrix dimension {dim}")
+    return (p * np.trace(m) / dim) * np.eye(dim) + (1.0 - p) * m
+
+
+def mixture_decomposition(desc):
+    """Weights (q - q', 2q', p_alpha) expressing a global orthogonal channel as
+    (q - q') D_p(A) + 2q' D_p(A_sym), a tunable mix of unitary-like and
+    real-like shadow channels."""
+    spec = desc.spec
+    if spec.scope != "global" or spec.groups[0] != "orthogonal":
+        raise ValueError("mixture decomposition applies to global orthogonal ensembles")
+    d = spec.d
+    alpha = desc.spectrum.alpha
+    denom = d - 2.0 + alpha
+    if abs(denom) < 1e-12:
+        raise ValueError(
+            "degenerate decomposition at d - 2 + alpha = 0; use the spectral form"
+        )
+    q = (d * d - alpha) / (d * denom)
+    q_prime = 1.0 - q
+    return q - q_prime, 2.0 * q_prime, desc.spectrum.p_alpha
+
+
+def overlap_f(p, q) -> float:
+    """Overlap factor for two locally real Pauli strings: 0 on a non-identity
+    mismatch, else 2**s with s the number of matching non-identity sites."""
+    if p.n != q.n:
+        raise ValueError("Pauli strings act on different qubit counts")
+    if "Y" in p.letters or "Y" in q.letters:
+        raise ValueError("overlap_f is defined for locally real (Y-free) strings")
+    s = 0
+    for a, b in zip(p.letters, q.letters):
+        if a == "I" or b == "I":
+            continue
+        if a != b:
+            return 0.0
+        s += 1
+    return float(2**s)
+
+
+def _canonical_sign(m: np.ndarray) -> np.ndarray:
+    flat = m.reshape(-1)
+    idx = int(np.argmax(np.abs(flat) > 1e-9))
+    return -m if flat[idx] < 0 else m
+
+
+def _build_real_cliffords() -> tuple[np.ndarray, ...]:
+    # Single-qubit real Cliffords modulo overall sign: 4 rotations by k*pi/4
+    # (signed permutations of the plane) and 4 Hadamard-type reflections.
+    c = np.sqrt(0.5)
+    cos = [1.0, c, 0.0, -c]
+    sin = [0.0, c, 1.0, c]
+    flip = np.array([[1.0, 0.0], [0.0, -1.0]])
+    mats = []
+    for k in range(4):
+        rot = np.array([[cos[k], -sin[k]], [sin[k], cos[k]]])
+        mats.append(_canonical_sign(rot))
+        mats.append(_canonical_sign(rot @ flip))
+    keys = {tuple(np.round(m, 12).reshape(-1)) for m in mats}
+    assert len(keys) == 8, "single-qubit real Clifford enumeration is broken"
+    for m in mats:
+        m.setflags(write=False)
+    return tuple(mats)
+
+
+#: The 8 single-qubit real Cliffords (canonical representatives modulo sign).
+REAL_CLIFFORD_1Q = _build_real_cliffords()
+
+
+def real_clifford_1q(rng) -> np.ndarray:
+    """Uniform draw from the 8-element single-qubit real Clifford group."""
+    idx = int(rng.generator.integers(0, len(REAL_CLIFFORD_1Q)))
+    return REAL_CLIFFORD_1Q[idx]

@@ -11,7 +11,7 @@ from realshadows.bases import (
     reality,
     sh_basis,
 )
-from realshadows.sampling import RngStream, haar_orthogonal, haar_unitaries
+from realshadows.sampling import RngStream, haar_orthogonals, haar_unitaries
 
 
 class TestComputationalBasis:
@@ -30,7 +30,7 @@ class TestShBasis:
     def test_single_qubit_vector(self):
         b = sh_basis(1)
         # first column is (1, i)/sqrt(2); <w|w*> = (1 - 1)/2 = 0
-        assert np.allclose(b.vector(0), np.array([1.0, 1.0j]) / np.sqrt(2.0))
+        assert np.allclose(b.vectors[:, 0], np.array([1.0, 1.0j]) / np.sqrt(2.0))
         assert b.alpha_per_vector[0] == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -83,7 +83,7 @@ class TestReality:
 
     def test_idempotent_with_stored_fields(self):
         b = random_basis(RngStream(80), 4)
-        per, total = reality(b)
+        per, total = reality(b.vectors)
         assert np.allclose(per, b.alpha_per_vector, atol=1e-12)
         assert total == pytest.approx(b.alpha_total, abs=1e-12)
 
@@ -92,7 +92,7 @@ class TestReality:
     def test_invariant_under_real_orthogonal_rotation(self, seed):
         d = 4
         b = random_basis(RngStream(seed, (1,)), d)
-        o = haar_orthogonal(RngStream(seed, (2,)), d).astype(complex)
+        o = haar_orthogonals(RngStream(seed, (2,)), d, 1)[0].astype(complex)
         per_rot, total_rot = reality(o @ b.vectors)
         assert np.allclose(per_rot, b.alpha_per_vector, atol=1e-10)
         assert total_rot == pytest.approx(b.alpha_total, abs=1e-9)

@@ -12,32 +12,23 @@ from realshadows.channels import (
     EnsembleSpec,
     apply_channel,
     channel_for,
-    depolarize,
     global_ensemble,
     local_ensemble,
     mc_channel,
-    mixture_decomposition,
     orthogonal_spectrum,
     pauli_inverse_eigenvalue,
-    pauli_parity_decompose,
     pseudo_inverse,
     unitary_spectrum,
     visible_dimension,
     visible_projector,
 )
 from realshadows.commutant import mc_twirl, twirl_project
-from realshadows.linalg import (
-    antisym_part,
-    batched_kron,
-    hs_inner,
-    identity,
-    kron,
-    operators_close,
-    sym_part,
-)
+from realshadows.linalg import batched_kron, identity, kron, operators_close, sym_part
 from realshadows.pauli import PAULIS, X, Y, Z
 from realshadows.sampling import RngStream, sample_transform_arrays
-from realshadows.variance import bound_local
+from realshadows.variance import predict_variance
+
+from references import depolarize, mixture_decomposition
 
 ATOL = 1e-10
 
@@ -176,7 +167,7 @@ class TestApplyChannel:
                     reference = (
                         tr
                         + lam_of(sp.lambda_sym) * (sym_part(a) - tr)
-                        + lam_of(sp.lambda_anti) * antisym_part(a)
+                        + lam_of(sp.lambda_anti) * (0.5 * (a - a.T))
                     )
                     assert np.array_equal(fn(desc, a), reference)
 
@@ -201,7 +192,7 @@ class TestApplyChannel:
         a = _random_matrix(seed, 2)
         b = _random_matrix(seed + 1, 2)
         assert abs(
-            hs_inner(apply_channel(desc, a), b) - hs_inner(a, apply_channel(desc, b))
+            np.vdot(apply_channel(desc, a), b) - np.vdot(a, apply_channel(desc, b))
         ) < 1e-9
 
 
@@ -298,9 +289,11 @@ class TestPerSiteRule:
     def test_bound_site_factor_is_visible_dimension(self, groups):
         for group in groups:
             qubit = local_ensemble(group, 1)
-            assert bound_local(Z, qubit).value == visible_dimension(channel_for(qubit))
+            value = predict_variance(qubit, Z, identity(2) / 2)
+            assert value == visible_dimension(channel_for(qubit))
         spec = local_ensemble(groups, 2)
-        assert bound_local(kron(Z, X), spec).value == visible_dimension(channel_for(spec))
+        value = predict_variance(spec, kron(Z, X), identity(4) / 4)
+        assert value == visible_dimension(channel_for(spec))
 
 
 class TestSpectrumAgainstSuperoperator:
@@ -353,47 +346,6 @@ class TestMixtureDecomposition:
         w_unitary, w_real, _ = mixture_decomposition(desc)
         assert w_unitary == pytest.approx(0.0, abs=1e-12)
         assert w_real == pytest.approx(1.0, abs=1e-12)
-
-
-class TestPauliParity:
-    def test_examples(self):
-        tr, even, odd = pauli_parity_decompose(kron(Y, Y), 2)
-        assert operators_close(even, kron(Y, Y))
-        assert operators_close(odd, np.zeros((4, 4)))
-        tr, even, odd = pauli_parity_decompose(kron(Y, PAULIS["I"]), 2)
-        assert operators_close(odd, kron(Y, PAULIS["I"]))
-        assert operators_close(even, np.zeros((4, 4)))
-        tr, even, odd = pauli_parity_decompose(kron(X, Z), 2)
-        assert operators_close(even, kron(X, Z))
-
-    def test_theorem_against_pauli_basis_oracle(self):
-        # brute-force Pauli decomposition grouped by Y-count parity
-        n, d = 2, 4
-        a = _random_matrix(29, d)
-        even = np.zeros((d, d), dtype=complex)
-        odd = np.zeros((d, d), dtype=complex)
-        letters = "IXYZ"
-        for p1 in letters:
-            for p2 in letters:
-                mat = kron(PAULIS[p1], PAULIS[p2])
-                coeff = np.trace(mat.conj().T @ a) / d
-                ys = (p1 == "Y") + (p2 == "Y")
-                if p1 == p2 == "I":
-                    continue
-                if ys % 2 == 0:
-                    even += coeff * mat
-                else:
-                    odd += coeff * mat
-        tr, even_fast, odd_fast = pauli_parity_decompose(a, n)
-        assert operators_close(even_fast, even, atol=ATOL)
-        assert operators_close(odd_fast, odd, atol=ATOL)
-        assert operators_close(tr, (np.trace(a) / d) * identity(d), atol=ATOL)
-        # the theorem itself
-        assert operators_close(even_fast, sym_part(a - (np.trace(a) / d) * identity(d)), atol=ATOL)
-
-    def test_dimension_validation(self):
-        with pytest.raises(ValueError):
-            pauli_parity_decompose(identity(3), 2)
 
 
 class TestChannelOracle:

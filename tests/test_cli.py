@@ -1,7 +1,16 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realshadows.cli import _mc_agreement, main
 
@@ -148,6 +157,49 @@ class TestEstimateCommand:
         assert "8192" in err and "n <= 13" in err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ((), None),  # the unmutated config runs
+            (("state",), "abc"),
+            (("state", "bits"), "102"),
+            (("state", "bits"), True),
+            (("observables", 0), [1]),
+            (("observables", 0, "coefficient"), "abc"),
+            (("observables", 0, "coefficient"), 1e101),
+            (("observables", 0, "string"), "XA"),
+            (("observables", 0, "id"), "a,b"),
+            (("observables", 0, "id"), 'say "b"'),
+            (("observables", 0, "id"), "a\rb"),
+            (("observables", 0, "id"), "a\nb"),
+            (("observables", 1, "seed"), "x"),
+            (("observables", 2, "real"), "x"),
+            (("observables", 2, "real"), [[0, 1], [1, 0]]),
+            (("observables", 2, "imag"), [[0, 1, 0, 0], [0] * 4, [0] * 4, [0] * 4]),
+            (("ensemble", "groups"), 5),
+            (("emit", "csv"), 1),
+            (("epsilon",), 1e-200),
+        ],
+    )
+    def test_bad_nested_value_is_one_line_usage_error(
+        self, tmp_path, monkeypatch, capsys, path, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = copy.deepcopy(_FUZZ_BASES[0])
+        if path:
+            node = cfg
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        code = main(["estimate", "--config", _write_config(tmp_path, cfg)])
+        err = capsys.readouterr().err
+        if not path:
+            assert code == 0 and err == ""
+            return
+        assert code == 2
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
+
     def test_out_flag_with_null_emit(self, tmp_path):
         path = _write_config(tmp_path, self._one_qubit_config(None))
         out = tmp_path / "out.csv"
@@ -266,3 +318,110 @@ class TestRatioSweep:
 
     def test_rejects_large_n(self):
         assert main(["ratio-sweep", "--n-max", "9", "--instances", "2"]) == 2
+
+
+#: Valid configurations that the fuzz test mutates; the first also serves
+#: test_bad_nested_value_is_one_line_usage_error.
+_FUZZ_BASES = [
+    {
+        "seed": 1,
+        "n": 2,
+        "ensemble": {"scope": "local", "groups": ["orthogonal", "unitary"]},
+        "state": {"kind": "computational", "bits": "01"},
+        "shots": 20,
+        "batches": 2,
+        "epsilon": 0.1,
+        "allow_bias": True,
+        "observables": [
+            {"id": "XZ", "kind": "pauli", "string": "XZ", "coefficient": 0.5},
+            {"kind": "random_symmetric", "seed": 1},
+            {"kind": "matrix", "real": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1]]},
+            {"kind": "basis_projector", "index": 3},
+        ],
+        "emit": {"csv": "out.csv"},
+    },
+    {
+        "seed": 2,
+        "n": 3,
+        "ensemble": {"scope": "global", "groups": ["orthogonal"], "basis": "random:3"},
+        "state": {"kind": "random_pure", "seed": 4},
+        "shots": 10,
+        "allow_bias": True,
+        "observables": [
+            {"kind": "random_symmetric", "seed": 2},
+            {"id": "YZI", "kind": "pauli", "string": "YZI"},
+        ],
+        "emit": {"csv": "out.csv"},
+    },
+    {
+        "seed": 3,
+        "n": 1,
+        "ensemble": {"scope": "global", "groups": "unitary", "basis": "sh"},
+        "state": {"kind": "product", "factors": ["+i"]},
+        "shots": 5,
+        "observables": [{"kind": "pauli", "string": "Y"}],
+        "emit": {"csv": "out.csv"},
+    },
+]
+
+_JUNK = [
+    "abc", "", "102", "a,b", "x\ny", "sh", "random:x", "local", "unitary", -1, 0, 1, 2, 3,
+    2.5, 2**70, 1e300, 1e-300, float("nan"), float("inf"), None, True, [], [1], {},
+    {"kind": "pauli"},
+]
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A base config with one to three values, mostly nested ones, replaced
+    by junk or (one time in four) removed."""
+    cfg = copy.deepcopy(draw(st.sampled_from(_FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = None, None
+        node = cfg
+        while isinstance(node, (dict, list)) and node and draw(st.integers(0, 2)):
+            parent = node
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+            node = node[key]
+        if parent is None:
+            continue
+        junk = [j for j in _JUNK if key != "shots" or not isinstance(j, (int, float)) or j <= 20]
+        if isinstance(parent, dict) and not draw(st.integers(0, 3)):
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(junk)))
+    return cfg
+
+
+def _finite_cells(csv: str) -> bool:
+    lines = csv.strip().split("\n")
+    rows = [line.split(",") for line in lines[1:]]
+    numbers = [cell for row in rows for cell in row[1:6] if cell != ""]
+    return all(len(row) == 7 for row in rows) and all(math.isfinite(float(c)) for c in numbers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_configs())
+def test_fuzzed_configs_run_or_fail_with_one_line(cfg):
+    # Shots stay <= 20 and n <= 3 (or beyond the size budget), so each run is small.
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            Path("config.json").write_text(json.dumps(cfg))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["estimate", "--config", "config.json"])
+            written = {p.name: p.read_text() for p in Path(".").iterdir() if p.name != "config.json"}
+        finally:
+            os.chdir(cwd)
+    if code == 2:
+        assert err.getvalue().startswith("configuration error:"), err.getvalue()
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+        return
+    assert code == 0, (code, err.getvalue())
+    for name, text in written.items():
+        if name.endswith(".meta.json"):
+            json.loads(text, parse_constant=lambda c: pytest.fail(f"{name} holds {c}"))
+        else:
+            assert _finite_cells(text), text

@@ -18,6 +18,9 @@ from realshadows import commutant
 from realshadows.linalg import as_operator, batched_kron, identity, kron, norm2, operators_close
 from realshadows.sampling import RngStream, haar_orthogonals, haar_state_vector, haar_unitaries
 
+#: The k = 2 pairings by their pairs: the identity, the swap and the contraction Omega.
+IDENTITY, SWAP, OMEGA = ((1, 3), (2, 4)), ((1, 4), (2, 3)), ((1, 2), (3, 4))
+
 
 def _projector_power(vector: np.ndarray, k: int) -> np.ndarray:
     pi = np.outer(vector, vector.conj())
@@ -72,7 +75,7 @@ class TestPairings:
                     product = product @ (ops[op].T if transposed else ops[op])
                 value *= np.trace(product)
             expected = np.trace(kron(*ops) @ realize(p, d))
-            assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected)), p.label()
+            assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected)), p.pairs
 
 
 class TestRealize:
@@ -96,9 +99,9 @@ class TestRealize:
         omega = realize(cupcap, d)
         assert operators_close(omega @ omega, d * omega)
 
-    def test_labels(self):
-        labels = {p.label() for p in enumerate_pairings(2)}
-        assert labels == {"S12", "S21", "Omega(12;12)"}
+    def test_pairings_of_k2(self):
+        pairs = {p.pairs for p in enumerate_pairings(2)}
+        assert pairs == {IDENTITY, SWAP, OMEGA}
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -123,8 +126,8 @@ class TestTwirlProject:
     def test_real_projector_d2(self):
         # alpha_w = 1, d = 2: exact twirl is (1 + SWAP + |Omega><Omega|)/8
         t = twirl_project(_projector_power(np.array([1.0, 0.0], dtype=complex), 2), "O", 2)
-        elements = {p.label(): e for p, e in commutant_basis("O", 2, 2)}
-        expected = (elements["S12"] + elements["S21"] + elements["Omega(12;12)"]) / 8.0
+        elements = {p.pairs: e for p, e in commutant_basis("O", 2, 2)}
+        expected = (elements[IDENTITY] + elements[SWAP] + elements[OMEGA]) / 8.0
         assert operators_close(t, expected)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -132,8 +135,8 @@ class TestTwirlProject:
         # U(d) twirl of any rank-1 projector pair is (1 + SWAP)/(d(d+1))
         v = haar_state_vector(RngStream(31, (d,)), d)
         t = twirl_project(_projector_power(v, 2), "U", 2)
-        elements = {p.label(): e for p, e in commutant_basis("U", 2, d)}
-        expected = (elements["S12"] + elements["S21"]) / (d * (d + 1.0))
+        elements = {p.pairs: e for p, e in commutant_basis("U", 2, d)}
+        expected = (elements[IDENTITY] + elements[SWAP]) / (d * (d + 1.0))
         assert operators_close(t, expected)
 
     @pytest.mark.parametrize("group", ["O", "U"])

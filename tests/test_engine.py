@@ -9,6 +9,7 @@ from realshadows.channels import (
     apply_channel,
     channel_for,
     global_ensemble,
+    has_invisible_part,
     local_ensemble,
     visible_projector,
 )
@@ -29,13 +30,21 @@ from realshadows.engine import (
     median_of_means,
     per_shot_estimates,
     run_experiment,
-    shadow_from_vector,
     validate_state,
 )
-from realshadows.linalg import batched_kron, identity, kron, operators_close, sym_part
+from realshadows.linalg import (
+    ResourceLimitError,
+    batched_kron,
+    identity,
+    kron,
+    operators_close,
+    sym_part,
+)
 from realshadows.pauli import PauliString, X, Y, Z
 from realshadows.sampling import RngStream, random_pure_state, sample_transform_arrays
 from realshadows.variance import predict_variance, random_symmetric_observable
+
+from references import shadow_from_vector
 
 H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -183,12 +192,11 @@ class TestDirectSampler:
         records = collect_records(RngStream(52), rho, spec, shots)
         report = estimate(records, a)
         prediction = predict_variance(spec, a, rho)
-        assert prediction.kind == "exact"
         visible = np.trace(visible_projector(channel_for(spec), a) @ rho).real
-        assert abs(report.mean - visible) <= 4 * np.sqrt(prediction.value / shots)
+        assert abs(report.mean - visible) <= 4 * np.sqrt(prediction / shots)
         values = per_shot_estimates(records, a)
         se_var = np.std((values - values.mean()) ** 2, ddof=1) / np.sqrt(shots)
-        assert abs(report.empirical_variance - prediction.value) <= 4 * se_var
+        assert abs(report.empirical_variance - prediction) <= 4 * se_var
 
     @pytest.mark.parametrize("group,tag,make_state", _GLOBAL_CASES)
     def test_unit_norm_and_same_seed_bytes(self, group, tag, make_state):
@@ -329,8 +337,8 @@ class TestEstimate:
         sigma = np.sqrt(report.empirical_variance / report.shots)
         assert abs(report.mean) <= 3 * sigma
         assert report.empirical_variance == pytest.approx(2.0, rel=0.05)
-        assert predict_variance(spec, Z, rho).value == 2.0
-        assert not engine._has_invisible_component(channel_for(spec), Z)
+        assert predict_variance(spec, Z, rho) == 2.0
+        assert not has_invisible_part(channel_for(spec), Z)
 
     def test_angle_integral_oracle_for_pinned_variance(self):
         # Exact 8-point quadrature over O(2): E[o^2] = 4 <cos^2 2theta> = 2.
@@ -380,7 +388,7 @@ class TestEstimate:
         target_sym = np.trace(sym_part(obs) @ rho).real
         assert abs(report.mean - target_sym) <= 3 * sigma
         assert abs(report.mean - np.trace(obs @ rho).real) > 5 * sigma  # genuinely biased
-        assert engine._has_invisible_component(channel_for(spec), obs)
+        assert has_invisible_part(channel_for(spec), obs)
 
     def test_invisible_observable_reports_bias(self):
         spec = global_ensemble("orthogonal", computational_basis(2))
@@ -389,8 +397,8 @@ class TestEstimate:
         obs = kron(Y, identity(2))
         report = estimate(records, obs)
         assert report.mean == 0.0
-        assert engine._has_invisible_component(channel_for(spec), obs)
-        assert predict_variance(spec, obs, rho).value == pytest.approx(0.0, abs=1e-12)
+        assert has_invisible_part(channel_for(spec), obs)
+        assert predict_variance(spec, obs, rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_channel_consistency(self):
         # frequency-weighted average of U^dag Pi_w U converges to M(rho)
@@ -453,8 +461,19 @@ class TestConfigAndRun:
             assert again.mean == report.mean
             assert again.median_of_means == report.median_of_means
             # run_experiment attaches the oracle fields of the simulated state
-            assert report.predicted_variance == predict_variance(spec, p, rho).value
+            assert report.predicted_variance == predict_variance(spec, p, rho)
             assert report.bias_warning is False
+
+    @pytest.mark.parametrize("scale, flagged", [(1e-11, False), (1e-9, True)])
+    def test_bias_flag_and_prediction_agree(self, tmp_path, scale, flagged):
+        # A = Z (x) 1 + scale Y (x) 1 under local O(2): the Y part is invisible
+        # beyond the 1e-10 tolerance, and then there is no bound to report.
+        a = np.kron(Z + scale * Y, identity(2))
+        obs = {"kind": "matrix", "real": a.real.tolist(), "imag": a.imag.tolist()}
+        cfg = self._config_dict(tmp_path, observables=[obs], allow_bias=True)
+        (report,) = run_experiment(ExperimentConfig.from_dict(cfg))
+        assert report.bias_warning is flagged
+        assert report.predicted_variance == (None if flagged else 3.0)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = self._config_dict(tmp_path)
@@ -520,6 +539,13 @@ class TestConfigAndRun:
     def test_bad_values_are_config_errors(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict(self._config_dict(tmp_path, **{key: value}))
+
+    def test_build_functions_check_the_size_budget(self):
+        for build in (build_state, build_observable):
+            with pytest.raises(ResourceLimitError):
+                build({"kind": "maximally_mixed"}, 16)
+        with pytest.raises(ResourceLimitError):
+            basis_from_tag("computational", 16)
 
     def test_integral_values_are_coerced(self, tmp_path):
         config = ExperimentConfig.from_dict(

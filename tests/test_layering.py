@@ -41,3 +41,53 @@ def test_variance_does_not_import_engine():
             if node.module is None:
                 imported.update(alias.name for alias in node.names)
     assert not any(name.split(".")[-1] == "engine" for name in imported)
+
+
+
+
+ROOT = PACKAGE.parent.parent
+CALLER_DIRS = [ROOT / "src", ROOT / "scripts", ROOT / "perfbench"]
+
+
+def _references(statement: ast.AST) -> set[str]:
+    """Names a statement reads, as a Name, an Attribute or an import."""
+    names = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # The top-level statements of src/, scripts/ and perfbench/ (the package's
+    # __init__.py aside) and the names each reads.  A public function or class
+    # of the package, or a name of __all__, needs one statement other than its
+    # own definition that reads it.
+    statements = {
+        path: [(node, _references(node)) for node in ast.parse(path.read_text()).body]
+        for folder in CALLER_DIRS
+        for path in sorted(folder.rglob("*.py"))
+        if path != PACKAGE / "__init__.py"
+    }
+    definitions = {
+        node.name: node
+        for path in MODULES
+        if path.name != "__init__.py"
+        for node, _ in statements[path]
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    public = set(definitions) | set(realshadows.__all__) - {"__version__"}
+    unused = [
+        name
+        for name in sorted(public)
+        if not any(
+            name in names and node is not definitions.get(name)
+            for body in statements.values()
+            for node, names in body
+        )
+    ]
+    assert unused == []

@@ -5,15 +5,12 @@ from hypothesis import strategies as st
 
 from realshadows.linalg import (
     ResourceLimitError,
-    antisym_part,
     batched_kron,
-    hs_inner,
     identity,
     kron,
     norm2,
     norm_inf,
     operators_close,
-    partial_trace_first,
     sum_abs2,
     sym_part,
 )
@@ -39,17 +36,6 @@ def _kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ptrace_oracle(a: np.ndarray, d1: int) -> np.ndarray:
-    """Brute-force index-sum partial trace over the first factor."""
-    d2 = a.shape[0] // d1
-    out = np.zeros((d2, d2), dtype=complex)
-    for i in range(d1):
-        for j in range(d2):
-            for k in range(d2):
-                out[j, k] += a[i * d2 + j, i * d2 + k]
-    return out
-
-
 class TestKron:
     def test_identity_case(self):
         assert operators_close(kron(I2, I2), identity(4))
@@ -66,7 +52,6 @@ class TestKron:
     def test_dimension_limit(self):
         with pytest.raises(ResourceLimitError):
             kron(identity(128), identity(128))
-        assert kron(identity(100), identity(2), max_dim=200).shape == (200, 200)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
@@ -87,41 +72,10 @@ class TestKron:
             assert operators_close(out[s], expected, atol=ATOL)
 
 
-class TestPartialTrace:
-    def test_factorized_input(self):
-        rho = _random_matrix(3, 2)
-        b = _random_matrix(4, 3)
-        assert operators_close(
-            partial_trace_first(kron(rho, b), 2), np.trace(rho) * b, atol=ATOL
-        )
-
-    def test_identity(self):
-        assert operators_close(partial_trace_first(identity(4), 2), 2 * identity(2))
-
-    def test_swap_against_brute_force(self):
-        swap = np.zeros((4, 4), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                swap[j * 2 + i, i * 2 + j] = 1.0
-        assert operators_close(partial_trace_first(swap, 2), _ptrace_oracle(swap, 2))
-        assert operators_close(partial_trace_first(swap, 2), identity(2))
-
-    def test_non_divisible_dimension(self):
-        with pytest.raises(ValueError):
-            partial_trace_first(identity(6), 4)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 10**6), st.sampled_from([2, 3, 4]))
-    def test_preserves_trace(self, seed, d1):
-        m = _random_matrix(seed, d1 * 3)
-        assert abs(np.trace(partial_trace_first(m, d1)) - np.trace(m)) < ATOL
-
-
 class TestBasicOps:
-    def test_norms_and_inner(self):
+    def test_norms(self):
         assert norm2(kron(Z, Z)) == pytest.approx(2.0, abs=ATOL)
         assert norm_inf(Z) == pytest.approx(1.0, abs=ATOL)
-        assert abs(hs_inner(X, Y)) < ATOL
 
     def test_norm_inf_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
@@ -143,13 +97,13 @@ class TestBasicOps:
 class TestSymmetrySplits:
     def test_pauli_examples(self):
         assert operators_close(sym_part(Y), np.zeros((2, 2)))
-        assert operators_close(antisym_part(X), np.zeros((2, 2)))
+        assert operators_close(sym_part(X), X)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
     def test_split_properties(self, seed):
         a = _random_matrix(seed, 4)
         b = _random_matrix(seed + 7, 4)
-        assert operators_close(sym_part(a) + antisym_part(a), a, atol=ATOL)
+        assert operators_close(sym_part(a), sym_part(a).T, atol=ATOL)
         assert operators_close(sym_part(sym_part(a)), sym_part(a), atol=ATOL)
-        assert abs(hs_inner(sym_part(a), antisym_part(b))) < 1e-10
+        assert abs(np.vdot(sym_part(a), b - b.T)) < 1e-10

@@ -12,13 +12,10 @@ def test_from_string_round_trip():
     assert str(p) == "XZI"
 
 
-def test_weight_support_locality():
+def test_support_and_y_count():
     p = PauliString.from_string("IXZY")
-    assert p.weight == 3
     assert p.support == (1, 2, 3)
-    assert not p.locally_real
     assert p.y_count() == 1
-    assert PauliString.from_string("IXZ").locally_real
 
 
 def test_to_matrix_matches_kron():

@@ -3,9 +3,9 @@ import pytest
 
 from realshadows.bases import basis_from_tag, computational_basis, make_basis, sh_basis
 from realshadows.channels import (
-    InvisibleObservableError,
     channel_for,
     global_ensemble,
+    has_invisible_part,
     local_ensemble,
     pseudo_inverse,
     visible_projector,
@@ -15,13 +15,9 @@ from realshadows.engine import collect_records, estimate, per_shot_estimates
 from realshadows.linalg import identity, kron, norm_inf, operators_close, sym_part
 from realshadows.pauli import PAULIS, PauliString, X, Y, Z
 from realshadows.sampling import RngStream, haar_state_vector, random_pure_state
-from realshadows.variance import (
-    bound_local,
-    overlap_f,
-    predict_variance,
-    random_symmetric_observable,
-    ratio_sweep,
-)
+from realshadows.variance import predict_variance, random_symmetric_observable, ratio_sweep
+
+from references import overlap_f
 
 
 def _random_hermitian(seed, d):
@@ -38,6 +34,13 @@ def _rank_two_state(seed, d):
 
 def _global(group, tag, n):
     return global_ensemble(group, basis_from_tag(tag, n))
+
+
+def _second_moment(spec, p):
+    """E[o^2] of a Pauli string under a local ensemble: its exact variance on
+    the maximally mixed state plus the squared mean Tr[P]/d."""
+    mean = np.trace(p.to_matrix()).real / spec.d
+    return predict_variance(spec, p, identity(spec.d) / spec.d) + mean**2
 
 
 # Reference formulas: the hand-derived global predictors that the Brauer-word
@@ -92,8 +95,8 @@ def var_ref_alpha(a, rho, d, alpha):
 class TestGlobalPredictors:
     def test_pinned_case(self):
         rho = identity(2) / 2
-        real = predict_variance(_global("orthogonal", "computational", 1), Z, rho).value
-        unitary = predict_variance(_global("unitary", "computational", 1), Z, rho).value
+        real = predict_variance(_global("orthogonal", "computational", 1), Z, rho)
+        unitary = predict_variance(_global("unitary", "computational", 1), Z, rho)
         assert real == 2.0
         assert unitary == 3.0
         assert real / unitary == pytest.approx(2.0 / 3.0)
@@ -102,11 +105,11 @@ class TestGlobalPredictors:
         rho = random_pure_state(RngStream(0), 4)
         real = _global("orthogonal", "computational", 2)
         unitary = _global("unitary", "computational", 2)
-        assert predict_variance(real, identity(4), rho).value == pytest.approx(0.0, abs=1e-12)
-        assert predict_variance(real, kron(Y, PAULIS["I"]), rho).value == pytest.approx(
+        assert predict_variance(real, identity(4), rho) == pytest.approx(0.0, abs=1e-12)
+        assert predict_variance(real, kron(Y, PAULIS["I"]), rho) == pytest.approx(
             0.0, abs=1e-12
         )
-        assert predict_variance(unitary, identity(4), rho).value == pytest.approx(0.0, abs=1e-12)
+        assert predict_variance(unitary, identity(4), rho) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_alpha_d_reduces_to_real_formula(self, d):
@@ -116,7 +119,7 @@ class TestGlobalPredictors:
         full = var_ref_alpha(a, rho, d, float(d))
         real = var_ref_real(a, rho)
         assert full == pytest.approx(real, rel=1e-10, abs=1e-10)
-        assert predict_variance(spec, a, rho).value == pytest.approx(real, rel=1e-10, abs=1e-10)
+        assert predict_variance(spec, a, rho) == pytest.approx(real, rel=1e-10, abs=1e-10)
 
     def test_alpha_zero_matches_empirical_sh_shadows(self):
         # d = 4, SH basis (alpha = 0): predictor vs 1e5-shot simulation
@@ -126,7 +129,7 @@ class TestGlobalPredictors:
         a = kron(Z, PAULIS["I"])
         records = collect_records(RngStream(3), rho, spec, 100000)
         emp = estimate(records, a).empirical_variance
-        pred = predict_variance(spec, a, rho).value
+        pred = predict_variance(spec, a, rho)
         assert emp == pytest.approx(pred, rel=0.05)
 
     def test_large_d_asymptotic_bound(self):
@@ -143,7 +146,7 @@ class TestGlobalPredictors:
             basis = make_basis(kron(qubit, identity(d // 2)), f"alpha={f}")
             alpha = basis.alpha_total
             assert alpha == pytest.approx(f * d)
-            value = predict_variance(global_ensemble("orthogonal", basis), a, rho).value
+            value = predict_variance(global_ensemble("orthogonal", basis), a, rho)
             tilde0 = reality_interpolation(a, d, alpha) - (np.trace(a) / d) * identity(d)
             bound = float(np.linalg.norm(tilde0)) ** 2 / (1.0 + f)
             assert value <= 1.15 * bound
@@ -159,8 +162,8 @@ class TestGlobalPredictors:
             rho = random_pure_state(rng.child(0), d)
             a = random_symmetric_observable(rng.child(1), d)
             assert (
-                predict_variance(real, a, rho).value
-                <= predict_variance(unitary, a, rho).value + 1e-12
+                predict_variance(real, a, rho)
+                <= predict_variance(unitary, a, rho) + 1e-12
             )
 
 
@@ -184,7 +187,7 @@ class TestBrauerWordPredictor:
                 cases.append((spec, sym, var_ref_alpha(sym, rho, d, alpha)))
         assert len(cases) == (3 if n == 1 else 4)
         for spec, obs, reference in cases:
-            assert predict_variance(spec, obs, rho).value == pytest.approx(reference, rel=1e-12)
+            assert predict_variance(spec, obs, rho) == pytest.approx(reference, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("group", ["orthogonal", "unitary"])
@@ -206,7 +209,7 @@ class TestBrauerWordPredictor:
         twirl = twirl_project(projectors, group[0].upper(), 3)
         second = np.trace(kron(rho, tilde, tilde) @ twirl).real
         mean = np.trace(visible_projector(desc, a) @ rho).real
-        assert predict_variance(spec, a, rho).value == pytest.approx(
+        assert predict_variance(spec, a, rho) == pytest.approx(
             second - mean**2, rel=1e-10, abs=1e-10
         )
 
@@ -223,12 +226,11 @@ class TestBrauerWordPredictor:
         rho = random_pure_state(RngStream(94, (n,)), d) if rank == 1 else _rank_two_state(95, d)
         a = _random_hermitian(96 + n, d)
         pred = predict_variance(spec, a, rho)
-        assert pred.kind == "exact"
         records = collect_records(RngStream(97, (n, rank)), rho, spec, 200000)
         values = per_shot_estimates(records, a)
         emp = np.var(values, ddof=1)
         se = np.std((values - values.mean()) ** 2, ddof=1) / np.sqrt(values.shape[0])
-        assert abs(emp - pred.value) <= 4 * se, (emp, pred.value, se)
+        assert abs(emp - pred) <= 4 * se, (emp, pred, se)
 
 
 class TestOverlapF:
@@ -288,22 +290,24 @@ def test_overlap_factor_against_three_factor_integral():
 
 
 class TestLocalSecondMoments:
-    # The second moment of a single Pauli string is bound_local's value;
+    # The second moment of a single Pauli string is state independent;
     # predict_variance subtracts the squared mean from it.
     def test_weight_one(self):
         spec = local_ensemble("orthogonal", 3)
-        assert bound_local(PauliString.from_string("XII"), spec).value == 2.0
+        assert _second_moment(spec, PauliString.from_string("XII")) == 2.0
 
     def test_weight_zero(self):
         p = PauliString.from_string("II")
         spec = local_ensemble("orthogonal", 2)
-        assert bound_local(p, spec).value == 1.0
+        assert _second_moment(spec, p) == 1.0
         rho = identity(4) / 4
-        assert predict_variance(spec, p, rho).value == pytest.approx(0.0, abs=1e-12)
+        assert predict_variance(spec, p, rho) == pytest.approx(0.0, abs=1e-12)
 
-    def test_rejects_y(self):
-        with pytest.raises(InvisibleObservableError):
-            bound_local(PauliString.from_string("XY"), local_ensemble("orthogonal", 2))
+    def test_y_is_invisible(self):
+        spec = local_ensemble("orthogonal", 2)
+        p = PauliString.from_string("XY")
+        assert has_invisible_part(channel_for(spec), p)
+        assert predict_variance(spec, p, identity(4) / 4) == 0.0
 
     def test_stabilizer_state_variance(self):
         # X(x)Z eigenstate: E[o^2] = 4, Tr[P rho] = 1, Var = 3; check by simulation
@@ -312,9 +316,9 @@ class TestLocalSecondMoments:
         v = np.kron(plus, [1.0, 0.0]).astype(complex)
         rho = np.outer(v, v.conj())
         spec = local_ensemble("orthogonal", 2)
-        assert bound_local(p, spec).value == 4.0
+        assert _second_moment(spec, p) == 4.0
         pred = predict_variance(spec, p, rho)
-        assert pred.value == pytest.approx(3.0, abs=1e-12)
+        assert pred == pytest.approx(3.0, abs=1e-12)
         records = collect_records(RngStream(8), rho, spec, 30000)
         values = per_shot_estimates(records, p)
         second = np.mean(values**2)
@@ -327,58 +331,56 @@ class TestLocalSecondMoments:
         for seed in range(3):
             rho = random_pure_state(RngStream(9, (seed,)), 8)
             mean = np.trace(p.to_matrix() @ rho).real
-            assert predict_variance(spec, p, rho).value + mean**2 == pytest.approx(4.0, abs=1e-12)
+            assert predict_variance(spec, p, rho) + mean**2 == pytest.approx(4.0, abs=1e-12)
 
 
-class TestBoundLocal:
-    def test_pauli_bounds(self):
+class TestLocalUpperBound:
+    def test_pauli_second_moments(self):
         p = PauliString.from_string("XZI")
-        assert bound_local(p, local_ensemble("orthogonal", 3)).value == 4.0
-        assert bound_local(p, local_ensemble("unitary", 3)).value == 9.0
+        assert _second_moment(local_ensemble("orthogonal", 3), p) == 4.0
+        assert _second_moment(local_ensemble("unitary", 3), p) == 9.0
 
     def test_mixed_sites_multiply(self):
         # orthogonal on the X site, unitary on the Z site: 2 * 3 = 6
         p = PauliString.from_string("XZ")
-        assert bound_local(p, local_ensemble(("orthogonal", "unitary"), 2)).value == 6.0
+        assert _second_moment(local_ensemble(("orthogonal", "unitary"), 2), p) == 6.0
 
     def test_operator_bound(self):
         # k = 3 locally real operator with ||A||_inf = 1
         a = kron(X, Z, X)
-        assert bound_local(a, local_ensemble("orthogonal", 3)).value == pytest.approx(27.0)
-        assert bound_local(a, local_ensemble("unitary", 3)).value == pytest.approx(64.0)
+        rho = identity(8) / 8
+        pred = predict_variance(local_ensemble("orthogonal", 3), a, rho)
+        assert pred == pytest.approx(27.0)
+        assert predict_variance(local_ensemble("unitary", 3), a, rho) == pytest.approx(64.0)
 
-    def test_pauli_sum_input(self):
-        terms = [PauliString.from_string("XZ", 0.5), PauliString.from_string("ZX", 0.5)]
-        pred = bound_local(terms, local_ensemble("orthogonal", 2))
+    def test_pauli_sum(self):
         a = 0.5 * kron(X, Z) + 0.5 * kron(Z, X)
-        assert pred.value == pytest.approx(9.0 * norm_inf(a) ** 2)
-        with pytest.raises(ValueError):
-            bound_local([PauliString.from_string("XXX")], local_ensemble("orthogonal", 2))
+        pred = predict_variance(local_ensemble("orthogonal", 2), a, identity(4) / 4)
+        assert pred == pytest.approx(9.0 * norm_inf(a) ** 2)
 
     def test_identity_sites_do_not_count(self):
         a = kron(X, PAULIS["I"])
-        assert bound_local(a, local_ensemble("orthogonal", 2)).value == pytest.approx(3.0)
+        pred = predict_variance(local_ensemble("orthogonal", 2), a, identity(4) / 4)
+        assert pred == pytest.approx(3.0)
 
-    def test_y_rejected_under_orthogonal(self):
+    def test_y_is_invisible_under_orthogonal(self):
         spec = local_ensemble("orthogonal", 2)
-        with pytest.raises(InvisibleObservableError):
-            bound_local(PauliString.from_string("YI"), spec)
-        with pytest.raises(InvisibleObservableError):
-            bound_local(kron(Y, PAULIS["I"]), spec)
-        with pytest.raises(InvisibleObservableError):
-            bound_local([PauliString.from_string("XY")], spec)
+        rho = identity(4) / 4
+        assert has_invisible_part(channel_for(spec), PauliString.from_string("YI"))
+        assert predict_variance(spec, kron(Y, PAULIS["I"]), rho) is None
         # but fine under a unitary site
         mixed = local_ensemble(("unitary", "orthogonal"), 2)
-        assert bound_local(PauliString.from_string("YI"), mixed).value == 3.0
+        assert _second_moment(mixed, PauliString.from_string("YI")) == 3.0
 
-    def test_ensemble_spec_accepted(self):
+    @pytest.mark.parametrize("scale, visible", [(1e-11, True), (1e-9, False)])
+    def test_one_visibility_rule(self, scale, visible):
+        # A Y part at the 1e-10 tolerance: the run's bias flag and the
+        # prediction read the same rule.
         spec = local_ensemble("orthogonal", 2)
-        assert bound_local(PauliString.from_string("XZ"), spec).value == 4.0
-        with pytest.raises(ValueError):
-            bound_local(
-                PauliString.from_string("X"),
-                global_ensemble("orthogonal", computational_basis(1)),
-            )
+        a = kron(Z + scale * Y, PAULIS["I"])
+        assert has_invisible_part(channel_for(spec), a) is not visible
+        pred = predict_variance(spec, a, identity(4) / 4)
+        assert pred == (3.0 if visible else None)
 
 
 def test_bounds_dominate_empirical_variance():
@@ -400,7 +402,7 @@ def test_bounds_dominate_empirical_variance():
         values = per_shot_estimates(records, p)
         emp = float(np.var(values, ddof=1))
         se = np.std(values**2, ddof=1) / np.sqrt(values.shape[0])
-        assert emp <= bound_local(p, spec).value + 3 * se
+        assert emp <= _second_moment(spec, p) + 3 * se
 
 
 class TestEmpiricalVariance:
@@ -417,29 +419,18 @@ class TestEmpiricalVariance:
         a = random_symmetric_observable(RngStream(14), d)
         records = collect_records(RngStream(15, (ord(group[0]),)), rho, spec, 100000)
         emp = estimate(records, a).empirical_variance
-        pred = predict_variance(spec, a, rho).value
+        pred = predict_variance(spec, a, rho)
         reference = var_ref_real(a, rho) if group == "orthogonal" else var_ref_unitary(a, rho)
         assert pred == pytest.approx(reference, rel=1e-12)
         assert emp == pytest.approx(pred, rel=0.05)
 
 
 class TestPredictVariance:
-    def test_local_pauli_without_state_gives_bound(self):
-        spec = local_ensemble("orthogonal", 2)
-        pred = predict_variance(spec, PauliString.from_string("XZ"))
-        assert pred.kind == "upper_bound"
-        assert pred.value == 4.0
-
     def test_local_pauli_with_state_is_exact(self):
         spec = local_ensemble("orthogonal", 2)
         rho = identity(4) / 4
         pred = predict_variance(spec, PauliString.from_string("XZ"), rho)
-        assert pred.kind == "exact"
-        assert pred.value == pytest.approx(4.0)
-
-    def test_global_without_state_is_none(self):
-        spec = global_ensemble("orthogonal", computational_basis(1))
-        assert predict_variance(spec, Z) is None
+        assert pred == pytest.approx(4.0)
 
     def test_local_dense_complex_observable_is_none(self):
         spec = local_ensemble("orthogonal", 1)
@@ -451,9 +442,8 @@ class TestPredictVariance:
         rho = random_pure_state(RngStream(80), spec.d)
         a = sym_part(_random_hermitian(81, spec.d))
         pred = predict_variance(spec, a, rho)
-        assert pred.kind == "exact"
         reference = var_ref_alpha(a, rho, spec.d, spec.basis.alpha_total)
-        assert pred.value == pytest.approx(reference, rel=1e-12)
+        assert pred == pytest.approx(reference, rel=1e-12)
 
 
 class TestRandomSymmetricObservable:
