@@ -10,10 +10,11 @@ symmetric-traceless part and the antisymmetric part of its input:
 
 with alpha the total reality of the measurement basis.  Local channels act
 qubit by qubit with the d = 2 blocks (orthogonal qubit: Y killed, X/Z scaled
-by 1/2; unitary qubit: X/Y/Z scaled by 1/3).  A block with eigenvalue 0 is
-invisible: the estimators see only the rest of an observable, and
-`has_invisible_part` is where that is decided.  Channels are kept in this
-spectral form; dense superoperator matrices appear only in tests.
+by 1/2; unitary qubit: X/Y/Z scaled by 1/3), one 4x4 map of a site's entries
+through `map_sites`.  A block with eigenvalue 0 is invisible: the estimators
+see only the rest of an observable, and `has_invisible_part` is where that is
+decided.  Channels are kept in this spectral form; dense superoperator
+matrices appear only in tests.
 """
 
 from __future__ import annotations
@@ -139,43 +140,44 @@ def channel_for(spec: EnsembleSpec) -> ChannelDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# Per-qubit tensor helpers (qubit 0 is the leftmost factor).
+# Per-site maps: a (K, 4) matrix takes the 2x2 entries (a00, a01, a10, a11)
+# that qubit j's row and column bits pick out of an operator to K values.
 
 
-def _six_axes(a: np.ndarray, n: int, j: int):
-    left = 2**j
-    right = 2 ** (n - 1 - j)
-    return a.reshape(left, 2, right, left, 2, right)
+def map_sites(a: np.ndarray, maps) -> np.ndarray:
+    """out[k_0, ..., k_{n-1}] = sum_{r, c} a[r, c] prod_j maps[j][k_j, 2 r_j + c_j]
+    for an n-qubit operator a and one (K_j, 4) matrix per qubit, qubit 0
+    leftmost.  Each site is one matmul that takes the leading site axis to
+    the end, mapped, so the result grows site by site to prod_j K_j entries."""
+    n = len(maps)
+    out = a.reshape((2,) * (2 * n))
+    out = out.transpose([axis for j in range(n) for axis in (j, n + j)])
+    for m in maps:
+        out = out.reshape(4, -1).T @ m.T
+    return out.reshape([m.shape[0] for m in maps])
 
 
-def qubit_partial_transpose(a: np.ndarray, n: int, j: int) -> np.ndarray:
-    d = a.shape[0]
-    return _six_axes(a, n, j).swapaxes(1, 4).reshape(d, d)
+def stabilizer_points(group: str) -> np.ndarray:
+    """(K, 4) rows taking a site's entries to <phi|a|phi> for the states phi
+    its single-qubit Clifford group measures: |0>, |1>, |+>, |-> (K = 4) on
+    an orthogonal site, and |+i>, |-i> too (K = 6) on a unitary one.  These
+    groups are 3-designs for O(2) and U(2), so with weight 2/K (each basis is
+    drawn with that probability) the points have the Haar measurement's
+    moments up to the third."""
+    h = np.sqrt(0.5)
+    phi = np.array([[1, 0], [0, 1], [h, h], [h, -h], [h, 1j * h], [h, -1j * h]])
+    phi = phi[: 4 if group == "orthogonal" else 6]
+    return np.einsum("kr,kc->krc", phi.conj(), phi).reshape(-1, 4)
 
 
-def qubit_support(a: np.ndarray, n: int) -> list[int]:
-    """The qubits an n-qubit operator acts on: each j where it differs from
-    its trace part Tr_j[a] (x) 1/2 by more than 1e-12 max(1, ||a||_2)."""
-    tol = 1e-12 * max(1.0, norm2(a))
-    return [j for j in range(n) if norm2(a - _qubit_trace_part(a, n, j)) > tol]
-
-
-def _qubit_trace_part(a: np.ndarray, n: int, j: int) -> np.ndarray:
-    """Tr_j[a] (x) 1/2 re-inserted at qubit j."""
-    a6 = _six_axes(a, n, j)
-    t = np.einsum("lirLiR->lrLR", a6)
-    out = np.zeros_like(a6)
-    out[:, 0, :, :, 0, :] = 0.5 * t
-    out[:, 1, :, :, 1, :] = 0.5 * t
-    return out.reshape(a.shape)
-
-
-def _qubit_blocks(a: np.ndarray, n: int, j: int):
-    pt = qubit_partial_transpose(a, n, j)
-    tr = _qubit_trace_part(a, n, j)
-    sym0 = 0.5 * (a + pt) - tr
-    anti = 0.5 * (a - pt)
-    return tr, sym0, anti
+def _site_channel(lam_sym: float, lam_anti: float) -> np.ndarray:
+    """The 4x4 map tr + lam_sym sym0 + lam_anti anti on one site's entries,
+    with tr the trace part, sym0 the symmetric traceless part and anti the
+    antisymmetric part of the 2x2 block."""
+    s, t = lam_sym, lam_anti
+    return 0.5 * np.array(
+        [[1 + s, 0, 0, 1 - s], [0, s + t, s - t, 0], [0, s - t, s + t, 0], [1 - s, 0, 0, 1 + s]]
+    )
 
 
 def _inverse_eigenvalue(lam: float) -> float:
@@ -222,14 +224,6 @@ def _apply_global_blocks(a: np.ndarray, lam_sym: float, lam_anti: float) -> np.n
     return out
 
 
-def _apply_local_blocks(a: np.ndarray, n: int, eigenvalues) -> np.ndarray:
-    out = np.asarray(a, dtype=complex)
-    for j, (lam_sym, lam_anti) in enumerate(eigenvalues):
-        tr, sym0, anti = _qubit_blocks(out, n, j)
-        out = tr + lam_sym * sym0 + lam_anti * anti
-    return out
-
-
 def _dispatch(desc: ChannelDescriptor, a, eig_map) -> np.ndarray:
     m = as_operator(a)
     if m.shape[0] != desc.spec.d:
@@ -239,8 +233,10 @@ def _dispatch(desc: ChannelDescriptor, a, eig_map) -> np.ndarray:
     if desc.spec.scope == "global":
         sp = desc.spectrum
         return _apply_global_blocks(m, eig_map(sp.lambda_sym), eig_map(sp.lambda_anti))
-    eigenvalues = [(eig_map(sp.lambda_sym), eig_map(sp.lambda_anti)) for sp in desc.spectra]
-    return _apply_local_blocks(m, desc.spec.n, eigenvalues)
+    n = desc.spec.n
+    maps = [_site_channel(eig_map(sp.lambda_sym), eig_map(sp.lambda_anti)) for sp in desc.spectra]
+    out = map_sites(m, maps).reshape((2,) * (2 * n))
+    return out.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).reshape(m.shape)
 
 
 def apply_channel(desc: ChannelDescriptor, a) -> np.ndarray:
@@ -260,12 +256,12 @@ def visible_projector(desc: ChannelDescriptor, a) -> np.ndarray:
 
 @dataclass(eq=False)
 class InvertedObservable:
-    """A dense observable A with its pseudo-inverse M^+(A) under one
-    ensemble's channel, formed once so that a run's estimator and variance
-    predictor share it."""
+    """The pseudo-inverse M^+(A) of a dense observable A under one ensemble's
+    channel, with Tr[A], formed once so that a run's estimator and variance
+    predictor share it.  A itself is not kept."""
 
     spec: EnsembleSpec
-    matrix: np.ndarray
+    trace: complex
     inverse: np.ndarray
 
 
@@ -277,7 +273,7 @@ def invert(desc: ChannelDescriptor, observable) -> InvertedObservable:
             raise ValueError("the observable was inverted under another ensemble")
         return observable
     m = as_operator(observable)
-    return InvertedObservable(desc.spec, m, pseudo_inverse(desc, m))
+    return InvertedObservable(desc.spec, np.trace(m), pseudo_inverse(desc, m))
 
 
 def has_invisible_part(desc: ChannelDescriptor, observable) -> bool:
@@ -285,17 +281,15 @@ def has_invisible_part(desc: ChannelDescriptor, observable) -> bool:
     estimates see only the visible part.
 
     A Pauli string is invisible as a whole when its M^-1 eigenvalue is 0.  A
-    dense A (or an `InvertedObservable`) has an invisible part when the norm
-    of its annihilated blocks exceeds 1e-10 max(1, ||A||_2).  A global
-    channel can annihilate only its antisymmetric block (O(d) in a real
-    basis) or its symmetric-traceless one (O(2) with alpha = 0), so that norm
-    is read off the transpose split of A, with no pass when neither
-    eigenvalue is zero.  A local channel takes A - visible_projector(A).
+    dense A has an invisible part when the norm of its annihilated blocks
+    exceeds 1e-10 max(1, ||A||_2).  A global channel can annihilate only its
+    antisymmetric block (O(d) in a real basis) or its symmetric-traceless one
+    (O(2) with alpha = 0), so that norm is read off the transpose split of A,
+    with no pass when neither eigenvalue is zero.  A local channel takes
+    A - visible_projector(A).
     """
     if isinstance(observable, PauliString):
         return pauli_string_inverse_eigenvalue(desc, observable) == 0.0
-    if isinstance(observable, InvertedObservable):
-        observable = observable.matrix
     m = as_operator(observable)
     d = desc.spec.d
     if m.shape[0] != d:

@@ -206,16 +206,19 @@ def cmd_validate_variance(args: argparse.Namespace) -> int:
     ok = pinned_real == 2.0 and pinned_unitary == 3.0
     rho = random_pure_state(RngStream(args.seed, (10,)), args.d)
     a = random_symmetric_observable(RngStream(args.seed, (11,)), args.d)
-    for group in ("orthogonal", "unitary"):
-        spec = global_ensemble(group, basis_from_tag("computational", n))
+    groups = ("orthogonal", "unitary")
+    specs = [global_ensemble(g, basis_from_tag("computational", n)) for g in groups]
+    # Orthogonal and unitary sites in turn: the local predictor on mixed groups.
+    specs.append(local_ensemble([groups[j % 2] for j in range(n)], n))
+    predictions = [predict_variance(spec, a, rho) for spec in specs]
+    for spec, predicted in zip(specs, predictions):
         records = collect_records(RngStream(args.seed, (12,)), rho, spec, args.shots)
         empirical = estimate(records, a).empirical_variance
-        predicted = predict_variance(spec, a, rho)
         rel = abs(empirical - predicted) / predicted
         case_ok = rel <= args.tolerance
         ok = ok and case_ok
         print(
-            f"global {group}: empirical={empirical:.6g} "
+            f"{spec.label()}: empirical={empirical:.6g} "
             f"predicted={predicted:.6g} rel_err={rel:.3%} "
             f"-> {'PASS' if case_ok else 'FAIL'}"
         )

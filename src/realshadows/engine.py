@@ -28,7 +28,14 @@ from .channels import (
     pauli_inverse_eigenvalue,
     pauli_string_inverse_eigenvalue,
 )
-from .linalg import as_operator, batched_kron, check_qubit_count, identity, is_hermitian
+from .linalg import (
+    as_operator,
+    batched_kron,
+    check_entries,
+    check_qubit_count,
+    identity,
+    is_hermitian,
+)
 from .pauli import PAULIS, PauliString
 from .sampling import (
     RNG_ALGORITHM,
@@ -316,8 +323,9 @@ def median_of_means(values: np.ndarray, batches: int) -> float:
 class EstimateReport:
     """Sample statistics of one observable's per-shot estimates.
 
-    `predicted_variance` and `bias_warning` stay None until a caller that
-    knows the simulated state fills them, as `run_experiment` does.
+    `predicted_variance` (the exact variance of one shot's estimate) and
+    `bias_warning` stay None until a caller that knows the simulated state
+    fills them, as `run_experiment` does.
     """
 
     observable_id: str
@@ -509,6 +517,8 @@ class ExperimentConfig:
         if scope == "local" and len(groups) == 1:
             groups = groups * n
         shots = _integer(cfg, "shots", 1)
+        # A local shot draws n 2x2 factors, a global one a d-vector.
+        check_entries(shots * (4 * n if scope == "local" else 2**n), f"{shots} shots at n = {n}")
         batches = _integer(cfg, "batches", 1, shots, default=1)
         observables = cfg["observables"]
         if not isinstance(observables, list) or not observables:
@@ -544,27 +554,13 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def write_reports_csv(path: str, reports: list[EstimateReport]) -> None:
     lines = ["observable_id,mean,mom,emp_var,pred_var,shots,bias_warning"]
     for r in reports:
-        pred = "" if r.predicted_variance is None else _format_float(r.predicted_variance)
-        lines.append(
-            ",".join(
-                [
-                    r.observable_id,
-                    _format_float(r.mean),
-                    _format_float(r.median_of_means),
-                    _format_float(r.empirical_variance),
-                    pred,
-                    str(r.shots),
-                    "true" if r.bias_warning else "false",
-                ]
-            )
-        )
+        numbers = (r.mean, r.median_of_means, r.empirical_variance, r.predicted_variance)
+        flag = "true" if r.bias_warning else "false"
+        cells = [repr(float(x)) for x in numbers]
+        lines.append(",".join([r.observable_id, *cells, str(r.shots), flag]))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -572,33 +568,33 @@ def write_reports_csv(path: str, reports: list[EstimateReport]) -> None:
 def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
     """Run the full pipeline; deterministic given (seed, config).
 
-    All observables are estimated from one shared record set.  An observable
-    with components outside the ensemble's visible space raises ConfigError
-    before any shot is drawn, unless the config allows bias.  Each report
-    carries the predicted variance for the simulated state and the
-    invisible-component flag.
+    All observables are estimated from one shared record set.  Before any
+    shot is drawn, an observable with components outside the ensemble's
+    visible space raises ConfigError unless the config allows bias, and each
+    variance is predicted for the simulated state, so a prediction beyond the
+    size limit fails first.  Each report carries it and the invisible flag.
     """
     t0 = time.perf_counter()
     spec = config.ensemble_spec()
     rho = build_state(config.state, config.n)
-    observables = [build_observable(o, config.n) for o in config.observables]
     desc = channel_for(spec)
-    invisible = [has_invisible_part(desc, obs) for _, obs in observables]
-    if not config.allow_bias:
-        for (oid, _), flagged in zip(observables, invisible):
-            if flagged:
-                raise ConfigError(
-                    f"observable {oid!r} has components outside the visible space "
-                    "of this ensemble; rerun with --allow-bias to estimate its visible part"
-                )
+    prepared = []
+    # Only the inverses are kept, so at most one dense A is alive at a time.
+    for oid, obs in (build_observable(o, config.n) for o in config.observables):
+        flagged = has_invisible_part(desc, obs)
+        if flagged and not config.allow_bias:
+            raise ConfigError(
+                f"observable {oid!r} has components outside the visible space "
+                "of this ensemble; rerun with --allow-bias to estimate its visible part"
+            )
+        if not isinstance(obs, PauliString):
+            obs = invert(desc, obs)  # one pseudo-inverse for the prediction and the estimate
+        prepared.append((oid, obs, flagged, predict_variance(spec, obs, rho)))
     records = collect_records(RngStream(config.seed), rho, spec, config.shots)
     reports = []
-    for (oid, obs), flagged in zip(observables, invisible):
-        if not isinstance(obs, PauliString):
-            obs = invert(desc, obs)  # one pseudo-inverse for the estimate and the prediction
+    for oid, obs, flagged, predicted in prepared:
         report = estimate(records, obs, config.batches, oid)
-        report.predicted_variance = predict_variance(spec, obs, rho)
-        report.bias_warning = flagged
+        report.predicted_variance, report.bias_warning = predicted, flagged
         reports.append(report)
     if config.out_csv:
         meta = {
@@ -611,16 +607,11 @@ def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
             "wall_time_s": time.perf_counter() - t0,
         }
         if config.epsilon is not None:
-            max_var = max(
-                (r.predicted_variance for r in reports if r.predicted_variance is not None),
-                default=None,
-            )
+            max_var = max(r.predicted_variance for r in reports)
             # In Python floats a quotient beyond float64 is inf, with no warning.
-            order = None
-            if max_var is not None:
-                order = math.log(len(reports)) / config.epsilon / config.epsilon * max_var
-                if not math.isfinite(order):
-                    raise ConfigError(f"epsilon {config.epsilon!r} puts the order beyond float64")
+            order = math.log(len(reports)) / config.epsilon / config.epsilon * max_var
+            if not math.isfinite(order):
+                raise ConfigError(f"epsilon {config.epsilon!r} puts the order beyond float64")
             meta["sample_complexity"] = {
                 "form": "S = O(log(M) / epsilon^2 * max_i Var[o_i])",
                 "m_observables": len(reports),

@@ -32,6 +32,13 @@ def check_qubit_count(n: int) -> None:
         )
 
 
+def check_entries(count: int, what: str) -> None:
+    """Raise ResourceLimitError when `what` needs more than MAX_KRON_DIM^2
+    entries, as many as the largest dense operator of a run."""
+    if count > MAX_KRON_DIM**2:
+        raise ResourceLimitError(f"{what} needs {count} entries, over the limit {MAX_KRON_DIM**2}")
+
+
 def as_operator(a) -> np.ndarray:
     """Validate ``a`` as a finite square matrix and return it as complex."""
     m = np.asarray(a, dtype=complex)
@@ -99,14 +106,6 @@ def norm2(a) -> float:
 def is_hermitian(a, atol: float = ATOL) -> bool:
     m = np.asarray(a)
     return bool(np.allclose(m, m.conj().T, rtol=0.0, atol=atol))
-
-
-def norm_inf(a) -> float:
-    """Spectral norm of a Hermitian matrix (largest |eigenvalue|)."""
-    m = np.asarray(a)
-    if not is_hermitian(m):
-        raise ValueError("norm_inf requires a Hermitian input")
-    return float(np.max(np.abs(np.linalg.eigvalsh(m))))
 
 
 def sym_part(a) -> np.ndarray:

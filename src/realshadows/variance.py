@@ -1,9 +1,11 @@
-"""Closed-form variance predictors and bounds for shadow estimators.
+"""Exact variance predictors for shadow estimators.
 
 All predictors consume the true simulated state: they are validation oracles,
-not estimators of unknown states.  The global predictor is exact; the local
-results are exact for single Pauli strings (their second moment is state
-independent) and upper bounds for general local operators.
+not estimators of unknown states.  Every prediction is exact.  Global
+ensembles sum the Brauer trace words of the k = 3 twirl.  Local ensembles
+average over the single-qubit Clifford measurements, a finite sum over
+product stabilizer states; a Pauli string, whose second moment is state
+independent, takes its O(d) closed form instead.
 """
 
 from __future__ import annotations
@@ -16,19 +18,16 @@ import numpy as np
 
 from .bases import computational_basis
 from .channels import (
-    ChannelDescriptor,
     EnsembleSpec,
-    InvertedObservable,
     channel_for,
-    factor_visible_dimension,
     global_ensemble,
-    has_invisible_part,
     invert,
+    map_sites,
     pauli_string_inverse_eigenvalue,
-    qubit_support,
+    stabilizer_points,
 )
 from .commutant import enumerate_pairings, pair_twirl_coefficients, triple_twirl_coefficients
-from .linalg import as_operator, norm_inf, sym_part
+from .linalg import as_operator, check_entries, sym_part
 from .pauli import PauliString
 from .sampling import RngStream, random_pure_state
 
@@ -77,7 +76,7 @@ def _dense_traces(spec: EnsembleSpec, observable, state: np.ndarray):
     d = spec.d
     inverted = invert(channel_for(spec), observable)
     tilde = inverted.inverse.copy()
-    tilde.flat[:: d + 1] -= np.trace(inverted.matrix) / d
+    tilde.flat[:: d + 1] -= inverted.trace / d
     # U(d) words are permutations, which never transpose an operand.
     symmetric = spec.groups[0] == "unitary" or np.array_equal(tilde, tilde.T)
     operands = {(0, False): state, (1, False): tilde, (1, True): tilde.T}
@@ -154,21 +153,32 @@ def _pauli_trace(p: PauliString, state: np.ndarray) -> complex:
     return complex(phase @ state[j, j ^ flip])
 
 
-def _pauli_second_moment(desc: ChannelDescriptor, p: PauliString) -> float:
-    """E[o^2] of a Pauli string under a local ensemble, exact for any state:
-    E[<v|P|v>^2] = lambda on each site, so a site contributes
-    lambda^-2 * lambda = 1/lambda.  It is 0 when a site annihilates its letter."""
-    return float(abs(p.coefficient) ** 2) * pauli_string_inverse_eigenvalue(desc, p)
+def _predict_local(spec: EnsembleSpec, observable, state: np.ndarray) -> float:
+    """Exact Var[o] under a local ensemble from the single-qubit Clifford
+    cubature: E[o^k] = sum_phi w_phi <phi|rho|phi> <phi|A~|phi>^k, k = 1, 2.
+
+    E[o^2] is a third moment of the measured product state, so each Haar site
+    may be replaced by its single-qubit Cliffords: phi runs over products of
+    `stabilizer_points`, with w_phi = prod_j 2 / K_j.  These weights sum the
+    <phi|rho|phi> to Tr[rho] = 1, so Var[o] is the centred sum below."""
+    maps = [stabilizer_points(g) for g in spec.groups]
+    check_entries(math.prod(m.shape[0] for m in maps), "the local variance cubature")
+    tilde = invert(channel_for(spec), observable).inverse
+    weight = math.prod(2.0 / m.shape[0] for m in maps)
+    p = map_sites(state, maps).real.ravel()
+    t = map_sites(tilde, maps).real.ravel()
+    mean = weight * (p @ t)
+    return float(weight * (p @ (t - mean) ** 2))
 
 
-def predict_variance(spec: EnsembleSpec, observable, rho) -> float | None:
-    """The variance of one shot's estimate of `observable` on the state `rho`.
+def predict_variance(spec: EnsembleSpec, observable, rho) -> float:
+    """The exact variance of one shot's estimate of `observable` on the state `rho`.
 
     `observable` is a Pauli string, a dense matrix or an `InvertedObservable`.
-    The prediction is exact for global ensembles and for Pauli strings under
-    local ones.  Any other local observable A gets the upper bound
-    ||A||_inf^2 times the visible operator dimension of each qubit it acts
-    on (3 orthogonal, 4 unitary), and None when it has an invisible part.
+    Global ensembles sum the Brauer words.  Under a local ensemble a Pauli
+    string takes its O(d) closed form, and any other observable the
+    single-qubit Clifford cubature, which raises ResourceLimitError when it
+    would hold more than MAX_KRON_DIM^2 product states.
     """
     rho = as_operator(rho)
     if rho.shape[0] != spec.d:
@@ -177,22 +187,16 @@ def predict_variance(spec: EnsembleSpec, observable, rho) -> float | None:
         raise ValueError("observable qubit count does not match the ensemble")
     if spec.scope == "global":
         return _predict_global(spec, observable, rho)
-    desc = channel_for(spec)
-    if isinstance(observable, PauliString):
-        second = _pauli_second_moment(desc, observable)
-        if second == 0.0:
-            return 0.0  # the estimator is identically zero
-        mean = _pauli_trace(observable, rho).real
-        return float(second - mean**2)
-    if has_invisible_part(desc, observable):
-        return None
-    if isinstance(observable, InvertedObservable):
-        observable = observable.matrix
-    m = as_operator(observable)
-    value = float(norm_inf(m)) ** 2
-    for j in qubit_support(m, spec.n):
-        value *= factor_visible_dimension(desc.spectra[j], 2)
-    return value
+    if not isinstance(observable, PauliString):
+        return _predict_local(spec, observable, rho)
+    # E[o^2] is state independent: E[<v|P|v>^2] = lambda on each site, so a
+    # site contributes lambda^-2 lambda = 1/lambda, and 0 if it annihilates P.
+    inverse_eigenvalue = pauli_string_inverse_eigenvalue(channel_for(spec), observable)
+    second = float(abs(observable.coefficient) ** 2) * inverse_eigenvalue
+    if second == 0.0:
+        return 0.0  # the estimator is identically zero
+    mean = _pauli_trace(observable, rho).real
+    return float(second - mean**2)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from realshadows.channels import (
     orthogonal_spectrum,
     pauli_inverse_eigenvalue,
     pseudo_inverse,
+    stabilizer_points,
     unitary_spectrum,
     visible_dimension,
     visible_projector,
@@ -274,8 +275,8 @@ class TestVisibleProjector:
 
 @pytest.mark.parametrize("groups", list(itertools.product(GROUPS, repeat=2)))
 class TestPerSiteRule:
-    """The per-qubit M^-1 eigenvalues and visible dimensions that the
-    estimators and bounds use agree with the dense channel."""
+    """The per-qubit M^-1 eigenvalues that the estimators and the predictor
+    use agree with the dense channel."""
 
     def test_pauli_eigenvalues_match_pseudo_inverse(self, groups):
         desc = channel_for(local_ensemble(groups, 2))
@@ -286,14 +287,29 @@ class TestPerSiteRule:
             )
             assert np.max(np.abs(factor * p - pseudo_inverse(desc, p))) <= 1e-12, letters
 
-    def test_bound_site_factor_is_visible_dimension(self, groups):
-        for group in groups:
-            qubit = local_ensemble(group, 1)
-            value = predict_variance(qubit, Z, identity(2) / 2)
-            assert value == visible_dimension(channel_for(qubit))
+    def test_dense_variance_is_product_of_site_eigenvalues(self, groups):
+        # On the maximally mixed state a dense Z (x) X has Var = E[o^2], the
+        # product of the sites' M^-1 eigenvalues: 2 per orthogonal site, 3 per unitary.
         spec = local_ensemble(groups, 2)
+        expected = np.prod([pauli_inverse_eigenvalue(sp, "X") for sp in channel_for(spec).spectra])
+        assert expected == np.prod([2.0 if g == "orthogonal" else 3.0 for g in groups])
         value = predict_variance(spec, kron(Z, X), identity(4) / 4)
-        assert value == visible_dimension(channel_for(spec))
+        assert value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_stabilizer_points_first_moment_is_the_site_channel(group):
+    # sum_phi (2/K) |phi><phi| <phi|a|phi> is the 4x4 map that the local
+    # channel builds from the site's ChannelSpectrum.
+    points = stabilizer_points(group)
+    assert points.shape == (4 if group == "orthogonal" else 6, 4)
+    sp = channel_for(local_ensemble(group, 1)).spectra[0]
+    site_map = channels._site_channel(sp.lambda_sym, sp.lambda_anti)
+    first_moment = (2.0 / points.shape[0]) * points.conj().T @ points
+    assert np.max(np.abs(first_moment - site_map)) <= 1e-15
+    units = np.eye(4).reshape(4, 2, 2)
+    columns = [apply_channel(channel_for(local_ensemble(group, 1)), u).reshape(4) for u in units]
+    assert np.max(np.abs(np.array(columns).T - site_map)) <= 1e-15
 
 
 class TestSpectrumAgainstSuperoperator:

@@ -157,6 +157,31 @@ class TestEstimateCommand:
         assert "8192" in err and "n <= 13" in err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("n, shots", [(1, 4611686018427387904), (6, 10**9)])
+    def test_oversize_shots_fail_before_allocating(self, tmp_path, capsys, n, shots):
+        cfg = self._one_qubit_config({"csv": str(tmp_path / "out.csv")})
+        cfg.update(n=n, shots=shots, observables=[{"kind": "pauli", "string": "Z" * n}])
+        assert main(["estimate", "--config", _write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert f"{shots} shots" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_oversize_cubature_fails_before_any_shot(self, tmp_path, capsys):
+        # All-unitary n = 11: 6^11 product states, beyond 8192^2.
+        cfg = self._one_qubit_config({"csv": str(tmp_path / "out.csv")})
+        cfg.update(
+            n=11,
+            ensemble={"scope": "local", "groups": "unitary"},
+            state={"kind": "computational", "index": 0},
+            observables=[{"kind": "basis_projector", "index": 3}],
+        )
+        assert main(["estimate", "--config", _write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert "cubature" in err and str(6**11) in err
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize(
         "path, value",
         [
@@ -396,7 +421,7 @@ def _mutated_configs(draw):
 def _finite_cells(csv: str) -> bool:
     lines = csv.strip().split("\n")
     rows = [line.split(",") for line in lines[1:]]
-    numbers = [cell for row in rows for cell in row[1:6] if cell != ""]
+    numbers = [cell for row in rows for cell in row[1:6]]
     return all(len(row) == 7 for row in rows) and all(math.isfinite(float(c)) for c in numbers)
 
 

@@ -33,6 +33,7 @@ from realshadows.engine import (
     validate_state,
 )
 from realshadows.linalg import (
+    MAX_KRON_DIM,
     ResourceLimitError,
     batched_kron,
     identity,
@@ -467,13 +468,53 @@ class TestConfigAndRun:
     @pytest.mark.parametrize("scale, flagged", [(1e-11, False), (1e-9, True)])
     def test_bias_flag_and_prediction_agree(self, tmp_path, scale, flagged):
         # A = Z (x) 1 + scale Y (x) 1 under local O(2): the Y part is invisible
-        # beyond the 1e-10 tolerance, and then there is no bound to report.
+        # beyond the 1e-10 tolerance.  Either way M^+ keeps only 2 Z (x) 1, whose
+        # variance is 4 E[<v|Z|v>^2] - <Z (x) 1>^2 = 2 - <Z (x) 1>^2.
         a = np.kron(Z + scale * Y, identity(2))
         obs = {"kind": "matrix", "real": a.real.tolist(), "imag": a.imag.tolist()}
         cfg = self._config_dict(tmp_path, observables=[obs], allow_bias=True)
-        (report,) = run_experiment(ExperimentConfig.from_dict(cfg))
+        config = ExperimentConfig.from_dict(cfg)
+        (report,) = run_experiment(config)
         assert report.bias_warning is flagged
-        assert report.predicted_variance == (None if flagged else 3.0)
+        rho = build_state(config.state, config.n)
+        expected = 2.0 - np.trace(rho @ np.kron(Z, identity(2))).real ** 2
+        assert report.predicted_variance == pytest.approx(expected, rel=1e-12)
+
+    def test_invisible_part_prediction_matches_simulation(self, tmp_path):
+        # A random Hermitian A under orthogonal, unitary and orthogonal sites has
+        # an invisible part; the prediction is that of its visible estimator.
+        g = np.random.default_rng(38)
+        a = g.standard_normal((8, 8)) + 1j * g.standard_normal((8, 8))
+        a = a + a.conj().T
+        obs = {"kind": "matrix", "real": a.real.tolist(), "imag": a.imag.tolist()}
+        groups = ["orthogonal", "unitary", "orthogonal"]
+        cfg = self._config_dict(
+            tmp_path, n=3, ensemble={"scope": "local", "groups": groups},
+            shots=200000, observables=[obs], allow_bias=True,
+        )
+        config = ExperimentConfig.from_dict(cfg)
+        (report,) = run_experiment(config)
+        assert report.bias_warning is True
+        rho = build_state(config.state, config.n)
+        records = collect_records(RngStream(config.seed), rho, config.ensemble_spec(), 200000)
+        values = per_shot_estimates(records, a)
+        assert np.var(values, ddof=1) == report.empirical_variance
+        se = np.std((values - values.mean()) ** 2, ddof=1) / np.sqrt(values.shape[0])
+        assert abs(report.empirical_variance - report.predicted_variance) <= 4 * se
+
+    @pytest.mark.parametrize("scope, per_shot", [("local", 8), ("global", 4)])
+    def test_shots_budget(self, tmp_path, scope, per_shot):
+        # n = 2: a local shot draws 4n = 8 entries, a global one d = 4.
+        limit = MAX_KRON_DIM**2 // per_shot
+        ensemble = {"scope": scope, "groups": ["orthogonal"]}
+        config = ExperimentConfig.from_dict(
+            self._config_dict(tmp_path, ensemble=ensemble, shots=limit)
+        )
+        assert config.shots == limit
+        with pytest.raises(ResourceLimitError, match="shots"):
+            ExperimentConfig.from_dict(
+                self._config_dict(tmp_path, ensemble=ensemble, shots=limit + 1)
+            )
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = self._config_dict(tmp_path)

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realshadows.linalg import (
+    MAX_KRON_DIM,
     ResourceLimitError,
     batched_kron,
+    check_entries,
     identity,
     kron,
     norm2,
-    norm_inf,
     operators_close,
     sum_abs2,
     sym_part,
@@ -75,11 +76,12 @@ class TestKron:
 class TestBasicOps:
     def test_norms(self):
         assert norm2(kron(Z, Z)) == pytest.approx(2.0, abs=ATOL)
-        assert norm_inf(Z) == pytest.approx(1.0, abs=ATOL)
+        assert norm2(Z) == np.sqrt(2.0)
 
-    def test_norm_inf_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            norm_inf(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    def test_entry_budget_is_the_largest_dense_operator(self):
+        check_entries(MAX_KRON_DIM**2, "an 8192 x 8192 operator")
+        with pytest.raises(ResourceLimitError, match="one more.*67108865 entries"):
+            check_entries(MAX_KRON_DIM**2 + 1, "one more")
 
     def test_norm2_matches_entry_sum_for_hermitian(self):
         m = _random_matrix(11, 4)

@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from realshadows import linalg
 from realshadows.bases import basis_from_tag, computational_basis, make_basis, sh_basis
 from realshadows.channels import (
+    GROUPS,
     channel_for,
     global_ensemble,
     has_invisible_part,
@@ -12,12 +16,12 @@ from realshadows.channels import (
 )
 from realshadows.commutant import twirl_project
 from realshadows.engine import collect_records, estimate, per_shot_estimates
-from realshadows.linalg import identity, kron, norm_inf, operators_close, sym_part
+from realshadows.linalg import ResourceLimitError, identity, kron, operators_close, sym_part
 from realshadows.pauli import PAULIS, PauliString, X, Y, Z
 from realshadows.sampling import RngStream, haar_state_vector, random_pure_state
 from realshadows.variance import predict_variance, random_symmetric_observable, ratio_sweep
 
-from references import overlap_f
+from references import REAL_CLIFFORD_1Q, overlap_f
 
 
 def _random_hermitian(seed, d):
@@ -334,7 +338,7 @@ class TestLocalSecondMoments:
             assert predict_variance(spec, p, rho) + mean**2 == pytest.approx(4.0, abs=1e-12)
 
 
-class TestLocalUpperBound:
+class TestLocalSiteRules:
     def test_pauli_second_moments(self):
         p = PauliString.from_string("XZI")
         assert _second_moment(local_ensemble("orthogonal", 3), p) == 4.0
@@ -345,29 +349,40 @@ class TestLocalUpperBound:
         p = PauliString.from_string("XZ")
         assert _second_moment(local_ensemble(("orthogonal", "unitary"), 2), p) == 6.0
 
-    def test_operator_bound(self):
-        # k = 3 locally real operator with ||A||_inf = 1
+    def test_dense_weight_three_product(self):
+        # X (x) Z (x) X as a matrix: the cubature gives 1/lambda per site, 2^3 and 3^3
         a = kron(X, Z, X)
         rho = identity(8) / 8
         pred = predict_variance(local_ensemble("orthogonal", 3), a, rho)
-        assert pred == pytest.approx(27.0)
-        assert predict_variance(local_ensemble("unitary", 3), a, rho) == pytest.approx(64.0)
+        assert pred == pytest.approx(8.0, rel=1e-12)
+        pred = predict_variance(local_ensemble("unitary", 3), a, rho)
+        assert pred == pytest.approx(27.0, rel=1e-12)
 
     def test_pauli_sum(self):
-        a = 0.5 * kron(X, Z) + 0.5 * kron(Z, X)
-        pred = predict_variance(local_ensemble("orthogonal", 2), a, identity(4) / 4)
-        assert pred == pytest.approx(9.0 * norm_inf(a) ** 2)
+        # E[o^2] = sum_pq c_p c_q f(p, q) Tr[rho P Q] for Y-free strings under O(2)
+        strings = {"XZ": 0.5, "ZX": 0.5, "XI": -0.3, "ZZ": 0.8}
+        terms = [(PauliString.from_string(s), c) for s, c in strings.items()]
+        a = sum(c * p.to_matrix() for p, c in terms)
+        rho = random_pure_state(RngStream(19), 4)
+        second = sum(
+            cp * cq * overlap_f(p, q) * np.trace(rho @ p.to_matrix() @ q.to_matrix()).real
+            for (p, cp), (q, cq) in itertools.product(terms, repeat=2)
+        )
+        mean = np.trace(rho @ a).real
+        pred = predict_variance(local_ensemble("orthogonal", 2), a, rho)
+        assert pred == pytest.approx(second - mean**2, rel=1e-12)
 
     def test_identity_sites_do_not_count(self):
         a = kron(X, PAULIS["I"])
         pred = predict_variance(local_ensemble("orthogonal", 2), a, identity(4) / 4)
-        assert pred == pytest.approx(3.0)
+        assert pred == pytest.approx(2.0, rel=1e-12)
 
     def test_y_is_invisible_under_orthogonal(self):
         spec = local_ensemble("orthogonal", 2)
         rho = identity(4) / 4
         assert has_invisible_part(channel_for(spec), PauliString.from_string("YI"))
-        assert predict_variance(spec, kron(Y, PAULIS["I"]), rho) is None
+        # M^+ annihilates Y (x) 1, so every estimate is 0
+        assert predict_variance(spec, kron(Y, PAULIS["I"]), rho) == 0.0
         # but fine under a unitary site
         mixed = local_ensemble(("unitary", "orthogonal"), 2)
         assert _second_moment(mixed, PauliString.from_string("YI")) == 3.0
@@ -379,8 +394,85 @@ class TestLocalUpperBound:
         spec = local_ensemble("orthogonal", 2)
         a = kron(Z + scale * Y, PAULIS["I"])
         assert has_invisible_part(channel_for(spec), a) is not visible
+        # Either way the estimator reads only the visible Z (x) 1.
         pred = predict_variance(spec, a, identity(4) / 4)
-        assert pred == (3.0 if visible else None)
+        assert pred == pytest.approx(2.0, rel=1e-12)
+
+
+def _real_clifford_variance(a, rho, n):
+    """Var[o] averaged over the 8^n products of single-qubit real Cliffords,
+    each measured in the computational basis: the paper's local ensemble."""
+    tilde = pseudo_inverse(channel_for(local_ensemble("orthogonal", n)), a)
+    moments = np.zeros(2)
+    for factors in itertools.product(REAL_CLIFFORD_1Q, repeat=n):
+        v = kron(*factors).conj().T  # column w is U^dag |w>
+        p = np.einsum("iw,ij,jw->w", v.conj(), rho, v).real
+        o = np.einsum("iw,ij,jw->w", v.conj(), tilde, v).real
+        moments += [p @ o, p @ o**2]
+    mean, second = moments / 8**n
+    return second - mean**2
+
+
+class TestLocalCubature:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_real_clifford_ensemble(self, n):
+        spec = local_ensemble("orthogonal", n)
+        rho = _rank_two_state(30 + n, 2**n)
+        a = _random_hermitian(32 + n, 2**n)
+        reference = _real_clifford_variance(a, rho, n)
+        assert predict_variance(spec, a, rho) == pytest.approx(reference, rel=1e-12, abs=1e-12)
+        for letters in itertools.product("IXYZ", repeat=n):
+            p = PauliString.from_string("".join(letters), 0.7)
+            reference = _real_clifford_variance(p.to_matrix(), rho, n)
+            pred = predict_variance(spec, p, rho)
+            assert pred == pytest.approx(reference, rel=1e-12, abs=1e-12), letters
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pauli_closed_form_matches_cubature(self, n):
+        rho = random_pure_state(RngStream(34, (n,)), 2**n)
+        for groups in itertools.product(GROUPS, repeat=n):
+            spec = local_ensemble(groups, n)
+            for letters in itertools.product("IXYZ", repeat=n):
+                p = PauliString.from_string("".join(letters), -1.3)
+                closed = predict_variance(spec, p, rho)
+                cubature = predict_variance(spec, p.to_matrix(), rho)
+                assert closed == pytest.approx(cubature, rel=1e-12, abs=1e-12), (groups, letters)
+
+    @pytest.mark.parametrize(
+        "groups",
+        [("orthogonal",) * 3, ("unitary",) * 3, ("orthogonal", "unitary", "orthogonal")],
+        ids=["OOO", "UUU", "OUO"],
+    )
+    def test_dense_matches_simulation(self, groups):
+        # A random sum of every string visible to the sites: Y only on unitary ones.
+        gen = RngStream(35).generator
+        alphabets = ["IXZ" if g == "orthogonal" else "IXYZ" for g in groups]
+        a = sum(
+            gen.standard_normal() * PauliString.from_string("".join(letters)).to_matrix()
+            for letters in itertools.product(*alphabets)
+        )
+        spec = local_ensemble(groups, 3)
+        assert not has_invisible_part(channel_for(spec), a)
+        rho = random_pure_state(RngStream(36), 8)
+        pred = predict_variance(spec, a, rho)
+        values = per_shot_estimates(collect_records(RngStream(37), rho, spec, 200000), a)
+        emp = np.var(values, ddof=1)
+        se = np.std((values - values.mean()) ** 2, ddof=1) / np.sqrt(values.shape[0])
+        assert abs(emp - pred) <= 4 * se, (emp, pred, se)
+
+    def test_budget(self, monkeypatch):
+        # 4 points per orthogonal site and 6 per unitary one: all-orthogonal
+        # n = 13 fills the budget exactly, and all-unitary n = 11 is beyond it.
+        assert 4**13 == linalg.MAX_KRON_DIM**2 < 6**11
+        monkeypatch.setattr(linalg, "MAX_KRON_DIM", 32)  # 1024 = 4^5 entries
+        rho = identity(32) / 32
+        a = kron(Z, identity(16))
+        assert predict_variance(local_ensemble("orthogonal", 5), a, rho) == pytest.approx(2.0)
+        unitary = local_ensemble("unitary", 4)  # 6^4 = 1296 points
+        with pytest.raises(ResourceLimitError, match="cubature"):
+            predict_variance(unitary, identity(16), identity(16) / 16)
+        # The Pauli closed form needs no cubature.
+        assert predict_variance(unitary, PauliString.from_string("ZIII"), identity(16) / 16) == 3.0
 
 
 def test_bounds_dominate_empirical_variance():
@@ -432,9 +524,12 @@ class TestPredictVariance:
         pred = predict_variance(spec, PauliString.from_string("XZ"), rho)
         assert pred == pytest.approx(4.0)
 
-    def test_local_dense_complex_observable_is_none(self):
-        spec = local_ensemble("orthogonal", 1)
-        assert predict_variance(spec, Y, identity(2) / 2) is None
+    def test_local_dense_complex_observable_is_exact(self):
+        # Y is invisible to an orthogonal qubit and has 1/lambda = 3 on a unitary one.
+        rho = identity(2) / 2
+        assert predict_variance(local_ensemble("orthogonal", 1), Y, rho) == 0.0
+        pred = predict_variance(local_ensemble("unitary", 1), Y, rho)
+        assert pred == pytest.approx(3.0, rel=1e-12)
 
     @pytest.mark.parametrize("tag", ["sh", "random:5"])
     def test_global_alpha_symmetric_observable_is_predicted(self, tag):
