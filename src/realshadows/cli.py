@@ -24,7 +24,7 @@ from .channels import (
 )
 from .commutant import closed_form_twirl, mc_twirl, twirl_project
 from .engine import ConfigError, ExperimentConfig, collect_records, estimate, run_experiment
-from .linalg import ResourceLimitError, check_qubit_count, kron
+from .linalg import ResourceLimitError, check_entries, check_qubit_count, kron
 from .sampling import RngStream, haar_state_vector, random_pure_state
 from .variance import (
     predict_variance,
@@ -195,6 +195,8 @@ def cmd_validate_variance(args: argparse.Namespace) -> int:
     n = _qubit_count(args.d)
     check_qubit_count(n)
     _require_at_least("--shots", args.shots, 2, " for an empirical variance")
+    # As ExperimentConfig.from_dict: a local shot draws n 2x2 factors, a global one a d-vector.
+    check_entries(args.shots * max(args.d, 4 * n), f"{args.shots} shots at d = {args.d}")
     if not args.tolerance > 0:
         raise ConfigError(f"--tolerance must be positive, got {args.tolerance}")
     z, mixed = np.diag([1.0, -1.0]), np.eye(2) / 2.0
@@ -233,6 +235,10 @@ def cmd_ratio_sweep(args: argparse.Namespace) -> int:
     _require_at_least("--n-max", args.n_max, args.n_min, " (--n-min)")
     _require_at_least("--instances", args.instances, 2, _FOR_A_STDERR)
     n_values = list(range(args.n_min, args.n_max + 1))
+    # Five CSV cells per instance and n.
+    check_entries(
+        args.instances * len(n_values) * 5, f"{args.instances} instances at {len(n_values)} n values"
+    )
     rows, summary = ratio_sweep(n_values, args.instances, args.seed)
     for entry in summary:
         print(

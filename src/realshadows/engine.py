@@ -111,13 +111,18 @@ def _born_probabilities(
     """p[s, w] = sum_k |<w| U_s |psi_k>|^2 for a chunk of local transforms.
 
     `factor` is Psi (d, r) with rho = Psi Psi^dag.  The transforms
-    (S, n, 2, 2) act one 2x2 factor at a time on one qubit axis of Psi, so no
-    product matrix is formed.
+    (S, n, 2, 2) act one 2x2 factor at a time, so no product matrix is
+    formed.  Each site is one matmul that takes the trailing site axis of the
+    amplitudes to the front, mapped: one (2 x 2)(2 x d r / 2) product per
+    shot.  Qubit n - 1 goes first, on the Psi^T that every shot shares, as a
+    single (2S x 2)(2 x d r / 2) product for the whole chunk, so a chunk takes
+    S (n - 1) + 1 products.  The rank axis leads the site axes of Psi^T and
+    trails them after qubit 0, so amp ends as (S, d, r).
     """
     s = transforms.shape[0]
-    amp = np.broadcast_to(factor, (s,) + factor.shape)
-    for j in range(spec.n):
-        amp = transforms[:, j, None] @ amp.reshape(s, 2**j, 2, -1)
+    amp = transforms[:, -1].reshape(2 * s, 2) @ factor.T.reshape(-1, 2).T
+    for j in range(spec.n - 2, -1, -1):
+        amp = transforms[:, j] @ amp.reshape(s, -1, 2).swapaxes(1, 2)
     amp = amp.reshape(s, spec.d, -1)
     return _checked((amp.real**2 + amp.imag**2).sum(axis=2))
 

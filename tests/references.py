@@ -2,7 +2,8 @@
 
 None of these is on a run path: the dense shadow of one shot, the
 depolarizing mixture form of the global orthogonal channel, the overlap
-factor of two Y-free Pauli strings and the single-qubit real Clifford group.
+factor of two Y-free Pauli strings, the single-qubit real Clifford group and
+a per-block local Born kernel.
 """
 
 import numpy as np
@@ -17,6 +18,18 @@ def shadow_from_vector(spec, v: np.ndarray) -> np.ndarray:
     The estimators never form it; it is the reference they are checked against.
     """
     return pseudo_inverse(channel_for(spec), np.outer(v, v.conj()))
+
+
+def born_probabilities_per_block(factor, transforms, spec) -> np.ndarray:
+    """Unnormalized local Born probabilities with qubit j's 2x2 factor applied
+    to each of the 2^j leading blocks of Psi in turn: S (2^n - 1) small
+    products, the layout of Psi kept throughout."""
+    s = transforms.shape[0]
+    amp = np.broadcast_to(factor, (s,) + factor.shape)
+    for j in range(spec.n):
+        amp = transforms[:, j, None] @ amp.reshape(s, 2**j, 2, -1)
+    amp = amp.reshape(s, spec.d, -1)
+    return (amp.real**2 + amp.imag**2).sum(axis=2)
 
 
 def depolarize(a, p: float, d: int | None = None) -> np.ndarray:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realshadows.cli import _mc_agreement, main
+from realshadows.cli import _ENSEMBLE_CHOICES, _mc_agreement, main
 
 
 def _write_config(tmp_path, cfg, name="config.json"):
@@ -308,6 +309,8 @@ class TestValidators:
             ["validate-variance", "--d", "3"],
             ["validate-variance", "--shots", "1"],
             ["validate-variance", "--d", "16384"],
+            ["validate-variance", "--d", "4", "--shots", "100000000000"],
+            ["ratio-sweep", "--n-min", "1", "--n-max", "2", "--instances", "100000000000"],
         ],
         ids="_".join,
     )
@@ -450,3 +453,71 @@ def test_fuzzed_configs_run_or_fail_with_one_line(cfg):
             json.loads(text, parse_constant=lambda c: pytest.fail(f"{name} holds {c}"))
         else:
             assert _finite_cells(text), text
+
+
+#: Valid validator flags that the flag fuzz test mutates, one set per command.
+_FLAG_BASES = [
+    ("validate-twirl", {"--d": 2, "--k": 2, "--samples": 50, "--seed": 1}),
+    (
+        "validate-channel",
+        {"--d": 4, "--ensemble": "global-unitary", "--basis": "sh", "--samples": 50, "--seed": 2},
+    ),
+    ("validate-variance", {"--d": 4, "--shots": 100, "--tolerance": 0.5, "--seed": 3}),
+    ("ratio-sweep", {"--n-min": 1, "--n-max": 2, "--instances": 20, "--seed": 4}),
+]
+
+#: Replacement values per flag.  Every run stays small: d <= 8, samples,
+#: shots and instances <= 200, and --n-max <= 3.
+_FLAG_VALUES = {
+    "--d": st.integers(-2, 8),
+    "--k": st.integers(-1, 4),
+    "--samples": st.integers(-2, 200),
+    "--shots": st.integers(-2, 200),
+    "--instances": st.integers(-2, 200),
+    "--n-min": st.integers(-2, 4),
+    "--n-max": st.integers(-2, 3),
+    "--seed": st.integers(-(2**70), 2**70),
+    "--tolerance": st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300", "0.5", "1e300"]),
+    "--ensemble": st.sampled_from(_ENSEMBLE_CHOICES),
+    "--basis": st.sampled_from(["computational", "sh", "random:3", "random:x", "bogus", ""]),
+}
+
+#: Flags whose default is small, so that a run without them stays small.
+_DROPPABLE = {"--d", "--k", "--n-min", "--seed", "--tolerance", "--ensemble", "--basis"}
+
+
+@st.composite
+def _mutated_flags(draw):
+    """A base flag set with one to three flags replaced or (one time in four,
+    if its default is small) dropped, as `--flag=value` so that a negative
+    value stays a value."""
+    command, flags = draw(st.sampled_from(_FLAG_BASES))
+    flags = dict(flags)
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=3, unique=True)):
+        if flag in _DROPPABLE and not draw(st.integers(0, 3)):
+            del flags[flag]
+        else:
+            flags[flag] = draw(_FLAG_VALUES[flag])
+    return [command] + [f"{flag}={value}" for flag, value in flags.items()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_flags())
+def test_fuzzed_validator_flags_run_or_fail_with_one_line(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "ratio.csv"
+        if argv[0] == "ratio-sweep":
+            argv = argv + [f"--out={csv}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        written = csv.read_text() if csv.exists() else None
+    if code == 2:
+        assert err.getvalue().startswith("configuration error:"), err.getvalue()
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+        return
+    assert code in (0, 1) and err.getvalue() == "", (code, err.getvalue())
+    assert not re.search(r"\b(nan|inf)\b", out.getvalue(), re.IGNORECASE), out.getvalue()
+    if written is not None:
+        cells = [cell for line in written.strip().split("\n")[1:] for cell in line.split(",")]
+        assert all(math.isfinite(float(cell)) for cell in cells), written

@@ -45,7 +45,7 @@ from realshadows.pauli import PauliString, X, Y, Z
 from realshadows.sampling import RngStream, random_pure_state, sample_transform_arrays
 from realshadows.variance import predict_variance, random_symmetric_observable
 
-from references import shadow_from_vector
+from references import born_probabilities_per_block, shadow_from_vector
 
 H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -120,9 +120,19 @@ def _rank2_state(seed, d):
     return 0.7 * _pure_state(seed, d) + 0.3 * _pure_state(seed + 1, d)
 
 
+def _rank3_state(seed, d):
+    return 0.5 * _rank2_state(seed, d) + 0.5 * _pure_state(seed + 2, d)
+
+
+def _full_rank_state(seed, d):
+    return 0.5 * _pure_state(seed, d) + 0.5 * identity(d) / d
+
+
 class TestBornProbabilities:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("make_state", [_pure_state, _rank2_state])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize(
+        "make_state", [_pure_state, _rank2_state, _rank3_state, _full_rank_state]
+    )
     def test_local_matches_dense_product(self, n, make_state):
         groups = tuple("orthogonal" if j % 2 == 0 else "unitary" for j in range(n))
         spec = local_ensemble(groups, n)
@@ -153,6 +163,35 @@ class TestBornProbabilities:
             for lam, q, a in zip(weights, frames, coefficients)
         )
         assert np.max(np.abs(born - dense)) <= 1e-12
+
+
+@pytest.mark.parametrize("chunk_shots", [None, 48], ids=["one-chunk", "several-chunks"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_local_records_match_per_block_kernel(monkeypatch, seed, chunk_shots):
+    # Same outcomes and the same measured vectors, bit for bit, as with the
+    # per-block kernel patched in, within one chunk and across several.
+    spec = local_ensemble(("orthogonal", "unitary") * 2 + ("orthogonal",), 5)
+    rho = _full_rank_state(50 + seed, spec.d)
+    if chunk_shots is not None:
+        monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", chunk_shots * spec.d * spec.d)
+    outcomes = []
+
+    def recorded(rng, p):
+        outcomes.append(_sample_outcomes(rng, p))
+        return outcomes[-1]
+
+    monkeypatch.setattr(engine, "_sample_outcomes", recorded)
+    vectors = collect_records(RngStream(seed), rho, spec, 200).vectors
+    fast, outcomes[:] = list(outcomes), []
+    monkeypatch.setattr(
+        engine,
+        "_born_probabilities",
+        lambda f, t, s: engine._checked(born_probabilities_per_block(f, t, s)),
+    )
+    reference = collect_records(RngStream(seed), rho, spec, 200).vectors
+    assert len(fast) == len(outcomes) == (1 if chunk_shots is None else 5)
+    assert all(np.array_equal(a, b) for a, b in zip(fast, outcomes))
+    assert np.array_equal(vectors, reference)
 
 
 def _reference_vectors(rng, rho, spec, shots):
