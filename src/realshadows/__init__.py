@@ -26,10 +26,9 @@ from .channels import (
 from .commutant import (
     BrauerPairing,
     enumerate_pairings,
-    pair_twirl_coefficients,
-    triple_twirl_coefficients,
     mc_twirl,
     realize,
+    twirl_coefficients,
     twirl_project,
 )
 from .engine import (
@@ -70,10 +69,9 @@ __all__ = [
     "visible_projector",
     "BrauerPairing",
     "enumerate_pairings",
-    "pair_twirl_coefficients",
-    "triple_twirl_coefficients",
     "mc_twirl",
     "realize",
+    "twirl_coefficients",
     "twirl_project",
     "EstimateReport",
     "ExperimentConfig",

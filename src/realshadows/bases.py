@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import check_qubit_count, kron
-from .sampling import RngStream, haar_unitaries
+from .sampling import MAX_SEED, RngStream, haar_unitaries
 
 ORTHONORMAL_ATOL = 1e-10
 
@@ -96,6 +96,8 @@ def basis_from_tag(tag: str, n: int) -> MeasurementBasis:
     if tag == "sh":
         return sh_basis(n)
     if tag.startswith("random:"):
-        seed = int(tag.split(":", 1)[1])
-        return random_basis(RngStream(seed), 2**n, tag)
+        seed = tag.split(":", 1)[1]
+        if not (seed.isascii() and seed.isdigit() and len(seed) <= 20 and int(seed) <= MAX_SEED):
+            raise ValueError(f"basis tag {tag!r} needs a decimal seed in [0, {MAX_SEED}]")
+        return random_basis(RngStream(int(seed)), 2**n, tag)
     raise ValueError(f"unknown basis tag {tag!r}")

@@ -281,32 +281,13 @@ def has_invisible_part(desc: ChannelDescriptor, observable) -> bool:
     estimates see only the visible part.
 
     A Pauli string is invisible as a whole when its M^-1 eigenvalue is 0.  A
-    dense A has an invisible part when the norm of its annihilated blocks
-    exceeds 1e-10 max(1, ||A||_2).  A global channel can annihilate only its
-    antisymmetric block (O(d) in a real basis) or its symmetric-traceless one
-    (O(2) with alpha = 0), so that norm is read off the transpose split of A,
-    with no pass when neither eigenvalue is zero.  A local channel takes
-    A - visible_projector(A).
+    dense A has an invisible part when ||A - visible_projector(A)||_2 exceeds
+    1e-10 max(1, ||A||_2).
     """
     if isinstance(observable, PauliString):
         return pauli_string_inverse_eigenvalue(desc, observable) == 0.0
     m = as_operator(observable)
-    d = desc.spec.d
-    if m.shape[0] != d:
-        raise ValueError(f"operator dimension {m.shape[0]} does not match ensemble dimension {d}")
-    if desc.spec.scope == "local":
-        invisible = float(np.linalg.norm(m - visible_projector(desc, m)))
-    else:
-        sp = desc.spectrum
-        squared = 0.0
-        if not _indicator(sp.lambda_anti):
-            squared += np.linalg.norm(0.5 * (m - m.T)) ** 2
-        if not _indicator(sp.lambda_sym):
-            sym0 = 0.5 * (m + m.T)
-            sym0.flat[:: d + 1] -= np.trace(m) / d
-            squared += np.linalg.norm(sym0) ** 2
-        invisible = float(np.sqrt(squared))
-    return invisible > 1e-10 * max(1.0, norm2(m))
+    return norm2(m - visible_projector(desc, m)) > 1e-10 * max(1.0, norm2(m))
 
 
 def factor_visible_dimension(spectrum: ChannelSpectrum, d: int) -> int:

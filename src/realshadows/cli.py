@@ -25,7 +25,7 @@ from .channels import (
 from .commutant import closed_form_twirl, mc_twirl, twirl_project
 from .engine import ConfigError, ExperimentConfig, collect_records, estimate, run_experiment
 from .linalg import ResourceLimitError, check_entries, check_qubit_count, kron
-from .sampling import RngStream, haar_state_vector, random_pure_state
+from .sampling import MAX_SEED, RngStream, haar_state_vector, random_pure_state
 from .variance import (
     predict_variance,
     random_symmetric_observable,
@@ -159,18 +159,14 @@ def cmd_validate_twirl(args: argparse.Namespace) -> int:
         raise ConfigError("d^k must not exceed 512")
     _require_at_least("--samples", args.samples, 2, _FOR_A_STDERR)
     rng = RngStream(args.seed)
+    real = rng.child(1).generator.standard_normal(args.d)
+    vectors = {
+        "computational |0>": np.eye(args.d, dtype=complex)[:, 0],
+        "random real": (real / np.linalg.norm(real)).astype(complex),
+        "random complex": haar_state_vector(rng.child(2), args.d),
+    }
     failures = 0
-    for label, vector in (
-        ("computational |0>", np.eye(args.d, dtype=complex)[:, 0]),
-        ("random real", None),
-        ("random complex", None),
-    ):
-        if vector is None:
-            if "real" in label:
-                v = rng.child(1).generator.standard_normal(args.d)
-                vector = (v / np.linalg.norm(v)).astype(complex)
-            else:
-                vector = haar_state_vector(rng.child(2), args.d)
+    for label, vector in vectors.items():
         alpha_w = float(np.abs(np.sum(vector**2)) ** 2)
         pi = np.outer(vector, vector.conj())
         pik = kron(*([pi] * args.k))
@@ -303,6 +299,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and not 0 <= args.seed <= MAX_SEED:
+            raise ConfigError(f"--seed must be in [0, {MAX_SEED}], got {args.seed}")
         return args.func(args)
     except (ConfigError, ResourceLimitError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

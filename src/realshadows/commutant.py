@@ -3,19 +3,19 @@
 The k-th order twirl orthogonally projects onto the commutant of the group's
 k-fold tensor action.  For O(d) the commutant is spanned by the Brauer-algebra
 pairing realizations (permutations plus cup/cap contractions); for U(d) by the
-k! permutation operators alone.  Closed-form coefficients for the twirl of a
-rank-1 projector are provided for k = 2, 3 as fast paths.
+k! permutation operators alone.  `twirl_coefficients` gives the closed-form
+coefficients of the twirl of a rank-1 projector for k = 2, 3.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
-from .linalg import as_operator, batched_kron, sum_abs2
+from .linalg import as_operator
 from .sampling import RngStream, haar_orthogonals, haar_unitaries
 
 #: Relative singular-value cutoff for the Gram pseudo-inverse.  The Brauer
@@ -25,8 +25,8 @@ GRAM_RCOND = 1e-8
 
 _SUPPORTED_K = (2, 3)
 
-#: Element budget per (chunk, d^k, d^k) Monte Carlo array: 256 samples at
-#: d = 4, k = 3.
+#: Element budget per (chunk, d^k, max(d^k, r^2)) Monte Carlo array: 256
+#: samples at d = 4, k = 3 for a rank-one input.
 _CHUNK_ELEMENTS = 1 << 20
 
 
@@ -177,77 +177,34 @@ def twirl_project(a, group: str = "O", k: int = 2) -> np.ndarray:
     return out
 
 
-def _coefficients(numerators, denominator, alpha_w, d):
-    exact = isinstance(d, (int, np.integer)) and isinstance(
-        alpha_w, (int, np.integer, Fraction)
-    )
-    if exact:
-        alpha = Fraction(alpha_w)
-        den = Fraction(denominator(int(d)))
-        return tuple(Fraction(num(alpha, int(d))) / den for num in numerators)
+def twirl_coefficients(group: str, alpha_w: float, d: int, k: int) -> tuple[float, float]:
+    """(c_perm, c_omega) of the twirl E_U (U^dag Pi_w U)^{(x)k} of a rank-1
+    projector of reality alpha_w, for k = 2, 3: c_perm multiplies each
+    permutation operator and c_omega each contraction.  The U(d) twirl has no
+    contraction term and does not depend on alpha_w."""
+    group = group.upper()
+    if group not in ("O", "U"):
+        raise ValueError(f"unknown group {group!r}")
+    if k not in _SUPPORTED_K:
+        raise ValueError(f"only k in {_SUPPORTED_K} is supported, got {k}")
+    if d < 2:
+        raise ValueError("need dimension >= 2")
+    if group == "U":
+        return 1.0 / math.prod(range(d, d + k)), 0.0
     alpha = float(alpha_w)
-    den = float(denominator(float(d)))
-    return tuple(float(num(alpha, float(d))) / den for num in numerators)
-
-
-def pair_twirl_coefficients(alpha_w, d):
-    """Coefficients (c_1, c_S, c_Omega) of the O(d) twirl of Pi_w^{(x)2}.
-
-    Exact rational arithmetic is used when both inputs are exact (integer d,
-    integer or Fraction alpha_w).
-    """
-    if d < 2:
-        raise ValueError("need dimension >= 2")
-    return _coefficients(
-        (
-            lambda a, dd: dd - a,
-            lambda a, dd: dd - a,
-            lambda a, dd: a * dd + a - 2,
-        ),
-        lambda dd: dd * (dd - 1) * (dd + 2),
-        alpha_w,
-        d,
-    )
-
-
-def triple_twirl_coefficients(alpha_w, d):
-    """Coefficients (a, b) of the O(d) twirl of Pi_w^{(x)3}: `a` multiplies each
-    of the 6 permutation operators and `b` each of the 9 contractions."""
-    if d < 2:
-        raise ValueError("need dimension >= 2")
-    return _coefficients(
-        (
-            lambda a, dd: dd - 3 * a + 2,
-            lambda a, dd: a * dd + a - 2,
-        ),
-        lambda dd: dd * (dd - 1) * (dd + 2) * (dd + 4),
-        alpha_w,
-        d,
-    )
+    if k == 2:
+        c_perm, den = d - alpha, d * (d - 1) * (d + 2)
+    else:
+        c_perm, den = d - 3 * alpha + 2, d * (d - 1) * (d + 2) * (d + 4)
+    return c_perm / den, (alpha * d + alpha - 2) / den
 
 
 def closed_form_twirl(alpha_w, d: int, k: int) -> np.ndarray:
     """Materialize the closed-form O(d) twirl of Pi_w^{(x)k} for k = 2, 3."""
-    elements = commutant_basis("O", k, d)
-    if k == 2:
-        c_id, c_swap, c_omega = (float(c) for c in pair_twirl_coefficients(alpha_w, d))
-
-        def coeff(p: BrauerPairing) -> float:
-            if not p.is_permutation:
-                return c_omega
-            return c_id if p.pairs == ((1, 3), (2, 4)) else c_swap  # identity, else swap
-
-    elif k == 3:
-        c_perm, c_omega = (float(c) for c in triple_twirl_coefficients(alpha_w, d))
-
-        def coeff(p: BrauerPairing) -> float:
-            return c_perm if p.is_permutation else c_omega
-
-    else:
-        raise ValueError(f"only k in {_SUPPORTED_K} is supported, got {k}")
+    c_perm, c_omega = twirl_coefficients("O", alpha_w, d, k)
     out = np.zeros((d**k, d**k), dtype=complex)
-    for p, e in elements:
-        out += coeff(p) * e
+    for p, e in commutant_basis("O", k, d):
+        out += (c_perm if p.is_permutation else c_omega) * e
     return out
 
 
@@ -284,16 +241,17 @@ def mc_twirl(
 ) -> MonteCarloTwirl:
     """Monte Carlo twirl: empirical mean of U^{(x)k} a U^{dag (x)k}.
 
+    W = U^{(x)k} is never formed.  The SVD of `a` gives a = L R^T with r
+    columns (numpy.linalg.matrix_rank's rule), so each sample is
+    x = sum_a B_a C_a^T with B = W L and C = conj(W) R, built one tensor
+    factor at a time; for O(d) W is real and acts on the planar columns
+    [Re L | Im L | Re R | Im R].  A chunk's sum of x is B^T C over the
+    stacked columns, and its sum of |x|^2 is
+    sum_a (|B_a|^2)^T |C_a|^2 + 2 Re sum_{a<b} (B_a conj(B_b))^T (C_a conj(C_b)).
     Samples are drawn and accumulated in order, in chunks of at most
-    `_CHUNK_ELEMENTS` elements per (chunk, d^k, d^k) array, so memory is
-    bounded and a given stream yields the same draws for any chunk size.
-    The rank of `a` (numpy.linalg.matrix_rank's rule on its SVD) selects the
-    kernel.  A rank-one a = l m^T never forms W = U^{(x)k}: each sample is
-    x = b c^T with b = W l and c = conj(W) m, built one tensor factor at a
-    time, so a chunk's sum is B^T C and its sum of |x|^2 is (|B|^2)^T |C|^2.
-    Other inputs use the dense kernel: for O(d), W stays real and
-    x = W a W^T is two real matmuls on the planar stack [Re a | Im a]; U(d)
-    uses one complex product.  Standard error is tracked per entry.
+    `_CHUNK_ELEMENTS` elements per (chunk, d^k, max(d^k, r^2)) array, so
+    memory is bounded and a given stream yields the same draws for any chunk
+    size.  Standard error is tracked per entry.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -303,68 +261,32 @@ def mc_twirl(
     group = group.upper()
     if group not in ("O", "U"):
         raise ValueError(f"unknown group {group!r}")
-    chunk = max(1, _CHUNK_ELEMENTS // (dim * dim))
     left, sv, right = np.linalg.svd(m)
-    if np.sum(sv > sv[0] * dim * np.finfo(float).eps) == 1:
-        total, total_sq = _rank_one_sums(
-            rng, group, d, k, sv[0] * left[:, 0], right[0], samples, chunk
-        )
-    else:
-        total, total_sq = _dense_sums(rng, group, d, k, m, samples, chunk)
-    mean = total / samples
-    var = np.maximum(total_sq / samples - np.abs(mean) ** 2, 0.0)
-    return MonteCarloTwirl(mean, np.sqrt(var / samples))
-
-
-def _rank_one_sums(rng, group, d, k, l, r, samples, chunk):
-    """Sums of x and |x|^2 over samples of x = W l r^T W^dag, with W never built."""
-    dim = l.shape[0]
+    r = max(1, int(np.sum(sv > sv[0] * dim * np.finfo(float).eps)))
+    l, rt = left[:, :r] * sv[:r], right[:r].T
     if group == "O":
-        # W is real, so the planar columns [Re l, Im l, Re r, Im r] stay real.
-        columns = np.stack([l.real, l.imag, r.real, r.imag], axis=1)
+        columns = np.concatenate([l.real, l.imag, rt.real, rt.imag], axis=1)
     else:
-        # conj(W) r = conj(W conj(r)).
-        columns = np.stack([l, r.conj()], axis=1)
+        # conj(W) R = conj(W conj(R)).
+        columns = np.concatenate([l, rt.conj()], axis=1)
+    first, second = np.triu_indices(r, 1)
+    chunk = max(1, _CHUNK_ELEMENTS // (dim * max(dim, r * r)))
     total = np.zeros((dim, dim), dtype=complex)
     total_sq = np.zeros((dim, dim))
     for start in range(0, samples, chunk):
         b = min(chunk, samples - start)
         y = _tensor_power_apply(_haar(rng, group, d, b), columns, k)
         if group == "O":
-            bs = y[:, 0] + 1j * y[:, 1]
-            cs = y[:, 2] + 1j * y[:, 3]
+            bs = y[:, :r] + 1j * y[:, r : 2 * r]
+            cs = y[:, 2 * r : 3 * r] + 1j * y[:, 3 * r :]
         else:
-            bs = y[:, 0]
-            cs = y[:, 1].conj()
-        total += bs.T @ cs
-        total_sq += (np.abs(bs) ** 2).T @ (np.abs(cs) ** 2)
-    return total, total_sq
-
-
-def _dense_sums(rng, group, d, k, m, samples, chunk):
-    """Sums of x and |x|^2 over samples of x = W m W^dag with W = U^{(x)k}."""
-    dim = m.shape[0]
-    if group == "O":
-        # With D = dim, (W [Re a | Im a]).reshape(2D, D) holds row i of
-        # W Re(a) and of W Im(a) as rows 2i and 2i + 1; times W^T they are
-        # row i of Re x and Im x, so the sums below interleave the two parts.
-        planar = np.concatenate([m.real, m.imag], axis=1)
-        total = np.zeros((2 * dim, dim))
-        total_sq = np.zeros((2 * dim, dim))
-    else:
-        total = np.zeros_like(m)
-        total_sq = np.zeros(m.shape)
-    for start in range(0, samples, chunk):
-        b = min(chunk, samples - start)
-        w = batched_kron([_haar(rng, group, d, b)] * k)
-        if group == "O":
-            x = (w @ planar).reshape(b, 2 * dim, dim) @ w.transpose(0, 2, 1)
-        else:
-            x = w @ m @ w.conj().transpose(0, 2, 1)
-        total += x.sum(axis=0)
-        total_sq += sum_abs2(x)
-    if group == "O":
-        re_im = total.reshape(dim, 2, dim)
-        total = re_im[:, 0] + 1j * re_im[:, 1]
-        total_sq = total_sq.reshape(dim, 2, dim).sum(axis=1)
-    return total, total_sq
+            bs = y[:, :r]
+            cs = y[:, r:].conj()
+        total += bs.reshape(-1, dim).T @ cs.reshape(-1, dim)
+        total_sq += (np.abs(bs) ** 2).reshape(-1, dim).T @ (np.abs(cs) ** 2).reshape(-1, dim)
+        cross_b = bs[:, first] * bs[:, second].conj()
+        cross_c = cs[:, first] * cs[:, second].conj()
+        total_sq += 2 * (cross_b.reshape(-1, dim).T @ cross_c.reshape(-1, dim)).real
+    mean = total / samples
+    var = np.maximum(total_sq / samples - np.abs(mean) ** 2, 0.0)
+    return MonteCarloTwirl(mean, np.sqrt(var / samples))

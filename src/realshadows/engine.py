@@ -38,6 +38,7 @@ from .linalg import (
 )
 from .pauli import PAULIS, PauliString
 from .sampling import (
+    MAX_SEED,
     RNG_ALGORITHM,
     RngStream,
     haar_frames,
@@ -390,7 +391,7 @@ def build_state(state: dict, n: int) -> np.ndarray:
         rho[idx, idx] = 1.0
         return rho
     if kind == "random_pure":
-        return random_pure_state(RngStream(_integer(state, "seed", 0, 2**64 - 1, 0)), d)
+        return random_pure_state(RngStream(_integer(state, "seed", 0, MAX_SEED, 0)), d)
     if kind == "product":
         factors = state.get("factors")
         if not isinstance(factors, list) or len(factors) != n:
@@ -420,7 +421,7 @@ def build_observable(obs: dict, n: int) -> tuple[str, PauliString | np.ndarray]:
         op = PauliString.from_string(string, coefficient)
         default = string
     elif kind == "random_symmetric":
-        seed = _integer(obs, "seed", 0, 2**64 - 1, 0)
+        seed = _integer(obs, "seed", 0, MAX_SEED, 0)
         op = random_symmetric_observable(RngStream(seed), d)
         default = f"random_symmetric:{seed}"
     elif kind == "basis_projector":
@@ -516,7 +517,7 @@ class ExperimentConfig:
             groups = [groups]
         if not isinstance(groups, list):
             raise ConfigError(f"groups must be a group name or a list of them, got {groups!r}")
-        seed = _integer(cfg, "seed", 0, 2**64 - 1)
+        seed = _integer(cfg, "seed", 0, MAX_SEED)
         n = _integer(cfg, "n", 1)
         check_qubit_count(n)
         if scope == "local" and len(groups) == 1:

@@ -23,6 +23,10 @@ RNG_ALGORITHM = "numpy PCG64 seeded by SeedSequence((seed, *stream_id))"
 
 _MASK64 = (1 << 64) - 1
 
+#: Seeds are keys in [0, MAX_SEED]: RngStream masks a seed to 64 bits, so one
+#: outside that range would replay another seed's draws.
+MAX_SEED = _MASK64
+
 
 class RngStream:
     """Reproducible random stream keyed by (seed, stream_id).

@@ -26,7 +26,7 @@ from .channels import (
     pauli_string_inverse_eigenvalue,
     stabilizer_points,
 )
-from .commutant import enumerate_pairings, pair_twirl_coefficients, triple_twirl_coefficients
+from .commutant import enumerate_pairings, twirl_coefficients
 from .linalg import as_operator, check_entries, sym_part
 from .pauli import PauliString
 from .sampling import RngStream, random_pure_state
@@ -58,14 +58,12 @@ _WORDS = {(k, sym): _trace_words(k, sym) for k in (2, 3) for sym in (False, True
 @functools.lru_cache(maxsize=64)
 def _word_coefficients(unitary: bool, d: int, alpha_total: float) -> tuple:
     """(permutation, contraction) coefficients of sum_w E_U (U^dag Pi_w U)^{(x)k}
-    for k = 2, 3.  U(d) has one coefficient.  The O(d) ones (permutation
-    first, contraction last) are linear in alpha_w, so summed over w they are
-    d times the coefficients at alpha_total / d."""
-    if unitary:
-        return tuple((1.0 / math.prod(range(d + 1, d + k)), 0.0) for k in (2, 3))
-    c2 = pair_twirl_coefficients(alpha_total / d, d)
-    c3 = triple_twirl_coefficients(alpha_total / d, d)
-    return tuple((d * c[0], d * c[-1]) for c in (c2, c3))
+    for k = 2, 3.  Each is linear in alpha_w, so summed over w it is d times
+    the coefficient at alpha_total / d."""
+    group = "U" if unitary else "O"
+    return tuple(
+        tuple(d * c for c in twirl_coefficients(group, alpha_total / d, d, k)) for k in (2, 3)
+    )
 
 
 def _dense_traces(spec: EnsembleSpec, observable, state: np.ndarray):

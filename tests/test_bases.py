@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,3 +125,14 @@ class TestBasisFromTag:
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             basis_from_tag("fourier", 2)
+
+    @pytest.mark.parametrize(
+        "tag", ["random:", "random:-1", "random:1e3", "random:+5", "random:18446744073709551616"]
+    )
+    def test_random_tag_seed_outside_64_bits_is_named(self, tag):
+        # RngStream masks seeds to 64 bits, so -1 would replay 2^64 - 1
+        with pytest.raises(ValueError, match=re.escape(f"basis tag '{tag}'")):
+            basis_from_tag(tag, 1)
+
+    def test_random_tag_takes_the_largest_seed(self):
+        assert basis_from_tag("random:18446744073709551615", 1).tag == "random:18446744073709551615"

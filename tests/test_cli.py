@@ -203,6 +203,7 @@ class TestEstimateCommand:
             (("observables", 2, "real"), [[0, 1], [1, 0]]),
             (("observables", 2, "imag"), [[0, 1, 0, 0], [0] * 4, [0] * 4, [0] * 4]),
             (("ensemble", "groups"), 5),
+            (("ensemble",), {"scope": "global", "groups": ["orthogonal"], "basis": "random:-1"}),
             (("emit", "csv"), 1),
             (("epsilon",), 1e-200),
         ],
@@ -311,6 +312,15 @@ class TestValidators:
             ["validate-variance", "--d", "16384"],
             ["validate-variance", "--d", "4", "--shots", "100000000000"],
             ["ratio-sweep", "--n-min", "1", "--n-max", "2", "--instances", "100000000000"],
+            ["validate-channel", "--basis", "random:-1"],
+            ["validate-channel", "--basis", "random:18446744073709551616"],
+            ["validate-channel", "--basis", "random:"],
+            ["validate-channel", "--basis", "random:1e3"],
+            ["validate-twirl", "--seed=-1"],
+            ["validate-channel", "--seed", "18446744073709551616"],
+            ["validate-variance", "--seed=-1"],
+            ["ratio-sweep", "--seed=-1"],
+            ["estimate", "--config", "missing.json", "--seed=-1"],
         ],
         ids="_".join,
     )
@@ -319,6 +329,19 @@ class TestValidators:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("configuration error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["validate-channel", "--basis", "random:"], "basis tag 'random:'"),
+            (["validate-channel", "--basis", "random:1e3"], "basis tag 'random:1e3'"),
+            (["validate-twirl", "--seed=-1"], "--seed"),
+            (["ratio-sweep", f"--seed={2**64}"], "--seed"),
+        ],
+    )
+    def test_bad_seed_names_the_tag_or_flag(self, argv, named, capsys):
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
 
     def test_validate_variance_names_the_size_limit(self, capsys):
         assert main(["validate-variance", "--d", str(2**30)]) == 2

@@ -8,10 +8,9 @@ from realshadows.commutant import (
     closed_form_twirl,
     commutant_basis,
     enumerate_pairings,
-    pair_twirl_coefficients,
-    triple_twirl_coefficients,
     mc_twirl,
     realize,
+    twirl_coefficients,
     twirl_project,
 )
 from realshadows import commutant
@@ -146,31 +145,29 @@ class TestTwirlProject:
         assert operators_close(twirl_project(t, group, 2), t)
 
 
+def _close(value, expected) -> bool:
+    return abs(value - expected) <= 1e-15 * abs(expected)
+
+
 class TestClosedForms:
     def test_pair_coefficients_pinned_values(self):
-        assert pair_twirl_coefficients(1, 2) == (
-            Fraction(1, 8),
-            Fraction(1, 8),
-            Fraction(1, 8),
-        )
-        assert pair_twirl_coefficients(0, 2) == (
-            Fraction(1, 4),
-            Fraction(1, 4),
-            Fraction(-1, 4),
-        )
+        assert twirl_coefficients("O", 1, 2, 2) == (1 / 8, 1 / 8)
+        assert twirl_coefficients("O", 0, 2, 2) == (1 / 4, -1 / 4)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     @pytest.mark.parametrize("alpha", [0, Fraction(1, 2), 1])
     def test_pair_coefficients_trace_consistency(self, d, alpha):
-        c_id, c_swap, c_omega = pair_twirl_coefficients(alpha, d)
-        assert c_id * d**2 + c_swap * d + c_omega * d == 1
+        # Tr[1] = d^2 and Tr[SWAP] = Tr[Omega] = d
+        c_perm, c_omega = twirl_coefficients("O", alpha, d, 2)
+        assert _close(c_perm * d**2 + c_perm * d + c_omega * d, 1.0)
 
     def test_triple_coefficients_pinned_values(self):
-        a, b = triple_twirl_coefficients(1, 2)
-        assert a == b == Fraction(1, 48)
+        a, b = twirl_coefficients("O", 1, 2, 3)
+        assert _close(a, 1 / 48) and _close(b, 1 / 48)
         for d in (2, 4, 8):
-            a, b = triple_twirl_coefficients(1, d)
-            assert a == b == Fraction(1, d * (d + 2) * (d + 4))
+            a, b = twirl_coefficients("O", 1, d, 3)
+            expected = 1 / (d * (d + 2) * (d + 4))
+            assert _close(a, expected) and _close(b, expected)
 
     def test_triple_twirl_reconstruction_has_unit_trace(self):
         for d in (2, 4):
@@ -179,24 +176,39 @@ class TestClosedForms:
                 assert np.trace(t).real == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_small_dimension(self):
+        for group in ("O", "U"):
+            for k in (2, 3):
+                with pytest.raises(ValueError):
+                    twirl_coefficients(group, 1, 1, k)
+
+    @pytest.mark.parametrize("group, k", [("unitary", 2), ("O", 4), ("U", 1)])
+    def test_rejects_unknown_group_and_order(self, group, k):
         with pytest.raises(ValueError):
-            pair_twirl_coefficients(1, 1)
-        with pytest.raises(ValueError):
-            triple_twirl_coefficients(1, 1)
+            twirl_coefficients(group, 1, 4, k)
 
     def test_float_path(self):
-        vals = pair_twirl_coefficients(0.5, 4)
+        vals = twirl_coefficients("O", 0.5, 4, 2)
         assert all(isinstance(v, float) for v in vals)
 
-    @pytest.mark.parametrize("closed_form", [pair_twirl_coefficients, triple_twirl_coefficients])
-    def test_coefficients_linear_in_alpha(self, closed_form):
+    @pytest.mark.parametrize("k", [2, 3], ids=["pair_twirl_coefficients", "triple_twirl_coefficients"])
+    def test_coefficients_linear_in_alpha(self, k):
         # each coefficient at alpha_w = 1/2 is the midpoint of its endpoint values
         d = 4
-        low = closed_form(Fraction(0), d)
-        mid = closed_form(Fraction(1, 2), d)
-        high = closed_form(Fraction(1), d)
+        low, mid, high = (twirl_coefficients("O", alpha, d, k) for alpha in (0.0, 0.5, 1.0))
         for lo, mi, hi in zip(low, mid, high):
-            assert mi == (lo + hi) / 2
+            assert abs(mi - (lo + hi) / 2) <= 1e-15 * max(abs(lo), abs(hi))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_unitary_coefficients_match_gram_projection(k, d):
+    # c_perm on each permutation operator is the whole U(d) twirl
+    v = haar_state_vector(RngStream(310 + d, (k,)), d)
+    c_perm, c_omega = twirl_coefficients("U", _alpha_of(v), d, k)
+    assert c_omega == 0.0
+    closed = sum(c_perm * e for _, e in commutant_basis("U", k, d))
+    t_gram = twirl_project(_projector_power(v, k), "U", k)
+    assert np.max(np.abs(t_gram - closed)) <= 1e-12
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -243,8 +255,8 @@ class TestMonteCarloTwirl:
 
 
 def _reference_mc_twirl(rng, a, group, k, samples):
-    """The definition-level kernel the real-product path replaced: one batch,
-    complex W = U^{(x)k}, x = W a W^dag and |x|^2 squares."""
+    """The definition-level kernel that mc_twirl's factored one is checked
+    against: one batch, complex W = U^{(x)k}, x = W a W^dag and |x|^2 squares."""
     m = as_operator(a)
     d = round(m.shape[0] ** (1.0 / k))
     if group == "O":
@@ -263,20 +275,21 @@ def _random_operator(seed, dim):
     return g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
 
 
-def _rank_two_operator(seed, dim):
+def _low_rank_operator(seed, dim, rank):
     g = RngStream(seed).generator
-    left = g.standard_normal((dim, 2)) + 1j * g.standard_normal((dim, 2))
-    right = g.standard_normal((dim, 2)) + 1j * g.standard_normal((dim, 2))
+    left = g.standard_normal((dim, rank)) + 1j * g.standard_normal((dim, rank))
+    right = g.standard_normal((dim, rank)) + 1j * g.standard_normal((dim, rank))
     return left @ right.conj().T
 
 
-#: Inputs on each side of mc_twirl's rank selection: full rank and rank two
-#: take the dense kernel, Pi^{(x)k} of a complex vector the rank-one one
-#: (halved, so that its singular value is not 1).
+#: Inputs of mc_twirl's factored kernel by rank: Pi^{(x)k} of a complex vector
+#: (halved, so that its singular value is not 1) has no cross terms; ranks two
+#: and three have one and three pairs a < b, and full rank has them all.
 _KERNEL_INPUTS = {
     "full": lambda seed, d, k: _random_operator(seed, d**k),
     "rank1": lambda seed, d, k: 0.5 * _projector_power(haar_state_vector(RngStream(seed), d), k),
-    "rank2": lambda seed, d, k: _rank_two_operator(seed, d**k),
+    "rank2": lambda seed, d, k: _low_rank_operator(seed, d**k, 2),
+    "rank3": lambda seed, d, k: _low_rank_operator(seed, d**k, 3),
 }
 
 
