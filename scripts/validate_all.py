@@ -15,6 +15,7 @@ RUNS = [
     ["validate-channel", "--d", "4", "--ensemble", "global-unitary"],
     ["validate-channel", "--d", "2", "--ensemble", "global-orthogonal", "--basis", "sh"],
     ["validate-channel", "--d", "8", "--ensemble", "local-orthogonal"],
+    ["validate-channel", "--d", "8", "--ensemble", "local-unitary"],
     ["validate-variance", "--d", "4", "--shots", "100000"],
 ]
 

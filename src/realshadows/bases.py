@@ -65,7 +65,9 @@ def computational_basis(n: int) -> MeasurementBasis:
     if n < 1:
         raise ValueError("need at least one qubit")
     d = 2**n
-    return make_basis(np.eye(d, dtype=complex), "computational", np.ones(d))
+    # The identity's columns are real and orthonormal by construction, so
+    # make_basis's O(d^3) Gram check is skipped.
+    return MeasurementBasis(d, np.eye(d, dtype=complex), np.ones(d), float(d), "computational")
 
 
 def sh_basis(n: int) -> MeasurementBasis:

@@ -270,16 +270,16 @@ def per_shot_estimates(records: ShadowRecords, observable) -> np.ndarray:
         if spec.scope == "global":
             return _global_pauli_estimates(records, observable)
         spectra = channel_for(spec).spectra
-        values = np.full(s_count, complex(observable.coefficient))
+        # Every letter value is real, so Re(c prod) = Re(c) prod.
+        values = np.full(s_count, complex(observable.coefficient).real)
         for j, letter in enumerate(observable.letters):
             if letter == "I":
                 continue
             factor = pauli_inverse_eigenvalue(spectra[j], letter)
             if factor == 0.0:
                 return np.zeros(s_count)
-            v = records.vectors[:, j]
-            values *= np.einsum("sp,pq,sq->s", v.conj(), factor * PAULIS[letter], v)
-        return values.real
+            values *= factor * _letter_values(records.vectors[:, j], letter)
+        return values
     tilde = invert(channel_for(spec), observable).inverse
     if not np.iscomplexobj(records.vectors):
         tilde = tilde.real
@@ -289,6 +289,16 @@ def per_shot_estimates(records: ShadowRecords, observable) -> np.ndarray:
         v = full_vectors(spec, records.vectors[start : start + chunk])
         values[start : start + chunk] = (v @ tilde.T * v.conj()).sum(axis=1).real
     return values
+
+
+def _letter_values(v: np.ndarray, letter: str) -> np.ndarray:
+    """<v|P|v> per site vector v = (a, b): |a|^2 - |b|^2 for Z, and 2 Re(a* b)
+    and 2 Im(a* b) for X and Y."""
+    a, b = v[:, 0], v[:, 1]
+    if letter == "Z":
+        return a.real**2 + a.imag**2 - b.real**2 - b.imag**2
+    overlap = a.conj() * b
+    return 2.0 * (overlap.real if letter == "X" else overlap.imag)
 
 
 def _global_pauli_estimates(records: ShadowRecords, p: PauliString) -> np.ndarray:
@@ -417,7 +427,7 @@ def build_observable(obs: dict, n: int) -> tuple[str, PauliString | np.ndarray]:
         string = obs.get("string")
         if not isinstance(string, str) or len(string) != n or set(string.upper()) - set(PAULIS):
             raise ConfigError(f"pauli observable needs a length-{n} string of I, X, Y and Z")
-        coefficient = _number(obs.get("coefficient", 1.0), "coefficient", complex)
+        coefficient = _number(obs.get("coefficient", 1.0), "coefficient")
         op = PauliString.from_string(string, coefficient)
         default = string
     elif kind == "random_symmetric":
@@ -461,15 +471,15 @@ def _integer(cfg: dict, key: str, low: int, high: int | None = None, default=Non
     return number
 
 
-def _number(value, key: str, kind=float):
-    """`value` as a float (or complex) of magnitude at most _MAX_MAGNITUDE,
-    or ConfigError naming the key."""
+def _number(value, key: str) -> float:
+    """`value` as a real number of magnitude at most _MAX_MAGNITUDE, or
+    ConfigError naming the key; a complex value such as "1j" is refused."""
     try:
         if isinstance(value, bool):
             raise ValueError
-        number = kind(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+        raise ConfigError(f"{key} must be a real number, got {value!r}") from None
     if not abs(number) <= _MAX_MAGNITUDE:  # NaN fails too
         raise ConfigError(f"{key} must be a number of magnitude at most 1e100, got {value!r}")
     return number

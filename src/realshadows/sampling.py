@@ -1,12 +1,14 @@
 """Seeded sampling of Haar-random unitary / orthogonal matrices and local products.
 
 All randomness flows through RngStream, a thin reproducible wrapper over
-numpy's PCG64 keyed by (seed, stream path).  Haar sampling uses the QR
-decomposition of a Ginibre matrix with the diagonal phase (sign) correction;
-without that correction QR output is not Haar distributed.  The same
-correction gives Haar-random r-frames (d x r isometries), which is all the
-engine's global shots draw.  Full transforms are drawn as stacked arrays for
-local shots and for the Monte Carlo oracles.
+numpy's PCG64 keyed by (seed, stream path).  Haar sampling takes
+the Q of the QR decomposition of a Ginibre matrix with the diagonal of R made
+positive; without that correction QR output is not Haar distributed.  The
+same correction gives Haar-random r-frames (d x r isometries), which is all
+the engine's global shots draw.  A 2 x 2 draw, the factor of every local
+shot, takes that Q in closed form from the same Ginibre entries, with no
+LAPACK call; larger draws use one batched QR.  Full transforms are drawn as
+stacked arrays for local shots and for the Monte Carlo oracles.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ def haar_frames(
 
     The frame is the Q of the QR decomposition of a Gaussian d x r matrix with
     the diagonal of R made positive (Mezzadri, arXiv:math-ph/0609050); r = d
-    gives Haar O(d) / U(d) matrices.  With `orthogonal_to` (count, d, m),
+    gives Haar O(d) / U(d) matrices.  A 2 x 2 draw takes that Q in closed
+    form from the same Ginibre entries.  With `orthogonal_to` (count, d, m),
     orthonormal frames, the Gaussian is first projected onto their orthogonal
     complements, so the frames are Haar in those complements.
     """
@@ -88,6 +91,8 @@ def haar_frames(
         raise ValueError("dimension must be >= 1")
     gen = rng.generator
     z = gen.standard_normal((count, d, r)) if real else _complex_ginibre(gen, (count, d, r))
+    if d == r == 2 and orthogonal_to is None:
+        return _frames_2x2(z)
     if orthogonal_to is not None:
         z = _project_out(z, orthogonal_to)
     q, upper = np.linalg.qr(z)
@@ -98,6 +103,31 @@ def haar_frames(
         # A nearly rank-deficient z leaves rounding error / sigma_min of q in
         # span(orthogonal_to); projecting again squares it.
         q = _project_out(q, orthogonal_to)
+    return q
+
+
+def _frames_2x2(z: np.ndarray) -> np.ndarray:
+    """The positive-diagonal QR factor Q of each 2 x 2 matrix in z, elementwise.
+
+    q1 = z1 / |z1|.  The unit vector e = (-conj q1[1], conj q1[0]) spans the
+    complement of q1, so z2 - q1 R12 = e w with w = e^dag z2, and q2 is e
+    times the phase of w (R22 = |w|).  A zero first column gives q1 = |0>, and
+    w = 0 phase 1, as the QR route does for a zero diagonal entry of R.
+    """
+    a, b = z[:, 0, 0], z[:, 1, 0]
+    norm = np.sqrt(a.real**2 + a.imag**2 + b.real**2 + b.imag**2)
+    zero = norm == 0.0
+    norm[zero] = 1.0
+    a = np.where(zero, 1.0, a / norm)
+    b = b / norm
+    w = a * z[:, 1, 1] - b * z[:, 0, 1]
+    size = np.abs(w)
+    zero = size == 0.0
+    size[zero] = 1.0
+    phase = np.where(zero, 1.0, w / size)
+    q = np.empty_like(z)
+    q[:, 0, 0], q[:, 1, 0] = a, b
+    q[:, 0, 1], q[:, 1, 1] = -phase * b.conj(), phase * a.conj()
     return q
 
 

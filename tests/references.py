@@ -2,14 +2,35 @@
 
 None of these is on a run path: the dense shadow of one shot, the
 depolarizing mixture form of the global orthogonal channel, the overlap
-factor of two Y-free Pauli strings, the single-qubit real Clifford group and
-a per-block local Born kernel.
+factor of two Y-free Pauli strings, the single-qubit real Clifford group,
+a per-block local Born kernel and the batched-QR route of Haar frames.
 """
 
 import numpy as np
 
 from realshadows.channels import channel_for, pseudo_inverse
 from realshadows.linalg import as_operator
+from realshadows.sampling import _complex_ginibre, _project_out
+
+
+def haar_frames_by_qr(rng, d, r, count, real=False, orthogonal_to=None) -> np.ndarray:
+    """`sampling.haar_frames` with every size, 2 x 2 included, on the QR route.
+
+    The same Ginibre entries, drawn in the same order, go through one batched
+    LAPACK QR whose R diagonal is then made positive (Mezzadri,
+    arXiv:math-ph/0609050).
+    """
+    gen = rng.generator
+    z = gen.standard_normal((count, d, r)) if real else _complex_ginibre(gen, (count, d, r))
+    if orthogonal_to is not None:
+        z = _project_out(z, orthogonal_to)
+    q, upper = np.linalg.qr(z)
+    diag = np.diagonal(upper, axis1=1, axis2=2)
+    phase = diag / np.where(diag == 0.0, 1.0, np.abs(diag))
+    q = q * np.where(phase == 0.0, 1.0, phase)[:, None, :]
+    if orthogonal_to is not None:
+        q = _project_out(q, orthogonal_to)
+    return q
 
 
 def shadow_from_vector(spec, v: np.ndarray) -> np.ndarray:

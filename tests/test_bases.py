@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realshadows.bases import (
+    MeasurementBasis,
     basis_from_tag,
     computational_basis,
     make_basis,
@@ -22,6 +24,16 @@ class TestComputationalBasis:
         b = computational_basis(n)
         assert b.alpha_total == alpha
         assert np.all(b.alpha_per_vector == 1.0)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_the_checked_construction(self, n):
+        d = 2**n
+        b = computational_basis(n)
+        ref = make_basis(np.eye(d), "computational", np.ones(d))
+        for name in (f.name for f in dataclasses.fields(MeasurementBasis)):
+            x, y = getattr(b, name), getattr(ref, name)
+            assert type(x) is type(y) and np.array_equal(x, y), name
+            assert np.asarray(x).dtype == np.asarray(y).dtype, name
 
     def test_exactly_orthonormal(self):
         b = computational_basis(2)

@@ -193,6 +193,7 @@ class TestEstimateCommand:
             (("observables", 0), [1]),
             (("observables", 0, "coefficient"), "abc"),
             (("observables", 0, "coefficient"), 1e101),
+            (("observables", 0, "coefficient"), "1j"),
             (("observables", 0, "string"), "XA"),
             (("observables", 0, "id"), "a,b"),
             (("observables", 0, "id"), 'say "b"'),

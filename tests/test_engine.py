@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -333,6 +334,18 @@ class TestPerShotEstimates:
         )
         assert np.max(np.abs(fast - slow)) <= 1e-12
 
+    @pytest.mark.parametrize("groups", [("orthogonal", "unitary"), ("unitary", "orthogonal")])
+    def test_every_two_letter_string_matches_the_dense_shadow(self, groups):
+        spec = local_ensemble(groups, 2)
+        rho = random_pure_state(RngStream(16), 4)
+        records = collect_records(RngStream(17), rho, spec, 60)
+        vectors = _dense_vectors(records)
+        shadows = [shadow_from_vector(spec, v) for v in vectors]
+        for string in map("".join, itertools.product("IXYZ", repeat=2)):
+            p = PauliString.from_string(string, coefficient=0.7 - 1.3j)
+            dense = np.array([np.trace(p.to_matrix() @ shadow).real for shadow in shadows])
+            assert np.max(np.abs(per_shot_estimates(records, p) - dense)) <= 1e-12, string
+
     def test_fast_path_equals_slow_path_global(self):
         spec = global_ensemble("orthogonal", sh_basis(2))
         rho = random_pure_state(RngStream(9), 4)
@@ -655,3 +668,9 @@ class TestConfigAndRun:
             build_observable({"kind": "pauli", "string": "XYZ"}, 2)
         with pytest.raises(ConfigError):
             build_observable({"kind": "spooky"}, 2)
+
+    @pytest.mark.parametrize("coefficient", ["1j", "0.5+0j", 1j])
+    def test_pauli_coefficient_must_be_real(self, coefficient):
+        obs = {"kind": "pauli", "string": "ZZ", "coefficient": coefficient}
+        with pytest.raises(ConfigError, match="coefficient"):
+            build_observable(obs, 2)

@@ -5,9 +5,17 @@ from realshadows.channels import global_ensemble, local_ensemble
 from realshadows.bases import computational_basis
 from realshadows.commutant import closed_form_twirl, twirl_project
 from realshadows.linalg import identity, kron, operators_close
-from realshadows.sampling import RngStream, haar_orthogonals, haar_unitaries, sample_transform_arrays
+from realshadows.sampling import (
+    RngStream,
+    _complex_ginibre,
+    _frames_2x2,
+    haar_frames,
+    haar_orthogonals,
+    haar_unitaries,
+    sample_transform_arrays,
+)
 
-from references import REAL_CLIFFORD_1Q, real_clifford_1q
+from references import REAL_CLIFFORD_1Q, haar_frames_by_qr, real_clifford_1q
 
 
 class TestRngStream:
@@ -172,3 +180,64 @@ class TestSampleTransform:
         a = sample_transform_arrays(RngStream(11), spec, 3)
         b = sample_transform_arrays(RngStream(11), spec, 3)
         assert a.tobytes() == b.tobytes()
+
+
+def _ginibre(seed, count, real):
+    gen = RngStream(seed).generator
+    return gen.standard_normal((count, 2, 2)) if real else _complex_ginibre(gen, (count, 2, 2))
+
+
+def _assert_unitary(q, atol):
+    gram = q.conj().swapaxes(1, 2) @ q
+    assert np.all(np.isfinite(q))
+    assert np.max(np.abs(gram - np.eye(2))) <= atol
+
+
+@pytest.mark.parametrize("real", [True, False])
+class TestClosedForm2x2:
+    def test_equals_the_qr_route_on_shared_draws(self, real):
+        # The QR route's own rounding error grows with the condition number of
+        # z, so the bound does too: 1e-14 plus eps times kappa(z) per draw.
+        q = haar_frames(RngStream(21), 2, 2, 10**4, real)
+        reference = haar_frames_by_qr(RngStream(21), 2, 2, 10**4, real)
+        assert q.dtype == reference.dtype
+        kappa = np.linalg.cond(_ginibre(21, 10**4, real))
+        gap = np.max(np.abs(q - reference), axis=(1, 2))
+        assert np.all(gap <= 1e-14 + np.finfo(float).eps * kappa)
+
+    def test_r_is_upper_triangular_with_positive_diagonal(self, real):
+        z = _ginibre(22, 10**4, real)
+        q = _frames_2x2(z)
+        upper = q.conj().swapaxes(1, 2) @ z
+        diag = np.diagonal(upper, axis1=1, axis2=2)
+        assert np.max(np.abs(upper[:, 1, 0])) <= 1e-13
+        assert np.max(np.abs(diag.imag)) <= 1e-13 and np.all(diag.real > 0.0)
+        _assert_unitary(q, 1e-13)
+
+    def test_degenerate_draws_give_finite_unitaries(self, real):
+        z = _ginibre(23, 4, real)
+        z[0, :, 0] = 0.0  # zero first column
+        z[1, :, 1] = (2.0 if real else 1.0 - 2.0j) * z[1, :, 0]  # det z = 0
+        z[2] = 0.0
+        z[3] = [[1.0, 1.0], [0.0, 0.0]]  # det z = 0 with w exactly 0
+        q = _frames_2x2(z)
+        _assert_unitary(q, 1e-13)
+        assert np.array_equal(q[0, :, 0], [1.0, 0.0])
+        assert np.allclose(q[1, :, 0], z[1, :, 0] / np.linalg.norm(z[1, :, 0]), rtol=0, atol=1e-15)
+        assert np.array_equal(q[2], np.eye(2)) and np.array_equal(q[3], np.eye(2))
+
+    def test_no_qr_call(self, real, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a 2 x 2 draw reached np.linalg.qr")
+
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        _assert_unitary(haar_frames(RngStream(27), 2, 2, 100, real), 1e-13)
+
+    def test_other_sizes_stay_on_the_qr_route_byte_for_byte(self, real):
+        for d, r in [(3, 3), (4, 4), (4, 2), (2, 1)]:
+            q = haar_frames(RngStream(24), d, r, 50, real)
+            assert q.tobytes() == haar_frames_by_qr(RngStream(24), d, r, 50, real).tobytes()
+        frames = haar_frames(RngStream(25), 4, 2, 50, real)
+        q = haar_frames(RngStream(26), 4, 2, 50, real, orthogonal_to=frames)
+        reference = haar_frames_by_qr(RngStream(26), 4, 2, 50, real, orthogonal_to=frames)
+        assert q.tobytes() == reference.tobytes()
