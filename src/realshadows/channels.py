@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import MeasurementBasis, computational_basis
-from .linalg import as_operator, batched_kron, norm2, operators_close, sum_abs2
+from .linalg import as_operator, batched_kron, is_identity, norm2, sum_abs2
 from .pauli import PauliString
 from . import sampling
 
@@ -34,8 +34,9 @@ GROUPS = ("unitary", "orthogonal")
 #: Eigenvalues smaller than this are treated as exact zeros of the channel.
 _ZERO_EIGENVALUE_ATOL = 1e-12
 
-#: Element budget per (chunk, d, d) Monte Carlo array: 4096 samples at d = 16.
-_CHUNK_ELEMENTS = 1 << 20
+#: Element budget per (chunk, d, d) Monte Carlo array: 256 samples at d = 16,
+#: so each complex stack of a chunk is at most 1 MiB.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(eq=False)
@@ -64,7 +65,7 @@ class EnsembleSpec:
         else:
             if len(self.groups) != self.n:
                 raise ValueError("local ensembles need one group per qubit")
-            if not operators_close(self.basis.vectors, np.eye(self.basis.d)):
+            if not is_identity(self.basis.vectors):
                 raise ValueError("local ensembles measure in the computational basis")
 
     @property

@@ -330,9 +330,9 @@ def median_of_means(values: np.ndarray, batches: int) -> float:
     if batches > count:
         raise ValueError(f"cannot split {count} records into {batches} batches")
     size = count // batches
-    means = [values[i * size : (i + 1) * size].mean() for i in range(batches - 1)]
-    means.append(values[(batches - 1) * size :].mean())
-    return float(np.median(means))
+    head = (batches - 1) * size
+    means = values[:head].reshape(batches - 1, size).mean(axis=1)
+    return float(np.median(np.append(means, values[head:].mean())))
 
 
 @dataclass

@@ -115,3 +115,13 @@ def sym_part(a) -> np.ndarray:
 
 def operators_close(a, b, atol: float = ATOL) -> bool:
     return bool(np.allclose(np.asarray(a), np.asarray(b), rtol=0.0, atol=atol))
+
+
+def is_identity(a: np.ndarray, atol: float = ATOL) -> bool:
+    """operators_close(a, identity) for a square a, compared a block of rows
+    at a time, so that no temporary holds more than 2^16 entries."""
+    d = a.shape[0]
+    rows = max(1, (1 << 16) // d)
+    return all(
+        operators_close(a[i : i + rows], np.eye(min(rows, d - i), d, i)) for i in range(0, d, rows)
+    )

@@ -10,6 +10,7 @@ independent, takes its O(d) closed form instead.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from collections import Counter
@@ -19,6 +20,7 @@ import numpy as np
 from .bases import computational_basis
 from .channels import (
     EnsembleSpec,
+    apply_channel,
     channel_for,
     global_ensemble,
     invert,
@@ -30,6 +32,9 @@ from .commutant import enumerate_pairings, twirl_coefficients
 from .linalg import as_operator, check_entries, sym_part
 from .pauli import PauliString
 from .sampling import RngStream, random_pure_state
+
+#: Points per block of the local cubature: 1 MiB per complex array of them.
+_CUBATURE_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +156,22 @@ def _pauli_trace(p: PauliString, state: np.ndarray) -> complex:
     return complex(phase @ state[j, j ^ flip])
 
 
+def _prefix_blocks(ops, maps, lead: int):
+    """Yield map_sites(op, maps[lead:]) of each op reduced by every point
+    prefix of the first `lead` sites, depth first, in the order of
+    map_sites' leading axes.  Reducing by a point contracts the leading
+    site's entries with its (K_j, 4) row, so a level holds one operator of
+    half the dimension, and no array holds the points of more than one block."""
+    if lead == 0:
+        yield [map_sites(op, maps).real.ravel() for op in ops]
+        return
+    half = ops[0].shape[0] // 2
+    views = [op.reshape(2, half, 2, half) for op in ops]
+    for row in maps[0]:
+        reduced = [sum(row[2 * r + c] * v[r, :, c] for r in (0, 1) for c in (0, 1)) for v in views]
+        yield from _prefix_blocks(reduced, maps[1:], lead - 1)
+
+
 def _predict_local(spec: EnsembleSpec, observable, state: np.ndarray) -> float:
     """Exact Var[o] under a local ensemble from the single-qubit Clifford
     cubature: E[o^k] = sum_phi w_phi <phi|rho|phi> <phi|A~|phi>^k, k = 1, 2.
@@ -158,31 +179,58 @@ def _predict_local(spec: EnsembleSpec, observable, state: np.ndarray) -> float:
     E[o^2] is a third moment of the measured product state, so each Haar site
     may be replaced by its single-qubit Cliffords: phi runs over products of
     `stabilizer_points`, with w_phi = prod_j 2 / K_j.  These weights sum the
-    <phi|rho|phi> to Tr[rho] = 1, so Var[o] is the centred sum below."""
+    <phi|rho|phi> to Tr[rho] = 1, so Var[o] is the centred sum below.
+
+    The points are walked in blocks of at most `_CUBATURE_BLOCK`, one per
+    point prefix of the fewest leading sites that leave that many.  With one
+    block the sum is centred on its mean.  With more, it is shifted by
+    m = Tr[rho M(A~)], which the cubature mean equals, and the sums s_i of
+    w p (t - m)^i give sum w p (t - mu)^2 = s_2 - 2 delta s_1 + delta^2 s_0
+    with mu = s_1 + m s_0 and delta = mu - m, exactly, without cancellation."""
     maps = [stabilizer_points(g) for g in spec.groups]
-    check_entries(math.prod(m.shape[0] for m in maps), "the local variance cubature")
-    tilde = invert(channel_for(spec), observable).inverse
-    weight = math.prod(2.0 / m.shape[0] for m in maps)
-    p = map_sites(state, maps).real.ravel()
-    t = map_sites(tilde, maps).real.ravel()
-    mean = weight * (p @ t)
-    return float(weight * (p @ (t - mean) ** 2))
+    sizes = [m.shape[0] for m in maps]
+    check_entries(math.prod(sizes), "the local variance cubature")
+    desc = channel_for(spec)
+    tilde = invert(desc, observable).inverse
+    weight = math.prod(2.0 / k for k in sizes)
+    lead = next(j for j in range(spec.n + 1) if math.prod(sizes[j:]) <= _CUBATURE_BLOCK)
+    blocks = _prefix_blocks([state, tilde], maps, lead)
+    if lead == 0:
+        p, t = next(blocks)
+        mean = weight * (p @ t)
+        return float(weight * (p @ (t - mean) ** 2))
+    shift = np.einsum("ij,ji->", state, apply_channel(desc, tilde)).real
+    s0 = s1 = s2 = 0.0
+    for p, t in blocks:
+        x = t - shift
+        px = p * x
+        s0 += p.sum()
+        s1 += px.sum()
+        s2 += px @ x
+    s0, s1, s2 = weight * s0, weight * s1, weight * s2
+    delta = s1 + shift * (s0 - 1.0)
+    return float(s2 - 2.0 * delta * s1 + delta**2 * s0)
 
 
 def predict_variance(spec: EnsembleSpec, observable, rho) -> float:
     """The exact variance of one shot's estimate of `observable` on the state `rho`.
 
-    `observable` is a Pauli string, a dense matrix or an `InvertedObservable`.
+    `observable` is a Pauli string, a dense matrix or an `InvertedObservable`;
+    a string c P is predicted as Re(c) P, which is what its estimates read.
     Global ensembles sum the Brauer words.  Under a local ensemble a Pauli
     string takes its O(d) closed form, and any other observable the
     single-qubit Clifford cubature, which raises ResourceLimitError when it
-    would hold more than MAX_KRON_DIM^2 product states.
+    would sum over more than MAX_KRON_DIM^2 product states.
     """
     rho = as_operator(rho)
     if rho.shape[0] != spec.d:
         raise ValueError("state dimension does not match the ensemble")
-    if isinstance(observable, PauliString) and observable.n != spec.n:
-        raise ValueError("observable qubit count does not match the ensemble")
+    if isinstance(observable, PauliString):
+        if observable.n != spec.n:
+            raise ValueError("observable qubit count does not match the ensemble")
+        # <v|P|v> is real, so the estimators read Re(c) P of a string c P.
+        real = complex(observable.coefficient).real
+        observable = dataclasses.replace(observable, coefficient=real)
     if spec.scope == "global":
         return _predict_global(spec, observable, rho)
     if not isinstance(observable, PauliString):

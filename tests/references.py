@@ -3,7 +3,8 @@
 None of these is on a run path: the dense shadow of one shot, the
 depolarizing mixture form of the global orthogonal channel, the overlap
 factor of two Y-free Pauli strings, the single-qubit real Clifford group,
-a per-block local Born kernel and the batched-QR route of Haar frames.
+a per-block local Born kernel, the batched-QR route of Haar frames and a
+batch-by-batch median of means.
 """
 
 import numpy as np
@@ -51,6 +52,15 @@ def born_probabilities_per_block(factor, transforms, spec) -> np.ndarray:
         amp = transforms[:, j, None] @ amp.reshape(s, 2**j, 2, -1)
     amp = amp.reshape(s, spec.d, -1)
     return (amp.real**2 + amp.imag**2).sum(axis=2)
+
+
+def median_of_means_by_loop(values, batches: int) -> float:
+    """`engine.median_of_means` one batch mean at a time; the remainder folds
+    into the last batch."""
+    size = len(values) // batches
+    means = [values[i * size : (i + 1) * size].mean() for i in range(batches - 1)]
+    means.append(values[(batches - 1) * size :].mean())
+    return float(np.median(means))
 
 
 def depolarize(a, p: float, d: int | None = None) -> np.ndarray:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -447,11 +448,42 @@ class TestChannelOracleKernel:
         assert np.max(np.abs(whole[0] - chunked[0])) <= 1e-12
         assert np.max(np.abs(whole[1] - chunked[1])) <= 1e-12
 
+    def test_memory_does_not_grow_with_samples(self):
+        # validate-channel's d = 16 oracle: 1 MiB per (chunk, d, d) stack.
+        spec = global_ensemble("orthogonal", sh_basis(4))
+        a = _random_hermitian(74, 16)
+        peaks = []
+        for samples in (2000, 20000):
+            tracemalloc.start()
+            try:
+                mc_channel(RngStream(75), spec, a, samples)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 2**20, peaks
+        assert peaks[1] < 8 * 2**20, peaks
+
 
 class TestEnsembleSpecValidation:
     def test_local_requires_computational_basis(self):
         with pytest.raises(ValueError):
             EnsembleSpec("local", ("orthogonal",), sh_basis(1), 1)
+
+    def test_local_basis_check_makes_no_dxd_copy(self):
+        local_ensemble("orthogonal", 2)
+        tracemalloc.start()
+        try:
+            spec = local_ensemble("orthogonal", 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < spec.basis.vectors.nbytes + 4 * 2**20, peak / 2**20
+
+    def test_local_rejects_a_near_identity(self):
+        basis = computational_basis(7)
+        basis.vectors[127, 126] = 1e-9
+        with pytest.raises(ValueError, match="computational basis"):
+            EnsembleSpec("local", ("orthogonal",) * 7, basis, 7)
 
     def test_local_requires_group_per_qubit(self):
         with pytest.raises(ValueError):

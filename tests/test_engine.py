@@ -46,7 +46,7 @@ from realshadows.pauli import PauliString, X, Y, Z
 from realshadows.sampling import RngStream, random_pure_state, sample_transform_arrays
 from realshadows.variance import predict_variance, random_symmetric_observable
 
-from references import born_probabilities_per_block, shadow_from_vector
+from references import born_probabilities_per_block, median_of_means_by_loop, shadow_from_vector
 
 H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -474,6 +474,14 @@ class TestEstimate:
         assert median_of_means(values, 1) == pytest.approx(values.mean())
         with pytest.raises(ValueError):
             median_of_means(values, 6)
+
+    def test_median_of_means_matches_batch_loop(self):
+        g = np.random.default_rng(27)
+        for count in [*range(1, 70), 127, 1000, 1001, 4099]:
+            values = g.standard_normal(count) * 10.0 ** g.integers(-3, 6)
+            for batches in {*range(1, min(count, 12) + 1), count}:
+                expected = median_of_means_by_loop(values, batches)
+                assert median_of_means(values, batches) == expected, (count, batches)
 
     def test_batches_validated_in_estimate(self):
         spec = local_ensemble("orthogonal", 1)

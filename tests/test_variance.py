@@ -1,9 +1,11 @@
+import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from realshadows import linalg
+from realshadows import linalg, variance
 from realshadows.bases import basis_from_tag, computational_basis, make_basis, sh_basis
 from realshadows.channels import (
     GROUPS,
@@ -460,6 +462,41 @@ class TestLocalCubature:
         se = np.std((values - values.mean()) ** 2, ddof=1) / np.sqrt(values.shape[0])
         assert abs(emp - pred) <= 4 * se, (emp, pred, se)
 
+    @pytest.mark.parametrize("block", [1, 6, 24, 100])
+    @pytest.mark.parametrize(
+        "groups", [("unitary",) * 3, ("orthogonal", "unitary", "orthogonal")], ids=["UUU", "OUO"]
+    )
+    @pytest.mark.parametrize("state", ["pure", "basis", "mixed"])
+    def test_blocks_match_one_block(self, monkeypatch, block, groups, state):
+        # A block budget below the whole cubature walks point prefixes of the
+        # leading sites; |000> leaves most of those blocks with zero weight,
+        # and Y on an orthogonal site adds an invisible part.
+        spec = local_ensemble(groups, 3)
+        rho = {
+            "pure": random_pure_state(RngStream(38), 8),
+            "basis": np.diag(np.eye(8)[0]).astype(complex),
+            "mixed": _rank_two_state(39, 8),
+        }[state]
+        a = _random_hermitian(40, 8) + 5.0 * kron(Y, Z, X)
+        whole = predict_variance(spec, a, rho)
+        monkeypatch.setattr(variance, "_CUBATURE_BLOCK", block)
+        assert predict_variance(spec, a, rho) == pytest.approx(whole, rel=1e-12, abs=1e-12)
+
+    def test_streamed_memory_at_n8(self, monkeypatch):
+        # All-unitary n = 8 has 6^8 points, 27 MiB per complex array of them.
+        spec = local_ensemble("unitary", 8)
+        rho = random_pure_state(RngStream(41), 256)
+        a = _random_hermitian(42, 256)
+        tracemalloc.start()
+        try:
+            streamed = predict_variance(spec, a, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak / 2**20
+        monkeypatch.setattr(variance, "_CUBATURE_BLOCK", 6**8)
+        assert streamed == pytest.approx(predict_variance(spec, a, rho), rel=1e-12)
+
     def test_budget(self, monkeypatch):
         # 4 points per orthogonal site and 6 per unitary one: all-orthogonal
         # n = 13 fills the budget exactly, and all-unitary n = 11 is beyond it.
@@ -530,6 +567,23 @@ class TestPredictVariance:
         assert predict_variance(local_ensemble("orthogonal", 1), Y, rho) == 0.0
         pred = predict_variance(local_ensemble("unitary", 1), Y, rho)
         assert pred == pytest.approx(3.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            global_ensemble("orthogonal", computational_basis(2)),
+            local_ensemble(("orthogonal", "unitary"), 2),
+        ],
+        ids=["global-O4", "local-OU"],
+    )
+    def test_complex_coefficient_predicts_its_real_part(self, spec):
+        # The estimates of c P are Re(c) <v|P|v>: all zero for c = 1j.
+        rho = np.diag(np.eye(4)[0]).astype(complex)
+        zz = functools.partial(PauliString.from_string, "ZZ")
+        assert predict_variance(spec, zz(1j), rho) == 0.0
+        assert predict_variance(spec, zz(2 - 1j), rho) == predict_variance(spec, zz(2), rho)
+        values = per_shot_estimates(collect_records(RngStream(43), rho, spec, 200), zz(1j))
+        assert np.all(values == 0.0)
 
     @pytest.mark.parametrize("tag", ["sh", "random:5"])
     def test_global_alpha_symmetric_observable_is_predicted(self, tag):
