@@ -182,8 +182,8 @@ def _predict_local(spec: EnsembleSpec, observable, state: np.ndarray) -> float:
     <phi|rho|phi> to Tr[rho] = 1, so Var[o] is the centred sum below.
 
     The points are walked in blocks of at most `_CUBATURE_BLOCK`, one per
-    point prefix of the fewest leading sites that leave that many.  With one
-    block the sum is centred on its mean.  With more, it is shifted by
+    point prefix of the fewest leading sites that leave that many (a single
+    block when the whole cubature fits).  The sums are shifted by
     m = Tr[rho M(A~)], which the cubature mean equals, and the sums s_i of
     w p (t - m)^i give sum w p (t - mu)^2 = s_2 - 2 delta s_1 + delta^2 s_0
     with mu = s_1 + m s_0 and delta = mu - m, exactly, without cancellation."""
@@ -194,14 +194,9 @@ def _predict_local(spec: EnsembleSpec, observable, state: np.ndarray) -> float:
     tilde = invert(desc, observable).inverse
     weight = math.prod(2.0 / k for k in sizes)
     lead = next(j for j in range(spec.n + 1) if math.prod(sizes[j:]) <= _CUBATURE_BLOCK)
-    blocks = _prefix_blocks([state, tilde], maps, lead)
-    if lead == 0:
-        p, t = next(blocks)
-        mean = weight * (p @ t)
-        return float(weight * (p @ (t - mean) ** 2))
     shift = np.einsum("ij,ji->", state, apply_channel(desc, tilde)).real
     s0 = s1 = s2 = 0.0
-    for p, t in blocks:
+    for p, t in _prefix_blocks([state, tilde], maps, lead):
         x = t - shift
         px = p * x
         s0 += p.sum()

@@ -90,9 +90,10 @@ def test_global_predictor_matches_dense_words(group, tag):
         spec = global_ensemble(group, basis_from_tag(tag, n))
         rho = _mixed_state(100 + n, spec.d)
         for p in _strings(n, n):
-            # Both word sums read c P; predict_variance reads Re(c) P, as the estimates do.
-            dense = _predict_global(spec, p.to_matrix(), rho)
-            fast = _predict_global(spec, p, rho)
+            # predict_variance reads Re(c) P, as the estimates do.
+            real = p.coefficient.real * PauliString(p.letters).to_matrix()
+            dense = _predict_global(spec, real, rho)
+            fast = predict_variance(spec, p, rho)
             assert abs(fast - dense) <= 1e-12 * max(1.0, abs(dense)), (n, p, fast, dense)
 
 
