@@ -25,7 +25,6 @@ from .channels import (
     channel_for,
     has_invisible_part,
     invert,
-    pauli_inverse_eigenvalue,
     pauli_string_inverse_eigenvalue,
 )
 from .linalg import (
@@ -92,7 +91,10 @@ def validate_state(rho, d: int | None = None) -> np.ndarray:
         raise ValueError(f"state dimension {m.shape[0]} does not match ensemble dimension {d}")
     if abs(np.trace(m) - 1.0) > 1e-8:
         raise ValueError("state must have unit trace (within 1e-8)")
-    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (m + m.conj().T))
+    adjoint = m.conj().T
+    if np.abs(m - adjoint).max() > 1e-8:
+        raise ValueError("state must be Hermitian (within 1e-8)")
+    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (m + adjoint))
     if np.min(eigenvalues) < -1e-8:
         raise ValueError("state must be positive semidefinite (within 1e-8)")
     keep = eigenvalues > _RANK_TOL
@@ -256,36 +258,23 @@ def collect_records(rng: RngStream, rho, spec: EnsembleSpec, shots: int) -> Shad
 def per_shot_estimates(records: ShadowRecords, observable) -> np.ndarray:
     """o_s = v_s^dag M^-1(O) v_s for every shot, without materializing shadows.
 
-    Pauli strings under local ensembles use the factorized per-qubit fast
-    path, and under global ones their action, O(d) per shot.  A dense
+    A Pauli string c P takes one rule in every ensemble: o_s = Re(c) mu
+    <v_s|P|v_s>, with mu its M^-1 eigenvalue (see `_pauli_estimates`).  A dense
     observable (or an `InvertedObservable`) contracts its pseudo-inverse
     against the full measured vectors.  Real records take the real part of
     the operator, which is exact for real v.
     """
     spec = records.spec
-    s_count = len(records)
     if isinstance(observable, PauliString):
         if observable.n != spec.n:
             raise ValueError("observable qubit count does not match the ensemble")
-        if spec.scope == "global":
-            return _global_pauli_estimates(records, observable)
-        spectra = channel_for(spec).spectra
-        # Every letter value is real, so Re(c prod) = Re(c) prod.
-        values = np.full(s_count, complex(observable.coefficient).real)
-        for j, letter in enumerate(observable.letters):
-            if letter == "I":
-                continue
-            factor = pauli_inverse_eigenvalue(spectra[j], letter)
-            if factor == 0.0:
-                return np.zeros(s_count)
-            values *= factor * _letter_values(records.vectors[:, j], letter)
-        return values
+        return _pauli_estimates(records, observable)
     tilde = invert(channel_for(spec), observable).inverse
     if not np.iscomplexobj(records.vectors):
         tilde = tilde.real
-    values = np.empty(s_count)
+    values = np.empty(len(records))
     chunk = max(1, _CHUNK_ELEMENTS // spec.d)
-    for start in range(0, s_count, chunk):
+    for start in range(0, len(records), chunk):
         v = full_vectors(spec, records.vectors[start : start + chunk])
         values[start : start + chunk] = (v @ tilde.T * v.conj()).sum(axis=1).real
     return values
@@ -301,17 +290,24 @@ def _letter_values(v: np.ndarray, letter: str) -> np.ndarray:
     return 2.0 * (overlap.real if letter == "X" else overlap.imag)
 
 
-def _global_pauli_estimates(records: ShadowRecords, p: PauliString) -> np.ndarray:
-    """o_s = mu <v_s|P|v_s> = mu sum_j conj(v[j ^ flip]) phase[j] v[j], with mu
-    the M^-1 eigenvalue of the string's block; zeros when it is invisible."""
+def _pauli_estimates(records: ShadowRecords, p: PauliString) -> np.ndarray:
+    """o_s = Re(c) mu <v_s|P|v_s> for a string c P, zeros when mu = 0.
+
+    <v|P|v> is real, so Re(c P) reads Re(c).  A local shot's <v|P|v> is the
+    product of its sites' letter values; a global one's is
+    sum_j conj(v[j ^ flip]) phase[j] v[j] from the string's action, O(d)."""
     spec = records.spec
-    mu = pauli_string_inverse_eigenvalue(channel_for(spec), p)
-    if mu == 0.0:
+    scale = pauli_string_inverse_eigenvalue(channel_for(spec), p) * complex(p.coefficient).real
+    if scale == 0.0:
         return np.zeros(len(records))
-    flip, phase = p.action()
-    phase = mu * phase
-    if not np.iscomplexobj(records.vectors):
-        phase = phase.real
+    if spec.scope == "local":
+        values = np.full(len(records), scale)
+        for j, letter in enumerate(p.letters):
+            if letter != "I":
+                values *= _letter_values(records.vectors[:, j], letter)
+        return values
+    flip, phase = PauliString(p.letters).action()
+    phase = scale * (phase if np.iscomplexobj(records.vectors) else phase.real)
     partner = np.arange(spec.d) ^ flip
     values = np.empty(len(records))
     chunk = max(1, _CHUNK_ELEMENTS // spec.d)
@@ -546,6 +542,9 @@ class ExperimentConfig:
             raise ConfigError(f"emit takes only a csv path, got {emit!r}")
         if not isinstance(emit.get("csv") or "", str):  # open() takes an int as a file descriptor
             raise ConfigError(f"emit.csv must be a path, got {emit['csv']!r}")
+        allow_bias = cfg.get("allow_bias", False)
+        if not isinstance(allow_bias, bool):  # bool("false") is True
+            raise ConfigError(f"allow_bias must be true or false, got {allow_bias!r}")
         return cls(
             seed=seed,
             n=n,
@@ -557,7 +556,7 @@ class ExperimentConfig:
             observables=[dict(o) for o in observables],
             batches=batches,
             out_csv=emit.get("csv"),
-            allow_bias=bool(cfg.get("allow_bias", False)),
+            allow_bias=allow_bias,
             epsilon=_epsilon(cfg.get("epsilon")),
             raw=dict(cfg),
         )

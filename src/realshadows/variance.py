@@ -1,16 +1,25 @@
 """Exact variance predictors for shadow estimators.
 
 All predictors consume the true simulated state: they are validation oracles,
-not estimators of unknown states.  Every prediction is exact.  Global
-ensembles sum the Brauer trace words of the k = 3 twirl.  Local ensembles
-average over the single-qubit Clifford measurements, a finite sum over
-product stabilizer states; a Pauli string, whose second moment is state
-independent, takes its O(d) closed form instead.
+not estimators of unknown states.  Every prediction is exact.
+
+One rule covers a Pauli string c P in every ensemble, global or local, O or
+U, in any basis.  Its estimate o = c mu <v|P|v> has E[o^2] = Tr[rho Q], with
+Q the contraction of I (x) P (x) P against the k = 3 twirl.  P^2 = I,
+P^T = +-P and a loop holding a single P traces to 0, so every surviving
+contraction is a multiple of I and Q is too.  At rho = I/d,
+E[<v|P|v>^2] = Tr[P M(P)]/d = lambda = 1/mu, so
+
+    Var[o] = c^2 mu - (c Tr[rho P])^2,
+
+which is 0 when mu = 0 (P is invisible) or P is the identity.  Any other
+observable takes a sum: global ensembles sum the Brauer trace words of the
+k = 3 twirl, and local ones average over the single-qubit Clifford
+measurements, a finite sum over product stabilizer states.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from collections import Counter
@@ -71,89 +80,46 @@ def _word_coefficients(unitary: bool, d: int, alpha_total: float) -> tuple:
     )
 
 
-def _dense_traces(spec: EnsembleSpec, observable, state: np.ndarray):
-    """Loop traces of a dense A~, the traceless part of M^-1(A), and whether
-    the words may drop transposes.  Every loop is an O(d^2) trace but
-    Tr[rho X Y] = Tr[(rho X) Y], which shares rho A~ and rho A~^T (only
-    rho A~ when A~ is symmetric)."""
+def _predict_global(spec: EnsembleSpec, observable, state: np.ndarray) -> float:
+    """Exact Var[o] = E[o^2] - E[o]^2 of a dense observable from the k = 3
+    and k = 2 words.
+
+    E[o] is the visible target Tr[P_vis(A) rho].  Var is unchanged by
+    A -> A - Tr[A]/d (each o shifts by Tr[A]/d), so the words take the
+    traceless A~ and no (Tr A)^2 cancels against the mean.  Every loop is an
+    O(d^2) trace but Tr[rho X Y] = Tr[(rho X) Y], which shares rho A~ and
+    rho A~^T (only rho A~ when A~ is symmetric).  A Pauli string never comes
+    here: `predict_variance` gives it the closed form c^2 mu - (c Tr[rho P])^2."""
     d = spec.d
+    unitary = spec.groups[0] == "unitary"
     inverted = invert(channel_for(spec), observable)
     tilde = inverted.inverse.copy()
     tilde.flat[:: d + 1] -= inverted.trace / d
     # U(d) words are permutations, which never transpose an operand.
-    symmetric = spec.groups[0] == "unitary" or np.array_equal(tilde, tilde.T)
+    symmetric = unitary or np.array_equal(tilde, tilde.T)
     operands = {(0, False): state, (1, False): tilde, (1, True): tilde.T}
     products: dict = {}
-
-    def trace(loop) -> complex:
-        mats = [operands[step] for step in loop]
-        if len(mats) == 3:  # rho leads its loop: Tr[rho X Y]
-            if loop[1] not in products:
-                products[loop[1]] = state @ mats[1]
-            mats = [products[loop[1]], mats[2]]
-        return mats[0].trace() if len(mats) == 1 else np.einsum("ij,ji->", *mats)
-
-    return trace, symmetric
-
-
-def _pauli_traces(spec: EnsembleSpec, p: PauliString, state: np.ndarray):
-    """Loop traces of A~ = mu p for a Pauli string p = c P, and whether the
-    words may drop transposes.
-
-    A~^2 = kappa^2 with kappa = mu c, and A~^T = s A~ with s = (-1)^#Y, so a
-    loop of m A~ steps, t of them transposed, is s^t kappa^(m - 1) Tr[rho A~]
-    for odd m and s^t kappa^m for even m after rho, and 0 (odd m) or
-    s^t kappa^m d (even m) without it.  Only Tr[rho P] takes O(d) work; the
-    identity string's traceless part is zero."""
-    mu = pauli_string_inverse_eigenvalue(channel_for(spec), p)
-    kappa = mu * p.coefficient if p.support else 0.0
-    rho_tilde = mu * _pauli_trace(p, state) if p.support else 0.0
-    sign = -1 if p.y_count() % 2 else 1
-
-    def trace(loop) -> complex:
-        m = sum(op for op, _ in loop)
-        value = sign ** sum(t for _, t in loop) * kappa ** (m - m % 2)
-        if loop[0][0] == 0:
-            return value * rho_tilde if m % 2 else value
-        return 0.0 if m % 2 else value * spec.d
-
-    return trace, spec.groups[0] == "unitary" or sign == 1
-
-
-def _predict_global(spec: EnsembleSpec, observable, state: np.ndarray) -> float:
-    """Exact Var[o] = E[o^2] - E[o]^2 from the k = 3 and k = 2 words.
-
-    E[o] is the visible target Tr[P_vis(A) rho].  Var is unchanged by
-    A -> A - Tr[A]/d (each o shifts by Tr[A]/d), so the words take the
-    traceless A~ and no (Tr A)^2 cancels against the mean.  The loop traces
-    come from a Pauli string's action or from the dense A~; the word sum is
-    the same."""
-    source = _pauli_traces if isinstance(observable, PauliString) else _dense_traces
-    loop_trace, symmetric = source(spec, observable, state)
-    d = spec.d
-    unitary = spec.groups[0] == "unitary"
     traces: dict = {}
+
+    def trace(loop) -> complex:
+        if loop not in traces:
+            mats = [operands[step] for step in loop]
+            if len(mats) == 3:  # rho leads its loop: Tr[rho X Y]
+                if loop[1] not in products:
+                    products[loop[1]] = state @ mats[1]
+                mats = [products[loop[1]], mats[2]]
+            traces[loop] = mats[0].trace() if len(mats) == 1 else np.einsum("ij,ji->", *mats)
+        return traces[loop]
+
     moments = []
     for k, (c_perm, c_omega) in zip((2, 3), _word_coefficients(unitary, d, spec.basis.alpha_total)):
         sums = [0.0, 0.0]  # contractions, permutations
         for (is_permutation, word), count in _WORDS[k, symmetric].items():
             if is_permutation or not unitary:
-                value = count
-                for loop in word:
-                    if loop not in traces:
-                        traces[loop] = loop_trace(loop)
-                    value *= traces[loop]
-                sums[is_permutation] += value
+                sums[is_permutation] += count * math.prod(trace(loop) for loop in word)
         moments.append((c_perm * sums[True] + c_omega * sums[False]).real)
     mean, second = moments
     return float(second - mean**2)
-
-
-def _pauli_trace(p: PauliString, state: np.ndarray) -> complex:
-    """Tr[rho P] = sum_j phase[j] rho[j, j ^ flip], O(d) from the string's action."""
-    flip, phase = p.action()
-    j = np.arange(phase.shape[0])
-    return complex(phase @ state[j, j ^ flip])
 
 
 def _prefix_blocks(ops, maps, lead: int):
@@ -210,12 +176,13 @@ def _predict_local(spec: EnsembleSpec, observable, state: np.ndarray) -> float:
 def predict_variance(spec: EnsembleSpec, observable, rho) -> float:
     """The exact variance of one shot's estimate of `observable` on the state `rho`.
 
-    `observable` is a Pauli string, a dense matrix or an `InvertedObservable`;
-    a string c P is predicted as Re(c) P, which is what its estimates read.
-    Global ensembles sum the Brauer words.  Under a local ensemble a Pauli
-    string takes its O(d) closed form, and any other observable the
-    single-qubit Clifford cubature, which raises ResourceLimitError when it
-    would sum over more than MAX_KRON_DIM^2 product states.
+    `observable` is a Pauli string, a dense matrix or an `InvertedObservable`.
+    A string c P takes the one rule of every ensemble, c^2 mu - (c Tr[rho P])^2
+    with c read as Re(c), which is what its estimates read, and mu the M^-1
+    eigenvalue of P.  Other observables sum the Brauer words under a global
+    ensemble, and under a local one the single-qubit Clifford cubature, which
+    raises ResourceLimitError when it would sum over more than MAX_KRON_DIM^2
+    product states.
     """
     rho = as_operator(rho)
     if rho.shape[0] != spec.d:
@@ -223,21 +190,18 @@ def predict_variance(spec: EnsembleSpec, observable, rho) -> float:
     if isinstance(observable, PauliString):
         if observable.n != spec.n:
             raise ValueError("observable qubit count does not match the ensemble")
-        # <v|P|v> is real, so the estimators read Re(c) P of a string c P.
-        real = complex(observable.coefficient).real
-        observable = dataclasses.replace(observable, coefficient=real)
+        mu = pauli_string_inverse_eigenvalue(channel_for(spec), observable)
+        if mu == 0.0 or not observable.support:
+            return 0.0  # the estimate is identically zero, or the constant c
+        c = complex(observable.coefficient).real
+        # Tr[rho P] = sum_j phase[j] rho[j, j ^ flip], O(d) from the action.
+        flip, phase = PauliString(observable.letters).action()
+        j = np.arange(spec.d)
+        mean = c * (phase @ rho[j, j ^ flip]).real
+        return float(c * c * mu - mean**2)
     if spec.scope == "global":
         return _predict_global(spec, observable, rho)
-    if not isinstance(observable, PauliString):
-        return _predict_local(spec, observable, rho)
-    # E[o^2] is state independent: E[<v|P|v>^2] = lambda on each site, so a
-    # site contributes lambda^-2 lambda = 1/lambda, and 0 if it annihilates P.
-    inverse_eigenvalue = pauli_string_inverse_eigenvalue(channel_for(spec), observable)
-    second = float(abs(observable.coefficient) ** 2) * inverse_eigenvalue
-    if second == 0.0:
-        return 0.0  # the estimator is identically zero
-    mean = _pauli_trace(observable, rho).real
-    return float(second - mean**2)
+    return _predict_local(spec, observable, rho)
 
 
 # ---------------------------------------------------------------------------

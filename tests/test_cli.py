@@ -207,6 +207,7 @@ class TestEstimateCommand:
             (("ensemble",), {"scope": "global", "groups": ["orthogonal"], "basis": "random:-1"}),
             (("emit", "csv"), 1),
             (("epsilon",), 1e-200),
+            (("allow_bias",), "false"),
         ],
     )
     def test_bad_nested_value_is_one_line_usage_error(

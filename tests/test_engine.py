@@ -106,6 +106,8 @@ class TestSimulateMeasurement:
             validate_state(identity(2))  # trace 2
         with pytest.raises(ValueError):
             validate_state(np.diag([1.5, -0.5]).astype(complex))  # not PSD
+        with pytest.raises(ValueError, match="Hermitian"):
+            validate_state(np.array([[0.5, 0.4], [0.0, 0.5]]))  # unit trace, not Hermitian
 
     def test_corrupted_probabilities_are_detected(self):
         spec = local_ensemble("orthogonal", 1)

@@ -89,7 +89,9 @@ def test_global_predictor_matches_dense_words(group, tag):
     for n in range(1, 7):
         spec = global_ensemble(group, basis_from_tag(tag, n))
         rho = _mixed_state(100 + n, spec.d)
-        for p in _strings(n, n):
+        # At n <= 2, also every string: each Y parity, support pattern and the identity.
+        every = itertools.product("IXYZ", repeat=n) if n <= 2 else ()
+        for p in _strings(n, n) + [PauliString(letters, -1.5 + 0.25j) for letters in every]:
             # predict_variance reads Re(c) P, as the estimates do.
             real = p.coefficient.real * PauliString(p.letters).to_matrix()
             dense = _predict_global(spec, real, rho)
