@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import MeasurementBasis, computational_basis
-from .linalg import as_operator, batched_kron, is_identity, norm2, sum_abs2
+from .bases import MeasurementBasis
+from .linalg import as_operator, batched_kron, norm2, sum_abs2
 from .pauli import PauliString
 from . import sampling
 
@@ -41,11 +41,14 @@ _CHUNK_ELEMENTS = 1 << 16
 
 @dataclass(eq=False)
 class EnsembleSpec:
-    """Which group is sampled, over what scope, with which measurement basis."""
+    """Which group is sampled, over what scope, with which measurement basis.
+
+    A local ensemble always measures in the computational basis, so it holds
+    no basis (`None`)."""
 
     scope: str  # "global" | "local"
     groups: tuple[str, ...]  # length 1 (global) or n (local)
-    basis: MeasurementBasis
+    basis: MeasurementBasis | None
     n: int
 
     def __post_init__(self):
@@ -57,15 +60,15 @@ class EnsembleSpec:
                 raise ValueError(f"unknown group {g!r}")
         if self.n < 1:
             raise ValueError("need at least one qubit")
-        if self.basis.d != 2**self.n:
-            raise ValueError("basis dimension does not match the qubit count")
         if self.scope == "global":
             if len(self.groups) != 1:
                 raise ValueError("a global ensemble samples a single group")
+            if self.basis is None or self.basis.d != self.d:
+                raise ValueError("basis dimension does not match the qubit count")
         else:
             if len(self.groups) != self.n:
                 raise ValueError("local ensembles need one group per qubit")
-            if not is_identity(self.basis.vectors):
+            if self.basis is not None:
                 raise ValueError("local ensembles measure in the computational basis")
 
     @property
@@ -74,7 +77,8 @@ class EnsembleSpec:
 
     def label(self) -> str:
         groups = self.groups[0] if len(set(self.groups)) == 1 else ",".join(self.groups)
-        return f"{self.scope}-{groups}({self.basis.tag})"
+        tag = self.basis.tag if self.basis else "computational"
+        return f"{self.scope}-{groups}({tag})"
 
 
 def global_ensemble(group: str, basis: MeasurementBasis) -> EnsembleSpec:
@@ -87,7 +91,7 @@ def global_ensemble(group: str, basis: MeasurementBasis) -> EnsembleSpec:
 def local_ensemble(groups, n: int) -> EnsembleSpec:
     if isinstance(groups, str):
         groups = (groups,) * n
-    return EnsembleSpec("local", tuple(groups), computational_basis(n), n)
+    return EnsembleSpec("local", tuple(groups), None, n)
 
 
 @dataclass(frozen=True)
@@ -316,9 +320,10 @@ def mc_channel(rng: "sampling.RngStream", spec: EnsembleSpec, a, samples: int):
     With rows[s, w, :] = <w| U_s, each chunk is three matmuls: the weights
     Tr[a U^dag Pi_w U] = rows a rows^dag (diagonal only) and the sum over w
     of weight * rows^dag rows.  Chunks hold at most `_CHUNK_ELEMENTS`
-    elements per (chunk, d, d) array, so memory is bounded.  Global draws are
-    made per chunk and local factors once for all samples, so a given stream
-    yields the same draws for any chunk size.
+    elements per (chunk, d, d) array, so memory is bounded.  Each chunk draws
+    its own transforms: global ones from `rng`, and a local qubit j's factors
+    from `rng.child(j)`.  So a given stream yields the same draws for any
+    chunk size.
 
     Returns (mean, stderr) with a per-entry standard error of the mean.
     """
@@ -328,21 +333,19 @@ def mc_channel(rng: "sampling.RngStream", spec: EnsembleSpec, a, samples: int):
     d = spec.d
     if m.shape[0] != d:
         raise ValueError("operator dimension does not match the ensemble")
-    basis_h = spec.basis.vectors.conj().T
+    if spec.scope == "global":
+        basis_h = spec.basis.vectors.conj().T
+    else:
+        sites = [(rng.child(j), g == "orthogonal") for j, g in enumerate(spec.groups)]
     total = np.zeros((d, d), dtype=complex)
     total_sq = np.zeros((d, d), dtype=float)
     chunk = max(1, _CHUNK_ELEMENTS // (d * d))
-    if spec.scope == "local":
-        # (samples, n, 2, 2): O(samples n) memory, as in the engine.
-        factors = sampling.sample_transform_arrays(rng, spec, samples)
     for start in range(0, samples, chunk):
         b = min(chunk, samples - start)
         if spec.scope == "global":
-            u = sampling.sample_transform_arrays(rng, spec, b)
+            rows = basis_h @ sampling.sample_transform_arrays(rng, spec, b)
         else:
-            part = factors[start : start + b]
-            u = batched_kron([part[:, j] for j in range(spec.n)])
-        rows = basis_h @ u
+            rows = batched_kron([sampling.haar_frames(s, 2, 2, b, real=real) for s, real in sites])
         weights = ((rows @ m) * rows.conj()).sum(axis=2)
         contrib = (rows.conj() * weights[..., None]).transpose(0, 2, 1) @ rows
         total += contrib.sum(axis=0)

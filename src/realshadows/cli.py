@@ -74,15 +74,12 @@ _ENSEMBLE_CHOICES = ("global-orthogonal", "global-unitary", "local-orthogonal", 
 
 def _ensemble_from_flag(name: str, n: int, basis_tag: str) -> EnsembleSpec:
     scope, group = name.split("-", 1)
-    if scope == "global":
-        try:
-            basis = basis_from_tag(basis_tag, n)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        return global_ensemble(group, basis)
-    if basis_tag != "computational":
-        raise ConfigError("local ensembles measure in the computational basis")
-    return local_ensemble(group, n)
+    local = scope == "local" and basis_tag == "computational"
+    try:
+        basis = None if local else basis_from_tag(basis_tag, n)
+        return EnsembleSpec(scope, (group,) * (n if scope == "local" else 1), basis, n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _reject_constant(name: str):

@@ -28,10 +28,10 @@ from .channels import (
     pauli_string_inverse_eigenvalue,
 )
 from .linalg import (
-    as_operator,
     batched_kron,
     check_entries,
     check_qubit_count,
+    check_state,
     identity,
     is_hermitian,
 )
@@ -86,15 +86,8 @@ def validate_state(rho, d: int | None = None) -> np.ndarray:
     Psi has shape (d, r) with rho = Psi Psi^dag; its columns are the
     eigenvectors of rho scaled by the square roots of their eigenvalues.
     """
-    m = as_operator(rho)
-    if d is not None and m.shape[0] != d:
-        raise ValueError(f"state dimension {m.shape[0]} does not match ensemble dimension {d}")
-    if abs(np.trace(m) - 1.0) > 1e-8:
-        raise ValueError("state must have unit trace (within 1e-8)")
-    adjoint = m.conj().T
-    if np.abs(m - adjoint).max() > 1e-8:
-        raise ValueError("state must be Hermitian (within 1e-8)")
-    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (m + adjoint))
+    m = check_state(rho, d)
+    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (m + m.conj().T))
     if np.min(eigenvalues) < -1e-8:
         raise ValueError("state must be positive semidefinite (within 1e-8)")
     keep = eigenvalues > _RANK_TOL
@@ -388,10 +381,10 @@ def build_state(state: dict, n: int) -> np.ndarray:
         return identity(d) / d
     if kind == "computational":
         if "bits" in state:
-            try:
-                state = dict(state, index=int(str(state["bits"]), 2))
-            except ValueError:
-                raise ConfigError(f"bits must be a binary string, got {state['bits']!r}") from None
+            bits = state["bits"]
+            if not isinstance(bits, str) or len(bits) != n or set(bits) - {"0", "1"}:
+                raise ConfigError(f"bits must be a string of {n} binary digits, got {bits!r}")
+            state = dict(state, index=int(bits, 2))
         idx = _integer(state, "index", 0, d - 1, 0)
         rho = np.zeros((d, d), dtype=complex)
         rho[idx, idx] = 1.0
@@ -563,7 +556,9 @@ class ExperimentConfig:
 
     def ensemble_spec(self) -> EnsembleSpec:
         try:
-            basis = basis_from_tag(self.basis_tag, self.n)
+            # A local ensemble holds no basis; any other tag is refused by the spec.
+            local = self.scope == "local" and self.basis_tag == "computational"
+            basis = None if local else basis_from_tag(self.basis_tag, self.n)
             return EnsembleSpec(self.scope, self.groups, basis, self.n)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

@@ -105,7 +105,22 @@ def norm2(a) -> float:
 
 def is_hermitian(a, atol: float = ATOL) -> bool:
     m = np.asarray(a)
-    return bool(np.allclose(m, m.conj().T, rtol=0.0, atol=atol))
+    return operators_close(m, m.conj().T, atol)
+
+
+def check_state(rho, d: int | None = None) -> np.ndarray:
+    """`rho` as a complex operator, checked to be square, of dimension d when
+    given, of unit trace and Hermitian, each within 1e-8: the O(d^2) checks
+    of a density matrix.  Positivity needs an O(d^3) eigendecomposition, so
+    it is left to the callers that make one (`engine.validate_state`)."""
+    m = as_operator(rho)
+    if d is not None and m.shape[0] != d:
+        raise ValueError(f"state dimension {m.shape[0]} does not match ensemble dimension {d}")
+    if abs(np.trace(m) - 1.0) > 1e-8:
+        raise ValueError("state must have unit trace (within 1e-8)")
+    if np.abs(m - m.conj().T).max() > 1e-8:
+        raise ValueError("state must be Hermitian (within 1e-8)")
+    return m
 
 
 def sym_part(a) -> np.ndarray:
@@ -115,13 +130,3 @@ def sym_part(a) -> np.ndarray:
 
 def operators_close(a, b, atol: float = ATOL) -> bool:
     return bool(np.allclose(np.asarray(a), np.asarray(b), rtol=0.0, atol=atol))
-
-
-def is_identity(a: np.ndarray, atol: float = ATOL) -> bool:
-    """operators_close(a, identity) for a square a, compared a block of rows
-    at a time, so that no temporary holds more than 2^16 entries."""
-    d = a.shape[0]
-    rows = max(1, (1 << 16) // d)
-    return all(
-        operators_close(a[i : i + rows], np.eye(min(rows, d - i), d, i)) for i in range(0, d, rows)
-    )

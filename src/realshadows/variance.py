@@ -38,7 +38,7 @@ from .channels import (
     stabilizer_points,
 )
 from .commutant import enumerate_pairings, twirl_coefficients
-from .linalg import as_operator, check_entries, sym_part
+from .linalg import check_entries, check_state, sym_part
 from .pauli import PauliString
 from .sampling import RngStream, random_pure_state
 
@@ -182,11 +182,10 @@ def predict_variance(spec: EnsembleSpec, observable, rho) -> float:
     eigenvalue of P.  Other observables sum the Brauer words under a global
     ensemble, and under a local one the single-qubit Clifford cubature, which
     raises ResourceLimitError when it would sum over more than MAX_KRON_DIM^2
-    product states.
+    product states.  `rho` must be square, of unit trace and Hermitian;
+    positivity is not checked, as that takes an O(d^3) eigendecomposition.
     """
-    rho = as_operator(rho)
-    if rho.shape[0] != spec.d:
-        raise ValueError("state dimension does not match the ensemble")
+    rho = check_state(rho, spec.d)
     if isinstance(observable, PauliString):
         if observable.n != spec.n:
             raise ValueError("observable qubit count does not match the ensemble")

@@ -27,7 +27,7 @@ from realshadows.channels import (
 from realshadows.commutant import mc_twirl, twirl_project
 from realshadows.linalg import batched_kron, identity, kron, operators_close, sym_part
 from realshadows.pauli import PAULIS, X, Y, Z
-from realshadows.sampling import RngStream, sample_transform_arrays
+from realshadows.sampling import RngStream, haar_frames, sample_transform_arrays
 from realshadows.variance import predict_variance
 
 from references import depolarize, mixture_decomposition
@@ -396,12 +396,16 @@ class TestChannelOracle:
 
 def _reference_mc_channel(rng, spec, a, samples):
     """The three-einsum kernel the matmul path replaced, in one batch."""
-    arrays = sample_transform_arrays(rng, spec, samples)
     if spec.scope == "global":
-        u = arrays
+        u = sample_transform_arrays(rng, spec, samples)
+        vectors = spec.basis.vectors
     else:
-        u = batched_kron([arrays[:, j] for j in range(spec.n)])
-    rows = np.einsum("iw,sij->swj", spec.basis.vectors.conj(), u)
+        real = [g == "orthogonal" for g in spec.groups]
+        u = batched_kron(
+            [haar_frames(rng.child(j), 2, 2, samples, real=r) for j, r in enumerate(real)]
+        )
+        vectors = np.eye(spec.d)
+    rows = np.einsum("iw,sij->swj", vectors.conj(), u)
     weights = np.einsum("swi,ij,swj->sw", rows, a, rows.conj())
     contrib = np.einsum("sw,swi,swj->sij", weights, rows.conj(), rows)
     mean = contrib.sum(axis=0) / samples
@@ -448,9 +452,16 @@ class TestChannelOracleKernel:
         assert np.max(np.abs(whole[0] - chunked[0])) <= 1e-12
         assert np.max(np.abs(whole[1] - chunked[1])) <= 1e-12
 
-    def test_memory_does_not_grow_with_samples(self):
+    @pytest.mark.parametrize(
+        "make_spec",
+        [
+            pytest.param(lambda: global_ensemble("orthogonal", sh_basis(4)), id="global"),
+            pytest.param(lambda: local_ensemble("unitary", 4), id="local"),
+        ],
+    )
+    def test_memory_does_not_grow_with_samples(self, make_spec):
         # validate-channel's d = 16 oracle: 1 MiB per (chunk, d, d) stack.
-        spec = global_ensemble("orthogonal", sh_basis(4))
+        spec = make_spec()
         a = _random_hermitian(74, 16)
         peaks = []
         for samples in (2000, 20000):
@@ -473,11 +484,17 @@ class TestEnsembleSpecValidation:
         local_ensemble("orthogonal", 2)
         tracemalloc.start()
         try:
-            spec = local_ensemble("orthogonal", 10)
+            spec = local_ensemble("orthogonal", 12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < spec.basis.vectors.nbytes + 4 * 2**20, peak / 2**20
+        assert spec.basis is None
+        assert spec.label() == "local-orthogonal(computational)"
+        assert peak < 2**20, peak / 2**20
+
+    def test_global_requires_a_basis(self):
+        with pytest.raises(ValueError, match="basis dimension"):
+            EnsembleSpec("global", ("orthogonal",), None, 2)
 
     def test_local_rejects_a_near_identity(self):
         basis = computational_basis(7)

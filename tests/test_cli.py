@@ -190,6 +190,10 @@ class TestEstimateCommand:
             (("state",), "abc"),
             (("state", "bits"), "102"),
             (("state", "bits"), True),
+            (("state", "bits"), "1"),
+            (("state", "bits"), "001"),
+            (("state", "bits"), "0b1"),
+            (("state", "bits"), "1_0"),
             (("observables", 0), [1]),
             (("observables", 0, "coefficient"), "abc"),
             (("observables", 0, "coefficient"), 1e101),
@@ -205,6 +209,7 @@ class TestEstimateCommand:
             (("observables", 2, "imag"), [[0, 1, 0, 0], [0] * 4, [0] * 4, [0] * 4]),
             (("ensemble", "groups"), 5),
             (("ensemble",), {"scope": "global", "groups": ["orthogonal"], "basis": "random:-1"}),
+            (("ensemble", "basis"), "sh"),
             (("emit", "csv"), 1),
             (("epsilon",), 1e-200),
             (("allow_bias",), "false"),
@@ -318,6 +323,7 @@ class TestValidators:
             ["validate-channel", "--basis", "random:18446744073709551616"],
             ["validate-channel", "--basis", "random:"],
             ["validate-channel", "--basis", "random:1e3"],
+            ["validate-channel", "--ensemble", "local-orthogonal", "--basis", "sh"],
             ["validate-twirl", "--seed=-1"],
             ["validate-channel", "--seed", "18446744073709551616"],
             ["validate-variance", "--seed=-1"],
@@ -337,6 +343,10 @@ class TestValidators:
         [
             (["validate-channel", "--basis", "random:"], "basis tag 'random:'"),
             (["validate-channel", "--basis", "random:1e3"], "basis tag 'random:1e3'"),
+            (
+                ["validate-channel", "--ensemble", "local-unitary", "--basis", "sh"],
+                "local ensembles measure in the computational basis",
+            ),
             (["validate-twirl", "--seed=-1"], "--seed"),
             (["ratio-sweep", f"--seed={2**64}"], "--seed"),
         ],

@@ -9,7 +9,6 @@ from realshadows.linalg import (
     batched_kron,
     check_entries,
     identity,
-    is_identity,
     kron,
     norm2,
     operators_close,
@@ -110,18 +109,3 @@ class TestSymmetrySplits:
         assert operators_close(sym_part(a), sym_part(a).T, atol=ATOL)
         assert operators_close(sym_part(sym_part(a)), sym_part(a), atol=ATOL)
         assert abs(np.vdot(sym_part(a), b - b.T)) < 1e-10
-
-
-class TestIsIdentity:
-    @pytest.mark.parametrize("d", [1, 2, 255, 256, 300, 1024])
-    def test_matches_operators_close(self, d):
-        g = np.random.default_rng(d)
-        for _ in range(6):
-            a = np.eye(d, dtype=complex)
-            i, j = g.integers(0, d, size=2)
-            a[i, j] += g.choice([0.5e-10, 2e-10]) * np.exp(1j * g.uniform(0, 2 * np.pi))
-            assert is_identity(a) == operators_close(a, np.eye(d))
-        a = np.eye(d, dtype=complex)
-        a[-1, 0] += 1e-9  # in the last block of rows
-        assert not is_identity(a)
-        assert is_identity(np.eye(d, dtype=complex))

@@ -595,6 +595,25 @@ class TestPredictVariance:
         assert pred == pytest.approx(reference, rel=1e-12)
 
 
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (np.array([[0.5, 0.4], [0.0, 0.5]]), "Hermitian"),
+            (np.diag([1.0, 1.0]), "unit trace"),
+        ],
+        ids=["not-hermitian", "trace-two"],
+    )
+    @pytest.mark.parametrize(
+        "spec",
+        [global_ensemble("orthogonal", computational_basis(1)), local_ensemble("unitary", 1)],
+        ids=["global", "local"],
+    )
+    @pytest.mark.parametrize("observable", [PauliString.from_string("Z"), X], ids=["pauli", "dense"])
+    def test_rejects_a_state_that_is_not_a_density_matrix(self, spec, observable, rho, message):
+        with pytest.raises(ValueError, match=message):
+            predict_variance(spec, observable, rho)
+
+
 class TestRandomSymmetricObservable:
     def test_symmetric_and_hermitian(self):
         a = random_symmetric_observable(RngStream(16), 8)
