@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Same-seed artifact check: regenerate four CSVs and compare them with the
+"""Same-seed artifact check: regenerate five CSVs and compare them with the
 references committed under tests/data/.
 
 The runs are the `run_estimate_demo.py` configuration (local orthogonal,
 n = 3), a small global orthogonal one (n = 4, computational basis, Pauli
-strings and random symmetric observables), a ratio sweep (n = 1..5, 10
-instances per n, seed 5) and a full-rank local one (n = 6, alternating
-orthogonal and unitary sites, maximally mixed state, 2,000 shots in two
-Born-sampling chunks).  Text cells must match exactly and
+strings and random symmetric observables), two ratio sweeps (n = 1..5 and
+n = 6..7, 10 instances per n, seed 5) and a full-rank local one (n = 6,
+alternating orthogonal and unitary sites, maximally mixed state, 2,000 shots
+in two Born-sampling chunks).  Text cells must match exactly and
 each numeric cell x within 1e-12 * (1 + |x|), so that BLAS builds that round
 differently still pass.
 
@@ -66,12 +66,14 @@ MIXED_LOCAL_CONFIG = {
 }
 
 RATIO_SWEEP = ["ratio-sweep", "--n-min", "1", "--n-max", "5", "--instances", "10", "--seed", "5"]
+RATIO_SWEEP_LARGE = ["ratio-sweep", "--n-min", "6", "--n-max", "7"] + RATIO_SWEEP[5:]
 
 #: Each reference with its run: an estimate configuration or CLI arguments.
 RUNS = {
     "demo_local_n3.csv": DEMO_CONFIG,
     "global_orthogonal_n4.csv": GLOBAL_CONFIG,
     "ratio_sweep_n1-5.csv": RATIO_SWEEP,
+    "ratio_sweep_n6-7.csv": RATIO_SWEEP_LARGE,
     "local_mixed_full_rank_n6.csv": MIXED_LOCAL_CONFIG,
 }
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import MeasurementBasis
+from .bases import MeasurementBasis, basis_from_tag
 from .linalg import as_operator, batched_kron, norm2, sum_abs2
 from .pauli import PauliString
 from . import sampling
@@ -33,6 +33,8 @@ GROUPS = ("unitary", "orthogonal")
 
 #: Eigenvalues smaller than this are treated as exact zeros of the channel.
 _ZERO_EIGENVALUE_ATOL = 1e-12
+
+_LOCAL_BASIS = "local ensembles measure in the computational basis"
 
 #: Element budget per (chunk, d, d) Monte Carlo array: 256 samples at d = 16,
 #: so each complex stack of a chunk is at most 1 MiB.
@@ -69,7 +71,7 @@ class EnsembleSpec:
             if len(self.groups) != self.n:
                 raise ValueError("local ensembles need one group per qubit")
             if self.basis is not None:
-                raise ValueError("local ensembles measure in the computational basis")
+                raise ValueError(_LOCAL_BASIS)
 
     @property
     def d(self) -> int:
@@ -92,6 +94,17 @@ def local_ensemble(groups, n: int) -> EnsembleSpec:
     if isinstance(groups, str):
         groups = (groups,) * n
     return EnsembleSpec("local", tuple(groups), None, n)
+
+
+def ensemble_from_tag(scope: str, groups, basis_tag: str, n: int) -> EnsembleSpec:
+    """The ensemble of a config or CLI flag.  Only a global scope builds the
+    tag's basis: a local one refuses any tag but "computational" before a
+    basis of dimension 2^n is allocated."""
+    if scope != "global":
+        if scope == "local" and basis_tag != "computational":
+            raise ValueError(_LOCAL_BASIS)
+        return EnsembleSpec(scope, groups, None, n)
+    return EnsembleSpec(scope, groups, basis_from_tag(basis_tag, n), n)
 
 
 @dataclass(frozen=True)
@@ -221,11 +234,13 @@ def pauli_string_inverse_eigenvalue(desc: ChannelDescriptor, p) -> float:
 def _apply_global_blocks(a: np.ndarray, lam_sym: float, lam_anti: float) -> np.ndarray:
     """tr + lam_sym sym0 + lam_anti anti for a = tr + sym0 + anti, in five
     elementwise passes: off the diagonal, tr is zero and sym0 = (a + a^T)/2;
-    on it, anti is zero and sym0 = a - tr."""
-    d = a.shape[0]
-    tr = np.trace(a) / d
-    out = (0.5 * lam_sym) * (a + a.T) + (0.5 * lam_anti) * (a - a.T)
-    out.flat[:: d + 1] = lam_sym * (a.diagonal() - tr) + tr
+    on it, anti is zero and sym0 = a - tr.  `a` may be a (..., d, d) stack,
+    which keeps its dtype."""
+    d = a.shape[-1]
+    tr = np.trace(a, axis1=-2, axis2=-1)[..., None] / d
+    a_t = np.swapaxes(a, -1, -2)
+    out = (0.5 * lam_sym) * (a + a_t) + (0.5 * lam_anti) * (a - a_t)
+    np.einsum("...ii->...i", out)[...] = lam_sym * (np.diagonal(a, 0, -2, -1) - tr) + tr
     return out
 
 
@@ -252,6 +267,18 @@ def apply_channel(desc: ChannelDescriptor, a) -> np.ndarray:
 def pseudo_inverse(desc: ChannelDescriptor, a) -> np.ndarray:
     """Blockwise reciprocal of M; blocks with zero eigenvalue map to zero."""
     return _dispatch(desc, a, _inverse_eigenvalue)
+
+
+def pseudo_inverses(desc: ChannelDescriptor, stack: np.ndarray) -> np.ndarray:
+    """`pseudo_inverse` of each operator of a finite (..., d, d) stack under a
+    global channel, in one pass and in the stack's own dtype: a real stack
+    stays real."""
+    if desc.spec.scope != "global" or stack.shape[-2:] != (desc.spec.d,) * 2:
+        raise ValueError("a stack is inverted under a global channel of its dimension")
+    sp = desc.spectrum
+    return _apply_global_blocks(
+        stack, _inverse_eigenvalue(sp.lambda_sym), _inverse_eigenvalue(sp.lambda_anti)
+    )
 
 
 def visible_projector(desc: ChannelDescriptor, a) -> np.ndarray:

@@ -17,6 +17,7 @@ from .channels import (
     EnsembleSpec,
     apply_channel,
     channel_for,
+    ensemble_from_tag,
     global_ensemble,
     local_ensemble,
     mc_channel,
@@ -74,10 +75,8 @@ _ENSEMBLE_CHOICES = ("global-orthogonal", "global-unitary", "local-orthogonal", 
 
 def _ensemble_from_flag(name: str, n: int, basis_tag: str) -> EnsembleSpec:
     scope, group = name.split("-", 1)
-    local = scope == "local" and basis_tag == "computational"
     try:
-        basis = None if local else basis_from_tag(basis_tag, n)
-        return EnsembleSpec(scope, (group,) * (n if scope == "local" else 1), basis, n)
+        return ensemble_from_tag(scope, (group,) * (n if scope == "local" else 1), basis_tag, n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .bases import basis_from_tag
 from .channels import (
     EnsembleSpec,
     channel_for,
+    ensemble_from_tag,
     has_invisible_part,
     invert,
     pauli_string_inverse_eigenvalue,
@@ -421,7 +421,8 @@ def build_observable(obs: dict, n: int) -> tuple[str, PauliString | np.ndarray]:
         default = string
     elif kind == "random_symmetric":
         seed = _integer(obs, "seed", 0, MAX_SEED, 0)
-        op = random_symmetric_observable(RngStream(seed), d)
+        # Complex, as every dense observable of a run: the real draw is freed here.
+        op = random_symmetric_observable(RngStream(seed), d).astype(complex)
         default = f"random_symmetric:{seed}"
     elif kind == "basis_projector":
         idx = _integer(obs, "index", 0, d - 1, 0)
@@ -556,10 +557,7 @@ class ExperimentConfig:
 
     def ensemble_spec(self) -> EnsembleSpec:
         try:
-            # A local ensemble holds no basis; any other tag is refused by the spec.
-            local = self.scope == "local" and self.basis_tag == "computational"
-            basis = None if local else basis_from_tag(self.basis_tag, self.n)
-            return EnsembleSpec(self.scope, self.groups, basis, self.n)
+            return ensemble_from_tag(self.scope, self.groups, self.basis_tag, self.n)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

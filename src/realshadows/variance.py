@@ -35,15 +35,19 @@ from .channels import (
     invert,
     map_sites,
     pauli_string_inverse_eigenvalue,
+    pseudo_inverses,
     stabilizer_points,
 )
 from .commutant import enumerate_pairings, twirl_coefficients
 from .linalg import check_entries, check_state, sym_part
 from .pauli import PauliString
-from .sampling import RngStream, random_pure_state
+from .sampling import RngStream, haar_state_vector
 
 #: Points per block of the local cubature: 1 MiB per complex array of them.
 _CUBATURE_BLOCK = 1 << 16
+
+#: Entries per (instances, d, d) stack of the ratio sweep: 2 instances at n = 7.
+_SWEEP_BLOCK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -80,46 +84,71 @@ def _word_coefficients(unitary: bool, d: int, alpha_total: float) -> tuple:
     )
 
 
-def _predict_global(spec: EnsembleSpec, observable, state: np.ndarray) -> float:
-    """Exact Var[o] = E[o^2] - E[o]^2 of a dense observable from the k = 3
-    and k = 2 words.
+def _subtract_trace(inverse: np.ndarray, trace) -> np.ndarray:
+    """A~ = M^+(A) - Tr[A]/d I for each operator of a stack, in place."""
+    np.einsum("...ii->...i", inverse)[...] -= np.asarray(trace)[..., None] / inverse.shape[-1]
+    return inverse
+
+
+def _pair_trace(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Tr[x y] for each pair of a stack, in O(size)."""
+    return np.einsum("...ij,...ji->...", x, y)
+
+
+def _predict_global(spec: EnsembleSpec, tilde: np.ndarray, left: np.ndarray, right=None):
+    """Exact Var[o] = E[o^2] - E[o]^2 of dense observables from the k = 3
+    and k = 2 words, for a (..., d, d) stack of traceless A~ on the states
+    rho = L R^dag of a stack of factors (..., d, r).  `right` None stands
+    for R = I, so `left` is then the dense rho.
 
     E[o] is the visible target Tr[P_vis(A) rho].  Var is unchanged by
     A -> A - Tr[A]/d (each o shifts by Tr[A]/d), so the words take the
-    traceless A~ and no (Tr A)^2 cancels against the mean.  Every loop is an
-    O(d^2) trace but Tr[rho X Y] = Tr[(rho X) Y], which shares rho A~ and
-    rho A~^T (only rho A~ when A~ is symmetric).  A Pauli string never comes
-    here: `predict_variance` gives it the closed form c^2 mu - (c Tr[rho P])^2."""
-    d = spec.d
+    traceless A~ and no (Tr A)^2 cancels against the mean.  With X and Y
+    each A~ or A~^T, a loop of rho is Tr[rho] = 1 (the state has unit trace),
+    Tr[rho X] = Tr[(R^dag X) L] or Tr[rho X Y] = Tr[(R^dag X)(Y L)], so the
+    products R^dag X and Y L, O(d^2 r) each, are shared by every loop
+    (only A~ appears when A~ is symmetric).  A loop without rho is
+    Tr[X] or Tr[X Y], O(d^2).  The word tables are walked once per stack.
+    A Pauli string never comes here: `predict_variance` gives it the closed
+    form c^2 mu - (c Tr[rho P])^2."""
     unitary = spec.groups[0] == "unitary"
-    inverted = invert(channel_for(spec), observable)
-    tilde = inverted.inverse.copy()
-    tilde.flat[:: d + 1] -= inverted.trace / d
+    transposed = np.swapaxes(tilde, -1, -2)
     # U(d) words are permutations, which never transpose an operand.
-    symmetric = unitary or np.array_equal(tilde, tilde.T)
-    operands = {(0, False): state, (1, False): tilde, (1, True): tilde.T}
-    products: dict = {}
-    traces: dict = {}
+    symmetric = unitary or np.array_equal(tilde, transposed)
+    operands = (tilde, transposed)
+    adjoint = None if right is None else np.swapaxes(right.conj(), -1, -2)
 
-    def trace(loop) -> complex:
-        if loop not in traces:
-            mats = [operands[step] for step in loop]
-            if len(mats) == 3:  # rho leads its loop: Tr[rho X Y]
-                if loop[1] not in products:
-                    products[loop[1]] = state @ mats[1]
-                mats = [products[loop[1]], mats[2]]
-            traces[loop] = mats[0].trace() if len(mats) == 1 else np.einsum("ij,ji->", *mats)
-        return traces[loop]
+    @functools.cache
+    def row(t: bool) -> np.ndarray:  # R^dag X
+        return operands[t] if adjoint is None else adjoint @ operands[t]
+
+    @functools.cache
+    def column(t: bool) -> np.ndarray:  # Y L
+        return operands[t] @ left
+
+    @functools.cache
+    def trace(loop):
+        (op, t), *rest = loop
+        if op == 1:  # no rho: Tr[X] or Tr[X Y]
+            if not rest:
+                return np.trace(operands[t], axis1=-2, axis2=-1)
+            return _pair_trace(operands[t], operands[rest[0][1]])
+        if not rest:
+            return 1.0
+        if len(rest) == 1:
+            return _pair_trace(row(rest[0][1]), left)
+        return _pair_trace(row(rest[0][1]), column(rest[1][1]))
 
     moments = []
-    for k, (c_perm, c_omega) in zip((2, 3), _word_coefficients(unitary, d, spec.basis.alpha_total)):
-        sums = [0.0, 0.0]  # contractions, permutations
+    coefficients = _word_coefficients(unitary, spec.d, spec.basis.alpha_total)
+    for k, (c_perm, c_omega) in zip((2, 3), coefficients):
+        sums = [0j, 0j]  # contractions, permutations; complex, as a word may be
         for (is_permutation, word), count in _WORDS[k, symmetric].items():
             if is_permutation or not unitary:
                 sums[is_permutation] += count * math.prod(trace(loop) for loop in word)
         moments.append((c_perm * sums[True] + c_omega * sums[False]).real)
     mean, second = moments
-    return float(second - mean**2)
+    return second - mean**2
 
 
 def _prefix_blocks(ops, maps, lead: int):
@@ -199,7 +228,9 @@ def predict_variance(spec: EnsembleSpec, observable, rho) -> float:
         mean = c * (phase @ rho[j, j ^ flip]).real
         return float(c * c * mu - mean**2)
     if spec.scope == "global":
-        return _predict_global(spec, observable, rho)
+        inverted = invert(channel_for(spec), observable)
+        tilde = _subtract_trace(inverted.inverse.copy(), inverted.trace)
+        return float(_predict_global(spec, tilde, rho))
     return _predict_local(spec, observable, rho)
 
 
@@ -208,28 +239,26 @@ def predict_variance(spec: EnsembleSpec, observable, rho) -> float:
 
 
 def random_symmetric_observable(rng: RngStream, d: int) -> np.ndarray:
-    """A random symmetric observable: complex entries uniform in [-1, 1]^2,
-    adjoint added, Schatten-2-normalized, restricted to the symmetric
-    component (the part both protocols estimate without bias)."""
+    """A random real symmetric observable: complex entries uniform in
+    [-1, 1]^2, adjoint added, Schatten-2-normalized, restricted to the
+    symmetric component (the part both protocols estimate without bias).
+    a = m + m^dag is Hermitian bit for bit, so a + a^T has an imaginary part
+    of exactly 0, and the result is its float64 real part."""
     gen = rng.generator
     m = gen.uniform(-1.0, 1.0, (d, d)) + 1j * gen.uniform(-1.0, 1.0, (d, d))
     a = m + m.conj().T
     a = a / np.linalg.norm(a)
-    return sym_part(a)
-
-
-def ratio_instance(rng: RngStream, orthogonal, unitary) -> tuple[float, float, float]:
-    """(var_real, var_unitary, ratio) for one random state/observable pair
-    under the global orthogonal and unitary ensembles of one dimension."""
-    rho = random_pure_state(rng.child(0), orthogonal.d)
-    a = random_symmetric_observable(rng.child(1), orthogonal.d)
-    var_real = _predict_global(orthogonal, a, rho)
-    var_unitary = _predict_global(unitary, a, rho)
-    return var_real, var_unitary, var_real / var_unitary
+    return sym_part(a).real
 
 
 def ratio_sweep(n_values, instances: int, seed: int):
     """Exact-predictor variance-ratio sweep over system sizes.
+
+    Instance i at n draws a Haar psi from the stream (seed, n, i, 0) and a
+    random symmetric A from (seed, n, i, 1).  Both global ensembles of the
+    computational basis predict Var[o] for blocks of instances, one stack of
+    at most `_SWEEP_BLOCK` entries per block, on the factor psi of
+    rho = psi psi^dag.
 
     Returns (rows, summary): one row per instance with the CSV schema
     (n, instance_id, var_real_exact, var_unitary_exact, ratio) and one summary
@@ -237,25 +266,36 @@ def ratio_sweep(n_values, instances: int, seed: int):
     """
     rows = []
     summary = []
-    for n in n_values:
-        specs = [global_ensemble(g, computational_basis(int(n))) for g in ("orthogonal", "unitary")]
-        base = RngStream(seed, (int(n),))
+    for n in map(int, n_values):
+        d = 2**n
+        groups = ("orthogonal", "unitary")
+        descs = [channel_for(global_ensemble(g, computational_basis(n))) for g in groups]
+        base = RngStream(seed, (n,))
+        block = max(1, _SWEEP_BLOCK // (d * d))
         ratios = np.empty(instances)
-        for i in range(instances):
-            var_real, var_unitary, ratio = ratio_instance(base.child(i), *specs)
-            ratios[i] = ratio
-            rows.append(
-                {
-                    "n": int(n),
-                    "instance_id": i,
-                    "var_real_exact": var_real,
-                    "var_unitary_exact": var_unitary,
-                    "ratio": ratio,
-                }
+        for start in range(0, instances, block):
+            ids = range(start, min(start + block, instances))
+            psi = np.stack([haar_state_vector(base.child(i).child(0), d) for i in ids])[..., None]
+            a = np.stack([random_symmetric_observable(base.child(i).child(1), d) for i in ids])
+            traces = np.trace(a, axis1=1, axis2=2)
+            tildes = [_subtract_trace(pseudo_inverses(desc, a), traces) for desc in descs]
+            var_real, var_unitary = (
+                _predict_global(desc.spec, tilde, psi, psi) for desc, tilde in zip(descs, tildes)
             )
+            ratios[ids.start : ids.stop] = var_real / var_unitary
+            for i, v_real, v_unitary in zip(ids, var_real, var_unitary):
+                rows.append(
+                    {
+                        "n": n,
+                        "instance_id": i,
+                        "var_real_exact": float(v_real),
+                        "var_unitary_exact": float(v_unitary),
+                        "ratio": float(ratios[i]),
+                    }
+                )
         summary.append(
             {
-                "n": int(n),
+                "n": n,
                 "mean_ratio": float(ratios.mean()),
                 "stderr": float(ratios.std(ddof=1) / np.sqrt(instances)),
             }

@@ -19,6 +19,7 @@ from realshadows.channels import (
     orthogonal_spectrum,
     pauli_inverse_eigenvalue,
     pseudo_inverse,
+    pseudo_inverses,
     stabilizer_points,
     unitary_spectrum,
     visible_dimension,
@@ -227,6 +228,25 @@ class TestPseudoInverse:
         once = apply_channel(desc, a)
         again = apply_channel(desc, pseudo_inverse(desc, once))
         assert operators_close(again, once, atol=ATOL)
+
+    @pytest.mark.parametrize("group", GROUPS)
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_stack_matches_each_item(self, group, real):
+        desc = channel_for(global_ensemble(group, sh_basis(3)))
+        stack = np.stack([_random_matrix(20 + i, 8) for i in range(3)])
+        stack = stack.real if real else stack
+        inverses = pseudo_inverses(desc, stack)
+        assert inverses.dtype == stack.dtype
+        for a, inverse in zip(stack, inverses):
+            one = pseudo_inverse(desc, a)
+            assert np.array_equal(inverse, one.real if real else one)
+
+    def test_stack_needs_a_global_channel_of_its_dimension(self):
+        stack = np.zeros((2, 4, 4))
+        other_dimension = global_ensemble("unitary", computational_basis(3))
+        for spec in (local_ensemble("orthogonal", 2), other_dimension):
+            with pytest.raises(ValueError, match="global channel of its dimension"):
+                pseudo_inverses(channel_for(spec), stack)
 
     def test_degenerate_d2_alpha0_zeroes_symmetric_block(self):
         desc = channel_for(global_ensemble("orthogonal", sh_basis(1)))

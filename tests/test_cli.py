@@ -6,6 +6,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,25 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert f"{shots} shots" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("tag", ["sh", "random:5", "unknown"])
+    def test_local_basis_tag_refused_before_building_it(self, tmp_path, capsys, tag):
+        # A 4096 x 4096 complex basis would take 256 MiB before the refusal.
+        cfg = self._one_qubit_config({"csv": str(tmp_path / "out.csv")})
+        cfg.update(n=12, observables=[{"kind": "pauli", "string": "Z" * 12}])
+        cfg["ensemble"] = {"scope": "local", "groups": ["orthogonal"] * 12, "basis": tag}
+        path = _write_config(tmp_path, cfg)
+        tracemalloc.start()
+        try:
+            code = main(["estimate", "--config", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2**20, peak / 2**20
+        err = capsys.readouterr().err
+        assert err == "configuration error: local ensembles measure in the computational basis\n"
         assert not (tmp_path / "out.csv").exists()
 
     def test_oversize_cubature_fails_before_any_shot(self, tmp_path, capsys):

@@ -21,7 +21,7 @@ from realshadows.channels import (
 from realshadows.engine import ExperimentConfig, collect_records, per_shot_estimates, run_experiment
 from realshadows.pauli import PauliString
 from realshadows.sampling import RngStream, random_pure_state
-from realshadows.variance import _predict_global, predict_variance
+from realshadows.variance import _predict_global, _subtract_trace, predict_variance
 
 GROUPS = ("orthogonal", "unitary")
 TAGS = ("computational", "sh", "random:5")
@@ -94,7 +94,8 @@ def test_global_predictor_matches_dense_words(group, tag):
         for p in _strings(n, n) + [PauliString(letters, -1.5 + 0.25j) for letters in every]:
             # predict_variance reads Re(c) P, as the estimates do.
             real = p.coefficient.real * PauliString(p.letters).to_matrix()
-            dense = _predict_global(spec, real, rho)
+            inverted = invert(channel_for(spec), real)
+            dense = _predict_global(spec, _subtract_trace(inverted.inverse, inverted.trace), rho)
             fast = predict_variance(spec, p, rho)
             assert abs(fast - dense) <= 1e-12 * max(1.0, abs(dense)), (n, p, fast, dense)
 

@@ -14,6 +14,7 @@ from realshadows.channels import (
     has_invisible_part,
     local_ensemble,
     pseudo_inverse,
+    pseudo_inverses,
     visible_projector,
 )
 from realshadows.commutant import twirl_project
@@ -237,6 +238,55 @@ class TestBrauerWordPredictor:
         emp = np.var(values, ddof=1)
         se = np.std((values - values.mean()) ** 2, ddof=1) / np.sqrt(values.shape[0])
         assert abs(emp - pred) <= 4 * se, (emp, pred, se)
+
+
+class TestStackedWords:
+    """The words of a stack of observables on factored states rho = L R^dag
+    against the dense path of `predict_variance`, one item at a time."""
+
+    @staticmethod
+    def _observables(symmetric, d):
+        if symmetric:
+            return [random_symmetric_observable(RngStream(120, (i,)), d) for i in range(3)]
+        # Two complex Hermitian A, so A~ is not symmetric, around a symmetric one.
+        sym = random_symmetric_observable(RngStream(121), d)
+        return [_random_hermitian(122, d), sym.astype(complex), _random_hermitian(123, d)]
+
+    @staticmethod
+    def _factor(seed, d, rank):
+        g = RngStream(seed).generator
+        psi = g.standard_normal((d, rank)) + 1j * g.standard_normal((d, rank))
+        return psi / np.linalg.norm(psi)
+
+    @pytest.mark.parametrize("group", ["orthogonal", "unitary"])
+    @pytest.mark.parametrize("tag", ["computational", "sh"])
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "hermitian"])
+    @pytest.mark.parametrize("rank", [1, 2, 8])
+    def test_stack_matches_dense_path(self, group, tag, symmetric, rank):
+        spec = _global(group, tag, 3)
+        d = spec.d
+        observables = self._observables(symmetric, d)
+        psi = np.stack([self._factor(124 + i, d, rank) for i in range(len(observables))])
+        stack = np.stack(observables)
+        tilde = variance._subtract_trace(
+            pseudo_inverses(channel_for(spec), stack), np.trace(stack, axis1=1, axis2=2)
+        )
+        # rho = L R^dag with L = psi G and R = psi G^-dag, for an invertible G.
+        g = self._factor(130, rank, rank) + np.eye(rank)
+        left, right = psi @ g, psi @ np.linalg.inv(g).conj().T
+        for factors in ((psi, psi), (left, right)):
+            stacked = variance._predict_global(spec, tilde, *factors)
+            assert stacked.shape == (len(observables),)
+            for a, x, value in zip(observables, psi, stacked):
+                dense = predict_variance(spec, a, x @ x.conj().T)
+                assert abs(value - dense) <= 1e-12 * max(1.0, abs(dense)), (value, dense)
+
+    def test_pure_state_words_take_the_lone_rho_loop_as_one(self):
+        # |psi|^2 summed for psi = I / sqrt(2) rounds to 1 - 2^-52; the loop is 1.
+        spec = _global("unitary", "computational", 1)
+        z = pseudo_inverse(channel_for(spec), Z)[None]
+        psi = np.eye(2)[None] / np.sqrt(2.0)
+        assert variance._predict_global(spec, z, psi, psi)[0] == 3.0
 
 
 class TestOverlapF:
@@ -626,6 +676,19 @@ class TestRandomSymmetricObservable:
         b = random_symmetric_observable(RngStream(17), 4)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_real_part_of_the_complex_construction(self, d):
+        # The symmetric part of a bitwise Hermitian a has an imaginary part of
+        # exactly 0, so the float64 result is its real part byte for byte.
+        gen = RngStream(18, (d,)).generator
+        m = gen.uniform(-1.0, 1.0, (d, d)) + 1j * gen.uniform(-1.0, 1.0, (d, d))
+        a = m + m.conj().T
+        a = sym_part(a / np.linalg.norm(a))
+        assert not a.imag.any()
+        out = random_symmetric_observable(RngStream(18, (d,)), d)
+        assert out.dtype == np.float64
+        assert out.tobytes() == a.real.tobytes()
+
 
 def test_ratio_trend_small():
     rows, summary = ratio_sweep([1, 2, 3], 100, seed=18)
@@ -633,3 +696,27 @@ def test_ratio_trend_small():
     assert means[0] > means[1] > means[2]
     assert all(r["ratio"] <= 1.0 + 1e-12 for r in rows)
     assert len(rows) == 300
+
+
+def test_ratio_rows_do_not_depend_on_the_block(monkeypatch):
+    rows, summary = ratio_sweep([1, 3, 5], 7, seed=19)
+    monkeypatch.setattr(variance, "_SWEEP_BLOCK", 1)  # one instance per block
+    single_rows, single_summary = ratio_sweep([1, 3, 5], 7, seed=19)
+    assert [(r["n"], r["instance_id"]) for r in rows] == [
+        (r["n"], r["instance_id"]) for r in single_rows
+    ]
+    for row, single in zip(rows + summary, single_rows + single_summary):
+        for key, value in row.items():
+            assert single[key] == pytest.approx(value, rel=1e-14, abs=0.0), key
+
+
+def test_ratio_sweep_memory_at_n7():
+    # Two instances per block at n = 7: a few (2, 128, 128) stacks at a time.
+    ratio_sweep([1], 2, 5)
+    tracemalloc.start()
+    try:
+        ratio_sweep([7], 60, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak / 2**20
