@@ -40,6 +40,7 @@ from .engine import (
     per_shot_estimates,
     run_experiment,
     full_vectors,
+    validate_state,
 )
 from .linalg import ResourceLimitError, kron
 from .pauli import PauliString
@@ -81,6 +82,7 @@ __all__ = [
     "per_shot_estimates",
     "run_experiment",
     "full_vectors",
+    "validate_state",
     "ResourceLimitError",
     "kron",
     "PauliString",

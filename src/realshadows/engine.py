@@ -28,10 +28,11 @@ from .channels import (
     pauli_string_inverse_eigenvalue,
 )
 from .linalg import (
+    as_operator,
     batched_kron,
     check_entries,
+    check_factor,
     check_qubit_count,
-    check_state,
     identity,
     is_hermitian,
 )
@@ -51,10 +52,6 @@ _PROB_SUM_TOL = 1e-6
 #: Largest magnitude of a configured number, which keeps every second
 #: moment of an estimate (at most about |c|^2 4^n) inside float64.
 _MAX_MAGNITUDE = 1e100
-
-#: Eigenvalues of rho at or below this are rounding noise of a lower-rank
-#: state; dropping them keeps the factor Psi one column wide for pure states.
-_RANK_TOL = 1e-12
 
 #: Element budget per chunk of amplitude or full-vector arrays.
 _CHUNK_ELEMENTS = 1 << 22
@@ -83,15 +80,20 @@ class ShadowRecords:
 def validate_state(rho, d: int | None = None) -> np.ndarray:
     """Check that `rho` is a density matrix and return its factor Psi.
 
-    Psi has shape (d, r) with rho = Psi Psi^dag; its columns are the
-    eigenvectors of rho scaled by the square roots of their eigenvalues.
+    The one reader of a dense state: square, of dimension d when given,
+    Hermitian and positive semidefinite within 1e-8.  Psi (d, r), with
+    rho = Psi Psi^dag, holds the eigenvectors scaled by the square roots of
+    their eigenvalues, checked by `linalg.check_factor`.
     """
-    m = check_state(rho, d)
+    m = as_operator(rho)
+    if d is not None and m.shape[0] != d:
+        raise ValueError(f"state dimension {m.shape[0]} does not match ensemble dimension {d}")
+    if np.abs(m - m.conj().T).max() > 1e-8:
+        raise ValueError("state must be Hermitian (within 1e-8)")
     eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (m + m.conj().T))
     if np.min(eigenvalues) < -1e-8:
         raise ValueError("state must be positive semidefinite (within 1e-8)")
-    keep = eigenvalues > _RANK_TOL
-    return eigenvectors[:, keep] * np.sqrt(eigenvalues[keep])
+    return check_factor(eigenvectors * np.sqrt(np.maximum(eigenvalues, 0.0)), m.shape[0])
 
 
 def _checked(p: np.ndarray) -> np.ndarray:
@@ -224,8 +226,8 @@ def full_vectors(spec: EnsembleSpec, vectors: np.ndarray) -> np.ndarray:
     return batched_kron([vectors[:, j, :, None] for j in range(spec.n)])[:, :, 0]
 
 
-def collect_records(rng: RngStream, rho, spec: EnsembleSpec, shots: int) -> ShadowRecords:
-    """Draw `shots` shots on the state `rho` and keep each shot's measured vector.
+def collect_records(rng: RngStream, factor, spec: EnsembleSpec, shots: int) -> ShadowRecords:
+    """Draw `shots` shots on rho = Psi Psi^dag, Psi the (d, r) `factor`, and keep their vectors.
 
     Global shots come from the direct sampler `_global_vectors`, which never
     forms a d x d transform.  Local shots draw their 2x2 factors from
@@ -234,7 +236,7 @@ def collect_records(rng: RngStream, rho, spec: EnsembleSpec, shots: int) -> Shad
     """
     if shots < 1:
         raise ValueError("need at least one shot")
-    factor = validate_state(rho, spec.d)
+    factor = check_factor(factor, spec.d)
     if spec.scope == "global":
         return ShadowRecords(spec, _global_vectors(rng, factor, spec, shots))
     transforms = sample_transform_arrays(rng.child(0), spec, shots)
@@ -584,7 +586,7 @@ def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
     """
     t0 = time.perf_counter()
     spec = config.ensemble_spec()
-    rho = build_state(config.state, config.n)
+    factor = validate_state(build_state(config.state, config.n), spec.d)
     desc = channel_for(spec)
     prepared = []
     # Only the inverses are kept, so at most one dense A is alive at a time.
@@ -597,8 +599,8 @@ def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
             )
         if not isinstance(obs, PauliString):
             obs = invert(desc, obs)  # one pseudo-inverse for the prediction and the estimate
-        prepared.append((oid, obs, flagged, predict_variance(spec, obs, rho)))
-    records = collect_records(RngStream(config.seed), rho, spec, config.shots)
+        prepared.append((oid, obs, flagged, predict_variance(spec, obs, factor)))
+    records = collect_records(RngStream(config.seed), factor, spec, config.shots)
     reports = []
     for oid, obs, flagged, predicted in prepared:
         report = estimate(records, obs, config.batches, oid)

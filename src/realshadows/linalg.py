@@ -108,19 +108,24 @@ def is_hermitian(a, atol: float = ATOL) -> bool:
     return operators_close(m, m.conj().T, atol)
 
 
-def check_state(rho, d: int | None = None) -> np.ndarray:
-    """`rho` as a complex operator, checked to be square, of dimension d when
-    given, of unit trace and Hermitian, each within 1e-8: the O(d^2) checks
-    of a density matrix.  Positivity needs an O(d^3) eigendecomposition, so
-    it is left to the callers that make one (`engine.validate_state`)."""
-    m = as_operator(rho)
-    if d is not None and m.shape[0] != d:
-        raise ValueError(f"state dimension {m.shape[0]} does not match ensemble dimension {d}")
-    if abs(np.trace(m) - 1.0) > 1e-8:
-        raise ValueError("state must have unit trace (within 1e-8)")
-    if np.abs(m - m.conj().T).max() > 1e-8:
-        raise ValueError("state must be Hermitian (within 1e-8)")
-    return m
+#: Columns of a state factor of squared norm at or below this are rounding
+#: noise of a lower-rank state, and are dropped (rho moves by at most this).
+RANK_TOL = 1e-12
+
+
+def check_factor(factor, d: int) -> np.ndarray:
+    """`factor` as the complex (d, r) factor Psi of rho = Psi Psi^dag, positive
+    semidefinite by construction: r >= 1, finite, of unit trace ||Psi||^2 = 1
+    within 1e-8, and without its columns of squared norm at most RANK_TOL."""
+    m = np.asarray(factor, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != d or m.shape[1] < 1:
+        raise ValueError(f"expected a ({d}, r) state factor with r >= 1, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("state factor entries must be finite")
+    weights = (m.real**2 + m.imag**2).sum(axis=0)
+    if abs(weights.sum() - 1.0) > 1e-8:
+        raise ValueError("state must have unit trace, ||Psi||^2 = 1 (within 1e-8)")
+    return m[:, weights > RANK_TOL]
 
 
 def sym_part(a) -> np.ndarray:

@@ -39,7 +39,7 @@ from .channels import (
     stabilizer_points,
 )
 from .commutant import enumerate_pairings, twirl_coefficients
-from .linalg import check_entries, check_state, sym_part
+from .linalg import check_entries, check_factor, sym_part
 from .pauli import PauliString
 from .sampling import RngStream, haar_state_vector
 
@@ -95,19 +95,18 @@ def _pair_trace(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ji->...", x, y)
 
 
-def _predict_global(spec: EnsembleSpec, tilde: np.ndarray, left: np.ndarray, right=None):
+def _predict_global(spec: EnsembleSpec, tilde: np.ndarray, factor: np.ndarray):
     """Exact Var[o] = E[o^2] - E[o]^2 of dense observables from the k = 3
     and k = 2 words, for a (..., d, d) stack of traceless A~ on the states
-    rho = L R^dag of a stack of factors (..., d, r).  `right` None stands
-    for R = I, so `left` is then the dense rho.
+    rho = Psi Psi^dag of a stack of factors Psi (..., d, r).
 
     E[o] is the visible target Tr[P_vis(A) rho].  Var is unchanged by
     A -> A - Tr[A]/d (each o shifts by Tr[A]/d), so the words take the
     traceless A~ and no (Tr A)^2 cancels against the mean.  With X and Y
     each A~ or A~^T, a loop of rho is Tr[rho] = 1 (the state has unit trace),
-    Tr[rho X] = Tr[(R^dag X) L] or Tr[rho X Y] = Tr[(R^dag X)(Y L)], so the
-    products R^dag X and Y L, O(d^2 r) each, are shared by every loop
-    (only A~ appears when A~ is symmetric).  A loop without rho is
+    Tr[rho X] = Tr[(Psi^dag X) Psi] or Tr[rho X Y] = Tr[(Psi^dag X)(Y Psi)],
+    so the products Psi^dag X and Y Psi, O(d^2 r) each, are shared by every
+    loop (only A~ appears when A~ is symmetric).  A loop without rho is
     Tr[X] or Tr[X Y], O(d^2).  The word tables are walked once per stack.
     A Pauli string never comes here: `predict_variance` gives it the closed
     form c^2 mu - (c Tr[rho P])^2."""
@@ -116,15 +115,14 @@ def _predict_global(spec: EnsembleSpec, tilde: np.ndarray, left: np.ndarray, rig
     # U(d) words are permutations, which never transpose an operand.
     symmetric = unitary or np.array_equal(tilde, transposed)
     operands = (tilde, transposed)
-    adjoint = None if right is None else np.swapaxes(right.conj(), -1, -2)
 
     @functools.cache
-    def row(t: bool) -> np.ndarray:  # R^dag X
-        return operands[t] if adjoint is None else adjoint @ operands[t]
+    def row(t: bool) -> np.ndarray:  # Psi^dag X
+        return np.swapaxes(factor.conj(), -1, -2) @ operands[t]
 
     @functools.cache
-    def column(t: bool) -> np.ndarray:  # Y L
-        return operands[t] @ left
+    def column(t: bool) -> np.ndarray:  # Y Psi
+        return operands[t] @ factor
 
     @functools.cache
     def trace(loop):
@@ -136,7 +134,7 @@ def _predict_global(spec: EnsembleSpec, tilde: np.ndarray, left: np.ndarray, rig
         if not rest:
             return 1.0
         if len(rest) == 1:
-            return _pair_trace(row(rest[0][1]), left)
+            return _pair_trace(row(rest[0][1]), factor)
         return _pair_trace(row(rest[0][1]), column(rest[1][1]))
 
     moments = []
@@ -167,7 +165,7 @@ def _prefix_blocks(ops, maps, lead: int):
         yield from _prefix_blocks(reduced, maps[1:], lead - 1)
 
 
-def _predict_local(spec: EnsembleSpec, observable, state: np.ndarray) -> float:
+def _predict_local(spec: EnsembleSpec, observable, factor: np.ndarray) -> float:
     """Exact Var[o] under a local ensemble from the single-qubit Clifford
     cubature: E[o^k] = sum_phi w_phi <phi|rho|phi> <phi|A~|phi>^k, k = 1, 2.
 
@@ -181,7 +179,9 @@ def _predict_local(spec: EnsembleSpec, observable, state: np.ndarray) -> float:
     block when the whole cubature fits).  The sums are shifted by
     m = Tr[rho M(A~)], which the cubature mean equals, and the sums s_i of
     w p (t - m)^i give sum w p (t - mu)^2 = s_2 - 2 delta s_1 + delta^2 s_0
-    with mu = s_1 + m s_0 and delta = mu - m, exactly, without cancellation."""
+    with mu = s_1 + m s_0 and delta = mu - m, exactly, without cancellation.
+    The cubature reads the dense rho = Psi Psi^dag, formed once."""
+    state = factor @ factor.conj().T
     maps = [stabilizer_points(g) for g in spec.groups]
     sizes = [m.shape[0] for m in maps]
     check_entries(math.prod(sizes), "the local variance cubature")
@@ -202,8 +202,9 @@ def _predict_local(spec: EnsembleSpec, observable, state: np.ndarray) -> float:
     return float(s2 - 2.0 * delta * s1 + delta**2 * s0)
 
 
-def predict_variance(spec: EnsembleSpec, observable, rho) -> float:
-    """The exact variance of one shot's estimate of `observable` on the state `rho`.
+def predict_variance(spec: EnsembleSpec, observable, factor) -> float:
+    """The exact variance of one shot's estimate of `observable` on the state
+    rho = Psi Psi^dag of the (d, r) `factor` Psi that `engine.validate_state` returns.
 
     `observable` is a Pauli string, a dense matrix or an `InvertedObservable`.
     A string c P takes the one rule of every ensemble, c^2 mu - (c Tr[rho P])^2
@@ -211,10 +212,9 @@ def predict_variance(spec: EnsembleSpec, observable, rho) -> float:
     eigenvalue of P.  Other observables sum the Brauer words under a global
     ensemble, and under a local one the single-qubit Clifford cubature, which
     raises ResourceLimitError when it would sum over more than MAX_KRON_DIM^2
-    product states.  `rho` must be square, of unit trace and Hermitian;
-    positivity is not checked, as that takes an O(d^3) eigendecomposition.
+    product states.
     """
-    rho = check_state(rho, spec.d)
+    factor = check_factor(factor, spec.d)
     if isinstance(observable, PauliString):
         if observable.n != spec.n:
             raise ValueError("observable qubit count does not match the ensemble")
@@ -222,16 +222,16 @@ def predict_variance(spec: EnsembleSpec, observable, rho) -> float:
         if mu == 0.0 or not observable.support:
             return 0.0  # the estimate is identically zero, or the constant c
         c = complex(observable.coefficient).real
-        # Tr[rho P] = sum_j phase[j] rho[j, j ^ flip], O(d) from the action.
+        # Tr[rho P] = sum_jk phase[j] Psi[j, k] conj(Psi[j ^ flip, k]), O(d r).
         flip, phase = PauliString(observable.letters).action()
-        j = np.arange(spec.d)
-        mean = c * (phase @ rho[j, j ^ flip]).real
+        partner = np.arange(spec.d) ^ flip
+        mean = c * (phase @ (factor * factor[partner].conj()).sum(axis=1)).real
         return float(c * c * mu - mean**2)
     if spec.scope == "global":
         inverted = invert(channel_for(spec), observable)
         tilde = _subtract_trace(inverted.inverse.copy(), inverted.trace)
-        return float(_predict_global(spec, tilde, rho))
-    return _predict_local(spec, observable, rho)
+        return float(_predict_global(spec, tilde, factor))
+    return _predict_local(spec, observable, factor)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,7 @@ def ratio_sweep(n_values, instances: int, seed: int):
             traces = np.trace(a, axis1=1, axis2=2)
             tildes = [_subtract_trace(pseudo_inverses(desc, a), traces) for desc in descs]
             var_real, var_unitary = (
-                _predict_global(desc.spec, tilde, psi, psi) for desc, tilde in zip(descs, tildes)
+                _predict_global(desc.spec, tilde, psi) for desc, tilde in zip(descs, tildes)
             )
             ratios[ids.start : ids.stop] = var_real / var_unitary
             for i, v_real, v_unitary in zip(ids, var_real, var_unitary):

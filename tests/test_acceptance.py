@@ -20,7 +20,7 @@ from realshadows.channels import (
     orthogonal_spectrum,
 )
 from realshadows.commutant import closed_form_twirl, twirl_project
-from realshadows.engine import collect_records, estimate, per_shot_estimates
+from realshadows.engine import collect_records, estimate, per_shot_estimates, validate_state
 from realshadows.linalg import identity, kron, sym_part
 from realshadows.pauli import PAULIS, PauliString, Y, Z
 from realshadows.sampling import RngStream, haar_state_vector, haar_unitaries, random_pure_state
@@ -90,18 +90,18 @@ def test_criterion_3_channel_oracle():
 def test_criterion_4_variance_exactness_global_real():
     t0 = time.perf_counter()
     # pinned case: the predictors are exactly 2 (real) and 3 (unitary)
-    rho2 = identity(2) / 2
+    psi2 = validate_state(identity(2) / 2)
     basis2 = computational_basis(1)
-    assert predict_variance(global_ensemble("orthogonal", basis2), Z, rho2) == 2.0
-    assert predict_variance(global_ensemble("unitary", basis2), Z, rho2) == 3.0
+    assert predict_variance(global_ensemble("orthogonal", basis2), Z, psi2) == 2.0
+    assert predict_variance(global_ensemble("unitary", basis2), Z, psi2) == 3.0
     # random instance at d = 4: empirical within 5% of the exact value
     d, n = 4, 2
     spec = global_ensemble("orthogonal", computational_basis(n))
-    rho = random_pure_state(RngStream(3), d)
+    psi = validate_state(random_pure_state(RngStream(3), d))
     a = random_symmetric_observable(RngStream(4), d)
-    records = collect_records(RngStream(7), rho, spec, 100000)
+    records = collect_records(RngStream(7), psi, spec, 100000)
     emp = estimate(records, a).empirical_variance
-    pred = predict_variance(spec, a, rho)
+    pred = predict_variance(spec, a, psi)
     rel = abs(emp - pred) / pred
     assert rel <= 0.05, rel
     _report(4, "global-real variance exactness", t0)
@@ -129,11 +129,12 @@ def test_criterion_6_local_pauli_second_moment():
     }
     spec = local_ensemble("orthogonal", n)
     for i, (label, rho) in enumerate(states.items()):
-        records = collect_records(RngStream(21, (i,)), rho, spec, 100000)
+        records = collect_records(RngStream(21, (i,)), validate_state(rho), spec, 100000)
         second = float(np.mean(per_shot_estimates(records, p) ** 2))
         assert abs(second - 4.0) / 4.0 <= 0.03, (label, second)
     spec_u = local_ensemble("unitary", n)
-    records = collect_records(RngStream(22), states["eigenstate"], spec_u, 100000)
+    eigenstate = validate_state(states["eigenstate"])
+    records = collect_records(RngStream(22), eigenstate, spec_u, 100000)
     second_u = float(np.mean(per_shot_estimates(records, p) ** 2))
     assert abs(second_u - 9.0) / 9.0 <= 0.05, second_u
     _report(6, "local Pauli second moments (2^k vs 3^k)", t0)
@@ -208,7 +209,7 @@ def test_criterion_9_bias_semantics():
     spec = global_ensemble("orthogonal", computational_basis(n))
     rho = random_pure_state(RngStream(23), d)
     obs = kron(Y, PAULIS["I"])
-    records = collect_records(RngStream(24), rho, spec, 20000)
+    records = collect_records(RngStream(24), validate_state(rho), spec, 20000)
     report = estimate(records, obs)
     target = float(np.trace(obs @ rho).real)
     target_sym = float(np.trace(sym_part(obs) @ rho).real)

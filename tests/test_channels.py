@@ -26,6 +26,7 @@ from realshadows.channels import (
     visible_projector,
 )
 from realshadows.commutant import mc_twirl, twirl_project
+from realshadows.engine import validate_state
 from realshadows.linalg import batched_kron, identity, kron, operators_close, sym_part
 from realshadows.pauli import PAULIS, X, Y, Z
 from realshadows.sampling import RngStream, haar_frames, sample_transform_arrays
@@ -314,7 +315,7 @@ class TestPerSiteRule:
         spec = local_ensemble(groups, 2)
         expected = np.prod([pauli_inverse_eigenvalue(sp, "X") for sp in channel_for(spec).spectra])
         assert expected == np.prod([2.0 if g == "orthogonal" else 3.0 for g in groups])
-        value = predict_variance(spec, kron(Z, X), identity(4) / 4)
+        value = predict_variance(spec, kron(Z, X), validate_state(identity(4) / 4))
         assert value == pytest.approx(expected, rel=1e-12)
 
 

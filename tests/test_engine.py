@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -102,12 +103,19 @@ class TestSimulateMeasurement:
         assert np.array_equal(vectors, [[[0.0, 1.0], [1.0, 0.0]]])
 
     def test_rejects_bad_state(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unit trace"):
             validate_state(identity(2))  # trace 2
         with pytest.raises(ValueError):
             validate_state(np.diag([1.5, -0.5]).astype(complex))  # not PSD
         with pytest.raises(ValueError, match="Hermitian"):
             validate_state(np.array([[0.5, 0.4], [0.0, 0.5]]))  # unit trace, not Hermitian
+        # Unit trace and no eigenvalue below -1e-8, but the factor of its
+        # nonnegative part has ||Psi||^2 = 1 + 2.7e-8: the one trace rule,
+        # on Psi, refuses it.
+        edge = np.diag([1.0 + 2.7e-8, -0.9e-8, -0.9e-8, -0.9e-8])
+        assert abs(np.trace(edge) - 1.0) <= 1e-15
+        with pytest.raises(ValueError, match="unit trace"):
+            validate_state(edge)
 
     def test_corrupted_probabilities_are_detected(self):
         spec = local_ensemble("orthogonal", 1)
@@ -174,7 +182,7 @@ def test_local_records_match_per_block_kernel(monkeypatch, seed, chunk_shots):
     # Same outcomes and the same measured vectors, bit for bit, as with the
     # per-block kernel patched in, within one chunk and across several.
     spec = local_ensemble(("orthogonal", "unitary") * 2 + ("orthogonal",), 5)
-    rho = _full_rank_state(50 + seed, spec.d)
+    factor = validate_state(_full_rank_state(50 + seed, spec.d))
     if chunk_shots is not None:
         monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", chunk_shots * spec.d * spec.d)
     outcomes = []
@@ -184,14 +192,14 @@ def test_local_records_match_per_block_kernel(monkeypatch, seed, chunk_shots):
         return outcomes[-1]
 
     monkeypatch.setattr(engine, "_sample_outcomes", recorded)
-    vectors = collect_records(RngStream(seed), rho, spec, 200).vectors
+    vectors = collect_records(RngStream(seed), factor, spec, 200).vectors
     fast, outcomes[:] = list(outcomes), []
     monkeypatch.setattr(
         engine,
         "_born_probabilities",
         lambda f, t, s: engine._checked(born_probabilities_per_block(f, t, s)),
     )
-    reference = collect_records(RngStream(seed), rho, spec, 200).vectors
+    reference = collect_records(RngStream(seed), factor, spec, 200).vectors
     assert len(fast) == len(outcomes) == (1 if chunk_shots is None else 5)
     assert all(np.array_equal(a, b) for a, b in zip(fast, outcomes))
     assert np.array_equal(vectors, reference)
@@ -231,10 +239,11 @@ class TestDirectSampler:
         shots = 20000
         spec = global_ensemble(group, basis_from_tag(tag, 3))
         rho = make_state(50, spec.d)
+        factor = validate_state(rho)
         a = random_symmetric_observable(RngStream(51), spec.d)
-        records = collect_records(RngStream(52), rho, spec, shots)
+        records = collect_records(RngStream(52), factor, spec, shots)
         report = estimate(records, a)
-        prediction = predict_variance(spec, a, rho)
+        prediction = predict_variance(spec, a, factor)
         visible = np.trace(visible_projector(channel_for(spec), a) @ rho).real
         assert abs(report.mean - visible) <= 4 * np.sqrt(prediction / shots)
         values = per_shot_estimates(records, a)
@@ -244,18 +253,19 @@ class TestDirectSampler:
     @pytest.mark.parametrize("group,tag,make_state", _GLOBAL_CASES)
     def test_unit_norm_and_same_seed_bytes(self, group, tag, make_state):
         spec = global_ensemble(group, basis_from_tag(tag, 3))
-        rho = make_state(53, spec.d)
-        first = collect_records(RngStream(54), rho, spec, 3000).vectors
+        factor = validate_state(make_state(53, spec.d))
+        first = collect_records(RngStream(54), factor, spec, 3000).vectors
         assert np.max(np.abs(np.linalg.norm(first, axis=1) - 1.0)) <= 1e-12
-        assert collect_records(RngStream(54), rho, spec, 3000).vectors.tobytes() == first.tobytes()
+        again = collect_records(RngStream(54), factor, spec, 3000).vectors
+        assert again.tobytes() == first.tobytes()
 
     @pytest.mark.parametrize("group", ["orthogonal", "unitary"])
     def test_chunking_leaves_draws_unchanged(self, group, monkeypatch):
         spec = global_ensemble(group, basis_from_tag("sh", 3))
-        rho = _rank2_state(58, spec.d)
-        whole = collect_records(RngStream(59), rho, spec, 100).vectors
+        factor = validate_state(_rank2_state(58, spec.d))
+        whole = collect_records(RngStream(59), factor, spec, 100).vectors
         monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 16 * spec.d * 7)  # 7-shot chunks
-        assert np.array_equal(collect_records(RngStream(59), rho, spec, 100).vectors, whole)
+        assert np.array_equal(collect_records(RngStream(59), factor, spec, 100).vectors, whole)
 
     @pytest.mark.parametrize("group,tag,make_state", _GLOBAL_CASES)
     def test_overlaps_match_dense_reference(self, group, tag, make_state):
@@ -265,13 +275,31 @@ class TestDirectSampler:
         spec = global_ensemble(group, basis_from_tag(tag, 3))
         rho = make_state(55, spec.d)
         psi = np.linalg.eigh(rho)[1][:, -1]
-        direct = collect_records(RngStream(56), rho, spec, shots).vectors
+        direct = collect_records(RngStream(56), validate_state(rho), spec, shots).vectors
         dense = _reference_vectors(RngStream(57), rho, spec, shots)
         # KS critical value at significance 1e-3: 1.95 sqrt(2 / shots).
         bound = 1.95 * np.sqrt(2.0 / shots)
         for target in (psi, psi.conj()):
             stat = [np.abs(v @ target.conj()) ** 2 for v in (direct, dense)]
             assert _ks_distance(*stat) <= bound
+
+
+@pytest.mark.parametrize("weight", [0.0, 1e-7], ids=["zero", "below-rank-tol"])
+@pytest.mark.parametrize(
+    "spec",
+    [global_ensemble("orthogonal", basis_from_tag("sh", 3)), local_ensemble("unitary", 3)],
+    ids=["global", "local"],
+)
+def test_negligible_factor_columns_are_dropped(spec, weight):
+    # A column of squared norm at most 1e-12 is dropped, so [psi, c e_0]
+    # draws the records of psi byte for byte, with no 0/0 in the mixture.
+    psi = validate_state(_pure_state(60, spec.d))
+    padded = np.hstack([psi, weight * np.eye(spec.d)[:, :1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        padded_records = collect_records(RngStream(61), padded, spec, 300)
+    records = collect_records(RngStream(61), psi, spec, 300)
+    assert padded_records.vectors.tobytes() == records.vectors.tobytes()
 
 
 class TestShadows:
@@ -301,7 +329,7 @@ class TestShadows:
     def test_unit_trace(self, make_spec):
         spec = make_spec()
         rho = random_pure_state(RngStream(3), 4)
-        records = collect_records(RngStream(4), rho, spec, 20)
+        records = collect_records(RngStream(4), validate_state(rho), spec, 20)
         for v in _dense_vectors(records):
             assert np.trace(shadow_from_vector(spec, v)).real == pytest.approx(1.0, abs=1e-10)
 
@@ -309,7 +337,7 @@ class TestShadows:
         # E[shadow] = rho for a symmetric (real) state under global orthogonal
         spec = global_ensemble("orthogonal", computational_basis(1))
         rho = _proj([np.cos(0.3), np.sin(0.3)])
-        records = collect_records(RngStream(5), rho, spec, 50000)
+        records = collect_records(RngStream(5), validate_state(rho), spec, 50000)
         avg = np.mean([shadow_from_vector(spec, v) for v in records.vectors[:2000]], axis=0)
         assert np.max(np.abs(avg - rho)) < 0.15
 
@@ -318,14 +346,14 @@ class TestPerShotEstimates:
     def test_identity_observable(self):
         spec = local_ensemble("orthogonal", 2)
         rho = identity(4) / 4
-        records = collect_records(RngStream(6), rho, spec, 100)
+        records = collect_records(RngStream(6), validate_state(rho), spec, 100)
         values = per_shot_estimates(records, PauliString.from_string("II"))
         assert np.allclose(values, 1.0, atol=1e-12)
 
     def test_fast_path_equals_slow_path_local(self):
         spec = local_ensemble(("orthogonal", "unitary"), 2)
         rho = random_pure_state(RngStream(7), 4)
-        records = collect_records(RngStream(8), rho, spec, 150)
+        records = collect_records(RngStream(8), validate_state(rho), spec, 150)
         p = PauliString.from_string("XZ", coefficient=1.5)
         fast = per_shot_estimates(records, p)
         slow = np.array(
@@ -340,7 +368,7 @@ class TestPerShotEstimates:
     def test_every_two_letter_string_matches_the_dense_shadow(self, groups):
         spec = local_ensemble(groups, 2)
         rho = random_pure_state(RngStream(16), 4)
-        records = collect_records(RngStream(17), rho, spec, 60)
+        records = collect_records(RngStream(17), validate_state(rho), spec, 60)
         vectors = _dense_vectors(records)
         shadows = [shadow_from_vector(spec, v) for v in vectors]
         for string in map("".join, itertools.product("IXYZ", repeat=2)):
@@ -351,7 +379,7 @@ class TestPerShotEstimates:
     def test_fast_path_equals_slow_path_global(self):
         spec = global_ensemble("orthogonal", sh_basis(2))
         rho = random_pure_state(RngStream(9), 4)
-        records = collect_records(RngStream(10), rho, spec, 150)
+        records = collect_records(RngStream(10), validate_state(rho), spec, 150)
         a = random_symmetric_observable(RngStream(11), 4)
         fast = per_shot_estimates(records, a)
         slow = np.array([np.trace(a @ shadow_from_vector(spec, v)).real for v in records.vectors])
@@ -360,7 +388,7 @@ class TestPerShotEstimates:
     def test_dense_local_observable_matches_pauli_path(self):
         spec = local_ensemble("orthogonal", 2)
         rho = random_pure_state(RngStream(12), 4)
-        records = collect_records(RngStream(13), rho, spec, 200)
+        records = collect_records(RngStream(13), validate_state(rho), spec, 200)
         p = PauliString.from_string("XZ")
         assert np.max(
             np.abs(per_shot_estimates(records, p) - per_shot_estimates(records, p.to_matrix()))
@@ -369,14 +397,14 @@ class TestPerShotEstimates:
     def test_invisible_pauli_estimates_are_zero(self):
         spec = local_ensemble("orthogonal", 2)
         rho = random_pure_state(RngStream(14), 4)
-        records = collect_records(RngStream(15), rho, spec, 50)
+        records = collect_records(RngStream(15), validate_state(rho), spec, 50)
         assert np.all(per_shot_estimates(records, PauliString.from_string("YI")) == 0.0)
 
     def test_pauli_string_under_global_ensemble(self):
         # The string's action and its dense matrix agree up to rounding.
         spec = global_ensemble("orthogonal", computational_basis(2))
         rho = random_pure_state(RngStream(40), 4)
-        records = collect_records(RngStream(41), rho, spec, 100)
+        records = collect_records(RngStream(41), validate_state(rho), spec, 100)
         p = PauliString.from_string("ZZ")
         dense = per_shot_estimates(records, p.to_matrix())
         assert np.all(np.abs(per_shot_estimates(records, p) - dense) <= 1e-12 * (1 + np.abs(dense)))
@@ -387,12 +415,12 @@ class TestEstimate:
         # O = Z, rho = 1/2, d = 2, global orthogonal: Var = 2 exactly
         spec = global_ensemble("orthogonal", computational_basis(1))
         rho = identity(2) / 2
-        records = collect_records(RngStream(16), rho, spec, 100000)
+        records = collect_records(RngStream(16), validate_state(rho), spec, 100000)
         report = estimate(records, Z)
         sigma = np.sqrt(report.empirical_variance / report.shots)
         assert abs(report.mean) <= 3 * sigma
         assert report.empirical_variance == pytest.approx(2.0, rel=0.05)
-        assert predict_variance(spec, Z, rho) == 2.0
+        assert predict_variance(spec, Z, validate_state(rho)) == 2.0
         assert not has_invisible_part(channel_for(spec), Z)
 
     def test_angle_integral_oracle_for_pinned_variance(self):
@@ -418,7 +446,7 @@ class TestEstimate:
         spec = global_ensemble("orthogonal", computational_basis(2))
         rho = random_pure_state(RngStream(17), 4)
         a = random_symmetric_observable(RngStream(18), 4)
-        records = collect_records(RngStream(19), rho, spec, 100000)
+        records = collect_records(RngStream(19), validate_state(rho), spec, 100000)
         report = estimate(records, a)
         sigma = np.sqrt(report.empirical_variance / report.shots)
         assert abs(report.mean - np.trace(a @ rho).real) <= 3 * sigma
@@ -427,7 +455,7 @@ class TestEstimate:
         spec = local_ensemble("orthogonal", 2)
         rho = random_pure_state(RngStream(20), 4)
         p = PauliString.from_string("XZ")
-        records = collect_records(RngStream(21), rho, spec, 100000)
+        records = collect_records(RngStream(21), validate_state(rho), spec, 100000)
         report = estimate(records, p)
         sigma = np.sqrt(report.empirical_variance / report.shots)
         assert abs(report.mean - np.trace(p.to_matrix() @ rho).real) <= 3 * sigma
@@ -437,7 +465,7 @@ class TestEstimate:
         spec = global_ensemble("orthogonal", computational_basis(1))
         rho = 0.5 * (identity(2) + 0.6 * Y + 0.3 * X)
         obs = X + Y  # symmetric part is X
-        records = collect_records(RngStream(22), rho, spec, 100000)
+        records = collect_records(RngStream(22), validate_state(rho), spec, 100000)
         report = estimate(records, obs)
         sigma = np.sqrt(report.empirical_variance / report.shots)
         target_sym = np.trace(sym_part(obs) @ rho).real
@@ -448,18 +476,18 @@ class TestEstimate:
     def test_invisible_observable_reports_bias(self):
         spec = global_ensemble("orthogonal", computational_basis(2))
         rho = random_pure_state(RngStream(23), 4)
-        records = collect_records(RngStream(24), rho, spec, 500)
+        records = collect_records(RngStream(24), validate_state(rho), spec, 500)
         obs = kron(Y, identity(2))
         report = estimate(records, obs)
         assert report.mean == 0.0
         assert has_invisible_part(channel_for(spec), obs)
-        assert predict_variance(spec, obs, rho) == pytest.approx(0.0, abs=1e-12)
+        assert predict_variance(spec, obs, validate_state(rho)) == pytest.approx(0.0, abs=1e-12)
 
     def test_channel_consistency(self):
         # frequency-weighted average of U^dag Pi_w U converges to M(rho)
         spec = global_ensemble("orthogonal", computational_basis(1))
         rho = _proj([np.cos(0.4), np.sin(0.4)])
-        records = collect_records(RngStream(25), rho, spec, 50000)
+        records = collect_records(RngStream(25), validate_state(rho), spec, 50000)
         v = records.vectors  # v = U^dag|w>
         snapshots = np.einsum("si,sj->sij", v, v.conj())
         mean = snapshots.mean(axis=0)
@@ -487,7 +515,7 @@ class TestEstimate:
 
     def test_batches_validated_in_estimate(self):
         spec = local_ensemble("orthogonal", 1)
-        records = collect_records(RngStream(26), identity(2) / 2, spec, 10)
+        records = collect_records(RngStream(26), validate_state(identity(2) / 2), spec, 10)
         with pytest.raises(ValueError):
             estimate(records, PauliString.from_string("Z"), batches=11)
 
@@ -515,16 +543,16 @@ class TestConfigAndRun:
         reports = run_experiment(config)
         assert len(reports) == 2
         # both reports come from one record set drawn from the config's seed
-        rho = build_state(config.state, config.n)
+        factor = validate_state(build_state(config.state, config.n))
         spec = config.ensemble_spec()
-        records = collect_records(RngStream(config.seed), rho, spec, config.shots)
+        records = collect_records(RngStream(config.seed), factor, spec, config.shots)
         for report, string in zip(reports, ("ZZ", "XI")):
             p = PauliString.from_string(string)
             again = estimate(records, p, 4, observable_id=string)
             assert again.mean == report.mean
             assert again.median_of_means == report.median_of_means
             # run_experiment attaches the oracle fields of the simulated state
-            assert report.predicted_variance == predict_variance(spec, p, rho)
+            assert report.predicted_variance == predict_variance(spec, p, factor)
             assert report.bias_warning is False
 
     @pytest.mark.parametrize("scale, flagged", [(1e-11, False), (1e-9, True)])
@@ -557,8 +585,8 @@ class TestConfigAndRun:
         config = ExperimentConfig.from_dict(cfg)
         (report,) = run_experiment(config)
         assert report.bias_warning is True
-        rho = build_state(config.state, config.n)
-        records = collect_records(RngStream(config.seed), rho, config.ensemble_spec(), 200000)
+        factor = validate_state(build_state(config.state, config.n))
+        records = collect_records(RngStream(config.seed), factor, config.ensemble_spec(), 200000)
         values = per_shot_estimates(records, a)
         assert np.var(values, ddof=1) == report.empirical_variance
         se = np.std((values - values.mean()) ** 2, ddof=1) / np.sqrt(values.shape[0])

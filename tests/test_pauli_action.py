@@ -18,7 +18,13 @@ from realshadows.channels import (
     pseudo_inverse,
     visible_projector,
 )
-from realshadows.engine import ExperimentConfig, collect_records, per_shot_estimates, run_experiment
+from realshadows.engine import (
+    ExperimentConfig,
+    collect_records,
+    per_shot_estimates,
+    run_experiment,
+    validate_state,
+)
 from realshadows.pauli import PauliString
 from realshadows.sampling import RngStream, random_pure_state
 from realshadows.variance import _predict_global, _subtract_trace, predict_variance
@@ -70,7 +76,8 @@ def test_global_estimates_match_dense_reference(group, tag):
     for n in range(1, 7):
         spec = global_ensemble(group, basis_from_tag(tag, n))
         desc = channel_for(spec)
-        records = collect_records(RngStream(n, (7,)), _mixed_state(n, spec.d), spec, 40)
+        factor = validate_state(_mixed_state(n, spec.d))
+        records = collect_records(RngStream(n, (7,)), factor, spec, 40)
         v = records.vectors
         for p in _strings(n, 10 * n):
             m = p.to_matrix()
@@ -88,41 +95,42 @@ def test_global_estimates_match_dense_reference(group, tag):
 def test_global_predictor_matches_dense_words(group, tag):
     for n in range(1, 7):
         spec = global_ensemble(group, basis_from_tag(tag, n))
-        rho = _mixed_state(100 + n, spec.d)
+        factor = validate_state(_mixed_state(100 + n, spec.d))
         # At n <= 2, also every string: each Y parity, support pattern and the identity.
         every = itertools.product("IXYZ", repeat=n) if n <= 2 else ()
         for p in _strings(n, n) + [PauliString(letters, -1.5 + 0.25j) for letters in every]:
             # predict_variance reads Re(c) P, as the estimates do.
             real = p.coefficient.real * PauliString(p.letters).to_matrix()
             inverted = invert(channel_for(spec), real)
-            dense = _predict_global(spec, _subtract_trace(inverted.inverse, inverted.trace), rho)
-            fast = predict_variance(spec, p, rho)
+            tilde = _subtract_trace(inverted.inverse, inverted.trace)
+            dense = _predict_global(spec, tilde, factor)
+            fast = predict_variance(spec, p, factor)
             assert abs(fast - dense) <= 1e-12 * max(1.0, abs(dense)), (n, p, fast, dense)
 
 
 def test_odd_y_strings_invisible_in_real_basis_visible_under_sh():
     n = 3
     p = PauliString.from_string("YXZ")
-    rho = random_pure_state(RngStream(3), 2**n)
+    psi = validate_state(random_pure_state(RngStream(3), 2**n))
     real = global_ensemble("orthogonal", computational_basis(n))
-    records = collect_records(RngStream(4), rho, real, 50)
+    records = collect_records(RngStream(4), psi, real, 50)
     assert has_invisible_part(channel_for(real), p)
     assert np.all(per_shot_estimates(records, p) == 0.0)
-    assert predict_variance(real, p, rho) == 0.0
+    assert predict_variance(real, p, psi) == 0.0
     sh = global_ensemble("orthogonal", sh_basis(n))
     assert not has_invisible_part(channel_for(sh), p)
-    assert np.any(per_shot_estimates(collect_records(RngStream(4), rho, sh, 50), p) != 0.0)
+    assert np.any(per_shot_estimates(collect_records(RngStream(4), psi, sh, 50), p) != 0.0)
 
 
 def test_real_basis_orthogonal_records_are_float(monkeypatch):
-    rho = random_pure_state(RngStream(5), 16)
+    psi = validate_state(random_pure_state(RngStream(5), 16))
     spec = global_ensemble("orthogonal", computational_basis(4))
-    real = collect_records(RngStream(6), rho, spec, 300).vectors
+    real = collect_records(RngStream(6), psi, spec, 300).vectors
     assert real.dtype == np.float64
     # The same draws kept as complex vectors, as before real records: their
     # imaginary part is exactly zero and their real part is the float record.
     monkeypatch.setattr(engine, "_real_records", lambda spec: False)
-    full = collect_records(RngStream(6), rho, spec, 300).vectors
+    full = collect_records(RngStream(6), psi, spec, 300).vectors
     assert np.iscomplexobj(full) and not full.imag.any()
     assert np.array_equal(real, full.real)
 
@@ -131,7 +139,8 @@ def test_real_basis_orthogonal_records_are_float(monkeypatch):
                                         ("unitary", "computational")])
 def test_complex_basis_and_unitary_records_stay_complex(group, tag):
     spec = global_ensemble(group, basis_from_tag(tag, 3))
-    records = collect_records(RngStream(7), random_pure_state(RngStream(8), 8), spec, 20)
+    psi = validate_state(random_pure_state(RngStream(8), 8))
+    records = collect_records(RngStream(7), psi, spec, 20)
     assert np.iscomplexobj(records.vectors)
 
 

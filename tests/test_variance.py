@@ -18,7 +18,7 @@ from realshadows.channels import (
     visible_projector,
 )
 from realshadows.commutant import twirl_project
-from realshadows.engine import collect_records, estimate, per_shot_estimates
+from realshadows.engine import collect_records, estimate, per_shot_estimates, validate_state
 from realshadows.linalg import ResourceLimitError, identity, kron, operators_close, sym_part
 from realshadows.pauli import PAULIS, PauliString, X, Y, Z
 from realshadows.sampling import RngStream, haar_state_vector, random_pure_state
@@ -39,6 +39,11 @@ def _rank_two_state(seed, d):
     return 0.7 * np.outer(u, u.conj()) + 0.3 * np.outer(v, v.conj())
 
 
+def _mixed(d):
+    """The factor of the maximally mixed state I/d."""
+    return validate_state(identity(d) / d)
+
+
 def _global(group, tag, n):
     return global_ensemble(group, basis_from_tag(tag, n))
 
@@ -47,7 +52,7 @@ def _second_moment(spec, p):
     """E[o^2] of a Pauli string under a local ensemble: its exact variance on
     the maximally mixed state plus the squared mean Tr[P]/d."""
     mean = np.trace(p.to_matrix()).real / spec.d
-    return predict_variance(spec, p, identity(spec.d) / spec.d) + mean**2
+    return predict_variance(spec, p, _mixed(spec.d)) + mean**2
 
 
 # Reference formulas: the hand-derived global predictors that the Brauer-word
@@ -99,44 +104,66 @@ def var_ref_alpha(a, rho, d, alpha):
     return prefactor * (plain + transposed) - _tr(t0, rho) ** 2
 
 
+@functools.lru_cache(maxsize=None)
+def _projector_twirl(group, tag, n):
+    """sum_w T_w, the twirls of Pi_w^{(x)3} from the Gram projection (linear,
+    so it is applied once to their sum)."""
+    columns = _global(group, tag, n).basis.vectors
+    projectors = sum(
+        kron(*[np.outer(columns[:, w], columns[:, w].conj())] * 3) for w in range(2**n)
+    )
+    return twirl_project(projectors, group[0].upper(), 3)
+
+
+def _twirl_variance(group, tag, n, a, rho):
+    """Var = sum_w Tr[(rho (x) A~ (x) A~) T_w] - Tr[P_vis(A) rho]^2 under a
+    global ensemble, from the Gram-projection twirl."""
+    desc = channel_for(_global(group, tag, n))
+    tilde = pseudo_inverse(desc, a)
+    second = np.trace(kron(rho, tilde, tilde) @ _projector_twirl(group, tag, n)).real
+    mean = np.trace(visible_projector(desc, a) @ rho).real
+    return second - mean**2
+
+
 class TestGlobalPredictors:
     def test_pinned_case(self):
-        rho = identity(2) / 2
-        real = predict_variance(_global("orthogonal", "computational", 1), Z, rho)
-        unitary = predict_variance(_global("unitary", "computational", 1), Z, rho)
+        factor = _mixed(2)
+        real = predict_variance(_global("orthogonal", "computational", 1), Z, factor)
+        unitary = predict_variance(_global("unitary", "computational", 1), Z, factor)
         assert real == 2.0
         assert unitary == 3.0
         assert real / unitary == pytest.approx(2.0 / 3.0)
 
     def test_trivial_observables(self):
-        rho = random_pure_state(RngStream(0), 4)
+        factor = validate_state(random_pure_state(RngStream(0), 4))
         real = _global("orthogonal", "computational", 2)
         unitary = _global("unitary", "computational", 2)
-        assert predict_variance(real, identity(4), rho) == pytest.approx(0.0, abs=1e-12)
-        assert predict_variance(real, kron(Y, PAULIS["I"]), rho) == pytest.approx(
+        assert predict_variance(real, identity(4), factor) == pytest.approx(0.0, abs=1e-12)
+        assert predict_variance(real, kron(Y, PAULIS["I"]), factor) == pytest.approx(
             0.0, abs=1e-12
         )
-        assert predict_variance(unitary, identity(4), rho) == pytest.approx(0.0, abs=1e-12)
+        assert predict_variance(unitary, identity(4), factor) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_alpha_d_reduces_to_real_formula(self, d):
         rho = random_pure_state(RngStream(1, (d,)), d)
+        factor = validate_state(rho)
         a = _random_hermitian(2 + d, d)
         spec = global_ensemble("orthogonal", computational_basis(d.bit_length() - 1))
         full = var_ref_alpha(a, rho, d, float(d))
         real = var_ref_real(a, rho)
         assert full == pytest.approx(real, rel=1e-10, abs=1e-10)
-        assert predict_variance(spec, a, rho) == pytest.approx(real, rel=1e-10, abs=1e-10)
+        assert predict_variance(spec, a, factor) == pytest.approx(real, rel=1e-10, abs=1e-10)
 
     def test_alpha_zero_matches_empirical_sh_shadows(self):
         # d = 4, SH basis (alpha = 0): predictor vs 1e5-shot simulation
         d, n = 4, 2
         spec = global_ensemble("orthogonal", sh_basis(n))
-        rho = identity(d) / d
+        factor = _mixed(d)
         a = kron(Z, PAULIS["I"])
-        records = collect_records(RngStream(3), rho, spec, 100000)
+        records = collect_records(RngStream(3), factor, spec, 100000)
         emp = estimate(records, a).empirical_variance
-        pred = predict_variance(spec, a, rho)
+        pred = predict_variance(spec, a, factor)
         assert emp == pytest.approx(pred, rel=0.05)
 
     def test_large_d_asymptotic_bound(self):
@@ -145,7 +172,7 @@ class TestGlobalPredictors:
         # the computational basis on the rest.
         n = 6
         d = 2**n
-        rho = random_pure_state(RngStream(4), d)
+        factor = validate_state(random_pure_state(RngStream(4), d))
         a = random_symmetric_observable(RngStream(5), d)
         for f in (0.0, 0.5, 1.0):
             phase = np.exp(1j * np.arccos(np.sqrt(f)))  # alpha_w = cos^2 = f
@@ -153,7 +180,7 @@ class TestGlobalPredictors:
             basis = make_basis(kron(qubit, identity(d // 2)), f"alpha={f}")
             alpha = basis.alpha_total
             assert alpha == pytest.approx(f * d)
-            value = predict_variance(global_ensemble("orthogonal", basis), a, rho)
+            value = predict_variance(global_ensemble("orthogonal", basis), a, factor)
             tilde0 = reality_interpolation(a, d, alpha) - (np.trace(a) / d) * identity(d)
             bound = float(np.linalg.norm(tilde0)) ** 2 / (1.0 + f)
             assert value <= 1.15 * bound
@@ -166,11 +193,11 @@ class TestGlobalPredictors:
         unitary = _global("unitary", "computational", n)
         for i in range(334):
             rng = RngStream(6, (d, i))
-            rho = random_pure_state(rng.child(0), d)
+            factor = validate_state(random_pure_state(rng.child(0), d))
             a = random_symmetric_observable(rng.child(1), d)
             assert (
-                predict_variance(real, a, rho)
-                <= predict_variance(unitary, a, rho) + 1e-12
+                predict_variance(real, a, factor)
+                <= predict_variance(unitary, a, factor) + 1e-12
             )
 
 
@@ -181,6 +208,7 @@ class TestBrauerWordPredictor:
         d = 2**n
         rng = RngStream(90, (n,))
         rho = random_pure_state(rng.child(0), d)
+        factor = validate_state(rho)
         a = _random_hermitian(91 + n, d)
         sym = random_symmetric_observable(rng.child(1), d)
         cases = [
@@ -194,30 +222,17 @@ class TestBrauerWordPredictor:
                 cases.append((spec, sym, var_ref_alpha(sym, rho, d, alpha)))
         assert len(cases) == (3 if n == 1 else 4)
         for spec, obs, reference in cases:
-            assert predict_variance(spec, obs, rho) == pytest.approx(reference, rel=1e-12)
+            assert predict_variance(spec, obs, factor) == pytest.approx(reference, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("group", ["orthogonal", "unitary"])
     @pytest.mark.parametrize("tag", ["computational", "sh", "random:5"])
     def test_matches_gram_projection_twirl(self, n, group, tag):
-        # Var = sum_w Tr[(rho (x) A~ (x) A~) T_w] - Tr[P_vis(A) rho]^2, with the
-        # twirls T_w of Pi_w^{(x)3} from the Gram projection (linear, so it is
-        # applied once to their sum).
         spec = _global(group, tag, n)
-        d = spec.d
-        rho = _rank_two_state(92 + n, d)
-        a = _random_hermitian(93 + n, d)
-        desc = channel_for(spec)
-        tilde = pseudo_inverse(desc, a)
-        columns = spec.basis.vectors
-        projectors = sum(
-            kron(*[np.outer(columns[:, w], columns[:, w].conj())] * 3) for w in range(d)
-        )
-        twirl = twirl_project(projectors, group[0].upper(), 3)
-        second = np.trace(kron(rho, tilde, tilde) @ twirl).real
-        mean = np.trace(visible_projector(desc, a) @ rho).real
-        assert predict_variance(spec, a, rho) == pytest.approx(
-            second - mean**2, rel=1e-10, abs=1e-10
+        rho = _rank_two_state(92 + n, spec.d)
+        a = _random_hermitian(93 + n, spec.d)
+        assert predict_variance(spec, a, validate_state(rho)) == pytest.approx(
+            _twirl_variance(group, tag, n, a, rho), rel=1e-10, abs=1e-10
         )
 
     @pytest.mark.parametrize(
@@ -231,9 +246,10 @@ class TestBrauerWordPredictor:
         spec = _global("orthogonal", tag, n)
         d = spec.d
         rho = random_pure_state(RngStream(94, (n,)), d) if rank == 1 else _rank_two_state(95, d)
+        factor = validate_state(rho)
         a = _random_hermitian(96 + n, d)
-        pred = predict_variance(spec, a, rho)
-        records = collect_records(RngStream(97, (n, rank)), rho, spec, 200000)
+        pred = predict_variance(spec, a, factor)
+        records = collect_records(RngStream(97, (n, rank)), factor, spec, 200000)
         values = per_shot_estimates(records, a)
         emp = np.var(values, ddof=1)
         se = np.std((values - values.mean()) ** 2, ddof=1) / np.sqrt(values.shape[0])
@@ -241,8 +257,9 @@ class TestBrauerWordPredictor:
 
 
 class TestStackedWords:
-    """The words of a stack of observables on factored states rho = L R^dag
-    against the dense path of `predict_variance`, one item at a time."""
+    """The words of a stack of observables on factored states rho = Psi Psi^dag
+    against the reference formulas, or the Gram-projection twirl where none
+    holds, one item at a time."""
 
     @staticmethod
     def _observables(symmetric, d):
@@ -262,7 +279,7 @@ class TestStackedWords:
     @pytest.mark.parametrize("tag", ["computational", "sh"])
     @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "hermitian"])
     @pytest.mark.parametrize("rank", [1, 2, 8])
-    def test_stack_matches_dense_path(self, group, tag, symmetric, rank):
+    def test_stack_matches_references(self, group, tag, symmetric, rank):
         spec = _global(group, tag, 3)
         d = spec.d
         observables = self._observables(symmetric, d)
@@ -271,22 +288,24 @@ class TestStackedWords:
         tilde = variance._subtract_trace(
             pseudo_inverses(channel_for(spec), stack), np.trace(stack, axis1=1, axis2=2)
         )
-        # rho = L R^dag with L = psi G and R = psi G^-dag, for an invertible G.
-        g = self._factor(130, rank, rank) + np.eye(rank)
-        left, right = psi @ g, psi @ np.linalg.inv(g).conj().T
-        for factors in ((psi, psi), (left, right)):
-            stacked = variance._predict_global(spec, tilde, *factors)
-            assert stacked.shape == (len(observables),)
-            for a, x, value in zip(observables, psi, stacked):
-                dense = predict_variance(spec, a, x @ x.conj().T)
-                assert abs(value - dense) <= 1e-12 * max(1.0, abs(dense)), (value, dense)
+        stacked = variance._predict_global(spec, tilde, psi)
+        assert stacked.shape == (len(observables),)
+        for a, x, value in zip(observables, psi, stacked):
+            rho = x @ x.conj().T
+            if group == "unitary":  # the U(d) twirl is the same in every basis
+                reference = var_ref_unitary(a, rho)
+            elif tag == "computational":
+                reference = var_ref_real(a, rho)
+            else:
+                reference = _twirl_variance(group, tag, 3, a, rho)
+            assert abs(value - reference) <= 1e-12 * max(1.0, abs(reference)), (value, reference)
 
     def test_pure_state_words_take_the_lone_rho_loop_as_one(self):
         # |psi|^2 summed for psi = I / sqrt(2) rounds to 1 - 2^-52; the loop is 1.
         spec = _global("unitary", "computational", 1)
         z = pseudo_inverse(channel_for(spec), Z)[None]
         psi = np.eye(2)[None] / np.sqrt(2.0)
-        assert variance._predict_global(spec, z, psi, psi)[0] == 3.0
+        assert variance._predict_global(spec, z, psi)[0] == 3.0
 
 
 class TestOverlapF:
@@ -356,26 +375,26 @@ class TestLocalSecondMoments:
         p = PauliString.from_string("II")
         spec = local_ensemble("orthogonal", 2)
         assert _second_moment(spec, p) == 1.0
-        rho = identity(4) / 4
-        assert predict_variance(spec, p, rho) == pytest.approx(0.0, abs=1e-12)
+        factor = _mixed(4)
+        assert predict_variance(spec, p, factor) == pytest.approx(0.0, abs=1e-12)
 
     def test_y_is_invisible(self):
         spec = local_ensemble("orthogonal", 2)
         p = PauliString.from_string("XY")
         assert has_invisible_part(channel_for(spec), p)
-        assert predict_variance(spec, p, identity(4) / 4) == 0.0
+        assert predict_variance(spec, p, _mixed(4)) == 0.0
 
     def test_stabilizer_state_variance(self):
         # X(x)Z eigenstate: E[o^2] = 4, Tr[P rho] = 1, Var = 3; check by simulation
         p = PauliString.from_string("XZ")
         plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
         v = np.kron(plus, [1.0, 0.0]).astype(complex)
-        rho = np.outer(v, v.conj())
+        factor = validate_state(np.outer(v, v.conj()))
         spec = local_ensemble("orthogonal", 2)
         assert _second_moment(spec, p) == 4.0
-        pred = predict_variance(spec, p, rho)
+        pred = predict_variance(spec, p, factor)
         assert pred == pytest.approx(3.0, abs=1e-12)
-        records = collect_records(RngStream(8), rho, spec, 30000)
+        records = collect_records(RngStream(8), factor, spec, 30000)
         values = per_shot_estimates(records, p)
         second = np.mean(values**2)
         se = np.std(values**2, ddof=1) / np.sqrt(values.shape[0])
@@ -386,8 +405,9 @@ class TestLocalSecondMoments:
         spec = local_ensemble("orthogonal", 3)
         for seed in range(3):
             rho = random_pure_state(RngStream(9, (seed,)), 8)
+            factor = validate_state(rho)
             mean = np.trace(p.to_matrix() @ rho).real
-            assert predict_variance(spec, p, rho) + mean**2 == pytest.approx(4.0, abs=1e-12)
+            assert predict_variance(spec, p, factor) + mean**2 == pytest.approx(4.0, abs=1e-12)
 
 
 class TestLocalSiteRules:
@@ -404,10 +424,10 @@ class TestLocalSiteRules:
     def test_dense_weight_three_product(self):
         # X (x) Z (x) X as a matrix: the cubature gives 1/lambda per site, 2^3 and 3^3
         a = kron(X, Z, X)
-        rho = identity(8) / 8
-        pred = predict_variance(local_ensemble("orthogonal", 3), a, rho)
+        factor = _mixed(8)
+        pred = predict_variance(local_ensemble("orthogonal", 3), a, factor)
         assert pred == pytest.approx(8.0, rel=1e-12)
-        pred = predict_variance(local_ensemble("unitary", 3), a, rho)
+        pred = predict_variance(local_ensemble("unitary", 3), a, factor)
         assert pred == pytest.approx(27.0, rel=1e-12)
 
     def test_pauli_sum(self):
@@ -416,25 +436,26 @@ class TestLocalSiteRules:
         terms = [(PauliString.from_string(s), c) for s, c in strings.items()]
         a = sum(c * p.to_matrix() for p, c in terms)
         rho = random_pure_state(RngStream(19), 4)
+        factor = validate_state(rho)
         second = sum(
             cp * cq * overlap_f(p, q) * np.trace(rho @ p.to_matrix() @ q.to_matrix()).real
             for (p, cp), (q, cq) in itertools.product(terms, repeat=2)
         )
         mean = np.trace(rho @ a).real
-        pred = predict_variance(local_ensemble("orthogonal", 2), a, rho)
+        pred = predict_variance(local_ensemble("orthogonal", 2), a, factor)
         assert pred == pytest.approx(second - mean**2, rel=1e-12)
 
     def test_identity_sites_do_not_count(self):
         a = kron(X, PAULIS["I"])
-        pred = predict_variance(local_ensemble("orthogonal", 2), a, identity(4) / 4)
+        pred = predict_variance(local_ensemble("orthogonal", 2), a, _mixed(4))
         assert pred == pytest.approx(2.0, rel=1e-12)
 
     def test_y_is_invisible_under_orthogonal(self):
         spec = local_ensemble("orthogonal", 2)
-        rho = identity(4) / 4
+        factor = _mixed(4)
         assert has_invisible_part(channel_for(spec), PauliString.from_string("YI"))
         # M^+ annihilates Y (x) 1, so every estimate is 0
-        assert predict_variance(spec, kron(Y, PAULIS["I"]), rho) == 0.0
+        assert predict_variance(spec, kron(Y, PAULIS["I"]), factor) == 0.0
         # but fine under a unitary site
         mixed = local_ensemble(("unitary", "orthogonal"), 2)
         assert _second_moment(mixed, PauliString.from_string("YI")) == 3.0
@@ -447,7 +468,7 @@ class TestLocalSiteRules:
         a = kron(Z + scale * Y, PAULIS["I"])
         assert has_invisible_part(channel_for(spec), a) is not visible
         # Either way the estimator reads only the visible Z (x) 1.
-        pred = predict_variance(spec, a, identity(4) / 4)
+        pred = predict_variance(spec, a, _mixed(4))
         assert pred == pytest.approx(2.0, rel=1e-12)
 
 
@@ -470,24 +491,25 @@ class TestLocalCubature:
     def test_matches_real_clifford_ensemble(self, n):
         spec = local_ensemble("orthogonal", n)
         rho = _rank_two_state(30 + n, 2**n)
+        factor = validate_state(rho)
         a = _random_hermitian(32 + n, 2**n)
         reference = _real_clifford_variance(a, rho, n)
-        assert predict_variance(spec, a, rho) == pytest.approx(reference, rel=1e-12, abs=1e-12)
+        assert predict_variance(spec, a, factor) == pytest.approx(reference, rel=1e-12, abs=1e-12)
         for letters in itertools.product("IXYZ", repeat=n):
             p = PauliString.from_string("".join(letters), 0.7)
             reference = _real_clifford_variance(p.to_matrix(), rho, n)
-            pred = predict_variance(spec, p, rho)
+            pred = predict_variance(spec, p, factor)
             assert pred == pytest.approx(reference, rel=1e-12, abs=1e-12), letters
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_pauli_closed_form_matches_cubature(self, n):
-        rho = random_pure_state(RngStream(34, (n,)), 2**n)
+        factor = validate_state(random_pure_state(RngStream(34, (n,)), 2**n))
         for groups in itertools.product(GROUPS, repeat=n):
             spec = local_ensemble(groups, n)
             for letters in itertools.product("IXYZ", repeat=n):
                 p = PauliString.from_string("".join(letters), -1.3)
-                closed = predict_variance(spec, p, rho)
-                cubature = predict_variance(spec, p.to_matrix(), rho)
+                closed = predict_variance(spec, p, factor)
+                cubature = predict_variance(spec, p.to_matrix(), factor)
                 assert closed == pytest.approx(cubature, rel=1e-12, abs=1e-12), (groups, letters)
 
     @pytest.mark.parametrize(
@@ -505,9 +527,9 @@ class TestLocalCubature:
         )
         spec = local_ensemble(groups, 3)
         assert not has_invisible_part(channel_for(spec), a)
-        rho = random_pure_state(RngStream(36), 8)
-        pred = predict_variance(spec, a, rho)
-        values = per_shot_estimates(collect_records(RngStream(37), rho, spec, 200000), a)
+        factor = validate_state(random_pure_state(RngStream(36), 8))
+        pred = predict_variance(spec, a, factor)
+        values = per_shot_estimates(collect_records(RngStream(37), factor, spec, 200000), a)
         emp = np.var(values, ddof=1)
         se = np.std((values - values.mean()) ** 2, ddof=1) / np.sqrt(values.shape[0])
         assert abs(emp - pred) <= 4 * se, (emp, pred, se)
@@ -527,39 +549,40 @@ class TestLocalCubature:
             "basis": np.diag(np.eye(8)[0]).astype(complex),
             "mixed": _rank_two_state(39, 8),
         }[state]
+        factor = validate_state(rho)
         a = _random_hermitian(40, 8) + 5.0 * kron(Y, Z, X)
-        whole = predict_variance(spec, a, rho)
+        whole = predict_variance(spec, a, factor)
         monkeypatch.setattr(variance, "_CUBATURE_BLOCK", block)
-        assert predict_variance(spec, a, rho) == pytest.approx(whole, rel=1e-12, abs=1e-12)
+        assert predict_variance(spec, a, factor) == pytest.approx(whole, rel=1e-12, abs=1e-12)
 
     def test_streamed_memory_at_n8(self, monkeypatch):
         # All-unitary n = 8 has 6^8 points, 27 MiB per complex array of them.
         spec = local_ensemble("unitary", 8)
-        rho = random_pure_state(RngStream(41), 256)
+        factor = validate_state(random_pure_state(RngStream(41), 256))
         a = _random_hermitian(42, 256)
         tracemalloc.start()
         try:
-            streamed = predict_variance(spec, a, rho)
+            streamed = predict_variance(spec, a, factor)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, peak / 2**20
         monkeypatch.setattr(variance, "_CUBATURE_BLOCK", 6**8)
-        assert streamed == pytest.approx(predict_variance(spec, a, rho), rel=1e-12)
+        assert streamed == pytest.approx(predict_variance(spec, a, factor), rel=1e-12)
 
     def test_budget(self, monkeypatch):
         # 4 points per orthogonal site and 6 per unitary one: all-orthogonal
         # n = 13 fills the budget exactly, and all-unitary n = 11 is beyond it.
         assert 4**13 == linalg.MAX_KRON_DIM**2 < 6**11
         monkeypatch.setattr(linalg, "MAX_KRON_DIM", 32)  # 1024 = 4^5 entries
-        rho = identity(32) / 32
+        factor = _mixed(32)
         a = kron(Z, identity(16))
-        assert predict_variance(local_ensemble("orthogonal", 5), a, rho) == pytest.approx(2.0)
+        assert predict_variance(local_ensemble("orthogonal", 5), a, factor) == pytest.approx(2.0)
         unitary = local_ensemble("unitary", 4)  # 6^4 = 1296 points
         with pytest.raises(ResourceLimitError, match="cubature"):
-            predict_variance(unitary, identity(16), identity(16) / 16)
+            predict_variance(unitary, identity(16), _mixed(16))
         # The Pauli closed form needs no cubature.
-        assert predict_variance(unitary, PauliString.from_string("ZIII"), identity(16) / 16) == 3.0
+        assert predict_variance(unitary, PauliString.from_string("ZIII"), _mixed(16)) == 3.0
 
 
 def test_bounds_dominate_empirical_variance():
@@ -576,8 +599,8 @@ def test_bounds_dominate_empirical_variance():
             if string != "III":
                 break
         p = PauliString.from_string(string)
-        rho = random_pure_state(gen.child(1), 2**n)
-        records = collect_records(gen.child(2), rho, spec, 4000)
+        factor = validate_state(random_pure_state(gen.child(1), 2**n))
+        records = collect_records(gen.child(2), factor, spec, 4000)
         values = per_shot_estimates(records, p)
         emp = float(np.var(values, ddof=1))
         se = np.std(values**2, ddof=1) / np.sqrt(values.shape[0])
@@ -587,7 +610,7 @@ def test_bounds_dominate_empirical_variance():
 class TestEmpiricalVariance:
     def test_constant_estimator(self):
         spec = local_ensemble("orthogonal", 2)
-        records = collect_records(RngStream(11), identity(4) / 4, spec, 100)
+        records = collect_records(RngStream(11), _mixed(4), spec, 100)
         assert estimate(records, PauliString.from_string("II")).empirical_variance == 0.0
 
     @pytest.mark.parametrize("group", ["orthogonal", "unitary"])
@@ -595,10 +618,11 @@ class TestEmpiricalVariance:
         d, n = 4, 2
         spec = global_ensemble(group, computational_basis(n))
         rho = random_pure_state(RngStream(13), d)
+        factor = validate_state(rho)
         a = random_symmetric_observable(RngStream(14), d)
-        records = collect_records(RngStream(15, (ord(group[0]),)), rho, spec, 100000)
+        records = collect_records(RngStream(15, (ord(group[0]),)), factor, spec, 100000)
         emp = estimate(records, a).empirical_variance
-        pred = predict_variance(spec, a, rho)
+        pred = predict_variance(spec, a, factor)
         reference = var_ref_real(a, rho) if group == "orthogonal" else var_ref_unitary(a, rho)
         assert pred == pytest.approx(reference, rel=1e-12)
         assert emp == pytest.approx(pred, rel=0.05)
@@ -607,15 +631,15 @@ class TestEmpiricalVariance:
 class TestPredictVariance:
     def test_local_pauli_with_state_is_exact(self):
         spec = local_ensemble("orthogonal", 2)
-        rho = identity(4) / 4
-        pred = predict_variance(spec, PauliString.from_string("XZ"), rho)
+        factor = _mixed(4)
+        pred = predict_variance(spec, PauliString.from_string("XZ"), factor)
         assert pred == pytest.approx(4.0)
 
     def test_local_dense_complex_observable_is_exact(self):
         # Y is invisible to an orthogonal qubit and has 1/lambda = 3 on a unitary one.
-        rho = identity(2) / 2
-        assert predict_variance(local_ensemble("orthogonal", 1), Y, rho) == 0.0
-        pred = predict_variance(local_ensemble("unitary", 1), Y, rho)
+        factor = _mixed(2)
+        assert predict_variance(local_ensemble("orthogonal", 1), Y, factor) == 0.0
+        pred = predict_variance(local_ensemble("unitary", 1), Y, factor)
         assert pred == pytest.approx(3.0, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -628,40 +652,49 @@ class TestPredictVariance:
     )
     def test_complex_coefficient_predicts_its_real_part(self, spec):
         # The estimates of c P are Re(c) <v|P|v>: all zero for c = 1j.
-        rho = np.diag(np.eye(4)[0]).astype(complex)
+        factor = validate_state(np.diag(np.eye(4)[0]).astype(complex))
         zz = functools.partial(PauliString.from_string, "ZZ")
-        assert predict_variance(spec, zz(1j), rho) == 0.0
-        assert predict_variance(spec, zz(2 - 1j), rho) == predict_variance(spec, zz(2), rho)
-        values = per_shot_estimates(collect_records(RngStream(43), rho, spec, 200), zz(1j))
+        assert predict_variance(spec, zz(1j), factor) == 0.0
+        assert predict_variance(spec, zz(2 - 1j), factor) == predict_variance(spec, zz(2), factor)
+        values = per_shot_estimates(collect_records(RngStream(43), factor, spec, 200), zz(1j))
         assert np.all(values == 0.0)
 
     @pytest.mark.parametrize("tag", ["sh", "random:5"])
     def test_global_alpha_symmetric_observable_is_predicted(self, tag):
         spec = global_ensemble("orthogonal", basis_from_tag(tag, 3))
         rho = random_pure_state(RngStream(80), spec.d)
+        factor = validate_state(rho)
         a = sym_part(_random_hermitian(81, spec.d))
-        pred = predict_variance(spec, a, rho)
+        pred = predict_variance(spec, a, factor)
         reference = var_ref_alpha(a, rho, spec.d, spec.basis.alpha_total)
         assert pred == pytest.approx(reference, rel=1e-12)
 
 
     @pytest.mark.parametrize(
-        "rho, message",
+        "factor, message",
         [
-            (np.array([[0.5, 0.4], [0.0, 0.5]]), "Hermitian"),
-            (np.diag([1.0, 1.0]), "unit trace"),
+            (np.array([1.0, 0.0]), "shape"),
+            (np.array([[1.0], [0.0], [0.0]]), "shape"),
+            (np.zeros((2, 0)), "shape"),
+            (np.array([[np.nan], [0.0]]), "finite"),
+            (np.array([[np.sqrt(1.0 + 1e-6)], [0.0]]), "unit trace"),
+            (identity(2) / 2, "unit trace"),  # a mixed rho: ||rho||^2 is its purity
         ],
-        ids=["not-hermitian", "trace-two"],
+        ids=["1-d", "d-plus-one-rows", "no-column", "nan", "norm-off", "dense-mixed-rho"],
     )
     @pytest.mark.parametrize(
-        "spec",
-        [global_ensemble("orthogonal", computational_basis(1)), local_ensemble("unitary", 1)],
-        ids=["global", "local"],
+        "call",
+        [
+            lambda f: predict_variance(_global("orthogonal", "computational", 1), Z, f),
+            lambda f: predict_variance(local_ensemble("unitary", 1), PauliString(("Z",)), f),
+            lambda f: collect_records(RngStream(44), f, _global("unitary", "computational", 1), 5),
+            lambda f: collect_records(RngStream(44), f, local_ensemble("unitary", 1), 5),
+        ],
+        ids=["predict-global-dense", "predict-local-pauli", "collect-global", "collect-local"],
     )
-    @pytest.mark.parametrize("observable", [PauliString.from_string("Z"), X], ids=["pauli", "dense"])
-    def test_rejects_a_state_that_is_not_a_density_matrix(self, spec, observable, rho, message):
+    def test_rejects_a_malformed_factor(self, call, factor, message):
         with pytest.raises(ValueError, match=message):
-            predict_variance(spec, observable, rho)
+            call(factor)
 
 
 class TestRandomSymmetricObservable:
