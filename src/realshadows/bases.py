@@ -25,7 +25,6 @@ H_GATE = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 class MeasurementBasis:
     d: int
     vectors: np.ndarray  # (d, d); columns are the basis vectors
-    alpha_per_vector: np.ndarray
     alpha_total: float
     tag: str
 
@@ -43,22 +42,9 @@ def reality(vectors) -> tuple[np.ndarray, float]:
     return alpha, float(np.sum(alpha))
 
 
-def make_basis(vectors: np.ndarray, tag: str, alpha_per_vector=None) -> MeasurementBasis:
+def make_basis(vectors: np.ndarray, tag: str) -> MeasurementBasis:
     v = np.asarray(vectors, dtype=complex)
-    computed, _ = reality(v)
-    if alpha_per_vector is None:
-        alpha = computed
-    else:
-        alpha = np.asarray(alpha_per_vector, dtype=float)
-        if np.max(np.abs(alpha - computed)) > 1e-9:
-            raise ValueError("supplied per-vector alphas disagree with the vectors")
-    return MeasurementBasis(
-        d=v.shape[0],
-        vectors=v,
-        alpha_per_vector=alpha,
-        alpha_total=float(np.sum(alpha)),
-        tag=tag,
-    )
+    return MeasurementBasis(d=v.shape[0], vectors=v, alpha_total=reality(v)[1], tag=tag)
 
 
 def computational_basis(n: int) -> MeasurementBasis:
@@ -67,20 +53,17 @@ def computational_basis(n: int) -> MeasurementBasis:
     d = 2**n
     # The identity's columns are real and orthonormal by construction, so
     # make_basis's O(d^3) Gram check is skipped.
-    return MeasurementBasis(d, np.eye(d, dtype=complex), np.ones(d), float(d), "computational")
+    return MeasurementBasis(d, np.eye(d, dtype=complex), float(d), "computational")
 
 
 def sh_basis(n: int) -> MeasurementBasis:
-    """Columns of (SH)^{x n}; every vector has alpha_w = 0.
-
-    The per-vector alphas are pinned to exact zeros via tensor
-    multiplicativity of alpha (the single-qubit factor is exactly zero).
-    """
+    """Columns of (SH)^{x n}; every vector has alpha_w = 0, which `reality`
+    computes exactly (each <w|w*> is a sum that cancels to 0)."""
     if n < 1:
         raise ValueError("need at least one qubit")
     sh = S_GATE @ H_GATE
     vectors = kron(*([sh] * n)) if n > 1 else sh
-    return make_basis(vectors, "sh", np.zeros(2**n))
+    return make_basis(vectors, "sh")
 
 
 def random_basis(rng: RngStream, d: int, tag: str = "random") -> MeasurementBasis:

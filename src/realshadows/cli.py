@@ -28,6 +28,7 @@ from .engine import ConfigError, ExperimentConfig, collect_records, estimate, ru
 from .linalg import ResourceLimitError, check_entries, check_qubit_count, kron
 from .sampling import MAX_SEED, RngStream, haar_state_vector
 from .variance import (
+    check_local_cubature,
     predict_variance,
     random_symmetric_observable,
     ratio_sweep,
@@ -191,19 +192,20 @@ def cmd_validate_variance(args: argparse.Namespace) -> int:
     check_entries(args.shots * max(args.d, 4 * n), f"{args.shots} shots at d = {args.d}")
     if not args.tolerance > 0:
         raise ConfigError(f"--tolerance must be positive, got {args.tolerance}")
+    groups = ("orthogonal", "unitary")
+    # Orthogonal and unitary sites in turn: the local predictor on mixed groups.
+    local = local_ensemble([groups[j % 2] for j in range(n)], n)
+    check_local_cubature(local.groups)
     z, mixed = np.diag([1.0, -1.0]), np.eye(2) * np.sqrt(0.5)  # rho = I/2
     pinned_real, pinned_unitary = (
         predict_variance(global_ensemble(g, basis_from_tag("computational", 1)), z, mixed)
-        for g in ("orthogonal", "unitary")
+        for g in groups
     )
     print(f"pinned d=2 A=Z rho=I/2: real={pinned_real}, unitary={pinned_unitary}")
     ok = pinned_real == 2.0 and pinned_unitary == 3.0
     psi = haar_state_vector(RngStream(args.seed, (10,)), args.d)[:, None]
     a = random_symmetric_observable(RngStream(args.seed, (11,)), args.d)
-    groups = ("orthogonal", "unitary")
-    specs = [global_ensemble(g, basis_from_tag("computational", n)) for g in groups]
-    # Orthogonal and unitary sites in turn: the local predictor on mixed groups.
-    specs.append(local_ensemble([groups[j % 2] for j in range(n)], n))
+    specs = [global_ensemble(g, basis_from_tag("computational", n)) for g in groups] + [local]
     predictions = [predict_variance(spec, a, psi) for spec in specs]
     for spec, predicted in zip(specs, predictions):
         records = collect_records(RngStream(args.seed, (12,)), psi, spec, args.shots)

@@ -45,7 +45,7 @@ from .sampling import (
     random_pure_state,
     sample_transform_arrays,
 )
-from .variance import predict_variance, random_symmetric_observable
+from .variance import check_local_cubature, predict_variance, random_symmetric_observable
 
 _PROB_SUM_TOL = 1e-6
 
@@ -253,62 +253,36 @@ def collect_records(rng: RngStream, factor, spec: EnsembleSpec, shots: int) -> S
 def per_shot_estimates(records: ShadowRecords, observable) -> np.ndarray:
     """o_s = v_s^dag M^-1(O) v_s for every shot, without materializing shadows.
 
-    A Pauli string c P takes one rule in every ensemble: o_s = Re(c) mu
-    <v_s|P|v_s>, with mu its M^-1 eigenvalue (see `_pauli_estimates`).  A dense
-    observable (or an `InvertedObservable`) contracts its pseudo-inverse
-    against the full measured vectors.  Real records take the real part of
-    the operator, which is exact for real v.
+    A Pauli string c P takes one rule in every ensemble: o_s = mu c <v_s|P|v_s>
+    from `PauliString.expectations`, with mu its M^-1 eigenvalue, and zeros
+    when mu = 0.  A dense observable (or an `InvertedObservable`) contracts
+    its pseudo-inverse against the full measured vectors.  Real records take
+    the real part of the operator, which is exact for real v.
     """
     spec = records.spec
     if isinstance(observable, PauliString):
         if observable.n != spec.n:
             raise ValueError("observable qubit count does not match the ensemble")
-        return _pauli_estimates(records, observable)
-    tilde = invert(channel_for(spec), observable).inverse
-    if not np.iscomplexobj(records.vectors):
-        tilde = tilde.real
+        mu = pauli_string_inverse_eigenvalue(channel_for(spec), observable)
+        if mu == 0.0:
+            return np.zeros(len(records))
+
+        def kernel(v):
+            return mu * observable.expectations(v)
+
+    else:
+        tilde = invert(channel_for(spec), observable).inverse
+        if not np.iscomplexobj(records.vectors):
+            tilde = tilde.real
+
+        def kernel(v):
+            v = full_vectors(spec, v)
+            return (v @ tilde.T * v.conj()).sum(axis=1).real
+
     values = np.empty(len(records))
     chunk = max(1, _CHUNK_ELEMENTS // spec.d)
     for start in range(0, len(records), chunk):
-        v = full_vectors(spec, records.vectors[start : start + chunk])
-        values[start : start + chunk] = (v @ tilde.T * v.conj()).sum(axis=1).real
-    return values
-
-
-def _letter_values(v: np.ndarray, letter: str) -> np.ndarray:
-    """<v|P|v> per site vector v = (a, b): |a|^2 - |b|^2 for Z, and 2 Re(a* b)
-    and 2 Im(a* b) for X and Y."""
-    a, b = v[:, 0], v[:, 1]
-    if letter == "Z":
-        return a.real**2 + a.imag**2 - b.real**2 - b.imag**2
-    overlap = a.conj() * b
-    return 2.0 * (overlap.real if letter == "X" else overlap.imag)
-
-
-def _pauli_estimates(records: ShadowRecords, p: PauliString) -> np.ndarray:
-    """o_s = Re(c) mu <v_s|P|v_s> for a string c P, zeros when mu = 0.
-
-    <v|P|v> is real, so Re(c P) reads Re(c).  A local shot's <v|P|v> is the
-    product of its sites' letter values; a global one's is
-    sum_j conj(v[j ^ flip]) phase[j] v[j] from the string's action, O(d)."""
-    spec = records.spec
-    scale = pauli_string_inverse_eigenvalue(channel_for(spec), p) * complex(p.coefficient).real
-    if scale == 0.0:
-        return np.zeros(len(records))
-    if spec.scope == "local":
-        values = np.full(len(records), scale)
-        for j, letter in enumerate(p.letters):
-            if letter != "I":
-                values *= _letter_values(records.vectors[:, j], letter)
-        return values
-    flip, phase = PauliString(p.letters).action()
-    phase = scale * (phase if np.iscomplexobj(records.vectors) else phase.real)
-    partner = np.arange(spec.d) ^ flip
-    values = np.empty(len(records))
-    chunk = max(1, _CHUNK_ELEMENTS // spec.d)
-    for start in range(0, len(records), chunk):
-        v = records.vectors[start : start + chunk]
-        values[start : start + chunk] = ((v[:, partner].conj() * v) @ phase).real
+        values[start : start + chunk] = kernel(records.vectors[start : start + chunk])
     return values
 
 
@@ -439,6 +413,7 @@ def build_observable(obs: dict, n: int) -> tuple[str, PauliString | np.ndarray]:
             raise ConfigError("matrix observable needs numeric real and imag parts") from None
         if op.shape != (d, d) or not (np.all(np.abs(op) <= _MAX_MAGNITUDE) and is_hermitian(op)):
             raise ConfigError(f"matrix observable must be Hermitian, {d} x {d}, entries <= 1e100")
+        op = 0.5 * (op + op.conj().T)  # its Hermitian part: A itself when A is exactly Hermitian
         default = "matrix"
     else:
         raise ConfigError(f"unknown observable kind {kind!r}")
@@ -586,6 +561,8 @@ def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
     """
     t0 = time.perf_counter()
     spec = config.ensemble_spec()
+    if spec.scope == "local" and any(o.get("kind", "pauli") != "pauli" for o in config.observables):
+        check_local_cubature(spec.groups)  # before the state and any dense observable
     factor = validate_state(build_state(config.state, config.n), spec.d)
     desc = channel_for(spec)
     prepared = []

@@ -102,14 +102,16 @@ def _predict_global(spec: EnsembleSpec, tilde: np.ndarray, factor: np.ndarray):
 
     E[o] is the visible target Tr[P_vis(A) rho].  Var is unchanged by
     A -> A - Tr[A]/d (each o shifts by Tr[A]/d), so the words take the
-    traceless A~ and no (Tr A)^2 cancels against the mean.  With X and Y
-    each A~ or A~^T, a loop of rho is Tr[rho] = 1 (the state has unit trace),
-    Tr[rho X] = Tr[(Psi^dag X) Psi] or Tr[rho X Y] = Tr[(Psi^dag X)(Y Psi)],
-    so the products Psi^dag X and Y Psi, O(d^2 r) each, are shared by every
-    loop (only A~ appears when A~ is symmetric).  A loop without rho is
-    Tr[X] or Tr[X Y], O(d^2).  The word tables are walked once per stack.
-    A Pauli string never comes here: `predict_variance` gives it the closed
-    form c^2 mu - (c Tr[rho P])^2."""
+    traceless A~ and no (Tr A)^2 cancels against the mean.  Each A~ must be
+    Hermitian, as the pseudo-inverse of a Hermitian A is.  With X and Y each
+    A~ or A~^T, a loop of rho is Tr[rho] = 1 (the state has unit trace),
+    Tr[rho X] = Tr[Psi^dag (X Psi)] or Tr[rho X Y] = Tr[(X Psi)^dag (Y Psi)],
+    since Psi^dag X = (X Psi)^dag for a Hermitian X.  So one product X Psi,
+    O(d^2 r), per operand is shared by every loop (only A~ appears when A~ is
+    symmetric), and each loop is an O(d r) elementwise sum.  A loop without
+    rho is Tr[X] or Tr[X Y], O(d^2).  The word tables are walked once per
+    stack.  A Pauli string never comes here: `predict_variance` gives it the
+    closed form c^2 mu - (c Tr[rho P])^2."""
     unitary = spec.groups[0] == "unitary"
     transposed = np.swapaxes(tilde, -1, -2)
     # U(d) words are permutations, which never transpose an operand.
@@ -117,11 +119,7 @@ def _predict_global(spec: EnsembleSpec, tilde: np.ndarray, factor: np.ndarray):
     operands = (tilde, transposed)
 
     @functools.cache
-    def row(t: bool) -> np.ndarray:  # Psi^dag X
-        return np.swapaxes(factor.conj(), -1, -2) @ operands[t]
-
-    @functools.cache
-    def column(t: bool) -> np.ndarray:  # Y Psi
+    def image(t: bool) -> np.ndarray:  # X Psi
         return operands[t] @ factor
 
     @functools.cache
@@ -133,9 +131,8 @@ def _predict_global(spec: EnsembleSpec, tilde: np.ndarray, factor: np.ndarray):
             return _pair_trace(operands[t], operands[rest[0][1]])
         if not rest:
             return 1.0
-        if len(rest) == 1:
-            return _pair_trace(row(rest[0][1]), factor)
-        return _pair_trace(row(rest[0][1]), column(rest[1][1]))
+        left = factor if len(rest) == 1 else image(rest[0][1])
+        return np.einsum("...ij,...ij->...", left.conj(), image(rest[-1][1]))
 
     moments = []
     coefficients = _word_coefficients(unitary, spec.d, spec.basis.alpha_total)
@@ -165,6 +162,16 @@ def _prefix_blocks(ops, maps, lead: int):
         yield from _prefix_blocks(reduced, maps[1:], lead - 1)
 
 
+def check_local_cubature(groups) -> list[np.ndarray]:
+    """The `stabilizer_points` of each site of the local cubature over sites
+    of these groups, or ResourceLimitError when it would sum over more than
+    MAX_KRON_DIM^2 product states; checked before anything of dimension d is
+    built."""
+    maps = [stabilizer_points(g) for g in groups]
+    check_entries(math.prod(m.shape[0] for m in maps), "the local variance cubature")
+    return maps
+
+
 def _predict_local(spec: EnsembleSpec, observable, factor: np.ndarray) -> float:
     """Exact Var[o] under a local ensemble from the single-qubit Clifford
     cubature: E[o^k] = sum_phi w_phi <phi|rho|phi> <phi|A~|phi>^k, k = 1, 2.
@@ -181,10 +188,9 @@ def _predict_local(spec: EnsembleSpec, observable, factor: np.ndarray) -> float:
     w p (t - m)^i give sum w p (t - mu)^2 = s_2 - 2 delta s_1 + delta^2 s_0
     with mu = s_1 + m s_0 and delta = mu - m, exactly, without cancellation.
     The cubature reads the dense rho = Psi Psi^dag, formed once."""
+    maps = check_local_cubature(spec.groups)
     state = factor @ factor.conj().T
-    maps = [stabilizer_points(g) for g in spec.groups]
     sizes = [m.shape[0] for m in maps]
-    check_entries(math.prod(sizes), "the local variance cubature")
     desc = channel_for(spec)
     tilde = invert(desc, observable).inverse
     weight = math.prod(2.0 / k for k in sizes)
@@ -206,13 +212,12 @@ def predict_variance(spec: EnsembleSpec, observable, factor) -> float:
     """The exact variance of one shot's estimate of `observable` on the state
     rho = Psi Psi^dag of the (d, r) `factor` Psi that `engine.validate_state` returns.
 
-    `observable` is a Pauli string, a dense matrix or an `InvertedObservable`.
-    A string c P takes the one rule of every ensemble, c^2 mu - (c Tr[rho P])^2
-    with c read as Re(c), which is what its estimates read, and mu the M^-1
-    eigenvalue of P.  Other observables sum the Brauer words under a global
-    ensemble, and under a local one the single-qubit Clifford cubature, which
-    raises ResourceLimitError when it would sum over more than MAX_KRON_DIM^2
-    product states.
+    `observable` is a Pauli string, a Hermitian matrix or an
+    `InvertedObservable` of one.  A string c P takes the one rule of every
+    ensemble, c^2 mu - (c Tr[rho P])^2 with mu the M^-1 eigenvalue of P.
+    Other observables sum the Brauer words under a global ensemble, and
+    under a local one the single-qubit Clifford cubature, which raises
+    ResourceLimitError when `check_local_cubature` refuses its size.
     """
     factor = check_factor(factor, spec.d)
     if isinstance(observable, PauliString):
@@ -221,12 +226,9 @@ def predict_variance(spec: EnsembleSpec, observable, factor) -> float:
         mu = pauli_string_inverse_eigenvalue(channel_for(spec), observable)
         if mu == 0.0 or not observable.support:
             return 0.0  # the estimate is identically zero, or the constant c
-        c = complex(observable.coefficient).real
-        # Tr[rho P] = sum_jk phase[j] Psi[j, k] conj(Psi[j ^ flip, k]), O(d r).
-        flip, phase = PauliString(observable.letters).action()
-        partner = np.arange(spec.d) ^ flip
-        mean = c * (phase @ (factor * factor[partner].conj()).sum(axis=1)).real
-        return float(c * c * mu - mean**2)
+        # c Tr[rho P] = sum_k c <psi_k|P|psi_k> over the columns psi_k of Psi, O(d r).
+        mean = observable.expectations(factor.T).sum()
+        return float(observable.coefficient**2 * mu - mean**2)
     if spec.scope == "global":
         inverted = invert(channel_for(spec), observable)
         tilde = _subtract_trace(inverted.inverse.copy(), inverted.trace)

@@ -23,13 +23,13 @@ class TestComputationalBasis:
     def test_alpha_equals_dimension(self, n, alpha):
         b = computational_basis(n)
         assert b.alpha_total == alpha
-        assert np.all(b.alpha_per_vector == 1.0)
+        assert np.all(reality(b.vectors)[0] == 1.0)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_equals_the_checked_construction(self, n):
         d = 2**n
         b = computational_basis(n)
-        ref = make_basis(np.eye(d), "computational", np.ones(d))
+        ref = make_basis(np.eye(d), "computational")
         for name in (f.name for f in dataclasses.fields(MeasurementBasis)):
             x, y = getattr(b, name), getattr(ref, name)
             assert type(x) is type(y) and np.array_equal(x, y), name
@@ -45,15 +45,14 @@ class TestShBasis:
         b = sh_basis(1)
         # first column is (1, i)/sqrt(2); <w|w*> = (1 - 1)/2 = 0
         assert np.allclose(b.vectors[:, 0], np.array([1.0, 1.0j]) / np.sqrt(2.0))
-        assert b.alpha_per_vector[0] == 0.0
+        assert reality(b.vectors)[0][0] == 0.0
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
     def test_alpha_exactly_zero(self, n):
         b = sh_basis(n)
         assert b.alpha_total == 0.0
-        # the generic definition agrees to numerical precision
-        _, computed = reality(b.vectors)
-        assert computed <= 1e-12
+        # every vector's alpha_w is an exact zero too, not rounding noise
+        assert np.all(reality(b.vectors)[0] == 0.0)
 
     def test_orthonormal(self):
         b = sh_basis(2)
@@ -73,8 +72,9 @@ class TestRandomBasis:
 
     def test_alpha_per_vector_in_unit_interval(self):
         b = random_basis(RngStream(78), 8)
-        assert np.all(b.alpha_per_vector >= 0.0)
-        assert np.all(b.alpha_per_vector <= 1.0 + 1e-12)
+        per, _ = reality(b.vectors)
+        assert np.all(per >= 0.0)
+        assert np.all(per <= 1.0 + 1e-12)
         assert 0.0 <= b.alpha_total <= 8.0
 
 
@@ -91,15 +91,11 @@ class TestReality:
         with pytest.raises(ValueError):
             reality(v)
 
-    def test_make_basis_checks_alpha_override(self):
-        with pytest.raises(ValueError):
-            make_basis(np.eye(2, dtype=complex), "computational", np.zeros(2))
-
     def test_idempotent_with_stored_fields(self):
         b = random_basis(RngStream(80), 4)
         per, total = reality(b.vectors)
-        assert np.allclose(per, b.alpha_per_vector, atol=1e-12)
-        assert total == pytest.approx(b.alpha_total, abs=1e-12)
+        assert total == b.alpha_total
+        assert np.sum(per) == pytest.approx(total, abs=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**6))
@@ -108,7 +104,7 @@ class TestReality:
         b = random_basis(RngStream(seed, (1,)), d)
         o = haar_orthogonals(RngStream(seed, (2,)), d, 1)[0].astype(complex)
         per_rot, total_rot = reality(o @ b.vectors)
-        assert np.allclose(per_rot, b.alpha_per_vector, atol=1e-10)
+        assert np.allclose(per_rot, reality(b.vectors)[0], atol=1e-10)
         assert total_rot == pytest.approx(b.alpha_total, abs=1e-9)
 
     @settings(max_examples=20, deadline=None)

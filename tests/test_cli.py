@@ -14,7 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from realshadows import linalg
 from realshadows.cli import _ENSEMBLE_CHOICES, _mc_agreement, main
+from realshadows.linalg import ResourceLimitError
+from realshadows.variance import check_local_cubature
 
 
 def _write_config(tmp_path, cfg, name="config.json"):
@@ -202,6 +205,50 @@ class TestEstimateCommand:
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert "cubature" in err and str(6**11) in err
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("front_end", ["estimate", "validate-variance"])
+    def test_oversize_cubature_refused_before_any_dense_array(self, tmp_path, capsys, front_end):
+        # n = 12: a dense observable under all-unitary sites, and validate-variance's
+        # alternating sites at d = 4096.  A d x d complex array would take 256 MiB.
+        if front_end == "estimate":
+            cfg = self._one_qubit_config({"csv": str(tmp_path / "out.csv")})
+            cfg.update(
+                n=12,
+                ensemble={"scope": "local", "groups": "unitary"},
+                state={"kind": "random_pure", "seed": 1},
+                observables=[{"kind": "random_symmetric", "seed": 2}],
+            )
+            argv = ["estimate", "--config", _write_config(tmp_path, cfg)]
+            groups = ["unitary"] * 12
+        else:
+            argv = ["validate-variance", "--d", "4096", "--shots", "2"]
+            groups = [("orthogonal", "unitary")[j % 2] for j in range(12)]
+        with pytest.raises(ResourceLimitError) as refusal:
+            check_local_cubature(groups)
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2**20, peak / 2**20
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {refusal.value}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_pauli_only_local_config_needs_no_cubature(self, tmp_path, capsys, monkeypatch):
+        # With a budget of 32^2 = 4^5 entries, all-unitary n = 4 (6^4 points)
+        # runs with Pauli strings only, and a dense observable is refused.
+        monkeypatch.setattr(linalg, "MAX_KRON_DIM", 32)
+        cfg = self._one_qubit_config({"csv": str(tmp_path / "out.csv")})
+        cfg.update(n=4, shots=50, ensemble={"scope": "local", "groups": "unitary"})
+        cfg["observables"] = [{"kind": "pauli", "string": s} for s in ("ZIII", "XYZI")]
+        assert main(["estimate", "--config", _write_config(tmp_path, cfg)]) == 0
+        cfg["observables"].append({"kind": "basis_projector", "index": 3})
+        assert main(["estimate", "--config", _write_config(tmp_path, cfg, "dense.json")]) == 2
+        assert "cubature" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "path, value",

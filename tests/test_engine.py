@@ -372,7 +372,7 @@ class TestPerShotEstimates:
         vectors = _dense_vectors(records)
         shadows = [shadow_from_vector(spec, v) for v in vectors]
         for string in map("".join, itertools.product("IXYZ", repeat=2)):
-            p = PauliString.from_string(string, coefficient=0.7 - 1.3j)
+            p = PauliString.from_string(string, coefficient=-1.3)
             dense = np.array([np.trace(p.to_matrix() @ shadow).real for shadow in shadows])
             assert np.max(np.abs(per_shot_estimates(records, p) - dense)) <= 1e-12, string
 
@@ -569,6 +569,32 @@ class TestConfigAndRun:
         rho = build_state(config.state, config.n)
         expected = 2.0 - np.trace(rho @ np.kron(Z, identity(2))).real ** 2
         assert report.predicted_variance == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "ensemble",
+        [
+            {"scope": "global", "groups": ["orthogonal"], "basis": "sh"},
+            {"scope": "global", "groups": ["unitary"]},
+            {"scope": "local", "groups": ["orthogonal", "unitary", "unitary"]},
+        ],
+        ids=["global-O-sh", "global-U", "local-OUU"],
+    )
+    def test_matrix_is_read_as_its_hermitian_part(self, tmp_path, ensemble):
+        # A matrix 1e-11 off Hermitian passes the 1e-10 door; its reports are
+        # those of its Hermitian part, which is exactly Hermitian.
+        g = np.random.default_rng(39)
+        a = g.standard_normal((8, 8)) + 1j * g.standard_normal((8, 8))
+        off = a + a.conj().T + 1e-11 * (g.standard_normal((8, 8)) + 1j * g.standard_normal((8, 8)))
+        part = 0.5 * (off + off.conj().T)
+        assert np.array_equal(part, part.conj().T) and not np.array_equal(off, part)
+        reports = []
+        for m in (off, part):
+            obs = {"kind": "matrix", "real": m.real.tolist(), "imag": m.imag.tolist()}
+            cfg = self._config_dict(
+                tmp_path, n=3, ensemble=ensemble, shots=500, observables=[obs], allow_bias=True
+            )
+            reports.append(run_experiment(ExperimentConfig.from_dict(cfg)))
+        assert reports[0] == reports[1]
 
     def test_invisible_part_prediction_matches_simulation(self, tmp_path):
         # A random Hermitian A under orthogonal, unitary and orthogonal sites has

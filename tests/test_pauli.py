@@ -23,6 +23,12 @@ def test_to_matrix_matches_kron():
     assert operators_close(p.to_matrix(), 2.0 * kron(X, Z))
 
 
+def test_coefficient_is_stored_as_a_float():
+    for coefficient in (2, 0.5 + 0j, np.float32(0.25), np.complex128(-3.0)):
+        c = PauliString.from_string("XY", coefficient).coefficient
+        assert type(c) is float and c == complex(coefficient).real
+
+
 def test_rejects_bad_letters():
     with pytest.raises(ValueError):
         PauliString.from_string("XA")

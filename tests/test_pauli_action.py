@@ -35,7 +35,7 @@ TAGS = ("computational", "sh", "random:5")
 
 def _strings(n: int, seed: int) -> list[PauliString]:
     """The identity, an even-Y string, an odd-Y string and an even-Y string
-    with a complex coefficient."""
+    with a coefficient other than 1."""
     rng = random.Random(seed)
 
     def with_parity(odd: bool) -> tuple[str, ...]:
@@ -49,7 +49,7 @@ def _strings(n: int, seed: int) -> list[PauliString]:
         PauliString(("I",) * n),
         PauliString(with_parity(False)),
         PauliString(with_parity(True)),
-        PauliString(with_parity(False), 0.3 - 0.7j),
+        PauliString(with_parity(False), -0.7),
     ]
 
 
@@ -60,14 +60,45 @@ def _mixed_state(seed: int, d: int) -> np.ndarray:
 
 
 def test_action_matches_to_matrix():
+    # action() is the bare string's; to_matrix() is c P.
     for n in (1, 2, 3):
         for letters in itertools.product("IXYZ", repeat=n):
-            p = PauliString(letters, 0.5 - 0.25j)
+            p = PauliString(letters, -0.75)
             flip, phase = p.action()
             j = np.arange(2**n)
             dense = np.zeros((2**n, 2**n), dtype=complex)
             dense[j ^ flip, j] = phase
-            assert np.array_equal(dense, p.to_matrix()), letters
+            assert np.array_equal(p.coefficient * dense, p.to_matrix()), letters
+
+
+def test_expectations_match_to_matrix():
+    # c <v|P|v> for every string at n <= 3: on real and complex (S, d) rows,
+    # and on (S, n, 2) unit per-site vectors against their Kronecker products.
+    gen = RngStream(31).generator
+    for n in (1, 2, 3):
+        d = 2**n
+        real = gen.standard_normal((5, d))
+        complex_rows = real + 1j * gen.standard_normal((5, d))
+        sites = gen.standard_normal((5, n, 2)) + 1j * gen.standard_normal((5, n, 2))
+        sites /= np.linalg.norm(sites, axis=2, keepdims=True)  # unit, as measured site vectors
+        joined = sites[:, 0]
+        for j in range(1, n):
+            joined = np.einsum("sa,sb->sab", joined, sites[:, j]).reshape(5, -1)
+        for letters in itertools.product("IXYZ", repeat=n):
+            p = PauliString(letters, -1.25)
+            m = p.to_matrix()
+            for vectors, rows in ((real, real), (complex_rows, complex_rows), (sites, joined)):
+                dense = np.einsum("sj,jk,sk->s", rows.conj(), m, rows).real
+                fast = p.expectations(vectors)
+                assert fast.dtype == np.float64
+                assert np.all(np.abs(fast - dense) <= 1e-12 * (1 + np.abs(dense))), letters
+
+
+def test_expectations_refuse_vectors_of_another_shape():
+    p = PauliString.from_string("XZ")
+    for shape in ((3, 8), (3, 3, 2), (3, 2, 3), (4,)):
+        with pytest.raises(ValueError):
+            p.expectations(np.ones(shape))
 
 
 @pytest.mark.parametrize("group", GROUPS)
@@ -98,10 +129,8 @@ def test_global_predictor_matches_dense_words(group, tag):
         factor = validate_state(_mixed_state(100 + n, spec.d))
         # At n <= 2, also every string: each Y parity, support pattern and the identity.
         every = itertools.product("IXYZ", repeat=n) if n <= 2 else ()
-        for p in _strings(n, n) + [PauliString(letters, -1.5 + 0.25j) for letters in every]:
-            # predict_variance reads Re(c) P, as the estimates do.
-            real = p.coefficient.real * PauliString(p.letters).to_matrix()
-            inverted = invert(channel_for(spec), real)
+        for p in _strings(n, n) + [PauliString(letters, -1.5) for letters in every]:
+            inverted = invert(channel_for(spec), p.to_matrix())
             tilde = _subtract_trace(inverted.inverse, inverted.trace)
             dense = _predict_global(spec, tilde, factor)
             fast = predict_variance(spec, p, factor)
