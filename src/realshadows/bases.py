@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_qubit_count, kron
+from .linalg import check_qubit_count, kron, operators_close
 from .sampling import MAX_SEED, RngStream, haar_unitaries
 
 ORTHONORMAL_ATOL = 1e-10
@@ -34,7 +34,7 @@ def reality(vectors) -> tuple[np.ndarray, float]:
     of a matrix whose columns are the basis vectors."""
     v = np.asarray(vectors, dtype=complex)
     gram = v.conj().T @ v
-    if not np.allclose(gram, np.eye(v.shape[1]), rtol=0.0, atol=ORTHONORMAL_ATOL):
+    if not operators_close(gram, np.eye(v.shape[1]), ORTHONORMAL_ATOL):
         raise ValueError("basis vectors are not orthonormal")
     # <w|w*> = conj(sum_j w_j^2), so alpha_w = |sum_j w_j^2|^2.
     overlaps = np.einsum("jw,jw->w", v, v)

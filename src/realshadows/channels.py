@@ -1,31 +1,37 @@
 """Measurement channels for every ensemble: block spectra, pseudo-inverses,
 visible-space projectors, and the one rule that decides visibility.
 
-A global channel acts blockwise on the trace part (eigenvalue 1), the
-symmetric-traceless part and the antisymmetric part of its input:
+An ensemble's Haar group splits into tensor factors, one of dimension d for
+global O(d) or U(d) and n qubits for a local ensemble, and its channel is the
+product of theirs: a `ChannelDescriptor` is (d, one `ChannelSpectrum` per
+factor), made only by `channel_for`, and every channel function reads only
+the factors.  A factor acts on the trace part (eigenvalue 1), the
+symmetric-traceless part and the antisymmetric part of its input as
 
     lambda_sym  = (d + alpha - 2) / ((d - 1)(d + 2))      (orthogonal)
     lambda_anti = (d - alpha)     / (d (d - 1))           (orthogonal)
     lambda_sym  = lambda_anti = 1 / (d + 1)               (unitary)
 
-with alpha the total reality of the measurement basis.  Local channels act
-qubit by qubit with the d = 2 blocks (orthogonal qubit: Y killed, X/Z scaled
-by 1/2; unitary qubit: X/Y/Z scaled by 1/3), one 4x4 map of a site's entries
-through `map_sites`.  A block with eigenvalue 0 is invisible: the estimators
-see only the rest of an observable, and `has_invisible_part` is where that is
-decided.  Channels are kept in this spectral form; dense superoperator
-matrices appear only in tests.
+with d its dimension and alpha its basis's total reality, 2 on a qubit
+(orthogonal qubit: Y killed, X/Z scaled by 1/2; unitary: X/Y/Z by 1/3).  A
+dense operator takes five elementwise block passes under one factor, or one
+4x4 map per qubit factor through `map_sites`; run site by site, the block
+passes take 4 to 5 times as long (n = 6 and 9, one thread).  M^+(A) depends
+only on the spectra, so an `InvertedObservable` is tied to its channel by
+value.  A block with eigenvalue 0 is invisible: the estimators see only the
+rest of an observable, and `has_invisible_part` decides that.  Dense
+superoperator matrices appear only in tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bases import MeasurementBasis, basis_from_tag
-from .linalg import as_operator, batched_kron, norm2, sum_abs2
+from .linalg import as_operator, batched_kron, is_hermitian, norm2, sum_abs2
 from .pauli import PauliString
 from . import sampling
 
@@ -77,6 +83,11 @@ class EnsembleSpec:
     def d(self) -> int:
         return 2**self.n
 
+    @property
+    def factor_dim(self) -> int:
+        """Dimension of each Haar factor, one per group: d (global) or 2 (local)."""
+        return 2 ** (self.n // len(self.groups))
+
     def label(self) -> str:
         groups = self.groups[0] if len(set(self.groups)) == 1 else ",".join(self.groups)
         tag = self.basis.tag if self.basis else "computational"
@@ -84,10 +95,7 @@ class EnsembleSpec:
 
 
 def global_ensemble(group: str, basis: MeasurementBasis) -> EnsembleSpec:
-    n = int(round(np.log2(basis.d)))
-    if 2**n != basis.d:
-        raise ValueError("basis dimension must be a power of two")
-    return EnsembleSpec("global", (group,), basis, n)
+    return EnsembleSpec("global", (group,), basis, basis.d.bit_length() - 1)
 
 
 def local_ensemble(groups, n: int) -> EnsembleSpec:
@@ -99,22 +107,26 @@ def local_ensemble(groups, n: int) -> EnsembleSpec:
 def ensemble_from_tag(scope: str, groups, basis_tag: str, n: int) -> EnsembleSpec:
     """The ensemble of a config or CLI flag.  Only a global scope builds the
     tag's basis: a local one refuses any tag but "computational" before a
-    basis of dimension 2^n is allocated."""
-    if scope != "global":
-        if scope == "local" and basis_tag != "computational":
+    basis of dimension 2^n is allocated, and spreads a single group over its
+    n qubits."""
+    if scope == "global":
+        return EnsembleSpec(scope, groups, basis_from_tag(basis_tag, n), n)
+    if scope == "local":
+        if basis_tag != "computational":
             raise ValueError(_LOCAL_BASIS)
-        return EnsembleSpec(scope, groups, None, n)
-    return EnsembleSpec(scope, groups, basis_from_tag(basis_tag, n), n)
+        groups = groups * n if len(groups) == 1 else groups
+    return EnsembleSpec(scope, groups, None, n)
 
 
 @dataclass(frozen=True)
 class ChannelSpectrum:
-    """Blockwise action of a measurement channel on one tensor factor."""
+    """Blockwise action of a measurement channel on one tensor factor.  The
+    blocks fix the channel, so alpha is a label that equality skips."""
 
     lambda_sym: float
     lambda_anti: float
     p_alpha: float
-    alpha: float
+    alpha: float = field(compare=False)
 
 
 def orthogonal_spectrum(d: int, alpha: float) -> ChannelSpectrum:
@@ -131,30 +143,22 @@ def unitary_spectrum(d: int, alpha: float = float("nan")) -> ChannelSpectrum:
     return ChannelSpectrum(lambda_sym=lam, lambda_anti=lam, p_alpha=d / (d + 1.0), alpha=alpha)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class ChannelDescriptor:
-    spec: EnsembleSpec
-    spectra: tuple[ChannelSpectrum, ...]  # one entry (global) or n entries (local)
+    """A channel on dimension d as the spectra of its Haar factors: one of
+    dimension d (global) or one per qubit (local), compared by value."""
 
-    @property
-    def spectrum(self) -> ChannelSpectrum:
-        if self.spec.scope != "global":
-            raise ValueError("per-qubit channels have no single global spectrum")
-        return self.spectra[0]
+    d: int
+    spectra: tuple[ChannelSpectrum, ...]
 
 
 def channel_for(spec: EnsembleSpec) -> ChannelDescriptor:
-    if spec.scope == "global":
-        if spec.groups[0] == "orthogonal":
-            spectrum = orthogonal_spectrum(spec.d, spec.basis.alpha_total)
-        else:
-            spectrum = unitary_spectrum(spec.d, spec.basis.alpha_total)
-        return ChannelDescriptor(spec, (spectrum,))
-    spectra = tuple(
-        orthogonal_spectrum(2, 2.0) if g == "orthogonal" else unitary_spectrum(2, 2.0)
-        for g in spec.groups
-    )
-    return ChannelDescriptor(spec, spectra)
+    """The channel of an ensemble: one spectrum per group, of dimension
+    `spec.factor_dim`, at alpha the basis's total reality, or 2 for a qubit
+    measured in its computational basis."""
+    alpha = 2.0 if spec.basis is None else spec.basis.alpha_total
+    spectra = (orthogonal_spectrum if g == "orthogonal" else unitary_spectrum for g in spec.groups)
+    return ChannelDescriptor(spec.d, tuple(f(spec.factor_dim, alpha) for f in spectra))
 
 
 # ---------------------------------------------------------------------------
@@ -206,29 +210,26 @@ def _indicator(lam: float) -> float:
     return 0.0 if abs(lam) <= _ZERO_EIGENVALUE_ATOL else 1.0
 
 
-def pauli_inverse_eigenvalue(spectrum: ChannelSpectrum, letter: str) -> float:
-    """The eigenvalue of M^-1 on a single-qubit Pauli letter under a qubit
-    channel: 1 on I, 1/lambda_sym on the symmetric X and Z, 1/lambda_anti on
-    the antisymmetric Y, and 0 where that block is annihilated (the letter is
-    invisible)."""
-    if letter == "I":
+def pauli_inverse_eigenvalue(spectrum: ChannelSpectrum, letters) -> float:
+    """The eigenvalue of M^-1 under one factor on the Pauli letters that fall
+    in it (a single letter on a qubit): 1 on the trace block (all I), else
+    1/lambda_sym on the symmetric block for an even number of Y, since
+    P^T = (-1)^#Y P, and 1/lambda_anti on the antisymmetric one for odd; 0
+    where that block is annihilated (the letters are invisible)."""
+    if letters.count("I") == len(letters):
         return 1.0
-    return _inverse_eigenvalue(spectrum.lambda_anti if letter == "Y" else spectrum.lambda_sym)
+    odd = letters.count("Y") % 2
+    return _inverse_eigenvalue(spectrum.lambda_anti if odd else spectrum.lambda_sym)
 
 
 def pauli_string_inverse_eigenvalue(desc: ChannelDescriptor, p) -> float:
-    """The eigenvalue of M^-1 on a Pauli string `p`, 0 when it is invisible.
-
-    A local channel multiplies its sites' letter eigenvalues.  A global one
-    takes that of the string's block: the trace block for the identity, else
-    the symmetric block (read as the letter Z) for an even number of Y
-    letters, since P^T = (-1)^#Y P, and the antisymmetric one (Y) for odd."""
-    if desc.spec.scope == "local":
-        return math.prod(
-            pauli_inverse_eigenvalue(sp, letter) for sp, letter in zip(desc.spectra, p.letters)
-        )
-    letter = "I" if not p.support else "YZ"[p.y_count() % 2 == 0]
-    return pauli_inverse_eigenvalue(desc.spectrum, letter)
+    """The eigenvalue of M^-1 on a Pauli string `p`, a product over the
+    channel's factors; 0 when it is invisible."""
+    m = p.n // len(desc.spectra)
+    return math.prod(
+        pauli_inverse_eigenvalue(sp, p.letters[j * m : (j + 1) * m])
+        for j, sp in enumerate(desc.spectra)
+    )
 
 
 def _apply_global_blocks(a: np.ndarray, lam_sym: float, lam_anti: float) -> np.ndarray:
@@ -245,17 +246,18 @@ def _apply_global_blocks(a: np.ndarray, lam_sym: float, lam_anti: float) -> np.n
 
 
 def _dispatch(desc: ChannelDescriptor, a, eig_map) -> np.ndarray:
+    """Each factor's blocks scaled by eig_map of their eigenvalues: the block
+    passes for one factor, the 4x4 site maps for qubit factors."""
     m = as_operator(a)
-    if m.shape[0] != desc.spec.d:
+    if m.shape[0] != desc.d:
         raise ValueError(
-            f"operator dimension {m.shape[0]} does not match ensemble dimension {desc.spec.d}"
+            f"operator dimension {m.shape[0]} does not match ensemble dimension {desc.d}"
         )
-    if desc.spec.scope == "global":
-        sp = desc.spectrum
-        return _apply_global_blocks(m, eig_map(sp.lambda_sym), eig_map(sp.lambda_anti))
-    n = desc.spec.n
-    maps = [_site_channel(eig_map(sp.lambda_sym), eig_map(sp.lambda_anti)) for sp in desc.spectra]
-    out = map_sites(m, maps).reshape((2,) * (2 * n))
+    blocks = [(eig_map(sp.lambda_sym), eig_map(sp.lambda_anti)) for sp in desc.spectra]
+    if len(blocks) == 1:
+        return _apply_global_blocks(m, *blocks[0])
+    n = len(blocks)
+    out = map_sites(m, [_site_channel(*b) for b in blocks]).reshape((2,) * (2 * n))
     return out.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).reshape(m.shape)
 
 
@@ -271,11 +273,11 @@ def pseudo_inverse(desc: ChannelDescriptor, a) -> np.ndarray:
 
 def pseudo_inverses(desc: ChannelDescriptor, stack: np.ndarray) -> np.ndarray:
     """`pseudo_inverse` of each operator of a finite (..., d, d) stack under a
-    global channel, in one pass and in the stack's own dtype: a real stack
-    stays real."""
-    if desc.spec.scope != "global" or stack.shape[-2:] != (desc.spec.d,) * 2:
-        raise ValueError("a stack is inverted under a global channel of its dimension")
-    sp = desc.spectrum
+    one-factor channel, in one pass and in the stack's own dtype: a real
+    stack stays real."""
+    if len(desc.spectra) != 1 or stack.shape[-2:] != (desc.d,) * 2:
+        raise ValueError("a stack is inverted under a one-factor, global channel of its dimension")
+    (sp,) = desc.spectra
     return _apply_global_blocks(
         stack, _inverse_eigenvalue(sp.lambda_sym), _inverse_eigenvalue(sp.lambda_anti)
     )
@@ -288,24 +290,26 @@ def visible_projector(desc: ChannelDescriptor, a) -> np.ndarray:
 
 @dataclass(eq=False)
 class InvertedObservable:
-    """The pseudo-inverse M^+(A) of a dense observable A under one ensemble's
+    """The pseudo-inverse M^+(A) of a dense Hermitian observable A under a
     channel, with Tr[A], formed once so that a run's estimator and variance
     predictor share it.  A itself is not kept."""
 
-    spec: EnsembleSpec
+    channel: ChannelDescriptor
     trace: complex
     inverse: np.ndarray
 
 
 def invert(desc: ChannelDescriptor, observable) -> InvertedObservable:
-    """A dense observable with its pseudo-inverse under `desc`; one already
-    inverted for this ensemble is returned as it is."""
+    """A dense observable, Hermitian within 1e-10, with its pseudo-inverse
+    under `desc`; one already inverted under an equal channel is returned."""
     if isinstance(observable, InvertedObservable):
-        if observable.spec is not desc.spec:
-            raise ValueError("the observable was inverted under another ensemble")
+        if observable.channel != desc:
+            raise ValueError("the observable was inverted under another channel")
         return observable
     m = as_operator(observable)
-    return InvertedObservable(desc.spec, np.trace(m), pseudo_inverse(desc, m))
+    if not is_hermitian(m):
+        raise ValueError("a dense observable must be Hermitian (within 1e-10)")
+    return InvertedObservable(desc, np.trace(m), pseudo_inverse(desc, m))
 
 
 def has_invisible_part(desc: ChannelDescriptor, observable) -> bool:
@@ -334,10 +338,9 @@ def factor_visible_dimension(spectrum: ChannelSpectrum, d: int) -> int:
 
 
 def visible_dimension(desc: ChannelDescriptor) -> int:
-    """Dimension of the visible operator subspace."""
-    if desc.spec.scope == "global":
-        return factor_visible_dimension(desc.spectrum, desc.spec.d)
-    return math.prod(factor_visible_dimension(sp, 2) for sp in desc.spectra)
+    """Dimension of the visible operator subspace, a product over factors."""
+    k = 2 ** ((desc.d.bit_length() - 1) // len(desc.spectra))
+    return math.prod(factor_visible_dimension(sp, k) for sp in desc.spectra)
 
 
 def mc_channel(rng: "sampling.RngStream", spec: EnsembleSpec, a, samples: int):
@@ -346,11 +349,12 @@ def mc_channel(rng: "sampling.RngStream", spec: EnsembleSpec, a, samples: int):
 
     With rows[s, w, :] = <w| U_s, each chunk is three matmuls: the weights
     Tr[a U^dag Pi_w U] = rows a rows^dag (diagonal only) and the sum over w
-    of weight * rows^dag rows.  Chunks hold at most `_CHUNK_ELEMENTS`
-    elements per (chunk, d, d) array, so memory is bounded.  Each chunk draws
-    its own transforms: global ones from `rng`, and a local qubit j's factors
-    from `rng.child(j)`.  So a given stream yields the same draws for any
-    chunk size.
+    of weight * rows^dag rows.  U is the Kronecker product of one Haar draw
+    per factor, and rows = basis^dag U when the ensemble has a basis.  Chunks
+    hold at most `_CHUNK_ELEMENTS` elements per (chunk, d, d) array, so
+    memory is bounded.  Each chunk draws its own factors, a global one from
+    `rng` and local qubit j from `rng.child(j)`, so a given stream yields the
+    same draws for any chunk size.
 
     Returns (mean, stderr) with a per-entry standard error of the mean.
     """
@@ -360,19 +364,18 @@ def mc_channel(rng: "sampling.RngStream", spec: EnsembleSpec, a, samples: int):
     d = spec.d
     if m.shape[0] != d:
         raise ValueError("operator dimension does not match the ensemble")
-    if spec.scope == "global":
-        basis_h = spec.basis.vectors.conj().T
-    else:
-        sites = [(rng.child(j), g == "orthogonal") for j, g in enumerate(spec.groups)]
+    streams = [rng] if spec.scope == "global" else [rng.child(j) for j in range(spec.n)]
+    basis_h = None if spec.basis is None else spec.basis.vectors.conj().T
     total = np.zeros((d, d), dtype=complex)
     total_sq = np.zeros((d, d), dtype=float)
     chunk = max(1, _CHUNK_ELEMENTS // (d * d))
     for start in range(0, samples, chunk):
         b = min(chunk, samples - start)
-        if spec.scope == "global":
-            rows = basis_h @ sampling.sample_transform_arrays(rng, spec, b)
-        else:
-            rows = batched_kron([sampling.haar_frames(s, 2, 2, b, real=real) for s, real in sites])
+        rows = batched_kron(
+            [sampling.haar_draws(s, g, spec.factor_dim, b) for s, g in zip(streams, spec.groups)]
+        )
+        if basis_h is not None:
+            rows = basis_h @ rows
         weights = ((rows @ m) * rows.conj()).sum(axis=2)
         contrib = (rows.conj() * weights[..., None]).transpose(0, 2, 1) @ rows
         total += contrib.sum(axis=0)

@@ -77,7 +77,7 @@ _ENSEMBLE_CHOICES = ("global-orthogonal", "global-unitary", "local-orthogonal", 
 def _ensemble_from_flag(name: str, n: int, basis_tag: str) -> EnsembleSpec:
     scope, group = name.split("-", 1)
     try:
-        return ensemble_from_tag(scope, (group,) * (n if scope == "local" else 1), basis_tag, n)
+        return ensemble_from_tag(scope, (group,), basis_tag, n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -134,7 +134,7 @@ def cmd_validate_channel(args: argparse.Namespace) -> int:
     sigma_violations, max_z, passed = _mc_agreement(diff, stderr)
     print(f"ensemble: {spec.label()}")
     if spec.scope == "global":
-        sp = desc.spectrum
+        (sp,) = desc.spectra
         print(
             f"spectrum: trace=1, sym={sp.lambda_sym:.10g}, anti={sp.lambda_anti:.10g}, "
             f"p_alpha={sp.p_alpha:.10g}, alpha={sp.alpha:.10g}"

@@ -497,8 +497,6 @@ class ExperimentConfig:
         seed = _integer(cfg, "seed", 0, MAX_SEED)
         n = _integer(cfg, "n", 1)
         check_qubit_count(n)
-        if scope == "local" and len(groups) == 1:
-            groups = groups * n
         shots = _integer(cfg, "shots", 1)
         # A local shot draws n 2x2 factors, a global one a d-vector.
         check_entries(shots * (4 * n if scope == "local" else 2**n), f"{shots} shots at n = {n}")

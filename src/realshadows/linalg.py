@@ -104,8 +104,9 @@ def norm2(a) -> float:
 
 
 def is_hermitian(a, atol: float = ATOL) -> bool:
+    """max |a - a^dag| <= atol, for a finite square matrix."""
     m = np.asarray(a)
-    return operators_close(m, m.conj().T, atol)
+    return bool(np.abs(m - m.conj().T).max() <= atol)
 
 
 #: Columns of a state factor of squared norm at or below this are rounding

@@ -7,8 +7,10 @@ positive; without that correction QR output is not Haar distributed.  The
 same correction gives Haar-random r-frames (d x r isometries), which is all
 the engine's global shots draw.  A 2 x 2 draw, the factor of every local
 shot, takes that Q in closed form from the same Ginibre entries, with no
-LAPACK call; larger draws use one batched QR.  Full transforms are drawn as
-stacked arrays for local shots and for the Monte Carlo oracles.
+LAPACK call; larger draws use one batched QR.  An ensemble's transforms are
+drawn factor by factor, one Haar matrix per group of the ensemble: a
+(count, F, k, k) stack of F factors of dimension k, which is (count, 1, d, d)
+for a global ensemble and (count, n, 2, 2) for a local one.
 """
 
 from __future__ import annotations
@@ -152,23 +154,17 @@ def random_pure_state(rng: RngStream, d: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def haar_draws(rng: RngStream, group: str, d: int, count: int) -> np.ndarray:
+    """Stack of `count` Haar-random O(d) (real dtype) or U(d) matrices, by `group`."""
+    return (haar_orthogonals if group == "orthogonal" else haar_unitaries)(rng, d, count)
+
+
 def sample_transform_arrays(rng: RngStream, spec: "EnsembleSpec", count: int):
-    """Batched raw sampling.
-
-    Returns a (count, d, d) array for global ensembles or a (count, n, 2, 2)
-    complex array for local ones.  Local draws go qubit by qubit in ascending
-    order so the stream consumption is well defined.
-    """
-    if spec.scope == "global":
-        group = spec.groups[0]
-        if group == "unitary":
-            return haar_unitaries(rng, spec.d, count)
-        return haar_orthogonals(rng, spec.d, count).astype(complex)
-    factors = np.empty((count, spec.n, 2, 2), dtype=complex)
-    for j in range(spec.n):
-        if spec.groups[j] == "unitary":
-            factors[:, j] = haar_unitaries(rng, 2, count)
-        else:
-            factors[:, j] = haar_orthogonals(rng, 2, count)
+    """A complex (count, F, k, k) array of one Haar draw per factor of the
+    ensemble, F factors of dimension k = spec.factor_dim, drawn from `rng` in
+    ascending order so the stream consumption is well defined."""
+    k = spec.factor_dim
+    factors = np.empty((count, len(spec.groups), k, k), dtype=complex)
+    for j, group in enumerate(spec.groups):
+        factors[:, j] = haar_draws(rng, group, k, count)
     return factors
-

@@ -271,7 +271,8 @@ def ratio_sweep(n_values, instances: int, seed: int):
     for n in map(int, n_values):
         d = 2**n
         groups = ("orthogonal", "unitary")
-        descs = [channel_for(global_ensemble(g, computational_basis(n))) for g in groups]
+        specs = [global_ensemble(g, computational_basis(n)) for g in groups]
+        descs = [channel_for(spec) for spec in specs]
         base = RngStream(seed, (n,))
         block = max(1, _SWEEP_BLOCK // (d * d))
         ratios = np.empty(instances)
@@ -282,7 +283,7 @@ def ratio_sweep(n_values, instances: int, seed: int):
             traces = np.trace(a, axis1=1, axis2=2)
             tildes = [_subtract_trace(pseudo_inverses(desc, a), traces) for desc in descs]
             var_real, var_unitary = (
-                _predict_global(desc.spec, tilde, psi) for desc, tilde in zip(descs, tildes)
+                _predict_global(spec, tilde, psi) for spec, tilde in zip(specs, tildes)
             )
             ratios[ids.start : ids.stop] = var_real / var_unitary
             for i, v_real, v_unitary in zip(ids, var_real, var_unitary):

@@ -9,7 +9,7 @@ batch-by-batch median of means.
 
 import numpy as np
 
-from realshadows.channels import channel_for, pseudo_inverse
+from realshadows.channels import channel_for, orthogonal_spectrum, pseudo_inverse
 from realshadows.linalg import as_operator
 from realshadows.sampling import _complex_ginibre, _project_out
 
@@ -76,11 +76,11 @@ def mixture_decomposition(desc):
     """Weights (q - q', 2q', p_alpha) expressing a global orthogonal channel as
     (q - q') D_p(A) + 2q' D_p(A_sym), a tunable mix of unitary-like and
     real-like shadow channels."""
-    spec = desc.spec
-    if spec.scope != "global" or spec.groups[0] != "orthogonal":
+    d = desc.d
+    (sp,) = desc.spectra
+    alpha = sp.alpha
+    if sp != orthogonal_spectrum(d, alpha):
         raise ValueError("mixture decomposition applies to global orthogonal ensembles")
-    d = spec.d
-    alpha = desc.spectrum.alpha
     denom = d - 2.0 + alpha
     if abs(denom) < 1e-12:
         raise ValueError(
@@ -88,7 +88,7 @@ def mixture_decomposition(desc):
         )
     q = (d * d - alpha) / (d * denom)
     q_prime = 1.0 - q
-    return q - q_prime, 2.0 * q_prime, desc.spectrum.p_alpha
+    return q - q_prime, 2.0 * q_prime, sp.p_alpha
 
 
 def overlap_f(p, q) -> float:

@@ -14,10 +14,12 @@ from realshadows.channels import (
     apply_channel,
     channel_for,
     global_ensemble,
+    invert,
     local_ensemble,
     mc_channel,
     orthogonal_spectrum,
     pauli_inverse_eigenvalue,
+    pauli_string_inverse_eigenvalue,
     pseudo_inverse,
     pseudo_inverses,
     stabilizer_points,
@@ -28,7 +30,7 @@ from realshadows.channels import (
 from realshadows.commutant import mc_twirl, twirl_project
 from realshadows.engine import validate_state
 from realshadows.linalg import batched_kron, identity, kron, operators_close, sym_part
-from realshadows.pauli import PAULIS, X, Y, Z
+from realshadows.pauli import PAULIS, PauliString, X, Y, Z
 from realshadows.sampling import RngStream, haar_frames, sample_transform_arrays
 from realshadows.variance import predict_variance
 
@@ -166,7 +168,7 @@ class TestApplyChannel:
                     (apply_channel, lambda lam: lam),
                     (pseudo_inverse, lambda lam: 0.0 if abs(lam) <= 1e-12 else 1.0 / lam),
                 ):
-                    sp = desc.spectrum
+                    (sp,) = desc.spectra
                     tr = (np.trace(a) / d) * np.eye(d)
                     reference = (
                         tr
@@ -334,6 +336,28 @@ def test_stabilizer_points_first_moment_is_the_site_channel(group):
     assert np.max(np.abs(np.array(columns).T - site_map)) <= 1e-15
 
 
+@pytest.mark.parametrize("group", GROUPS)
+def test_one_qubit_global_and_local_are_one_channel(group):
+    # Both split into one qubit factor measured in the computational basis.
+    global_desc = channel_for(global_ensemble(group, computational_basis(1)))
+    local_desc = channel_for(local_ensemble(group, 1))
+    assert global_desc == local_desc
+    a = _random_hermitian(71, 2)
+    for fn in (apply_channel, pseudo_inverse, visible_projector):
+        assert np.array_equal(fn(global_desc, a), fn(local_desc, a))
+    for letter in "IXYZ":
+        p = PauliString.from_string(letter)
+        mu = pauli_string_inverse_eigenvalue(global_desc, p)
+        assert mu == pauli_string_inverse_eigenvalue(local_desc, p)
+    assert visible_dimension(global_desc) == visible_dimension(local_desc)
+    for first, second in ((global_desc, local_desc), (local_desc, global_desc)):
+        inverted = invert(first, a)
+        assert invert(second, inverted) is inverted
+    other = channel_for(local_ensemble("unitary" if group == "orthogonal" else "orthogonal", 1))
+    with pytest.raises(ValueError, match="another channel"):
+        invert(other, invert(global_desc, a))
+
+
 class TestSpectrumAgainstSuperoperator:
     @pytest.mark.parametrize("basis_maker", [lambda: sh_basis(1), lambda: _tilted_basis(0.3), lambda: computational_basis(1)])
     def test_blockwise_matches_brute_force_diagonalization(self, basis_maker):
@@ -418,7 +442,7 @@ class TestChannelOracle:
 def _reference_mc_channel(rng, spec, a, samples):
     """The three-einsum kernel the matmul path replaced, in one batch."""
     if spec.scope == "global":
-        u = sample_transform_arrays(rng, spec, samples)
+        u = sample_transform_arrays(rng, spec, samples)[:, 0]
         vectors = spec.basis.vectors
     else:
         real = [g == "orthogonal" for g in spec.groups]

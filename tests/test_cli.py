@@ -73,6 +73,27 @@ class TestEstimateCommand:
         meta_second.pop("wall_time_s")
         assert meta_first == meta_second
 
+    def test_single_group_spreads_over_local_qubits(self, tmp_path):
+        # A local ensemble's single group, as a name or a one-entry list, is
+        # the same ensemble as that group written once per qubit.
+        written = []
+        for i, groups in enumerate(["unitary", ["unitary"], ["unitary"] * 3]):
+            cfg = {
+                "seed": 4,
+                "n": 3,
+                "ensemble": {"scope": "local", "groups": groups},
+                "state": {"kind": "random_pure", "seed": 2},
+                "shots": 300,
+                "observables": [
+                    {"id": "XZY", "kind": "pauli", "string": "XZY"},
+                    {"id": "proj", "kind": "basis_projector", "index": 5},
+                ],
+                "emit": {"csv": str(tmp_path / f"out{i}.csv")},
+            }
+            assert main(["estimate", "--config", _write_config(tmp_path, cfg, f"c{i}.json")]) == 0
+            written.append((tmp_path / f"out{i}.csv").read_bytes())
+        assert written[0] == written[1] == written[2]
+
     def test_flag_overrides_win(self, tmp_path, estimate_config):
         out2 = str(tmp_path / "other.csv")
         assert main(["estimate", "--config", estimate_config, "--out", out2, "--shots", "100"]) == 0

@@ -163,7 +163,7 @@ class TestBornProbabilities:
         # G = U Q_k of explicit dense transforms, mixed over the columns k.
         spec = global_ensemble(group, basis_from_tag(tag, 3))
         rho = make_state(32, spec.d)
-        transforms = sample_transform_arrays(RngStream(33), spec, 40)
+        transforms = sample_transform_arrays(RngStream(33), spec, 40)[:, 0]
         rows = np.einsum("iw,sij->swj", spec.basis.vectors.conj(), transforms)  # <w|U
         dense = np.einsum("swi,ij,swj->sw", rows, rho, rows.conj()).real
         weights, frames, coefficients = _mixture_frames(
@@ -207,7 +207,7 @@ def test_local_records_match_per_block_kernel(monkeypatch, seed, chunk_shots):
 
 def _reference_vectors(rng, rho, spec, shots):
     """The dense QR path kept as the oracle: draw U, Born-sample w, v = U^dag|w>."""
-    transforms = sample_transform_arrays(rng.child(0), spec, shots)
+    transforms = sample_transform_arrays(rng.child(0), spec, shots)[:, 0]
     rows = np.einsum("iw,sij->swj", spec.basis.vectors.conj(), transforms)  # <w|U
     p = np.einsum("swi,ij,swj->sw", rows, rho, rows.conj()).real
     outcomes = _sample_outcomes(rng.child(1), p)

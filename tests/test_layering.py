@@ -43,6 +43,27 @@ def test_variance_does_not_import_engine():
     assert not any(name.split(".")[-1] == "engine" for name in imported)
 
 
+def _attributes(node: ast.AST) -> set[str]:
+    return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def test_channels_read_only_the_factors():
+    # A channel is its per-factor spectra: no function of channels.py that
+    # takes a ChannelDescriptor asks which ensemble it came from, and the
+    # Haar draws go factor by factor without reading an ensemble's scope.
+    tree = ast.parse((PACKAGE / "channels.py").read_text())
+    takes_descriptor = [
+        func
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        and any(
+            isinstance(arg.annotation, ast.Name) and arg.annotation.id == "ChannelDescriptor"
+            for arg in func.args.args
+        )
+    ]
+    assert len(takes_descriptor) >= 8
+    assert [f.name for f in takes_descriptor if _attributes(f) & {"spec", "scope"}] == []
+    assert "scope" not in _attributes(ast.parse((PACKAGE / "sampling.py").read_text()))
 
 
 ROOT = PACKAGE.parent.parent

@@ -26,7 +26,7 @@ from realshadows.engine import (
     validate_state,
 )
 from realshadows.pauli import PauliString
-from realshadows.sampling import RngStream, random_pure_state
+from realshadows.sampling import RngStream, haar_state_vector, random_pure_state
 from realshadows.variance import _predict_global, _subtract_trace, predict_variance
 
 GROUPS = ("orthogonal", "unitary")
@@ -237,19 +237,43 @@ def test_inverted_observable_is_tied_to_its_ensemble():
         invert(other, inverted)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        global_ensemble("unitary", computational_basis(1)),
+        global_ensemble("orthogonal", computational_basis(1)),
+        local_ensemble("unitary", 1),
+    ],
+    ids=lambda spec: spec.label(),
+)
+def test_non_hermitian_matrix_is_refused(spec):
+    # Its estimates would read its Hermitian part under one ensemble and not
+    # under another; every dense entry point refuses it instead.
+    a = np.array([[1.0, 2.0], [0.0, -1.0]])
+    factor = haar_state_vector(RngStream(1), 2)[:, None]
+    records = collect_records(RngStream(2), factor, spec, 10)
+    with pytest.raises(ValueError, match="Hermitian"):
+        invert(channel_for(spec), a)
+    with pytest.raises(ValueError, match="Hermitian"):
+        predict_variance(spec, a, factor)
+    with pytest.raises(ValueError, match="Hermitian"):
+        per_shot_estimates(records, a)
+
+
 @pytest.mark.parametrize("group", GROUPS)
 @pytest.mark.parametrize("tag", TAGS)
 def test_invisible_part_matches_visible_projector(group, tag):
     # The global rule reads the transpose split; the projector is the reference.
-    local = channel_for(local_ensemble(["orthogonal", "unitary"], 2))
-    descs = [channel_for(global_ensemble(group, basis_from_tag(tag, n))) for n in (1, 2, 3)]
-    for desc in descs + [local]:
-        gen = RngStream(desc.spec.n, (3,)).generator
-        d = desc.spec.d
+    local = local_ensemble(["orthogonal", "unitary"], 2)
+    specs = [global_ensemble(group, basis_from_tag(tag, n)) for n in (1, 2, 3)]
+    for spec in specs + [local]:
+        desc = channel_for(spec)
+        gen = RngStream(spec.n, (3,)).generator
+        d = spec.d
         a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
         visible = visible_projector(desc, a)
         for scale in (0.0, 1e-12, 1e-8, 1.0):
             b = visible + scale * (a - visible)
             invisible = np.linalg.norm(b - visible_projector(desc, b))
             expected = invisible > 1e-10 * max(1.0, np.linalg.norm(b))
-            assert has_invisible_part(desc, b) == expected, (desc.spec.label(), scale)
+            assert has_invisible_part(desc, b) == expected, (spec.label(), scale)

@@ -164,9 +164,18 @@ class TestSampleTransform:
 
     def test_global_unitary_shape(self):
         spec = global_ensemble("unitary", computational_basis(2))
-        arrays = sample_transform_arrays(RngStream(9), spec, 1)
+        arrays = sample_transform_arrays(RngStream(9), spec, 1)[:, 0]
         assert arrays.shape == (1, 4, 4)
         assert operators_close(arrays[0].conj().T @ arrays[0], identity(4))
+
+    @pytest.mark.parametrize("group", ["orthogonal", "unitary"])
+    def test_global_stack_is_one_factor_of_the_stream(self, group):
+        # (count, F, k, k) with F = 1 and k = d, the draws of the group's sampler.
+        spec = global_ensemble(group, computational_basis(2))
+        arrays = sample_transform_arrays(RngStream(12), spec, 3)
+        assert arrays.shape == (3, 1, 4, 4) and arrays.dtype == complex
+        sampler = haar_orthogonals if group == "orthogonal" else haar_unitaries
+        assert np.array_equal(arrays[:, 0], sampler(RngStream(12), 4, 3))
 
     def test_per_qubit_mixing(self):
         spec = local_ensemble(("unitary", "orthogonal"), 2)
