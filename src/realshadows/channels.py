@@ -49,35 +49,34 @@ _CHUNK_ELEMENTS = 1 << 16
 
 @dataclass(eq=False)
 class EnsembleSpec:
-    """Which group is sampled, over what scope, with which measurement basis.
+    """An ensemble as its Haar groups and its measurement basis: one global
+    factor of dimension `basis.d` sampled from its single group, or without a
+    basis (`None`) one qubit factor per group, measured in the computational
+    basis.  `scope`, `n`, `d` and `factor_dim` are derived from the two."""
 
-    A local ensemble always measures in the computational basis, so it holds
-    no basis (`None`)."""
-
-    scope: str  # "global" | "local"
-    groups: tuple[str, ...]  # length 1 (global) or n (local)
+    groups: tuple[str, ...]
     basis: MeasurementBasis | None
-    n: int
 
     def __post_init__(self):
-        if self.scope not in ("global", "local"):
-            raise ValueError(f"unknown scope {self.scope!r}")
         self.groups = tuple(self.groups)
+        if not self.groups:
+            raise ValueError("an ensemble samples at least one group")
         for g in self.groups:
             if g not in GROUPS:
                 raise ValueError(f"unknown group {g!r}")
-        if self.n < 1:
-            raise ValueError("need at least one qubit")
-        if self.scope == "global":
+        if self.basis is not None:
             if len(self.groups) != 1:
-                raise ValueError("a global ensemble samples a single group")
-            if self.basis is None or self.basis.d != self.d:
-                raise ValueError("basis dimension does not match the qubit count")
-        else:
-            if len(self.groups) != self.n:
-                raise ValueError("local ensembles need one group per qubit")
-            if self.basis is not None:
-                raise ValueError(_LOCAL_BASIS)
+                raise ValueError("a basis takes exactly one group")
+            if self.n < 1 or self.d != self.basis.d:
+                raise ValueError(f"basis dimension {self.basis.d} is not a power of two >= 2")
+
+    @property
+    def scope(self) -> str:
+        return "local" if self.basis is None else "global"
+
+    @property
+    def n(self) -> int:
+        return len(self.groups) if self.basis is None else self.basis.d.bit_length() - 1
 
     @property
     def d(self) -> int:
@@ -86,7 +85,7 @@ class EnsembleSpec:
     @property
     def factor_dim(self) -> int:
         """Dimension of each Haar factor, one per group: d (global) or 2 (local)."""
-        return 2 ** (self.n // len(self.groups))
+        return 2 if self.basis is None else self.basis.d
 
     def label(self) -> str:
         groups = self.groups[0] if len(set(self.groups)) == 1 else ",".join(self.groups)
@@ -95,13 +94,15 @@ class EnsembleSpec:
 
 
 def global_ensemble(group: str, basis: MeasurementBasis) -> EnsembleSpec:
-    return EnsembleSpec("global", (group,), basis, basis.d.bit_length() - 1)
+    return EnsembleSpec((group,), basis)
 
 
 def local_ensemble(groups, n: int) -> EnsembleSpec:
     if isinstance(groups, str):
         groups = (groups,) * n
-    return EnsembleSpec("local", tuple(groups), None, n)
+    if len(groups) != n:
+        raise ValueError("local ensembles need one group per qubit")
+    return EnsembleSpec(groups, None)
 
 
 def ensemble_from_tag(scope: str, groups, basis_tag: str, n: int) -> EnsembleSpec:
@@ -110,37 +111,41 @@ def ensemble_from_tag(scope: str, groups, basis_tag: str, n: int) -> EnsembleSpe
     basis of dimension 2^n is allocated, and spreads a single group over its
     n qubits."""
     if scope == "global":
-        return EnsembleSpec(scope, groups, basis_from_tag(basis_tag, n), n)
-    if scope == "local":
-        if basis_tag != "computational":
-            raise ValueError(_LOCAL_BASIS)
-        groups = groups * n if len(groups) == 1 else groups
-    return EnsembleSpec(scope, groups, None, n)
+        return EnsembleSpec(groups, basis_from_tag(basis_tag, n))
+    if scope != "local":
+        raise ValueError(f"unknown scope {scope!r}")
+    if basis_tag != "computational":
+        raise ValueError(_LOCAL_BASIS)
+    return local_ensemble(groups * n if len(groups) == 1 else groups, n)
 
 
 @dataclass(frozen=True)
 class ChannelSpectrum:
-    """Blockwise action of a measurement channel on one tensor factor.  The
-    blocks fix the channel, so alpha is a label that equality skips."""
+    """Blockwise action of a measurement channel on one tensor factor, whose
+    `p_alpha` is 1 - lambda_sym.  The blocks fix the channel, so alpha is a
+    label that equality skips."""
 
     lambda_sym: float
     lambda_anti: float
-    p_alpha: float
     alpha: float = field(compare=False)
+
+    @property
+    def p_alpha(self) -> float:
+        """The p of D_p(A) = p Tr[A] I/d + (1 - p) A on a symmetric A."""
+        return 1.0 - self.lambda_sym
 
 
 def orthogonal_spectrum(d: int, alpha: float) -> ChannelSpectrum:
     return ChannelSpectrum(
         lambda_sym=(d + alpha - 2.0) / ((d - 1.0) * (d + 2.0)),
         lambda_anti=(d - alpha) / (d * (d - 1.0)),
-        p_alpha=(d * d - alpha) / ((d - 1.0) * (d + 2.0)),
         alpha=float(alpha),
     )
 
 
 def unitary_spectrum(d: int, alpha: float = float("nan")) -> ChannelSpectrum:
     lam = 1.0 / (d + 1.0)
-    return ChannelSpectrum(lambda_sym=lam, lambda_anti=lam, p_alpha=d / (d + 1.0), alpha=alpha)
+    return ChannelSpectrum(lambda_sym=lam, lambda_anti=lam, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -224,7 +229,10 @@ def pauli_inverse_eigenvalue(spectrum: ChannelSpectrum, letters) -> float:
 
 def pauli_string_inverse_eigenvalue(desc: ChannelDescriptor, p) -> float:
     """The eigenvalue of M^-1 on a Pauli string `p`, a product over the
-    channel's factors; 0 when it is invisible."""
+    channel's factors; 0 when it is invisible.  The string must act on the
+    channel's dimension."""
+    if 2**p.n != desc.d:
+        raise ValueError("observable qubit count does not match the ensemble")
     m = p.n // len(desc.spectra)
     return math.prod(
         pauli_inverse_eigenvalue(sp, p.letters[j * m : (j + 1) * m])

@@ -133,13 +133,13 @@ def cmd_validate_channel(args: argparse.Namespace) -> int:
     worst = float(np.max(diff))
     sigma_violations, max_z, passed = _mc_agreement(diff, stderr)
     print(f"ensemble: {spec.label()}")
-    if spec.scope == "global":
+    if len(desc.spectra) == 1:
         (sp,) = desc.spectra
         print(
             f"spectrum: trace=1, sym={sp.lambda_sym:.10g}, anti={sp.lambda_anti:.10g}, "
             f"p_alpha={sp.p_alpha:.10g}, alpha={sp.alpha:.10g}"
         )
-        if abs(sp.lambda_sym) < 1e-12 and n == 1:
+        if visible_dimension(desc) == 2 and args.d == 2:
             print("visible space: span{I, Y} (trace + antisymmetric blocks)")
     print(f"visible dimension: {visible_dimension(desc)} of {args.d**2}")
     print(f"max entrywise |MC - closed form|: {worst:.3e}")

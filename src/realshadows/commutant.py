@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .linalg import as_operator
-from .sampling import RngStream, haar_orthogonals, haar_unitaries
+from .sampling import RngStream, haar_draws
 
 #: Relative singular-value cutoff for the Gram pseudo-inverse.  The Brauer
 #: realizations are linearly dependent for small d (e.g. k = 3, d = 2); the
@@ -214,13 +214,6 @@ class MonteCarloTwirl:
     stderr: np.ndarray
 
 
-def _haar(rng: RngStream, group: str, d: int, count: int) -> np.ndarray:
-    """`count` Haar draws from O(d) (real dtype) or U(d)."""
-    if group == "O":
-        return haar_orthogonals(rng, d, count)
-    return haar_unitaries(rng, d, count)
-
-
 def _tensor_power_apply(u: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
     """(U_s^{(x)k} v_j)_{s,j} for a (b, d, d) stack u and (d^k, p) columns v.
 
@@ -270,12 +263,13 @@ def mc_twirl(
         # conj(W) R = conj(W conj(R)).
         columns = np.concatenate([l, rt.conj()], axis=1)
     first, second = np.triu_indices(r, 1)
+    name = "orthogonal" if group == "O" else "unitary"
     chunk = max(1, _CHUNK_ELEMENTS // (dim * max(dim, r * r)))
     total = np.zeros((dim, dim), dtype=complex)
     total_sq = np.zeros((dim, dim))
     for start in range(0, samples, chunk):
         b = min(chunk, samples - start)
-        y = _tensor_power_apply(_haar(rng, group, d, b), columns, k)
+        y = _tensor_power_apply(haar_draws(rng, name, d, b), columns, k)
         if group == "O":
             bs = y[:, :r] + 1j * y[:, r : 2 * r]
             cs = y[:, 2 * r : 3 * r] + 1j * y[:, 3 * r :]

@@ -88,7 +88,7 @@ def validate_state(rho, d: int | None = None) -> np.ndarray:
     m = as_operator(rho)
     if d is not None and m.shape[0] != d:
         raise ValueError(f"state dimension {m.shape[0]} does not match ensemble dimension {d}")
-    if np.abs(m - m.conj().T).max() > 1e-8:
+    if not is_hermitian(m, 1e-8):
         raise ValueError("state must be Hermitian (within 1e-8)")
     eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (m + m.conj().T))
     if np.min(eigenvalues) < -1e-8:
@@ -261,8 +261,6 @@ def per_shot_estimates(records: ShadowRecords, observable) -> np.ndarray:
     """
     spec = records.spec
     if isinstance(observable, PauliString):
-        if observable.n != spec.n:
-            raise ValueError("observable qubit count does not match the ensemble")
         mu = pauli_string_inverse_eigenvalue(channel_for(spec), observable)
         if mu == 0.0:
             return np.zeros(len(records))
@@ -463,11 +461,10 @@ def _epsilon(value) -> float | None:
 
 @dataclass
 class ExperimentConfig:
+    """A validated experiment, holding the ensemble that `from_dict` builds."""
+
     seed: int
-    n: int
-    scope: str
-    groups: tuple[str, ...]
-    basis_tag: str
+    ensemble: EnsembleSpec
     state: dict
     shots: int
     observables: list[dict]
@@ -514,12 +511,14 @@ class ExperimentConfig:
         allow_bias = cfg.get("allow_bias", False)
         if not isinstance(allow_bias, bool):  # bool("false") is True
             raise ConfigError(f"allow_bias must be true or false, got {allow_bias!r}")
+        groups, basis_tag = tuple(str(g) for g in groups), str(ens.get("basis", "computational"))
+        try:
+            ensemble = ensemble_from_tag(str(scope), groups, basis_tag, n)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         return cls(
             seed=seed,
-            n=n,
-            scope=str(scope),
-            groups=tuple(str(g) for g in groups),
-            basis_tag=str(ens.get("basis", "computational")),
+            ensemble=ensemble,
             state=dict(cfg["state"]),
             shots=shots,
             observables=[dict(o) for o in observables],
@@ -530,11 +529,12 @@ class ExperimentConfig:
             raw=dict(cfg),
         )
 
+    @property
+    def n(self) -> int:
+        return self.ensemble.n
+
     def ensemble_spec(self) -> EnsembleSpec:
-        try:
-            return ensemble_from_tag(self.scope, self.groups, self.basis_tag, self.n)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return self.ensemble
 
 
 def write_reports_csv(path: str, reports: list[EstimateReport]) -> None:
@@ -558,7 +558,7 @@ def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
     size limit fails first.  Each report carries it and the invisible flag.
     """
     t0 = time.perf_counter()
-    spec = config.ensemble_spec()
+    spec = config.ensemble
     if spec.scope == "local" and any(o.get("kind", "pauli") != "pauli" for o in config.observables):
         check_local_cubature(spec.groups)  # before the state and any dense observable
     factor = validate_state(build_state(config.state, config.n), spec.d)

@@ -221,8 +221,6 @@ def predict_variance(spec: EnsembleSpec, observable, factor) -> float:
     """
     factor = check_factor(factor, spec.d)
     if isinstance(observable, PauliString):
-        if observable.n != spec.n:
-            raise ValueError("observable qubit count does not match the ensemble")
         mu = pauli_string_inverse_eigenvalue(channel_for(spec), observable)
         if mu == 0.0 or not observable.support:
             return 0.0  # the estimate is identically zero, or the constant c

@@ -4,7 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 pass lines and timings.
 """
 
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,3 +244,13 @@ def test_criterion_10_overlap_factor_table():
                 rhs = f * np.trace(rho @ PAULIS[pl] @ PAULIS[ql]).real
                 assert abs(lhs - rhs) <= 1e-10, (pl, ql)
     _report(10, "overlap-factor table", t0)
+
+
+def test_same_seed_artifacts_match_their_pins():
+    # The five pinned CSVs under tests/data, regenerated and compared cell by
+    # cell by scripts/check_artifacts.py.
+    path = Path(__file__).resolve().parent.parent / "scripts" / "check_artifacts.py"
+    spec = importlib.util.spec_from_file_location("check_artifacts", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.check(update=False) == 0

@@ -13,7 +13,9 @@ from realshadows.channels import (
     EnsembleSpec,
     apply_channel,
     channel_for,
+    ensemble_from_tag,
     global_ensemble,
+    has_invisible_part,
     invert,
     local_ensemble,
     mc_channel,
@@ -28,7 +30,7 @@ from realshadows.channels import (
     visible_projector,
 )
 from realshadows.commutant import mc_twirl, twirl_project
-from realshadows.engine import validate_state
+from realshadows.engine import collect_records, per_shot_estimates, validate_state
 from realshadows.linalg import batched_kron, identity, kron, operators_close, sym_part
 from realshadows.pauli import PAULIS, PauliString, X, Y, Z
 from realshadows.sampling import RngStream, haar_frames, sample_transform_arrays
@@ -358,6 +360,31 @@ def test_one_qubit_global_and_local_are_one_channel(group):
         invert(other, invert(global_desc, a))
 
 
+@pytest.mark.parametrize(
+    "spec, string",
+    [
+        (local_ensemble("orthogonal", 3), "YY"),
+        (global_ensemble("orthogonal", computational_basis(3)), "Y"),
+        (global_ensemble("orthogonal", computational_basis(3)), "YYYY"),
+    ],
+    ids=["local-O2x3-YY", "global-O8-Y", "global-O8-YYYY"],
+)
+def test_pauli_string_of_another_length_is_refused(spec, string):
+    # The M^-1 eigenvalue is the one place that checks a string's length, so
+    # neither the invisibility rule nor an estimate or prediction answers for
+    # a string of the wrong qubit count.
+    p = PauliString.from_string(string)
+    message = "observable qubit count does not match the ensemble"
+    for fn in (pauli_string_inverse_eigenvalue, has_invisible_part):
+        with pytest.raises(ValueError, match=message):
+            fn(channel_for(spec), p)
+    factor = validate_state(identity(8) / 8)
+    with pytest.raises(ValueError, match=message):
+        predict_variance(spec, p, factor)
+    with pytest.raises(ValueError, match=message):
+        per_shot_estimates(collect_records(RngStream(1), factor, spec, 4), p)
+
+
 class TestSpectrumAgainstSuperoperator:
     @pytest.mark.parametrize("basis_maker", [lambda: sh_basis(1), lambda: _tilted_basis(0.3), lambda: computational_basis(1)])
     def test_blockwise_matches_brute_force_diagonalization(self, basis_maker):
@@ -521,10 +548,6 @@ class TestChannelOracleKernel:
 
 
 class TestEnsembleSpecValidation:
-    def test_local_requires_computational_basis(self):
-        with pytest.raises(ValueError):
-            EnsembleSpec("local", ("orthogonal",), sh_basis(1), 1)
-
     def test_local_basis_check_makes_no_dxd_copy(self):
         local_ensemble("orthogonal", 2)
         tracemalloc.start()
@@ -537,24 +560,28 @@ class TestEnsembleSpecValidation:
         assert spec.label() == "local-orthogonal(computational)"
         assert peak < 2**20, peak / 2**20
 
-    def test_global_requires_a_basis(self):
-        with pytest.raises(ValueError, match="basis dimension"):
-            EnsembleSpec("global", ("orthogonal",), None, 2)
-
     def test_local_rejects_a_near_identity(self):
         basis = computational_basis(7)
         basis.vectors[127, 126] = 1e-9
-        with pytest.raises(ValueError, match="computational basis"):
-            EnsembleSpec("local", ("orthogonal",) * 7, basis, 7)
+        with pytest.raises(ValueError, match="exactly one group"):
+            EnsembleSpec(("orthogonal",) * 7, basis)
 
     def test_local_requires_group_per_qubit(self):
-        with pytest.raises(ValueError):
-            EnsembleSpec("local", ("orthogonal",), computational_basis(2), 2)
+        with pytest.raises(ValueError, match="one group per qubit"):
+            local_ensemble(("orthogonal",), 2)
+        with pytest.raises(ValueError, match="one group per qubit"):
+            ensemble_from_tag("local", ("orthogonal",) * 3, "computational", 2)
+        with pytest.raises(ValueError, match="unknown scope"):
+            ensemble_from_tag("regional", ("orthogonal",), "computational", 2)
 
     def test_unknown_group(self):
         with pytest.raises(ValueError):
             local_ensemble("symplectic", 2)
 
     def test_global_single_group(self):
-        with pytest.raises(ValueError):
-            EnsembleSpec("global", ("orthogonal", "unitary"), computational_basis(2), 2)
+        with pytest.raises(ValueError, match="exactly one group"):
+            EnsembleSpec(("orthogonal", "unitary"), computational_basis(2))
+
+    def test_basis_dimension_is_a_power_of_two(self):
+        with pytest.raises(ValueError, match="basis dimension"):
+            EnsembleSpec(("orthogonal",), make_basis(np.eye(3), "e3"))

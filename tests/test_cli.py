@@ -362,6 +362,19 @@ class TestValidators:
         assert "p_alpha=0.8" in out
         assert "sym=0.2" in out and "anti=0.2" in out
 
+    @pytest.mark.parametrize("group", ["orthogonal", "unitary"])
+    def test_validate_channel_one_qubit_scopes_print_one_channel(self, group, capsys):
+        # At d = 2 both flags build one qubit factor measured in the
+        # computational basis, so they report the same spectrum and visible space.
+        reported = []
+        for scope in ("local", "global"):
+            argv = ["validate-channel", "--d", "2", "--ensemble", f"{scope}-{group}"]
+            assert main(argv + ["--samples", "2000"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            reported.append([line for line in lines if line.startswith(("spectrum", "visible"))])
+        assert reported[0] == reported[1]
+        assert [line.split(":")[0] for line in reported[0]] == ["spectrum", "visible dimension"]
+
     def test_validate_channel_rejects_large_dimension(self):
         assert main(["validate-channel", "--d", "32"]) == 2
 
