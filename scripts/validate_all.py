@@ -16,7 +16,9 @@ RUNS = [
     ["validate-channel", "--d", "2", "--ensemble", "global-orthogonal", "--basis", "sh"],
     ["validate-channel", "--d", "8", "--ensemble", "local-orthogonal"],
     ["validate-channel", "--d", "8", "--ensemble", "local-unitary"],
+    ["validate-variance", "--d", "2", "--shots", "20000"],
     ["validate-variance", "--d", "4", "--shots", "100000"],
+    ["validate-variance", "--d", "8", "--shots", "40000"],
 ]
 
 if __name__ == "__main__":

@@ -360,9 +360,9 @@ def mc_channel(rng: "sampling.RngStream", spec: EnsembleSpec, a, samples: int):
     of weight * rows^dag rows.  U is the Kronecker product of one Haar draw
     per factor, and rows = basis^dag U when the ensemble has a basis.  Chunks
     hold at most `_CHUNK_ELEMENTS` elements per (chunk, d, d) array, so
-    memory is bounded.  Each chunk draws its own factors, a global one from
-    `rng` and local qubit j from `rng.child(j)`, so a given stream yields the
-    same draws for any chunk size.
+    memory is bounded.  Each chunk draws its own factors, factor j from
+    `rng.child(j)`, so a given stream yields the same draws for any chunk
+    size.
 
     Returns (mean, stderr) with a per-entry standard error of the mean.
     """
@@ -372,7 +372,7 @@ def mc_channel(rng: "sampling.RngStream", spec: EnsembleSpec, a, samples: int):
     d = spec.d
     if m.shape[0] != d:
         raise ValueError("operator dimension does not match the ensemble")
-    streams = [rng] if spec.scope == "global" else [rng.child(j) for j in range(spec.n)]
+    streams = [rng.child(j) for j in range(len(spec.groups))]
     basis_h = None if spec.basis is None else spec.basis.vectors.conj().T
     total = np.zeros((d, d), dtype=complex)
     total_sq = np.zeros((d, d), dtype=float)

@@ -33,7 +33,7 @@ from realshadows.commutant import mc_twirl, twirl_project
 from realshadows.engine import collect_records, per_shot_estimates, validate_state
 from realshadows.linalg import batched_kron, identity, kron, operators_close, sym_part
 from realshadows.pauli import PAULIS, PauliString, X, Y, Z
-from realshadows.sampling import RngStream, haar_frames, sample_transform_arrays
+from realshadows.sampling import RngStream, haar_frames
 from realshadows.variance import predict_variance
 
 from references import depolarize, mixture_decomposition
@@ -467,16 +467,16 @@ class TestChannelOracle:
 
 
 def _reference_mc_channel(rng, spec, a, samples):
-    """The three-einsum kernel the matmul path replaced, in one batch."""
-    if spec.scope == "global":
-        u = sample_transform_arrays(rng, spec, samples)[:, 0]
-        vectors = spec.basis.vectors
-    else:
-        real = [g == "orthogonal" for g in spec.groups]
-        u = batched_kron(
-            [haar_frames(rng.child(j), 2, 2, samples, real=r) for j, r in enumerate(real)]
-        )
-        vectors = np.eye(spec.d)
+    """The three-einsum kernel the matmul path replaced, in one batch, with
+    factor j of every transform drawn from rng.child(j)."""
+    k = spec.factor_dim
+    u = batched_kron(
+        [
+            haar_frames(rng.child(j), k, k, samples, real=g == "orthogonal")
+            for j, g in enumerate(spec.groups)
+        ]
+    )
+    vectors = np.eye(spec.d) if spec.basis is None else spec.basis.vectors
     rows = np.einsum("iw,sij->swj", vectors.conj(), u)
     weights = np.einsum("swi,ij,swj->sw", rows, a, rows.conj())
     contrib = np.einsum("sw,swi,swj->sij", weights, rows.conj(), rows)

@@ -51,7 +51,8 @@ def _attributes(node: ast.AST) -> set[str]:
 def test_channels_read_only_the_factors():
     # A channel is its per-factor spectra: no function of channels.py that
     # takes a ChannelDescriptor asks which ensemble it came from, and the
-    # Haar draws go factor by factor without reading an ensemble's scope.
+    # Haar draws go factor by factor without reading an ensemble's scope,
+    # in the samplers and in the Monte Carlo channel alike.
     tree = ast.parse((PACKAGE / "channels.py").read_text())
     takes_descriptor = [
         func
@@ -64,6 +65,8 @@ def test_channels_read_only_the_factors():
     ]
     assert len(takes_descriptor) >= 8
     assert [f.name for f in takes_descriptor if _attributes(f) & {"spec", "scope"}] == []
+    (mc_channel,) = [f for f in tree.body if getattr(f, "name", None) == "mc_channel"]
+    assert "scope" not in _attributes(mc_channel)
     assert "scope" not in _attributes(ast.parse((PACKAGE / "sampling.py").read_text()))
 
 
