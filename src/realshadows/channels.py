@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import MeasurementBasis, basis_from_tag
-from .linalg import as_operator, batched_kron, is_hermitian, norm2, sum_abs2
+from .linalg import as_operator, batched_kron, chunk_items, is_hermitian, norm2, sum_abs2
 from .pauli import PauliString
 from . import sampling
 
@@ -41,10 +41,6 @@ GROUPS = ("unitary", "orthogonal")
 _ZERO_EIGENVALUE_ATOL = 1e-12
 
 _LOCAL_BASIS = "local ensembles measure in the computational basis"
-
-#: Element budget per (chunk, d, d) Monte Carlo array: 256 samples at d = 16,
-#: so each complex stack of a chunk is at most 1 MiB.
-_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(eq=False)
@@ -359,10 +355,9 @@ def mc_channel(rng: "sampling.RngStream", spec: EnsembleSpec, a, samples: int):
     Tr[a U^dag Pi_w U] = rows a rows^dag (diagonal only) and the sum over w
     of weight * rows^dag rows.  U is the Kronecker product of one Haar draw
     per factor, and rows = basis^dag U when the ensemble has a basis.  Chunks
-    hold at most `_CHUNK_ELEMENTS` elements per (chunk, d, d) array, so
-    memory is bounded.  Each chunk draws its own factors, factor j from
-    `rng.child(j)`, so a given stream yields the same draws for any chunk
-    size.
+    are sized by `linalg.chunk_items`, so memory is bounded.  Each chunk
+    draws its own factors, factor j from `rng.child(j)`, so a given stream
+    yields the same draws for any chunk size.
 
     Returns (mean, stderr) with a per-entry standard error of the mean.
     """
@@ -376,7 +371,8 @@ def mc_channel(rng: "sampling.RngStream", spec: EnsembleSpec, a, samples: int):
     basis_h = None if spec.basis is None else spec.basis.vectors.conj().T
     total = np.zeros((d, d), dtype=complex)
     total_sq = np.zeros((d, d), dtype=float)
-    chunk = max(1, _CHUNK_ELEMENTS // (d * d))
+    # rows, rows a, the weighted rows and contrib: four complex (d, d) arrays per sample.
+    chunk = chunk_items(64 * d * d)
     for start in range(0, samples, chunk):
         b = min(chunk, samples - start)
         rows = batched_kron(

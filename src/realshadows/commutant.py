@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import as_operator
+from .linalg import as_operator, chunk_items
 from .sampling import RngStream, haar_draws
 
 #: Relative singular-value cutoff for the Gram pseudo-inverse.  The Brauer
@@ -24,10 +24,6 @@ from .sampling import RngStream, haar_draws
 GRAM_RCOND = 1e-8
 
 _SUPPORTED_K = (2, 3)
-
-#: Element budget per (chunk, d^k, max(d^k, r^2)) Monte Carlo array: 256
-#: samples at d = 4, k = 3 for a rank-one input.
-_CHUNK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -241,10 +237,9 @@ def mc_twirl(
     [Re L | Im L | Re R | Im R].  A chunk's sum of x is B^T C over the
     stacked columns, and its sum of |x|^2 is
     sum_a (|B_a|^2)^T |C_a|^2 + 2 Re sum_{a<b} (B_a conj(B_b))^T (C_a conj(C_b)).
-    Samples are drawn and accumulated in order, in chunks of at most
-    `_CHUNK_ELEMENTS` elements per (chunk, d^k, max(d^k, r^2)) array, so
-    memory is bounded and a given stream yields the same draws for any chunk
-    size.  Standard error is tracked per entry.
+    Samples are drawn and accumulated in order, in chunks sized by
+    `linalg.chunk_items`, so memory is bounded and a given stream yields the
+    same draws for any chunk size.  Standard error is tracked per entry.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -264,7 +259,9 @@ def mc_twirl(
         columns = np.concatenate([l, rt.conj()], axis=1)
     first, second = np.triu_indices(r, 1)
     name = "orthogonal" if group == "O" else "unitary"
-    chunk = max(1, _CHUNK_ELEMENTS // (dim * max(dim, r * r)))
+    # Per sample, about 16 d^k r (r + 5) bytes: the column images, B and C and
+    # their squares, and the r (r - 1) / 2 cross products of B and of C.
+    chunk = chunk_items(16 * dim * r * (r + 5))
     total = np.zeros((dim, dim), dtype=complex)
     total_sq = np.zeros((dim, dim))
     for start in range(0, samples, chunk):

@@ -33,6 +33,7 @@ from .linalg import (
     check_entries,
     check_factor,
     check_qubit_count,
+    chunk_items,
     identity,
     is_hermitian,
 )
@@ -52,9 +53,6 @@ _PROB_SUM_TOL = 1e-6
 #: Largest magnitude of a configured number, which keeps every second
 #: moment of an estimate (at most about |c|^2 4^n) inside float64.
 _MAX_MAGNITUDE = 1e100
-
-#: Element budget per chunk of amplitude or full-vector arrays.
-_CHUNK_ELEMENTS = 1 << 22
 
 
 class ConfigError(ValueError):
@@ -187,8 +185,9 @@ def _global_vectors(rng: RngStream, factor: np.ndarray, spec: EnsembleSpec, shot
     gives the same law).  O(d) work per shot, plus basis^dag phi for a
     non-computational basis.  Columns, G, outcomes and H draw from
     rng.child(0..3), so the draws do not depend on the chunk size.  With
-    O(d) in a real basis, G, x, Q_k, H and M are real, so v is real and only
-    its real part is kept.
+    O(d) in a real basis, G, x, Q_k and H are real, and so is the frame
+    [x_perp, 0], whose M has a zero second column: v = Q_k G^T x + H M[:, :1]
+    is formed in real arithmetic.
     """
     real = spec.groups[0] == "orthogonal"
     weights, q_mix, a_mix = _mixture_frames(factor, real)
@@ -196,9 +195,10 @@ def _global_vectors(rng: RngStream, factor: np.ndarray, spec: EnsembleSpec, shot
     cum = np.cumsum(weights)
     column_rng, frame_rng, outcome_rng, complement_rng = (rng.child(i) for i in range(4))
     real_records = _real_records(spec)
-    vectors = np.empty((shots, spec.d), dtype=float if real_records else complex)
-    # About a dozen (S, d, r0) work arrays are live per chunk.
-    chunk = max(1, _CHUNK_ELEMENTS // (16 * spec.d))
+    basis = spec.basis.vectors.real if real_records else spec.basis.vectors
+    vectors = np.empty((shots, spec.d), dtype=basis.dtype)
+    # The work arrays of a chunk take about 160 d bytes per shot.
+    chunk = chunk_items(160 * spec.d)
     for start in range(0, shots, chunk):
         s = min(chunk, shots - start)
         k = np.minimum(np.searchsorted(cum, column_rng.generator.random(s)), len(cum) - 1)
@@ -206,15 +206,16 @@ def _global_vectors(rng: RngStream, factor: np.ndarray, spec: EnsembleSpec, shot
         g = haar_frames(frame_rng, spec.d, width, s, real)
         phi = (g @ a_mix[k][:, :, None])[:, :, 0]
         w = _sample_outcomes(outcome_rng, _global_probabilities(spec, phi))
-        x = spec.basis.vectors[:, w].T[:, :, None]
+        x = basis[:, w].T[:, :, None]
         y = g.conj().swapaxes(1, 2) @ x
         v = q @ y
         # Under O(2) the frame G spans the space and x_perp is zero.
         if spec.d >= 2 * width:
             frame, c = _frames((x - g @ y)[:, :, 0], real)
+            upper = np.linalg.qr(frame, mode="r")
             h = haar_frames(complement_rng, spec.d, width, s, real, orthogonal_to=q)
-            v += h @ (np.linalg.qr(frame, mode="r") @ c)[:, :, None]
-        vectors[start : start + s] = v[:, :, 0].real if real_records else v[:, :, 0]
+            v += h @ (upper[:, :, :1] if real_records else (upper @ c)[:, :, None])
+        vectors[start : start + s] = v[:, :, 0]
     return vectors
 
 
@@ -242,7 +243,8 @@ def collect_records(rng: RngStream, factor, spec: EnsembleSpec, shots: int) -> S
     transforms = sample_transform_arrays(rng.child(0), spec, shots)
     outcome_rng = rng.child(1)
     vectors = np.empty((shots, spec.n, 2), dtype=complex)
-    chunk = max(1, _CHUNK_ELEMENTS // (spec.d * factor.shape[1]))
+    # The amplitudes and their squares take about 32 d r bytes per shot.
+    chunk = chunk_items(32 * spec.d * factor.shape[1])
     for start in range(0, shots, chunk):
         u = transforms[start : start + chunk]
         outcomes = _sample_outcomes(outcome_rng, _born_probabilities(factor, u, spec))
@@ -278,7 +280,8 @@ def per_shot_estimates(records: ShadowRecords, observable) -> np.ndarray:
             return (v @ tilde.T * v.conj()).sum(axis=1).real
 
     values = np.empty(len(records))
-    chunk = max(1, _CHUNK_ELEMENTS // spec.d)
+    # Full vectors, their image under the operator and the product: 48 d bytes per shot.
+    chunk = chunk_items(48 * spec.d)
     for start in range(0, len(records), chunk):
         values[start : start + chunk] = kernel(records.vectors[start : start + chunk])
     return values

@@ -18,6 +18,18 @@ ATOL = 1e-10
 MAX_KRON_DIM = 8192
 
 
+#: Bytes of live arrays that one chunk of a batched loop may hold.  1 MiB
+#: keeps a chunk's arrays in cache and a run's memory independent of its
+#: shot or sample count.
+CHUNK_BYTES = 1 << 20
+
+
+def chunk_items(bytes_per_item: int) -> int:
+    """Items per chunk of a batched loop whose live arrays take
+    `bytes_per_item` bytes per item: as many as fit in CHUNK_BYTES, at least 1."""
+    return max(1, CHUNK_BYTES // bytes_per_item)
+
+
 class ResourceLimitError(ValueError):
     """A dense operation would exceed the configured size limits."""
 
@@ -127,11 +139,6 @@ def check_factor(factor, d: int) -> np.ndarray:
     if abs(weights.sum() - 1.0) > 1e-8:
         raise ValueError("state must have unit trace, ||Psi||^2 = 1 (within 1e-8)")
     return m[:, weights > RANK_TOL]
-
-
-def sym_part(a) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
-    return 0.5 * (m + m.T)
 
 
 def operators_close(a, b, atol: float = ATOL) -> bool:

@@ -39,15 +39,9 @@ from .channels import (
     stabilizer_points,
 )
 from .commutant import enumerate_pairings, twirl_coefficients
-from .linalg import check_entries, check_factor, sym_part
+from .linalg import check_entries, check_factor, chunk_items
 from .pauli import PauliString
 from .sampling import RngStream, haar_state_vector
-
-#: Points per block of the local cubature: 1 MiB per complex array of them.
-_CUBATURE_BLOCK = 1 << 16
-
-#: Entries per (instances, d, d) stack of the ratio sweep: 2 instances at n = 7.
-_SWEEP_BLOCK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +175,7 @@ def _predict_local(spec: EnsembleSpec, observable, factor: np.ndarray) -> float:
     `stabilizer_points`, with w_phi = prod_j 2 / K_j.  These weights sum the
     <phi|rho|phi> to Tr[rho] = 1, so Var[o] is the centred sum below.
 
-    The points are walked in blocks of at most `_CUBATURE_BLOCK`, one per
+    The points are walked in blocks that `linalg.chunk_items` sizes, one per
     point prefix of the fewest leading sites that leave that many (a single
     block when the whole cubature fits).  The sums are shifted by
     m = Tr[rho M(A~)], which the cubature mean equals, and the sums s_i of
@@ -194,7 +188,9 @@ def _predict_local(spec: EnsembleSpec, observable, factor: np.ndarray) -> float:
     desc = channel_for(spec)
     tilde = invert(desc, observable).inverse
     weight = math.prod(2.0 / k for k in sizes)
-    lead = next(j for j in range(spec.n + 1) if math.prod(sizes[j:]) <= _CUBATURE_BLOCK)
+    # The images of rho and A~ at a point and the sums over it take about 40 bytes.
+    block = chunk_items(40)
+    lead = next(j for j in range(spec.n + 1) if math.prod(sizes[j:]) <= block)
     shift = np.einsum("ij,ji->", state, apply_channel(desc, tilde)).real
     s0 = s1 = s2 = 0.0
     for p, t in _prefix_blocks([state, tilde], maps, lead):
@@ -239,16 +235,23 @@ def predict_variance(spec: EnsembleSpec, observable, factor) -> float:
 
 
 def random_symmetric_observable(rng: RngStream, d: int) -> np.ndarray:
-    """A random real symmetric observable: complex entries uniform in
-    [-1, 1]^2, adjoint added, Schatten-2-normalized, restricted to the
+    """A random real symmetric observable: complex entries m = x + i y uniform
+    in [-1, 1]^2, adjoint added, Schatten-2-normalized, restricted to the
     symmetric component (the part both protocols estimate without bias).
-    a = m + m^dag is Hermitian bit for bit, so a + a^T has an imaginary part
-    of exactly 0, and the result is its float64 real part."""
+    m + m^dag has real part x + x^T and imaginary part y - y^T, and its
+    symmetric part is x + x^T, so the result is formed in real arithmetic.
+    The two parts are interleaved as in a complex array, so the norm takes
+    the same strided dots as numpy's norm of m + m^dag, and the division is
+    the product with 1 / norm that numpy's complex division takes: the bits
+    are those of the complex form."""
     gen = rng.generator
-    m = gen.uniform(-1.0, 1.0, (d, d)) + 1j * gen.uniform(-1.0, 1.0, (d, d))
-    a = m + m.conj().T
-    a = a / np.linalg.norm(a)
-    return sym_part(a).real
+    x = gen.uniform(-1.0, 1.0, (d, d))
+    y = gen.uniform(-1.0, 1.0, (d, d))
+    a = np.empty((d, d, 2))
+    np.add(x, x.T, out=a[..., 0])
+    np.subtract(y, y.T, out=a[..., 1])
+    re, im = a.reshape(-1, 2).T
+    return a[..., 0] * (1.0 / np.sqrt(re @ re + im @ im))
 
 
 def ratio_sweep(n_values, instances: int, seed: int):
@@ -256,9 +259,9 @@ def ratio_sweep(n_values, instances: int, seed: int):
 
     Instance i at n draws a Haar psi from the stream (seed, n, i, 0) and a
     random symmetric A from (seed, n, i, 1).  Both global ensembles of the
-    computational basis predict Var[o] for blocks of instances, one stack of
-    at most `_SWEEP_BLOCK` entries per block, on the factor psi of
-    rho = psi psi^dag.
+    computational basis predict Var[o] for blocks of instances, one
+    (instances, d, d) stack per block sized by `linalg.chunk_items`, on the
+    factor psi of rho = psi psi^dag.
 
     Returns (rows, summary): one row per instance with the CSV schema
     (n, instance_id, var_real_exact, var_unitary_exact, ratio) and one summary
@@ -272,7 +275,8 @@ def ratio_sweep(n_values, instances: int, seed: int):
         specs = [global_ensemble(g, computational_basis(n)) for g in groups]
         descs = [channel_for(spec) for spec in specs]
         base = RngStream(seed, (n,))
-        block = max(1, _SWEEP_BLOCK // (d * d))
+        # A, its two pseudo-inverses and their products: about 48 d^2 bytes per instance.
+        block = chunk_items(48 * d * d)
         ratios = np.empty(instances)
         for start in range(0, instances, block):
             ids = range(start, min(start + block, instances))

@@ -3,8 +3,8 @@
 None of these is on a run path: the dense shadow of one shot, the
 depolarizing mixture form of the global orthogonal channel, the overlap
 factor of two Y-free Pauli strings, the single-qubit real Clifford group,
-a per-block local Born kernel, the batched-QR route of Haar frames and a
-batch-by-batch median of means.
+a per-block local Born kernel, the batched-QR route of Haar frames, a
+batch-by-batch median of means and the symmetric part of an operator.
 """
 
 import numpy as np
@@ -32,6 +32,12 @@ def haar_frames_by_qr(rng, d, r, count, real=False, orthogonal_to=None) -> np.nd
     if orthogonal_to is not None:
         q = _project_out(q, orthogonal_to)
     return q
+
+
+def sym_part(a) -> np.ndarray:
+    """(a + a^T) / 2, as a complex operator."""
+    m = np.asarray(a, dtype=complex)
+    return 0.5 * (m + m.T)
 
 
 def shadow_from_vector(spec, v: np.ndarray) -> np.ndarray:

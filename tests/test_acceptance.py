@@ -23,12 +23,12 @@ from realshadows.channels import (
 )
 from realshadows.commutant import closed_form_twirl, twirl_project
 from realshadows.engine import collect_records, estimate, per_shot_estimates, validate_state
-from realshadows.linalg import identity, kron, sym_part
+from realshadows.linalg import identity, kron
 from realshadows.pauli import PAULIS, PauliString, Y, Z
 from realshadows.sampling import RngStream, haar_state_vector, haar_unitaries, random_pure_state
 from realshadows.variance import predict_variance, random_symmetric_observable, ratio_sweep
 
-from references import depolarize, mixture_decomposition, overlap_f
+from references import depolarize, mixture_decomposition, overlap_f, sym_part
 
 
 def _report(number: int, name: str, started: float, limit: float | None = None) -> None:

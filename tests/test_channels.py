@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realshadows import channels
+from realshadows import channels, linalg
 from realshadows.bases import basis_from_tag, computational_basis, make_basis, sh_basis
 from realshadows.channels import (
     GROUPS,
@@ -31,12 +31,12 @@ from realshadows.channels import (
 )
 from realshadows.commutant import mc_twirl, twirl_project
 from realshadows.engine import collect_records, per_shot_estimates, validate_state
-from realshadows.linalg import batched_kron, identity, kron, operators_close, sym_part
+from realshadows.linalg import batched_kron, identity, kron, operators_close
 from realshadows.pauli import PAULIS, PauliString, X, Y, Z
 from realshadows.sampling import RngStream, haar_frames
 from realshadows.variance import predict_variance
 
-from references import depolarize, mixture_decomposition
+from references import depolarize, mixture_decomposition, sym_part
 
 ATOL = 1e-10
 
@@ -513,13 +513,13 @@ class TestChannelOracleKernel:
             pytest.param(_KERNEL_SPECS["local-mixed"], id="local-mixed"),
         ],
     )
-    @pytest.mark.parametrize("budget", [1, 64 * 7])
+    @pytest.mark.parametrize("budget", [1, 7 * 2**12])
     def test_chunk_size_does_not_change_the_result(self, monkeypatch, make_spec, budget):
-        # At d = 8 a sample holds 64 elements: one-sample chunks, then 7.
+        # At d = 8 a sample takes 4 KiB: one-sample chunks, then 7.
         spec = make_spec()
         a = _random_hermitian(72, spec.d)
         whole = mc_channel(RngStream(73), spec, a, samples=50)
-        monkeypatch.setattr(channels, "_CHUNK_ELEMENTS", budget)
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
         chunked = mc_channel(RngStream(73), spec, a, samples=50)
         assert np.max(np.abs(whole[0] - chunked[0])) <= 1e-12
         assert np.max(np.abs(whole[1] - chunked[1])) <= 1e-12

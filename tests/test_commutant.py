@@ -13,7 +13,7 @@ from realshadows.commutant import (
     twirl_coefficients,
     twirl_project,
 )
-from realshadows import commutant
+from realshadows import linalg
 from realshadows.linalg import as_operator, batched_kron, identity, kron, norm2, operators_close
 from realshadows.sampling import RngStream, haar_orthogonals, haar_state_vector, haar_unitaries
 
@@ -306,12 +306,13 @@ class TestMonteCarloTwirlKernel:
 
     @pytest.mark.parametrize("make_input", _KERNEL_INPUTS.values(), ids=_KERNEL_INPUTS.keys())
     @pytest.mark.parametrize("group", ["O", "U"])
-    @pytest.mark.parametrize("budget", [1, 81 * 7])
+    @pytest.mark.parametrize("budget", [1, 2**13])
     def test_chunk_size_does_not_change_the_result(self, monkeypatch, make_input, group, budget):
-        # At d^k = 9 a sample holds 81 elements: one-sample chunks, then 7.
+        # At d^k = 9 a sample takes 864 bytes at rank one and 3,456 at rank
+        # three: one-sample chunks, then 9 to 2.
         a = make_input(62, 3, 2)
         whole = mc_twirl(RngStream(63), a, group, 2, samples=50)
-        monkeypatch.setattr(commutant, "_CHUNK_ELEMENTS", budget)
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
         chunked = mc_twirl(RngStream(63), a, group, 2, samples=50)
         assert np.max(np.abs(whole.mean - chunked.mean)) <= 1e-12
         assert np.max(np.abs(whole.stderr - chunked.stderr)) <= 1e-12

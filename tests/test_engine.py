@@ -1,11 +1,12 @@
 import itertools
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from realshadows import engine
+from realshadows import engine, linalg
 from realshadows.bases import basis_from_tag, computational_basis, sh_basis
 from realshadows.channels import (
     apply_channel,
@@ -41,13 +42,17 @@ from realshadows.linalg import (
     identity,
     kron,
     operators_close,
-    sym_part,
 )
 from realshadows.pauli import PauliString, X, Y, Z
 from realshadows.sampling import RngStream, random_pure_state, sample_transform_arrays
 from realshadows.variance import predict_variance, random_symmetric_observable
 
-from references import born_probabilities_per_block, median_of_means_by_loop, shadow_from_vector
+from references import (
+    born_probabilities_per_block,
+    median_of_means_by_loop,
+    shadow_from_vector,
+    sym_part,
+)
 
 H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -176,15 +181,17 @@ class TestBornProbabilities:
         assert np.max(np.abs(born - dense)) <= 1e-12
 
 
-@pytest.mark.parametrize("chunk_shots", [None, 48], ids=["one-chunk", "several-chunks"])
+@pytest.mark.parametrize(
+    "budget, chunks", [(2**40, 1), (2**20, 7)], ids=["one-chunk", "several-chunks"]
+)
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_local_records_match_per_block_kernel(monkeypatch, seed, chunk_shots):
+def test_local_records_match_per_block_kernel(monkeypatch, seed, budget, chunks):
     # Same outcomes and the same measured vectors, bit for bit, as with the
-    # per-block kernel patched in, within one chunk and across several.
+    # per-block kernel patched in, within one chunk and across several (a
+    # full-rank shot at d = 32 takes 32 KiB, so 1 MiB holds 32 shots).
     spec = local_ensemble(("orthogonal", "unitary") * 2 + ("orthogonal",), 5)
     factor = validate_state(_full_rank_state(50 + seed, spec.d))
-    if chunk_shots is not None:
-        monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", chunk_shots * spec.d * spec.d)
+    monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
     outcomes = []
 
     def recorded(rng, p):
@@ -200,7 +207,7 @@ def test_local_records_match_per_block_kernel(monkeypatch, seed, chunk_shots):
         lambda f, t, s: engine._checked(born_probabilities_per_block(f, t, s)),
     )
     reference = collect_records(RngStream(seed), factor, spec, 200).vectors
-    assert len(fast) == len(outcomes) == (1 if chunk_shots is None else 5)
+    assert len(fast) == len(outcomes) == chunks
     assert all(np.array_equal(a, b) for a, b in zip(fast, outcomes))
     assert np.array_equal(vectors, reference)
 
@@ -264,7 +271,7 @@ class TestDirectSampler:
         spec = global_ensemble(group, basis_from_tag("sh", 3))
         factor = validate_state(_rank2_state(58, spec.d))
         whole = collect_records(RngStream(59), factor, spec, 100).vectors
-        monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 16 * spec.d * 7)  # 7-shot chunks
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", 2**13)  # 6-shot chunks
         assert np.array_equal(collect_records(RngStream(59), factor, spec, 100).vectors, whole)
 
     @pytest.mark.parametrize("group,tag,make_state", _GLOBAL_CASES)
@@ -301,6 +308,52 @@ def test_negligible_factor_columns_are_dropped(spec, weight):
     records = collect_records(RngStream(61), psi, spec, 300)
     assert padded_records.vectors.tobytes() == records.vectors.tobytes()
 
+
+
+def _traced(run):
+    """(tracemalloc peak in bytes, result) of one call of run."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+_MEMORY_SPECS = [
+    pytest.param(lambda: global_ensemble("orthogonal", computational_basis(6)), id="global"),
+    pytest.param(lambda: local_ensemble(("orthogonal", "unitary") * 3, 6), id="local-mixed"),
+]
+
+
+class TestChunkMemory:
+    """At 10x the shots, a batched loop's peak grows by no more than what it
+    returns, and what it draws for all shots by design, plus one chunk budget."""
+
+    @pytest.mark.parametrize("make_spec", _MEMORY_SPECS)
+    def test_collect_records(self, make_spec):
+        # A pure state: the global shots take the complement frames.
+        spec = make_spec()
+        factor = validate_state(_pure_state(80, spec.d))
+        collect_records(RngStream(81), factor, spec, 10)
+        peaks, kept = [], []
+        for shots in (200, 2000):
+            peak, records = _traced(lambda: collect_records(RngStream(81), factor, spec, shots))
+            peaks.append(peak)
+            # A local run draws its (shots, n, 2, 2) complex transforms at once.
+            transforms = shots * spec.n * 64 if spec.scope == "local" else 0
+            kept.append(records.vectors.nbytes + transforms)
+        assert peaks[1] - peaks[0] <= kept[1] - kept[0] + linalg.CHUNK_BYTES, peaks
+
+    @pytest.mark.parametrize("make_spec", _MEMORY_SPECS)
+    def test_per_shot_estimates_of_a_dense_observable(self, make_spec):
+        spec = make_spec()
+        a = random_symmetric_observable(RngStream(82), spec.d)
+        records = collect_records(RngStream(83), validate_state(_pure_state(84, spec.d)), spec, 5000)
+        head = ShadowRecords(spec, records.vectors[:500])
+        per_shot_estimates(head, a)
+        peaks = [_traced(lambda: per_shot_estimates(r, a))[0] for r in (head, records)]
+        assert peaks[1] - peaks[0] <= 4500 * 8 + linalg.CHUNK_BYTES, peaks
 
 class TestShadows:
     def test_global_closed_form(self):

@@ -13,9 +13,10 @@ from realshadows.linalg import (
     norm2,
     operators_close,
     sum_abs2,
-    sym_part,
 )
 from realshadows.pauli import I2, X, Y, Z
+
+from references import sym_part
 
 ATOL = 1e-12
 

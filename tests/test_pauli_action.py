@@ -156,12 +156,12 @@ def test_real_basis_orthogonal_records_are_float(monkeypatch):
     spec = global_ensemble("orthogonal", computational_basis(4))
     real = collect_records(RngStream(6), psi, spec, 300).vectors
     assert real.dtype == np.float64
-    # The same draws kept as complex vectors, as before real records: their
-    # imaginary part is exactly zero and their real part is the float record.
+    # The same draws formed in complex arithmetic: their imaginary part is
+    # exactly zero and their real part is the float record, up to rounding.
     monkeypatch.setattr(engine, "_real_records", lambda spec: False)
     full = collect_records(RngStream(6), psi, spec, 300).vectors
     assert np.iscomplexobj(full) and not full.imag.any()
-    assert np.array_equal(real, full.real)
+    assert np.max(np.abs(real - full.real)) <= 1e-15
 
 
 @pytest.mark.parametrize("group, tag", [("orthogonal", "sh"), ("orthogonal", "random:5"),

@@ -19,12 +19,12 @@ from realshadows.channels import (
 )
 from realshadows.commutant import twirl_project
 from realshadows.engine import collect_records, estimate, per_shot_estimates, validate_state
-from realshadows.linalg import ResourceLimitError, identity, kron, operators_close, sym_part
+from realshadows.linalg import ResourceLimitError, identity, kron, operators_close
 from realshadows.pauli import PAULIS, PauliString, X, Y, Z
 from realshadows.sampling import RngStream, haar_state_vector, random_pure_state
 from realshadows.variance import predict_variance, random_symmetric_observable, ratio_sweep
 
-from references import REAL_CLIFFORD_1Q, overlap_f
+from references import REAL_CLIFFORD_1Q, overlap_f, sym_part
 
 
 def _random_hermitian(seed, d):
@@ -534,15 +534,16 @@ class TestLocalCubature:
         se = np.std((values - values.mean()) ** 2, ddof=1) / np.sqrt(values.shape[0])
         assert abs(emp - pred) <= 4 * se, (emp, pred, se)
 
-    @pytest.mark.parametrize("block", [1, 6, 24, 100])
+    @pytest.mark.parametrize("block", [1, 2**8, 2**10, 2**12])
     @pytest.mark.parametrize(
         "groups", [("unitary",) * 3, ("orthogonal", "unitary", "orthogonal")], ids=["UUU", "OUO"]
     )
     @pytest.mark.parametrize("state", ["pure", "basis", "mixed"])
     def test_blocks_match_one_block(self, monkeypatch, block, groups, state):
-        # A block budget below the whole cubature walks point prefixes of the
-        # leading sites; |000> leaves most of those blocks with zero weight,
-        # and Y on an orthogonal site adds an invisible part.
+        # A block budget below the whole cubature (1, 6, 25 and 102 points at
+        # 40 bytes a point) walks point prefixes of the leading sites; |000>
+        # leaves most of those blocks with zero weight, and Y on an orthogonal
+        # site adds an invisible part.
         spec = local_ensemble(groups, 3)
         rho = {
             "pure": random_pure_state(RngStream(38), 8),
@@ -552,7 +553,7 @@ class TestLocalCubature:
         factor = validate_state(rho)
         a = _random_hermitian(40, 8) + 5.0 * kron(Y, Z, X)
         whole = predict_variance(spec, a, factor)
-        monkeypatch.setattr(variance, "_CUBATURE_BLOCK", block)
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", block)
         assert predict_variance(spec, a, factor) == pytest.approx(whole, rel=1e-12, abs=1e-12)
 
     def test_streamed_memory_at_n8(self, monkeypatch):
@@ -567,7 +568,7 @@ class TestLocalCubature:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, peak / 2**20
-        monkeypatch.setattr(variance, "_CUBATURE_BLOCK", 6**8)
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", 2**31)  # one block
         assert streamed == pytest.approx(predict_variance(spec, a, factor), rel=1e-12)
 
     def test_budget(self, monkeypatch):
@@ -724,7 +725,7 @@ def test_ratio_trend_small():
 
 def test_ratio_rows_do_not_depend_on_the_block(monkeypatch):
     rows, summary = ratio_sweep([1, 3, 5], 7, seed=19)
-    monkeypatch.setattr(variance, "_SWEEP_BLOCK", 1)  # one instance per block
+    monkeypatch.setattr(linalg, "CHUNK_BYTES", 1)  # one instance per block
     single_rows, single_summary = ratio_sweep([1, 3, 5], 7, seed=19)
     assert [(r["n"], r["instance_id"]) for r in rows] == [
         (r["n"], r["instance_id"]) for r in single_rows
