@@ -31,7 +31,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import MeasurementBasis, basis_from_tag
-from .linalg import as_operator, batched_kron, chunk_items, is_hermitian, norm2, sum_abs2
+from .linalg import (
+    as_operator,
+    as_operators,
+    batched_kron,
+    chunk_items,
+    is_hermitian,
+    norm2,
+    sum_abs2,
+)
 from .pauli import PauliString
 from . import sampling
 
@@ -168,16 +176,19 @@ def channel_for(spec: EnsembleSpec) -> ChannelDescriptor:
 
 
 def map_sites(a: np.ndarray, maps) -> np.ndarray:
-    """out[k_0, ..., k_{n-1}] = sum_{r, c} a[r, c] prod_j maps[j][k_j, 2 r_j + c_j]
-    for an n-qubit operator a and one (K_j, 4) matrix per qubit, qubit 0
-    leftmost.  Each site is one matmul that takes the leading site axis to
-    the end, mapped, so the result grows site by site to prod_j K_j entries."""
-    n = len(maps)
-    out = a.reshape((2,) * (2 * n))
-    out = out.transpose([axis for j in range(n) for axis in (j, n + j)])
+    """out[..., k_0, ..., k_{n-1}] = sum_{r, c} a[..., r, c] prod_j maps[j][k_j, 2 r_j + c_j]
+    for an n-qubit operator a, or each of a (..., 2^n, 2^n) stack, and one
+    (K_j, 4) matrix per qubit, qubit 0 leftmost.  Each site is one matmul
+    that takes the leading site axis to the end, mapped, so the result grows
+    site by site to prod_j K_j entries per operator."""
+    n, lead = len(maps), a.shape[:-2]
+    out = a.reshape(lead + (2,) * (2 * n))
+    b = len(lead)
+    out = out.transpose([*range(b), *(b + axis for j in range(n) for axis in (j, n + j))])
+    count = math.prod(lead)
     for m in maps:
-        out = out.reshape(4, -1).T @ m.T
-    return out.reshape([m.shape[0] for m in maps])
+        out = out.reshape(count, 4, -1).swapaxes(1, 2) @ m.T
+    return out.reshape(lead + tuple(m.shape[0] for m in maps))
 
 
 def stabilizer_points(group: str) -> np.ndarray:
@@ -250,45 +261,38 @@ def _apply_global_blocks(a: np.ndarray, lam_sym: float, lam_anti: float) -> np.n
 
 
 def _dispatch(desc: ChannelDescriptor, a, eig_map) -> np.ndarray:
-    """Each factor's blocks scaled by eig_map of their eigenvalues: the block
-    passes for one factor, the 4x4 site maps for qubit factors."""
-    m = as_operator(a)
-    if m.shape[0] != desc.d:
+    """Each factor's blocks scaled by eig_map of their eigenvalues, for an
+    operator or each of a (..., d, d) stack in one pass, in its own dtype:
+    the block passes for one factor, the 4x4 site maps for qubit factors."""
+    m = as_operators(a)
+    if m.shape[-1] != desc.d:
         raise ValueError(
-            f"operator dimension {m.shape[0]} does not match ensemble dimension {desc.d}"
+            f"operator dimension {m.shape[-1]} does not match ensemble dimension {desc.d}"
         )
     blocks = [(eig_map(sp.lambda_sym), eig_map(sp.lambda_anti)) for sp in desc.spectra]
     if len(blocks) == 1:
         return _apply_global_blocks(m, *blocks[0])
-    n = len(blocks)
-    out = map_sites(m, [_site_channel(*b) for b in blocks]).reshape((2,) * (2 * n))
-    return out.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).reshape(m.shape)
+    n, b = len(blocks), m.ndim - 2
+    out = map_sites(m, [_site_channel(*x) for x in blocks]).reshape(m.shape[:b] + (2,) * (2 * n))
+    rows, columns = range(b, b + 2 * n, 2), range(b + 1, b + 2 * n, 2)
+    return out.transpose([*range(b), *rows, *columns]).reshape(m.shape)
 
 
 def apply_channel(desc: ChannelDescriptor, a) -> np.ndarray:
-    """The measurement channel M applied to an operator."""
+    """The measurement channel M applied to an operator or each of a stack;
+    a real operator stays real."""
     return _dispatch(desc, a, lambda lam: lam)
 
 
 def pseudo_inverse(desc: ChannelDescriptor, a) -> np.ndarray:
-    """Blockwise reciprocal of M; blocks with zero eigenvalue map to zero."""
+    """Blockwise reciprocal of M, on an operator or each of a stack; blocks
+    with zero eigenvalue map to zero, and a real operator stays real."""
     return _dispatch(desc, a, _inverse_eigenvalue)
 
 
-def pseudo_inverses(desc: ChannelDescriptor, stack: np.ndarray) -> np.ndarray:
-    """`pseudo_inverse` of each operator of a finite (..., d, d) stack under a
-    one-factor channel, in one pass and in the stack's own dtype: a real
-    stack stays real."""
-    if len(desc.spectra) != 1 or stack.shape[-2:] != (desc.d,) * 2:
-        raise ValueError("a stack is inverted under a one-factor, global channel of its dimension")
-    (sp,) = desc.spectra
-    return _apply_global_blocks(
-        stack, _inverse_eigenvalue(sp.lambda_sym), _inverse_eigenvalue(sp.lambda_anti)
-    )
-
-
 def visible_projector(desc: ChannelDescriptor, a) -> np.ndarray:
-    """Orthogonal projection onto the visible space (image of M)."""
+    """Orthogonal projection onto the visible space (image of M), of an
+    operator or each of a stack; a real operator stays real."""
     return _dispatch(desc, a, _indicator)
 
 
@@ -296,29 +300,33 @@ def visible_projector(desc: ChannelDescriptor, a) -> np.ndarray:
 class InvertedObservable:
     """The pseudo-inverse M^+(A) of a dense Hermitian observable A under a
     channel, with Tr[A], formed once so that a run's estimator and variance
-    predictor share it.  A itself is not kept."""
+    predictor share it; or of each A of a (B, d, d) stack, with `inverse`
+    (B, d, d) and `trace` (B,).  A itself is not kept."""
 
     channel: ChannelDescriptor
-    trace: complex
+    trace: complex | np.ndarray
     inverse: np.ndarray
 
 
 def invert(desc: ChannelDescriptor, observable) -> InvertedObservable:
-    """A dense observable, Hermitian within 1e-10, with its pseudo-inverse
-    under `desc`; one already inverted under an equal channel is returned."""
+    """A dense observable, or each of a (B, d, d) stack, Hermitian within
+    1e-10, with its pseudo-inverse under `desc` in its own dtype, so a real
+    observable stays real; one already inverted under an equal channel is
+    returned."""
     if isinstance(observable, InvertedObservable):
         if observable.channel != desc:
             raise ValueError("the observable was inverted under another channel")
         return observable
-    m = as_operator(observable)
+    m = as_operators(observable)
     if not is_hermitian(m):
         raise ValueError("a dense observable must be Hermitian (within 1e-10)")
-    return InvertedObservable(desc, np.trace(m), pseudo_inverse(desc, m))
+    return InvertedObservable(desc, np.trace(m, axis1=-2, axis2=-1), pseudo_inverse(desc, m))
 
 
-def has_invisible_part(desc: ChannelDescriptor, observable) -> bool:
+def has_invisible_part(desc: ChannelDescriptor, observable):
     """Whether the channel annihilates part of `observable`, so that its
-    estimates see only the visible part.
+    estimates see only the visible part: a bool, or one per operator of a
+    (B, d, d) stack.
 
     A Pauli string is invisible as a whole when its M^-1 eigenvalue is 0.  A
     dense A has an invisible part when ||A - visible_projector(A)||_2 exceeds
@@ -326,8 +334,9 @@ def has_invisible_part(desc: ChannelDescriptor, observable) -> bool:
     """
     if isinstance(observable, PauliString):
         return pauli_string_inverse_eigenvalue(desc, observable) == 0.0
-    m = as_operator(observable)
-    return norm2(m - visible_projector(desc, m)) > 1e-10 * max(1.0, norm2(m))
+    m = as_operators(observable)
+    flags = norm2(m - visible_projector(desc, m)) > 1e-10 * np.maximum(1.0, norm2(m))
+    return flags if flags.ndim else bool(flags)
 
 
 def factor_visible_dimension(spectrum: ChannelSpectrum, d: int) -> int:

@@ -252,53 +252,88 @@ def collect_records(rng: RngStream, factor, spec: EnsembleSpec, shots: int) -> S
     return ShadowRecords(spec, vectors)
 
 
-def per_shot_estimates(records: ShadowRecords, observable) -> np.ndarray:
-    """o_s = v_s^dag M^-1(O) v_s for every shot, without materializing shadows.
+def per_shot_table(records: ShadowRecords, observables) -> np.ndarray:
+    """The C-contiguous (N, S) table of o_s = v_s^dag M^-1(O) v_s: one row per
+    observable, in order, and one column per shot, without materializing
+    shadows.
 
-    A Pauli string c P takes one rule in every ensemble: o_s = mu c <v_s|P|v_s>
-    from `PauliString.expectations`, with mu its M^-1 eigenvalue, and zeros
-    when mu = 0.  A dense observable (or an `InvertedObservable`) contracts
-    its pseudo-inverse against the full measured vectors.  Real records take
-    the real part of the operator, which is exact for real v.
+    An observable is a Pauli string, a dense Hermitian matrix, or a (B, d, d)
+    stack of them or its `InvertedObservable`, which fills B rows.  A Pauli
+    string c P takes one rule in every ensemble: o_s = mu c <v_s|P|v_s> from
+    `PauliString.expectations`, with mu its M^-1 eigenvalue, and zeros when
+    mu = 0.  A dense stack contracts its pseudo-inverses against the full
+    measured vectors, one batched product per chunk.  Real records take the
+    real part of each operator, which is exact for real v, and a real
+    operator reads complex v as the rows Re v and Im v, whose two estimates
+    add up to o_s, so it is contracted in real arithmetic either way.
     """
     spec = records.spec
-    if isinstance(observable, PauliString):
-        mu = pauli_string_inverse_eigenvalue(channel_for(spec), observable)
-        if mu == 0.0:
-            return np.zeros(len(records))
+    desc = channel_for(spec)
+    operands = [o if isinstance(o, PauliString) else invert(desc, o) for o in observables]
+    heights = [
+        1 if isinstance(o, PauliString) else math.prod(o.inverse.shape[:-2]) for o in operands
+    ]
+    table = np.empty((sum(heights), len(records)))
+    rows = np.cumsum([0, *heights])
+    for o, top, height in zip(operands, rows, heights):
+        out = table[top : top + height]
+        if isinstance(o, PauliString):
+            mu = pauli_string_inverse_eigenvalue(desc, o)
+            # The string's partner entries and their products: 48 d bytes per shot.
+            chunk = chunk_items(48 * spec.d)
+            kernel = _pauli_kernel(o, mu)
+        else:
+            stack = o.inverse.reshape(height, spec.d, spec.d)
+            if not np.iscomplexobj(records.vectors):
+                stack = stack.real
+            # The full vectors and the stack's images of them, of the real and
+            # imaginary rows for complex v: 32 d (1 + B) bytes per shot at most.
+            chunk = chunk_items(32 * spec.d * (1 + height))
+            kernel = _dense_kernel(spec, stack)
+        for start in range(0, len(records), chunk):
+            out[:, start : start + chunk] = kernel(records.vectors[start : start + chunk])
+    return table
 
-        def kernel(v):
-            return mu * observable.expectations(v)
 
-    else:
-        tilde = invert(channel_for(spec), observable).inverse
-        if not np.iscomplexobj(records.vectors):
-            tilde = tilde.real
-
-        def kernel(v):
-            v = full_vectors(spec, v)
-            return (v @ tilde.T * v.conj()).sum(axis=1).real
-
-    values = np.empty(len(records))
-    # Full vectors, their image under the operator and the product: 48 d bytes per shot.
-    chunk = chunk_items(48 * spec.d)
-    for start in range(0, len(records), chunk):
-        values[start : start + chunk] = kernel(records.vectors[start : start + chunk])
-    return values
+def _pauli_kernel(p: PauliString, mu: float):
+    if mu == 0.0:
+        return lambda v: 0.0
+    return lambda v: mu * p.expectations(v)
 
 
-def median_of_means(values: np.ndarray, batches: int) -> float:
-    """Median of `batches` batch means; the remainder folds into the last batch."""
+def _dense_kernel(spec: EnsembleSpec, stack: np.ndarray):
+    transposed = np.swapaxes(stack, 1, 2)
+
+    def kernel(v):
+        v = full_vectors(spec, v)
+        if np.iscomplexobj(stack) or not np.iscomplexobj(v):
+            return np.einsum("bsi,si->bs", v @ transposed, v.conj()).real
+        parts = np.concatenate([v.real, v.imag])
+        halves = np.einsum("bsi,si->bs", parts @ transposed, parts)
+        return halves[:, : len(v)] + halves[:, len(v) :]
+
+    return kernel
+
+
+def per_shot_estimates(records: ShadowRecords, observable) -> np.ndarray:
+    """o_s for every shot of one observable: the one row of `per_shot_table`."""
+    return per_shot_table(records, [observable])[0]
+
+
+def median_of_means(values: np.ndarray, batches: int):
+    """Median of `batches` batch means along the last axis, one per row of a
+    table; the remainder folds into the last batch."""
     values = np.asarray(values)
-    count = values.shape[0]
+    count = values.shape[-1]
     if batches < 1:
         raise ValueError("need at least one batch")
     if batches > count:
         raise ValueError(f"cannot split {count} records into {batches} batches")
     size = count // batches
     head = (batches - 1) * size
-    means = values[:head].reshape(batches - 1, size).mean(axis=1)
-    return float(np.median(np.append(means, values[head:].mean())))
+    means = values[..., :head].reshape(*values.shape[:-1], batches - 1, size).mean(axis=-1)
+    last = values[..., head:].mean(axis=-1, keepdims=True)
+    return np.median(np.concatenate([means, last], axis=-1), axis=-1)
 
 
 @dataclass
@@ -319,22 +354,29 @@ class EstimateReport:
     bias_warning: bool | None = None
 
 
+def _reports(table: np.ndarray, batches: int, ids) -> list[EstimateReport]:
+    """One report per row of an (N, S) per-shot table, named by `ids`: the
+    mean, the median of `batches` batch means and the ddof = 1 variance (0
+    for a single shot), each one numpy reduction along the rows."""
+    shots = table.shape[1]
+    moms = median_of_means(table, batches)
+    means = table.mean(axis=1)
+    variances = np.var(table, axis=1, ddof=1) if shots >= 2 else np.zeros(len(table))
+    return [
+        EstimateReport(oid, float(mean), float(mom), float(var), shots)
+        for oid, mean, mom, var in zip(ids, means, moms, variances, strict=True)
+    ]
+
+
 def estimate(
     records: ShadowRecords, observable, batches: int = 1, observable_id: str | None = None
 ) -> EstimateReport:
-    """Aggregate per-shot estimates into a report; reads nothing but the records."""
-    values = per_shot_estimates(records, observable)
-    count = values.shape[0]
-    mom = median_of_means(values, batches)
+    """Aggregate one observable's per-shot estimates into a report; reads
+    nothing but the records."""
     if observable_id is None:
         observable_id = str(observable) if isinstance(observable, PauliString) else "operator"
-    return EstimateReport(
-        observable_id=observable_id,
-        mean=float(values.mean()),
-        median_of_means=mom,
-        empirical_variance=float(np.var(values, ddof=1)) if count >= 2 else 0.0,
-        shots=count,
-    )
+    (report,) = _reports(per_shot_table(records, [observable]), batches, [observable_id])
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -383,45 +425,59 @@ def build_state(state: dict, n: int) -> np.ndarray:
     raise ConfigError(f"unknown state kind {kind!r}")
 
 
-def build_observable(obs: dict, n: int) -> tuple[str, PauliString | np.ndarray]:
-    """(id, operator) of one configured observable.  An id may not hold a
-    comma, a quote or a line break, which would break its CSV row."""
-    check_qubit_count(n)
-    d = 2**n
+def _parse_observable(obs: dict, n: int) -> tuple[str, str, PauliString | int | None]:
+    """(kind, id, key) of one configured observable, checked without anything
+    of dimension 2^n: the key is the Pauli string, the seed or the basis index
+    (None for a matrix), and the id is "id" or a default from the kind and
+    key.  An id may not hold a comma, a quote or a line break, which would
+    break its CSV row."""
     kind = obs.get("kind", "pauli")
     if kind == "pauli":
         string = obs.get("string")
         if not isinstance(string, str) or len(string) != n or set(string.upper()) - set(PAULIS):
             raise ConfigError(f"pauli observable needs a length-{n} string of I, X, Y and Z")
         coefficient = _number(obs.get("coefficient", 1.0), "coefficient")
-        op = PauliString.from_string(string, coefficient)
-        default = string
+        key, default = PauliString.from_string(string, coefficient), string
     elif kind == "random_symmetric":
-        seed = _integer(obs, "seed", 0, MAX_SEED, 0)
-        # Complex, as every dense observable of a run: the real draw is freed here.
-        op = random_symmetric_observable(RngStream(seed), d).astype(complex)
-        default = f"random_symmetric:{seed}"
+        key = _integer(obs, "seed", 0, MAX_SEED, 0)
+        default = f"random_symmetric:{key}"
     elif kind == "basis_projector":
-        idx = _integer(obs, "index", 0, d - 1, 0)
-        op = np.zeros((d, d), dtype=complex)
-        op[idx, idx] = 1.0
-        default = f"projector:{idx}"
+        key = _integer(obs, "index", 0, 2**n - 1, 0)
+        default = f"projector:{key}"
     elif kind == "matrix":
-        try:
-            real = np.asarray(obs.get("real"), dtype=float)
-            op = real + 1j * np.asarray(obs.get("imag", 0.0), dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError("matrix observable needs numeric real and imag parts") from None
-        if op.shape != (d, d) or not (np.all(np.abs(op) <= _MAX_MAGNITUDE) and is_hermitian(op)):
-            raise ConfigError(f"matrix observable must be Hermitian, {d} x {d}, entries <= 1e100")
-        op = 0.5 * (op + op.conj().T)  # its Hermitian part: A itself when A is exactly Hermitian
-        default = "matrix"
+        key, default = None, "matrix"
     else:
         raise ConfigError(f"unknown observable kind {kind!r}")
     oid = str(obs.get("id", default))
     if set(oid) & set(',"\r\n'):
         raise ConfigError(f"observable id {oid!r} holds a comma, a quote or a line break")
-    return oid, op
+    return kind, oid, key
+
+
+def build_observable(obs: dict, n: int) -> tuple[str, PauliString | np.ndarray]:
+    """(id, operator) of one configured observable.  A dense operator is
+    float64 when it is real (a random symmetric draw, a basis projector, a
+    matrix without an imaginary part) and complex otherwise."""
+    check_qubit_count(n)
+    d = 2**n
+    kind, oid, key = _parse_observable(obs, n)
+    if kind == "pauli":
+        return oid, key
+    if kind == "random_symmetric":
+        return oid, random_symmetric_observable(RngStream(key), d)
+    if kind == "basis_projector":
+        op = np.zeros((d, d))
+        op[key, key] = 1.0
+        return oid, op
+    try:
+        real = np.asarray(obs.get("real"), dtype=float)
+        imag = np.asarray(obs.get("imag", 0.0), dtype=float)
+        op = real + 1j * imag if imag.any() else real + imag  # an all-zero imag keeps A real
+    except (TypeError, ValueError):
+        raise ConfigError("matrix observable needs numeric real and imag parts") from None
+    if op.shape != (d, d) or not (np.all(np.abs(op) <= _MAX_MAGNITUDE) and is_hermitian(op)):
+        raise ConfigError(f"matrix observable must be Hermitian, {d} x {d}, entries <= 1e100")
+    return oid, 0.5 * (op + op.conj().T)  # its Hermitian part: A itself when A is exactly Hermitian
 
 
 def _integer(cfg: dict, key: str, low: int, high: int | None = None, default=None) -> int:
@@ -506,6 +562,12 @@ class ExperimentConfig:
             raise ConfigError("observables must be a non-empty list")
         if not all(isinstance(o, dict) for o in [cfg["state"], *observables]):
             raise ConfigError("the state and every observable must be JSON objects")
+        ids = set()
+        for o in observables:
+            oid = _parse_observable(o, n)[1]
+            if oid in ids:  # the CSV would hold two rows of that id
+                raise ConfigError(f"observable id {oid!r} names more than one observable")
+            ids.add(oid)
         emit = cfg.get("emit", {}) or {}
         if not isinstance(emit, dict) or set(emit) - {"csv"}:
             raise ConfigError(f"emit takes only a csv path, got {emit!r}")
@@ -551,14 +613,47 @@ def write_reports_csv(path: str, reports: list[EstimateReport]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _operand_blocks(config: ExperimentConfig):
+    """Yield (positions, ids, operand) over a config's observables: each Pauli
+    string alone, and dense observables built as needed and stacked in blocks
+    of consecutive ones of one dtype (a real A stays real), so that a block's
+    checks, pseudo-inverses and predictions take one pass."""
+    block = []
+    for position, obs in enumerate(config.observables):
+        oid, op = build_observable(obs, config.n)
+        if isinstance(op, PauliString):
+            yield [position], [oid], op
+            continue
+        # A block's stack, the passes over it and its inverses hold about four
+        # arrays of each operator's size.
+        if block and (op.dtype != block[0][2].dtype or len(block) == chunk_items(4 * op.nbytes)):
+            yield _stacked(block)
+        block.append((position, oid, op))
+    if block:
+        yield _stacked(block)
+
+
+def _stacked(block: list) -> tuple[list, list, np.ndarray]:
+    """(positions, ids, stack) of a block of (position, id, operator), which
+    is emptied, so only the stack holds its operators."""
+    positions, ids, ops = zip(*block)
+    block.clear()
+    return list(positions), list(ids), np.stack(ops)
+
+
 def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
     """Run the full pipeline; deterministic given (seed, config).
 
-    All observables are estimated from one shared record set.  Before any
-    shot is drawn, an observable with components outside the ensemble's
-    visible space raises ConfigError unless the config allows bias, and each
-    variance is predicted for the simulated state, so a prediction beyond the
-    size limit fails first.  Each report carries it and the invisible flag.
+    All observables are estimated from one shared record set, and each stage
+    is one pass over them: Pauli strings keep their closed forms, and dense
+    observables come in the blocks of `_operand_blocks`, each with one
+    visibility check, one pseudo-inverse and, under a global ensemble, one
+    variance prediction.  Before any shot is drawn, every variance is
+    predicted for the simulated state, and an observable with components
+    outside the ensemble's visible space raises ConfigError unless the
+    config allows bias (the first such one is named).  The per-shot
+    estimates fill one (N, shots) table in config order, whose rows give the
+    reports; each report carries its prediction and its invisible flag.
     """
     t0 = time.perf_counter()
     spec = config.ensemble
@@ -566,24 +661,27 @@ def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
         check_local_cubature(spec.groups)  # before the state and any dense observable
     factor = validate_state(build_state(config.state, config.n), spec.d)
     desc = channel_for(spec)
-    prepared = []
-    # Only the inverses are kept, so at most one dense A is alive at a time.
-    for oid, obs in (build_observable(o, config.n) for o in config.observables):
-        flagged = has_invisible_part(desc, obs)
-        if flagged and not config.allow_bias:
-            raise ConfigError(
-                f"observable {oid!r} has components outside the visible space "
-                "of this ensemble; rerun with --allow-bias to estimate its visible part"
-            )
+    operands, rows = [], []  # rows: (position, id, flag, prediction) per table row
+    # A dense block's working arrays fit in one CHUNK_BYTES; only its inverses are kept.
+    for positions, ids, obs in _operand_blocks(config):
+        flags = has_invisible_part(desc, obs)
         if not isinstance(obs, PauliString):
-            obs = invert(desc, obs)  # one pseudo-inverse for the prediction and the estimate
-        prepared.append((oid, obs, flagged, predict_variance(spec, obs, factor)))
+            obs = invert(desc, obs)  # one pseudo-inverse for the predictions and the estimates
+        predicted = predict_variance(spec, obs, factor)
+        rows += zip(positions, ids, np.atleast_1d(flags), np.atleast_1d(predicted))
+        operands.append(obs)
+    order = sorted(range(len(rows)), key=lambda r: rows[r][0])
+    flagged = [rows[r][1] for r in order if rows[r][2]]
+    if flagged and not config.allow_bias:
+        raise ConfigError(
+            f"observable {flagged[0]!r} has components outside the visible space "
+            "of this ensemble; rerun with --allow-bias to estimate its visible part"
+        )
     records = collect_records(RngStream(config.seed), factor, spec, config.shots)
-    reports = []
-    for oid, obs, flagged, predicted in prepared:
-        report = estimate(records, obs, config.batches, oid)
-        report.predicted_variance, report.bias_warning = predicted, flagged
-        reports.append(report)
+    table = per_shot_table(records, operands)[order]
+    reports = _reports(table, config.batches, [rows[r][1] for r in order])
+    for report, r in zip(reports, order):
+        report.bias_warning, report.predicted_variance = bool(rows[r][2]), float(rows[r][3])
     if config.out_csv:
         meta = {
             "seed": config.seed,

@@ -1,9 +1,9 @@
-"""Dense complex linear-algebra primitives shared by the whole package.
+"""Dense linear-algebra primitives shared by the whole package.
 
-Operators are plain square ``numpy`` arrays; the dimension is carried by the
-shape.  Qubit 0 is always the leftmost tensor factor, i.e. the
-most-significant bit of a computational-basis index.  Transposes are always
-taken with respect to the computational basis.
+Operators are plain square ``numpy`` arrays, float64 when real; the
+dimension is carried by the shape.  Qubit 0 is always the leftmost tensor
+factor, i.e. the most-significant bit of a computational-basis index.
+Transposes are always taken with respect to the computational basis.
 """
 
 from __future__ import annotations
@@ -51,13 +51,23 @@ def check_entries(count: int, what: str) -> None:
         raise ResourceLimitError(f"{what} needs {count} entries, over the limit {MAX_KRON_DIM**2}")
 
 
-def as_operator(a) -> np.ndarray:
-    """Validate ``a`` as a finite square matrix and return it as complex."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {np.shape(a)}")
+def as_operators(a) -> np.ndarray:
+    """Validate ``a`` as a finite square matrix or a (..., d, d) stack of them,
+    and return it as float64 when it is real, else as complex."""
+    m = np.asarray(a)
+    m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {np.shape(a)}")
     if not np.all(np.isfinite(m)):
         raise ValueError("operator entries must be finite")
+    return m
+
+
+def as_operator(a) -> np.ndarray:
+    """Validate ``a`` as one finite square matrix and return it as complex."""
+    m = as_operators(np.asarray(a, dtype=complex))
+    if m.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {np.shape(a)}")
     return m
 
 
@@ -110,15 +120,17 @@ def sum_abs2(stack: np.ndarray) -> np.ndarray:
     return np.einsum("sij,sij->ij", x, x)
 
 
-def norm2(a) -> float:
-    """Schatten 2-norm (Frobenius norm), sqrt(Tr[a^dagger a])."""
-    return float(np.linalg.norm(np.asarray(a)))
+def norm2(a):
+    """Schatten 2-norm (Frobenius norm), sqrt(Tr[a^dagger a]), of a matrix, or
+    of each matrix of a (..., d, d) stack."""
+    return np.linalg.norm(np.asarray(a), axis=(-2, -1))
 
 
 def is_hermitian(a, atol: float = ATOL) -> bool:
-    """max |a - a^dag| <= atol, for a finite square matrix."""
+    """max |a - a^dag| <= atol, for a finite square matrix or every matrix of
+    a (..., d, d) stack."""
     m = np.asarray(a)
-    return bool(np.abs(m - m.conj().T).max() <= atol)
+    return bool(np.abs(m - np.swapaxes(m, -1, -2).conj()).max() <= atol)
 
 
 #: Columns of a state factor of squared norm at or below this are rounding

@@ -35,7 +35,7 @@ from .channels import (
     invert,
     map_sites,
     pauli_string_inverse_eigenvalue,
-    pseudo_inverses,
+    pseudo_inverse,
     stabilizer_points,
 )
 from .commutant import enumerate_pairings, twirl_coefficients
@@ -102,10 +102,11 @@ def _predict_global(spec: EnsembleSpec, tilde: np.ndarray, factor: np.ndarray):
     Tr[rho X] = Tr[Psi^dag (X Psi)] or Tr[rho X Y] = Tr[(X Psi)^dag (Y Psi)],
     since Psi^dag X = (X Psi)^dag for a Hermitian X.  So one product X Psi,
     O(d^2 r), per operand is shared by every loop (only A~ appears when A~ is
-    symmetric), and each loop is an O(d r) elementwise sum.  A loop without
-    rho is Tr[X] or Tr[X Y], O(d^2).  The word tables are walked once per
-    stack.  A Pauli string never comes here: `predict_variance` gives it the
-    closed form c^2 mu - (c Tr[rho P])^2."""
+    symmetric), and each loop is an O(d r) elementwise sum; a real A~ takes
+    the real view of a complex Psi, so the stack is never cast to complex.
+    A loop without rho is Tr[X] or Tr[X Y], O(d^2).  The word tables are
+    walked once per stack.  A Pauli string never comes here:
+    `predict_variance` gives it the closed form c^2 mu - (c Tr[rho P])^2."""
     unitary = spec.groups[0] == "unitary"
     transposed = np.swapaxes(tilde, -1, -2)
     # U(d) words are permutations, which never transpose an operand.
@@ -114,6 +115,8 @@ def _predict_global(spec: EnsembleSpec, tilde: np.ndarray, factor: np.ndarray):
 
     @functools.cache
     def image(t: bool) -> np.ndarray:  # X Psi
+        if np.iscomplexobj(factor) and not np.iscomplexobj(tilde):
+            return (operands[t] @ np.ascontiguousarray(factor).view(float)).view(complex)
         return operands[t] @ factor
 
     @functools.cache
@@ -166,9 +169,10 @@ def check_local_cubature(groups) -> list[np.ndarray]:
     return maps
 
 
-def _predict_local(spec: EnsembleSpec, observable, factor: np.ndarray) -> float:
-    """Exact Var[o] under a local ensemble from the single-qubit Clifford
-    cubature: E[o^k] = sum_phi w_phi <phi|rho|phi> <phi|A~|phi>^k, k = 1, 2.
+def _predict_local(spec: EnsembleSpec, inverses: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Exact Var[o] under a local ensemble, for each A~ = M^+(A) of a
+    (..., d, d) stack, from the single-qubit Clifford cubature:
+    E[o^k] = sum_phi w_phi <phi|rho|phi> <phi|A~|phi>^k, k = 1, 2.
 
     E[o^2] is a third moment of the measured product state, so each Haar site
     may be replaced by its single-qubit Cliffords: phi runs over products of
@@ -181,39 +185,43 @@ def _predict_local(spec: EnsembleSpec, observable, factor: np.ndarray) -> float:
     m = Tr[rho M(A~)], which the cubature mean equals, and the sums s_i of
     w p (t - m)^i give sum w p (t - mu)^2 = s_2 - 2 delta s_1 + delta^2 s_0
     with mu = s_1 + m s_0 and delta = mu - m, exactly, without cancellation.
-    The cubature reads the dense rho = Psi Psi^dag, formed once."""
+    The cubature reads the dense rho = Psi Psi^dag, formed once, and walks
+    one A~ at a time."""
     maps = check_local_cubature(spec.groups)
     state = factor @ factor.conj().T
     sizes = [m.shape[0] for m in maps]
-    desc = channel_for(spec)
-    tilde = invert(desc, observable).inverse
     weight = math.prod(2.0 / k for k in sizes)
     # The images of rho and A~ at a point and the sums over it take about 40 bytes.
     block = chunk_items(40)
     lead = next(j for j in range(spec.n + 1) if math.prod(sizes[j:]) <= block)
-    shift = np.einsum("ij,ji->", state, apply_channel(desc, tilde)).real
-    s0 = s1 = s2 = 0.0
-    for p, t in _prefix_blocks([state, tilde], maps, lead):
-        x = t - shift
-        px = p * x
-        s0 += p.sum()
-        s1 += px.sum()
-        s2 += px @ x
-    s0, s1, s2 = weight * s0, weight * s1, weight * s2
-    delta = s1 + shift * (s0 - 1.0)
-    return float(s2 - 2.0 * delta * s1 + delta**2 * s0)
+    shifts = np.einsum("ij,...ji->...", state, apply_channel(channel_for(spec), inverses)).real
+    variances = np.empty(shifts.shape)
+    for i in np.ndindex(shifts.shape):
+        s0 = s1 = s2 = 0.0
+        for p, t in _prefix_blocks([state, inverses[i]], maps, lead):
+            x = t - shifts[i]
+            px = p * x
+            s0 += p.sum()
+            s1 += px.sum()
+            s2 += px @ x
+        s0, s1, s2 = weight * s0, weight * s1, weight * s2
+        delta = s1 + shifts[i] * (s0 - 1.0)
+        variances[i] = s2 - 2.0 * delta * s1 + delta**2 * s0
+    return variances
 
 
-def predict_variance(spec: EnsembleSpec, observable, factor) -> float:
+def predict_variance(spec: EnsembleSpec, observable, factor):
     """The exact variance of one shot's estimate of `observable` on the state
     rho = Psi Psi^dag of the (d, r) `factor` Psi that `engine.validate_state` returns.
 
-    `observable` is a Pauli string, a Hermitian matrix or an
-    `InvertedObservable` of one.  A string c P takes the one rule of every
-    ensemble, c^2 mu - (c Tr[rho P])^2 with mu the M^-1 eigenvalue of P.
-    Other observables sum the Brauer words under a global ensemble, and
-    under a local one the single-qubit Clifford cubature, which raises
-    ResourceLimitError when `check_local_cubature` refuses its size.
+    `observable` is a Pauli string, a Hermitian matrix or a (B, d, d) stack
+    of them, or the `InvertedObservable` of one; a stack gets one variance
+    per operator, anything else a float.  A string c P takes the one rule of
+    every ensemble, c^2 mu - (c Tr[rho P])^2 with mu the M^-1 eigenvalue of P.
+    Dense observables sum the Brauer words under a global ensemble, a whole
+    stack in one walk, and under a local one the single-qubit Clifford
+    cubature, which raises ResourceLimitError when `check_local_cubature`
+    refuses its size.
     """
     factor = check_factor(factor, spec.d)
     if isinstance(observable, PauliString):
@@ -223,11 +231,13 @@ def predict_variance(spec: EnsembleSpec, observable, factor) -> float:
         # c Tr[rho P] = sum_k c <psi_k|P|psi_k> over the columns psi_k of Psi, O(d r).
         mean = observable.expectations(factor.T).sum()
         return float(observable.coefficient**2 * mu - mean**2)
+    inverted = invert(channel_for(spec), observable)
     if spec.scope == "global":
-        inverted = invert(channel_for(spec), observable)
         tilde = _subtract_trace(inverted.inverse.copy(), inverted.trace)
-        return float(_predict_global(spec, tilde, factor))
-    return _predict_local(spec, observable, factor)
+        variances = _predict_global(spec, tilde, factor)
+    else:
+        variances = _predict_local(spec, inverted.inverse, factor)
+    return variances if variances.ndim else float(variances)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +293,7 @@ def ratio_sweep(n_values, instances: int, seed: int):
             psi = np.stack([haar_state_vector(base.child(i).child(0), d) for i in ids])[..., None]
             a = np.stack([random_symmetric_observable(base.child(i).child(1), d) for i in ids])
             traces = np.trace(a, axis1=1, axis2=2)
-            tildes = [_subtract_trace(pseudo_inverses(desc, a), traces) for desc in descs]
+            tildes = [_subtract_trace(pseudo_inverse(desc, a), traces) for desc in descs]
             var_real, var_unitary = (
                 _predict_global(spec, tilde, psi) for spec, tilde in zip(specs, tildes)
             )

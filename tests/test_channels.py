@@ -23,7 +23,6 @@ from realshadows.channels import (
     pauli_inverse_eigenvalue,
     pauli_string_inverse_eigenvalue,
     pseudo_inverse,
-    pseudo_inverses,
     stabilizer_points,
     unitary_spectrum,
     visible_dimension,
@@ -234,24 +233,33 @@ class TestPseudoInverse:
         again = apply_channel(desc, pseudo_inverse(desc, once))
         assert operators_close(again, once, atol=ATOL)
 
-    @pytest.mark.parametrize("group", GROUPS)
+    @pytest.mark.parametrize(
+        "make_spec",
+        [
+            lambda: global_ensemble("orthogonal", sh_basis(3)),
+            lambda: global_ensemble("unitary", sh_basis(3)),
+            lambda: local_ensemble(("orthogonal", "unitary", "orthogonal"), 3),
+        ],
+        ids=["global-O", "global-U", "local-OUO"],
+    )
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
-    def test_stack_matches_each_item(self, group, real):
-        desc = channel_for(global_ensemble(group, sh_basis(3)))
+    def test_stack_matches_each_item(self, make_spec, real):
+        desc = channel_for(make_spec())
         stack = np.stack([_random_matrix(20 + i, 8) for i in range(3)])
         stack = stack.real if real else stack
-        inverses = pseudo_inverses(desc, stack)
-        assert inverses.dtype == stack.dtype
-        for a, inverse in zip(stack, inverses):
-            one = pseudo_inverse(desc, a)
-            assert np.array_equal(inverse, one.real if real else one)
+        for fn in (apply_channel, pseudo_inverse, visible_projector):
+            images = fn(desc, stack)
+            assert images.dtype == stack.dtype
+            for a, image in zip(stack, images):
+                assert np.array_equal(image, fn(desc, a))
+                assert np.array_equal(image, fn(desc, a.astype(complex)).real if real else image)
 
-    def test_stack_needs_a_global_channel_of_its_dimension(self):
+    def test_stack_needs_a_channel_of_its_dimension(self):
         stack = np.zeros((2, 4, 4))
         other_dimension = global_ensemble("unitary", computational_basis(3))
-        for spec in (local_ensemble("orthogonal", 2), other_dimension):
-            with pytest.raises(ValueError, match="global channel of its dimension"):
-                pseudo_inverses(channel_for(spec), stack)
+        for spec in (local_ensemble("orthogonal", 3), other_dimension):
+            with pytest.raises(ValueError, match="does not match ensemble dimension"):
+                pseudo_inverse(channel_for(spec), stack)
 
     def test_degenerate_d2_alpha0_zeroes_symmetric_block(self):
         desc = channel_for(global_ensemble("orthogonal", sh_basis(1)))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realshadows import cli, linalg
+from realshadows import cli, engine, linalg
 from realshadows.cli import _ENSEMBLE_CHOICES, _mc_agreement, main
 from realshadows.linalg import ResourceLimitError
 from realshadows.variance import check_local_cubature
@@ -115,6 +115,39 @@ class TestEstimateCommand:
         assert main(["estimate", "--config", cfg]) == 2
         assert "allow-bias" in capsys.readouterr().err
         assert main(["estimate", "--config", cfg, "--allow-bias"]) == 0
+
+    @pytest.mark.parametrize(
+        "observables, repeated",
+        [
+            ([{"kind": "pauli", "string": "ZZ"}, {"kind": "pauli", "string": "ZZ"}], "ZZ"),
+            ([{"id": "a", "kind": "random_symmetric"}, {"id": "a", "string": "XI"}], "a"),
+            ([{"kind": "basis_projector"}, {"id": "projector:0", "string": "XI"}], "projector:0"),
+        ],
+        ids=["default-pauli", "explicit", "default-and-explicit"],
+    )
+    def test_duplicate_observable_id_is_refused(
+        self, tmp_path, capsys, monkeypatch, observables, repeated
+    ):
+        # Two CSV rows of one id would be judged against one target; the
+        # config is refused before any state is built.
+        def refuse(*args):
+            raise AssertionError("a state was built")
+
+        monkeypatch.setattr(engine, "build_state", refuse)
+        cfg = _write_config(
+            tmp_path,
+            {
+                "seed": 1,
+                "n": 2,
+                "ensemble": {"scope": "global", "groups": ["orthogonal"]},
+                "state": {"kind": "maximally_mixed"},
+                "shots": 50,
+                "observables": observables,
+            },
+        )
+        assert main(["estimate", "--config", cfg]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and f"observable id {repeated!r}" in err
 
     def test_missing_config_file_is_io_error(self):
         assert main(["estimate", "--config", "/nonexistent/config.json"]) == 3

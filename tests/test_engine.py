@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from realshadows import engine, linalg
-from realshadows.bases import basis_from_tag, computational_basis, sh_basis
+from realshadows.bases import basis_from_tag, computational_basis, make_basis, sh_basis
 from realshadows.channels import (
     apply_channel,
     channel_for,
     global_ensemble,
     has_invisible_part,
+    invert,
     local_ensemble,
     visible_projector,
 )
@@ -355,6 +356,39 @@ class TestChunkMemory:
         peaks = [_traced(lambda: per_shot_estimates(r, a))[0] for r in (head, records)]
         assert peaks[1] - peaks[0] <= 4500 * 8 + linalg.CHUNK_BYTES, peaks
 
+    @pytest.mark.parametrize("make_spec", _MEMORY_SPECS)
+    def test_run_preparation_of_dense_observables(self, make_spec, monkeypatch):
+        # At 10x the dense observables, the preparation keeps one real inverse
+        # more per observable, and its blocks hold one chunk budget at a time.
+        # The run is stopped where it would draw its first shot.
+        spec = make_spec()
+
+        class Drawn(Exception):
+            pass
+
+        def stop(*args):
+            raise Drawn
+
+        monkeypatch.setattr(engine, "collect_records", stop)
+        ensemble = (
+            {"scope": "global", "groups": ["orthogonal"]}
+            if spec.scope == "global"
+            else {"scope": "local", "groups": list(spec.groups)}
+        )
+
+        def prepare(count):
+            observables = [{"kind": "random_symmetric", "seed": i} for i in range(count)]
+            cfg = {
+                "seed": 1, "n": spec.n, "ensemble": ensemble, "shots": 10, "allow_bias": True,
+                "state": {"kind": "random_pure", "seed": 2}, "observables": observables,
+            }
+            with pytest.raises(Drawn):
+                run_experiment(ExperimentConfig.from_dict(cfg))
+
+        prepare(4)
+        peaks = [_traced(lambda: prepare(count))[0] for count in (4, 40)]
+        assert peaks[1] - peaks[0] <= 36 * 8 * spec.d**2 + linalg.CHUNK_BYTES, peaks
+
 class TestShadows:
     def test_global_closed_form(self):
         spec = global_ensemble("orthogonal", computational_basis(1))
@@ -571,6 +605,167 @@ class TestEstimate:
         records = collect_records(RngStream(26), validate_state(identity(2) / 2), spec, 10)
         with pytest.raises(ValueError):
             estimate(records, PauliString.from_string("Z"), batches=11)
+
+
+def _global(group, tag):
+    return {"scope": "global", "groups": [group], "basis": tag}
+
+
+#: (ensemble, n, whether some of `_stack_observables` are invisible to it).
+_STACK_ENSEMBLES = [
+    pytest.param(_global("orthogonal", "computational"), 3, True, id="global-O-computational"),
+    pytest.param(_global("orthogonal", "sh"), 3, False, id="global-O-sh"),
+    pytest.param(_global("unitary", "computational"), 3, False, id="global-U-computational"),
+    pytest.param(_global("unitary", "sh"), 3, False, id="global-U-sh"),
+    pytest.param({"scope": "local", "groups": ["orthogonal", "unitary"] * 3}, 6, True, id="local-OUx3"),
+]
+
+
+def _stack_observables(n):
+    """Real dense, complex dense and Pauli observables, interleaved, some of
+    them invisible to some of the ensembles."""
+    d = 2**n
+    g = np.random.default_rng(40 + n)
+    a = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
+    a = a + a.conj().T  # a complex Hermitian matrix with an antisymmetric imaginary part
+    s = g.standard_normal((d, d))
+    return [
+        {"kind": "random_symmetric", "seed": 1},
+        {"kind": "pauli", "string": "Z" * n},
+        {"kind": "basis_projector", "index": 3},
+        {"id": "complex", "kind": "matrix", "real": a.real.tolist(), "imag": a.imag.tolist()},
+        {"kind": "random_symmetric", "seed": 2},
+        {"kind": "pauli", "string": "Y" + "X" * (n - 1), "coefficient": -0.5},
+        {"id": "real", "kind": "matrix", "real": (s + s.T).tolist()},
+        {"kind": "random_symmetric", "seed": 3},
+        {"kind": "pauli", "string": "I" * n},
+    ]
+
+
+class TestStackedRun:
+    """A run estimates, inverts and predicts its observables stage by stage,
+    in blocks; its reports are those of one-observable calls."""
+
+    @staticmethod
+    def _run(ensemble, n, budget, monkeypatch):
+        cfg = {
+            "seed": 5, "n": n, "ensemble": ensemble, "state": {"kind": "random_pure", "seed": 6},
+            "shots": 300, "batches": 7, "allow_bias": True, "observables": _stack_observables(n),
+        }
+        config = ExperimentConfig.from_dict(cfg)
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "CHUNK_BYTES", budget)
+            return config, run_experiment(config)
+
+    @staticmethod
+    def _close(x, y):
+        return abs(x - y) <= 1e-12 * (1.0 + abs(x))
+
+    @pytest.mark.parametrize("ensemble, n, invisible", _STACK_ENSEMBLES)
+    def test_reports_match_one_observable_calls(self, ensemble, n, invisible, monkeypatch):
+        d = 2**n
+        # Blocks of one, two and every run of consecutive real dense observables,
+        # which the complex matrix splits (2 and 3 of them).
+        budgets = [4 * 8 * d * d, 2 * 4 * 8 * d * d, 1 << 30]
+        runs = [self._run(ensemble, n, b, monkeypatch) for b in budgets]
+        config, reports = runs[0]
+        spec = config.ensemble
+        factor = validate_state(build_state(config.state, n), spec.d)
+        records = collect_records(RngStream(config.seed), factor, spec, config.shots)
+        flags = []
+        for position, obs in enumerate(config.observables):
+            oid, op = build_observable(obs, n)
+            one = estimate(records, op, config.batches, oid)
+            predicted = predict_variance(spec, op, factor)
+            flag = has_invisible_part(channel_for(spec), op)
+            flags.append(flag)
+            for _, run in runs:
+                report = run[position]
+                assert report.observable_id == oid and report.shots == one.shots
+                assert report.bias_warning is flag
+                for x, y in [
+                    (one.mean, report.mean),
+                    (one.median_of_means, report.median_of_means),
+                    (one.empirical_variance, report.empirical_variance),
+                    (predicted, report.predicted_variance),
+                ]:
+                    assert self._close(x, y), (oid, x, y)
+        assert any(flags) is invisible  # invisible observables run under allow_bias
+
+    def test_table_statistics_match_each_row(self):
+        # The (N, S) table's row reductions are those of each row alone.
+        spec = global_ensemble("orthogonal", computational_basis(3))
+        factor = validate_state(_pure_state(41, 8))
+        records = collect_records(RngStream(42), factor, spec, 1001)
+        observables = [build_observable(o, 3)[1] for o in _stack_observables(3)]
+        table = engine.per_shot_table(records, observables)
+        assert table.shape == (len(observables), 1001) and table.flags.c_contiguous
+        for row, observable in zip(table, observables):
+            values = per_shot_estimates(records, observable)
+            assert np.allclose(row, values, rtol=1e-12, atol=1e-12)
+            one = estimate(records, observable, 7)
+            assert one.mean == values.mean()
+            assert one.empirical_variance == np.var(values, ddof=1)
+            assert one.median_of_means == median_of_means_by_loop(values, 7)
+
+
+class TestRealObservables:
+    """A real dense observable stays float64 from its config to its inverse."""
+
+    _REAL = [
+        {"kind": "random_symmetric", "seed": 4},
+        {"kind": "basis_projector", "index": 2},
+        {"kind": "matrix", "real": np.diag([1.0, -1.0, 2.0, 0.0]).tolist()},
+        {"kind": "matrix", "real": np.eye(4).tolist(), "imag": np.zeros((4, 4)).tolist()},
+    ]
+    _SPECS = [
+        lambda: global_ensemble("orthogonal", computational_basis(2)),
+        lambda: global_ensemble("unitary", sh_basis(2)),
+        lambda: local_ensemble(("orthogonal", "unitary"), 2),
+    ]
+
+    @pytest.mark.parametrize("obs", _REAL, ids=["symmetric", "projector", "matrix", "zero-imag"])
+    def test_real_observables_and_inverses_are_float64(self, obs):
+        _, op = build_observable(obs, 2)
+        assert op.dtype == np.float64
+        factor = validate_state(_pure_state(43, 4))
+        for make_spec in self._SPECS:
+            spec = make_spec()
+            inverted = invert(channel_for(spec), op)
+            assert inverted.inverse.dtype == np.float64
+            complex_predicted = predict_variance(spec, op.astype(complex), factor)
+            assert abs(predict_variance(spec, inverted, factor) - complex_predicted) <= 1e-12 * (
+                1.0 + abs(complex_predicted)
+            )
+
+    def test_matrix_with_imaginary_part_stays_complex(self):
+        m = np.array([[1.0, 2.0j], [-2.0j, 0.0]])
+        obs = {"kind": "matrix", "real": m.real.tolist(), "imag": m.imag.tolist()}
+        _, op = build_observable(obs, 1)
+        assert op.dtype == np.complex128
+        spec = local_ensemble("unitary", 1)
+        assert invert(channel_for(spec), op).inverse.dtype == np.complex128
+
+    def test_imaginary_antisymmetric_part_is_invisible_in_a_real_basis(self):
+        # Under O(d) in a basis of real vectors, lambda_anti = 0: the
+        # imaginary part of a Hermitian A, antisymmetric, is annihilated.
+        g = np.random.default_rng(44)
+        k = g.standard_normal((4, 4))
+        a = np.diag([1.0, 0.0, -1.0, 0.5]) + 1j * (k - k.T)
+        rotated = make_basis(np.linalg.qr(g.standard_normal((4, 4)))[0], "rotated")
+        for basis in (computational_basis(2), rotated):
+            desc = channel_for(global_ensemble("orthogonal", basis))
+            assert has_invisible_part(desc, a) and not has_invisible_part(desc, a.real)
+            assert has_invisible_part(desc, np.stack([a.real, a])).tolist() == [False, True]
+        obs = {"kind": "matrix", "real": a.real.tolist(), "imag": a.imag.tolist()}
+        cfg = {
+            "seed": 1, "n": 2, "ensemble": {"scope": "global", "groups": ["orthogonal"]},
+            "state": {"kind": "random_pure", "seed": 2}, "shots": 20, "observables": [obs],
+        }
+        with pytest.raises(ConfigError, match="visible space"):
+            run_experiment(ExperimentConfig.from_dict(cfg))
+        (report,) = run_experiment(ExperimentConfig.from_dict(dict(cfg, allow_bias=True)))
+        assert report.bias_warning is True
 
 
 class TestConfigAndRun:

@@ -14,7 +14,6 @@ from realshadows.channels import (
     has_invisible_part,
     local_ensemble,
     pseudo_inverse,
-    pseudo_inverses,
     visible_projector,
 )
 from realshadows.commutant import twirl_project
@@ -286,7 +285,7 @@ class TestStackedWords:
         psi = np.stack([self._factor(124 + i, d, rank) for i in range(len(observables))])
         stack = np.stack(observables)
         tilde = variance._subtract_trace(
-            pseudo_inverses(channel_for(spec), stack), np.trace(stack, axis1=1, axis2=2)
+            pseudo_inverse(channel_for(spec), stack), np.trace(stack, axis1=1, axis2=2)
         )
         stacked = variance._predict_global(spec, tilde, psi)
         assert stacked.shape == (len(observables),)
