@@ -11,6 +11,7 @@ RUNS = [
     ["validate-twirl", "--d", "4", "--k", "2", "--samples", "50000"],
     ["validate-twirl", "--d", "4", "--k", "3", "--samples", "50000"],
     ["validate-twirl", "--d", "8", "--k", "2", "--samples", "50000"],
+    ["validate-twirl", "--d", "8", "--k", "3", "--samples", "5000"],
     ["validate-channel", "--d", "4", "--ensemble", "global-orthogonal"],
     ["validate-channel", "--d", "4", "--ensemble", "global-unitary"],
     ["validate-channel", "--d", "2", "--ensemble", "global-orthogonal", "--basis", "sh"],

@@ -7,6 +7,7 @@ included), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -246,7 +247,10 @@ def cmd_ratio_sweep(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process.  Each subcommand names its `cmd_*` function,
+    which `main` looks up in this module at call time."""
     parser = argparse.ArgumentParser(
         prog="realshadows",
         description="Orthogonal-group (real) classical shadows workbench.",
@@ -259,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=None)
     p.add_argument("--out", default=None, help="CSV output path (overrides config)")
     p.add_argument("--allow-bias", action="store_true")
-    p.set_defaults(func=cmd_estimate)
+    p.set_defaults(handler=cmd_estimate.__name__)
 
     p = sub.add_parser("validate-channel", help="Monte Carlo check of a measurement channel")
     p.add_argument("--d", type=int, default=4)
@@ -267,20 +271,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", default="computational")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_validate_channel)
+    p.set_defaults(handler=cmd_validate_channel.__name__)
 
     p = sub.add_parser("validate-twirl", help="closed form vs Gram projection vs Monte Carlo")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_validate_twirl)
+    p.set_defaults(handler=cmd_validate_twirl.__name__)
 
     p = sub.add_parser("validate-variance", help="exact predictors vs empirical variance")
     p.add_argument("--d", type=int, default=4)
     p.add_argument("--shots", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_validate_variance)
+    p.set_defaults(handler=cmd_validate_variance.__name__)
 
     p = sub.add_parser("ratio-sweep", help="exact variance-ratio sweep over system sizes")
     p.add_argument("--n-min", type=int, default=1)
@@ -288,18 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_ratio_sweep)
+    p.set_defaults(handler=cmd_ratio_sweep.__name__)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.seed is not None and not 0 <= args.seed <= MAX_SEED:
             raise ConfigError(f"--seed must be in [0, {MAX_SEED}], got {args.seed}")
-        return args.func(args)
+        return globals()[args.handler](args)
     except (ConfigError, ResourceLimitError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE

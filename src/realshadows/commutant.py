@@ -3,15 +3,19 @@
 The k-th order twirl orthogonally projects onto the commutant of the group's
 k-fold tensor action.  For O(d) the commutant is spanned by the Brauer-algebra
 pairing realizations (permutations plus cup/cap contractions); for U(d) by the
-k! permutation operators alone.  `twirl_coefficients` gives the closed-form
-coefficients of the twirl of a rank-1 projector for k = 2, 3.
+k! permutation operators alone.  Each (group, k, d) is built once and cached:
+the realizations as the rows E of one read-only real array, and Wg, the
+pseudo-inverse of their Gram matrix E E^T, so a projection is two products
+with E around Wg.  `twirl_coefficients` gives the closed-form coefficients of
+the twirl of a rank-1 projector for k = 2, 3.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import string
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -92,7 +96,8 @@ def enumerate_pairings(k: int) -> list[BrauerPairing]:
 
 
 def realize(pairing: BrauerPairing, d: int) -> np.ndarray:
-    """The d^k x d^k matrix of a pairing: entries are products of deltas.
+    """The d^k x d^k matrix of a pairing, real with 0/1 entries: one einsum of
+    an identity delta per pair.
 
     Row indices come from labels k+1..2k (first output factor most
     significant), column indices from labels 1..k.
@@ -100,43 +105,39 @@ def realize(pairing: BrauerPairing, d: int) -> np.ndarray:
     if d < 2:
         raise ValueError("need dimension >= 2")
     k = pairing.k
-    dim = d**k
-    out = np.zeros((dim, dim), dtype=complex)
-    for values in product(range(d), repeat=k):
-        value_of = {}
-        for pair, v in zip(pairing.pairs, values):
-            value_of[pair[0]] = v
-            value_of[pair[1]] = v
-        row = 0
-        for m in range(k):
-            row = row * d + value_of[k + 1 + m]
-        col = 0
-        for m in range(k):
-            col = col * d + value_of[1 + m]
-        out[row, col] += 1.0
-    return out
+    letters = string.ascii_lowercase[: 2 * k]
+    deltas = ",".join(letters[a - 1] + letters[b - 1] for a, b in pairing.pairs)
+    rows_then_columns = letters[k:] + letters[:k]
+    return np.einsum(f"{deltas}->{rows_then_columns}", *[np.eye(d)] * k).reshape(d**k, d**k)
 
 
-_BASIS_CACHE: dict[tuple[str, int, int], list[tuple[BrauerPairing, np.ndarray]]] = {}
+def _group(group: str) -> str:
+    """"O" or "U", in either case; any other name is refused."""
+    name = group.upper()
+    if name not in ("O", "U"):
+        raise ValueError(f"unknown group {group!r}")
+    return name
+
+
+@functools.lru_cache(maxsize=None)
+def _commutant(group: str, k: int, d: int) -> tuple:
+    """comm(G, k) at dimension d, built once: the spanning pairings, their
+    realizations as the rows of one read-only (size, d^k, d^k) array E, and
+    Wg, the pseudo-inverse of the Gram matrix E E^T."""
+    pairings = tuple(p for p in enumerate_pairings(k) if group == "O" or p.is_permutation)
+    realizations = np.empty((len(pairings), d**k, d**k))
+    for row, p in zip(realizations, pairings):
+        row[...] = realize(p, d)
+    realizations.setflags(write=False)
+    e = realizations.reshape(len(pairings), -1)
+    return pairings, realizations, np.linalg.pinv(e @ e.T, rcond=GRAM_RCOND)
 
 
 def commutant_basis(group: str, k: int, d: int) -> list[tuple[BrauerPairing, np.ndarray]]:
-    """Spanning set of comm(G, k): Brauer realizations for O, permutations for U."""
-    group = group.upper()
-    if group not in ("O", "U"):
-        raise ValueError(f"unknown group {group!r}")
-    key = (group, k, d)
-    if key not in _BASIS_CACHE:
-        pairings = enumerate_pairings(k)
-        if group == "U":
-            pairings = [p for p in pairings if p.is_permutation]
-        elements = []
-        for p in pairings:
-            m = realize(p, d)
-            m.setflags(write=False)
-            elements.append((p, m))
-        _BASIS_CACHE[key] = elements
-    return _BASIS_CACHE[key]
+    """Spanning set of comm(G, k): Brauer realizations for O, permutations for
+    U.  The matrices are read-only views into one cached array."""
+    pairings, realizations, _ = _commutant(_group(group), k, d)
+    return list(zip(pairings, realizations))
 
 
 def _infer_local_dim(dim: int, k: int) -> int:
@@ -148,29 +149,16 @@ def _infer_local_dim(dim: int, k: int) -> int:
 
 
 def twirl_project(a, group: str = "O", k: int = 2) -> np.ndarray:
-    """Orthogonal projection of `a` onto comm(G, k), i.e. the exact twirl.
-
-    The coefficients c solve the Gram system G c = t with G_ij = Tr[E_i^dag E_j]
-    and t_i = Tr[E_i^dag a]; the Gram matrix is pseudo-inverted because the
-    spanning set may be linearly dependent at small d.
-    """
+    """Orthogonal projection of `a` onto comm(G, k), i.e. the exact twirl:
+    t = E vec(a), c = Wg t and c^T E.  Wg is a pseudo-inverse because the
+    spanning set may be linearly dependent at small d.  E is real, so the
+    real and imaginary parts of `a` go through it as two real products."""
     m = as_operator(a)
     d = _infer_local_dim(m.shape[0], k)
-    elements = commutant_basis(group, k, d)
-    mats = [e for _, e in elements]
-    size = len(mats)
-    gram = np.empty((size, size), dtype=float)
-    for i in range(size):
-        for j in range(i, size):
-            g = np.vdot(mats[i], mats[j]).real
-            gram[i, j] = g
-            gram[j, i] = g
-    t = np.array([np.vdot(e, m) for e in mats])
-    coeffs = np.linalg.pinv(gram, rcond=GRAM_RCOND) @ t
-    out = np.zeros_like(m)
-    for c, e in zip(coeffs, mats):
-        out += c * e
-    return out
+    pairings, realizations, weingarten = _commutant(_group(group), k, d)
+    e = realizations.reshape(len(pairings), -1)
+    c = weingarten @ (e @ m.real.ravel() + 1j * (e @ m.imag.ravel()))
+    return (c.real @ e + 1j * (c.imag @ e)).reshape(m.shape)
 
 
 def twirl_coefficients(group: str, alpha_w: float, d: int, k: int) -> tuple[float, float]:
@@ -178,9 +166,7 @@ def twirl_coefficients(group: str, alpha_w: float, d: int, k: int) -> tuple[floa
     projector of reality alpha_w, for k = 2, 3: c_perm multiplies each
     permutation operator and c_omega each contraction.  The U(d) twirl has no
     contraction term and does not depend on alpha_w."""
-    group = group.upper()
-    if group not in ("O", "U"):
-        raise ValueError(f"unknown group {group!r}")
+    group = _group(group)
     if k not in _SUPPORTED_K:
         raise ValueError(f"only k in {_SUPPORTED_K} is supported, got {k}")
     if d < 2:
@@ -246,9 +232,7 @@ def mc_twirl(
     m = as_operator(a)
     dim = m.shape[0]
     d = _infer_local_dim(dim, k) if k > 1 else dim
-    group = group.upper()
-    if group not in ("O", "U"):
-        raise ValueError(f"unknown group {group!r}")
+    group = _group(group)
     left, sv, right = np.linalg.svd(m)
     r = max(1, int(np.sum(sv > sv[0] * dim * np.finfo(float).eps)))
     l, rt = left[:, :r] * sv[:r], right[:r].T

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -60,13 +61,20 @@ class PauliString:
         """(flip, phase) of the bare string, P|j> = phase[j] |j ^ flip>, qubit 0
         the most significant bit of j: `flip` masks the X and Y sites, and
         phase is i^(#Y) times the Kronecker product of the per-qubit sign
-        pairs, so it takes O(d) work and no d x d matrix."""
+        pairs, so it takes O(d) work and no d x d matrix.  It is computed on
+        the first call and kept, outside the fields, with phase read-only."""
+        return self._action
+
+    @functools.cached_property
+    def _action(self) -> tuple[int, np.ndarray]:
         flip = 0
         signs = np.ones(1)
         for letter in self.letters:
             flip = 2 * flip + _FLIPS[letter]
             signs = np.multiply.outer(signs, _SIGNS[letter]).ravel()
-        return flip, (1, 1j, -1, -1j)[self.y_count() % 4] * signs
+        phase = (1, 1j, -1, -1j)[self.y_count() % 4] * signs
+        phase.setflags(write=False)
+        return flip, phase
 
     def expectations(self, vectors: np.ndarray) -> np.ndarray:
         """c <v|P|v> for each row v of `vectors`, real.

@@ -4,12 +4,17 @@ None of these is on a run path: the dense shadow of one shot, the
 depolarizing mixture form of the global orthogonal channel, the overlap
 factor of two Y-free Pauli strings, the single-qubit real Clifford group,
 a per-block local Born kernel, the batched-QR route of Haar frames, a
-batch-by-batch median of means and the symmetric part of an operator.
+batch-by-batch median of means, the symmetric part of an operator, and
+the loop-built pairing realizations with the per-call Gram projection that
+`commutant` replaced by one cached array and Wg.
 """
+
+from itertools import product
 
 import numpy as np
 
 from realshadows.channels import channel_for, orthogonal_spectrum, pseudo_inverse
+from realshadows.commutant import GRAM_RCOND, enumerate_pairings
 from realshadows.linalg import as_operator
 from realshadows.sampling import _complex_ginibre, _project_out
 
@@ -147,3 +152,49 @@ def real_clifford_1q(rng) -> np.ndarray:
     """Uniform draw from the 8-element single-qubit real Clifford group."""
     idx = int(rng.generator.integers(0, len(REAL_CLIFFORD_1Q)))
     return REAL_CLIFFORD_1Q[idx]
+
+
+def realize_by_loop(pairing, d: int) -> np.ndarray:
+    """`commutant.realize` one index assignment at a time: each pair takes one
+    value, and the entry at (output labels, input labels) gains a 1."""
+    k = pairing.k
+    out = np.zeros((d**k, d**k), dtype=complex)
+    for values in product(range(d), repeat=k):
+        value_of = {}
+        for pair, v in zip(pairing.pairs, values):
+            value_of[pair[0]] = v
+            value_of[pair[1]] = v
+        row = 0
+        for m in range(k):
+            row = row * d + value_of[k + 1 + m]
+        col = 0
+        for m in range(k):
+            col = col * d + value_of[1 + m]
+        out[row, col] += 1.0
+    return out
+
+
+def twirl_project_by_gram(a, group: str, k: int) -> np.ndarray:
+    """`commutant.twirl_project` from loop-built realizations: the Gram matrix
+    G_ij = Tr[E_i^dag E_j] and t_i = Tr[E_i^dag a] entry by entry, c = G^+ t,
+    and the sum of c_i E_i."""
+    m = np.asarray(a, dtype=complex)
+    d = round(m.shape[0] ** (1.0 / k))
+    mats = [
+        realize_by_loop(p, d)
+        for p in enumerate_pairings(k)
+        if group == "O" or p.is_permutation
+    ]
+    size = len(mats)
+    gram = np.empty((size, size), dtype=float)
+    for i in range(size):
+        for j in range(i, size):
+            g = np.vdot(mats[i], mats[j]).real
+            gram[i, j] = g
+            gram[j, i] = g
+    t = np.array([np.vdot(e, m) for e in mats])
+    coeffs = np.linalg.pinv(gram, rcond=GRAM_RCOND) @ t
+    out = np.zeros_like(m)
+    for c, e in zip(coeffs, mats):
+        out += c * e
+    return out

@@ -711,3 +711,16 @@ def test_fuzzed_validator_flags_run_or_fail_with_one_line(argv):
     if written is not None:
         cells = [cell for line in written.strip().split("\n")[1:] for cell in line.split(",")]
         assert all(math.isfinite(float(cell)) for cell in cells), written
+
+
+def test_parser_is_built_once_and_commands_are_looked_up_per_call(monkeypatch, capsys):
+    # The cached parser binds no function: a cmd_* rebound on the module after
+    # the first call is the one the second call runs.
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["validate-twirl", "--d", "2", "--k", "2", "--samples", "200"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_validate_twirl", lambda args: seen.append(args.d) or 7)
+    assert main(argv) == 7
+    assert seen == [2]

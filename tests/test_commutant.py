@@ -16,6 +16,7 @@ from realshadows.commutant import (
 from realshadows import linalg
 from realshadows.linalg import as_operator, batched_kron, identity, kron, norm2, operators_close
 from realshadows.sampling import RngStream, haar_orthogonals, haar_state_vector, haar_unitaries
+from references import realize_by_loop, twirl_project_by_gram
 
 #: The k = 2 pairings by their pairs: the identity, the swap and the contraction Omega.
 IDENTITY, SWAP, OMEGA = ((1, 3), (2, 4)), ((1, 4), (2, 3)), ((1, 2), (3, 4))
@@ -101,6 +102,48 @@ class TestRealize:
     def test_pairings_of_k2(self):
         pairs = {p.pairs for p in enumerate_pairings(2)}
         assert pairs == {IDENTITY, SWAP, OMEGA}
+
+
+class TestFastPaths:
+    """The einsum realizations and the cached-Wg projection against the
+    loop-built realizations and per-call Gram system they replaced."""
+
+    @pytest.mark.parametrize("k, d", [(2, 2), (2, 3), (2, 4), (2, 8), (3, 2), (3, 3), (3, 4)])
+    def test_realize_equals_the_loop(self, k, d):
+        for p in enumerate_pairings(k):
+            assert np.array_equal(realize(p, d), realize_by_loop(p, d)), p.pairs
+
+    @pytest.mark.parametrize("group", ["O", "U"])
+    @pytest.mark.parametrize("k, d", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+    def test_twirl_project_matches_the_gram_system(self, group, k, d):
+        # random Hermitian inputs, not only projector powers
+        g = RngStream(80, (k, d)).generator
+        for _ in range(3):
+            z = g.standard_normal((d**k, d**k)) + 1j * g.standard_normal((d**k, d**k))
+            a = z + z.conj().T
+            expected = twirl_project_by_gram(a, group, k)
+            assert np.max(np.abs(twirl_project(a, group, k) - expected)) <= 1e-13
+
+    @pytest.mark.parametrize("group", ["O", "U"])
+    @pytest.mark.parametrize("k, d", [(2, 3), (3, 2)])
+    def test_basis_is_read_only_views_of_one_array(self, group, k, d):
+        elements = commutant_basis(group, k, d)
+        stack = elements[0][1].base
+        assert stack is not None and not stack.flags.writeable
+        for _, e in elements:
+            assert e.base is stack and np.shares_memory(e, stack)
+            assert not e.flags.writeable
+        # a second call reads the same cached array
+        assert all(e.base is stack for _, e in commutant_basis(group.lower(), k, d))
+
+    def test_rejects_an_unknown_group(self):
+        for call in (
+            lambda: commutant_basis("SO", 2, 2),
+            lambda: twirl_project(identity(4), "SO", 2),
+            lambda: mc_twirl(RngStream(0), identity(4), "SO", 2, samples=2),
+        ):
+            with pytest.raises(ValueError, match="unknown group"):
+                call()
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -71,6 +71,23 @@ def test_action_matches_to_matrix():
             assert np.array_equal(p.coefficient * dense, p.to_matrix()), letters
 
 
+def test_action_is_computed_once_and_read_only():
+    # The cached action lives outside the fields: == and hash are those of
+    # a fresh string, and expectations read the same values as before.
+    p = PauliString(("X", "Y", "Z", "Y"), 0.5)
+    rows = RngStream(32).generator.standard_normal((4, 16)) + 0j
+    first = p.expectations(rows)
+    flip, phase = p.action()
+    assert p.action()[1] is phase and p.action()[0] == flip
+    assert not phase.flags.writeable
+    with pytest.raises(ValueError):
+        phase[0] = 0.0
+    fresh = PauliString(("X", "Y", "Z", "Y"), 0.5)
+    assert p == fresh and hash(p) == hash(fresh)
+    assert np.array_equal(p.expectations(rows), first)
+    assert np.array_equal(fresh.expectations(rows), first)
+
+
 def test_expectations_match_to_matrix():
     # c <v|P|v> for every string at n <= 3: on real and complex (S, d) rows,
     # and on (S, n, 2) unit per-site vectors against their Kronecker products.
