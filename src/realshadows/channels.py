@@ -253,7 +253,7 @@ def _apply_global_blocks(a: np.ndarray, lam_sym: float, lam_anti: float) -> np.n
     on it, anti is zero and sym0 = a - tr.  `a` may be a (..., d, d) stack,
     which keeps its dtype."""
     d = a.shape[-1]
-    tr = np.trace(a, axis1=-2, axis2=-1)[..., None] / d
+    tr = np.einsum("...ii->...", a)[..., None] / d
     a_t = np.swapaxes(a, -1, -2)
     out = (0.5 * lam_sym) * (a + a_t) + (0.5 * lam_anti) * (a - a_t)
     np.einsum("...ii->...i", out)[...] = lam_sym * (np.diagonal(a, 0, -2, -1) - tr) + tr
@@ -365,8 +365,8 @@ def mc_channel(rng: "sampling.RngStream", spec: EnsembleSpec, a, samples: int):
     of weight * rows^dag rows.  U is the Kronecker product of one Haar draw
     per factor, and rows = basis^dag U when the ensemble has a basis.  Chunks
     are sized by `linalg.chunk_items`, so memory is bounded.  Each chunk
-    draws its own factors, factor j from `rng.child(j)`, so a given stream
-    yields the same draws for any chunk size.
+    draws its factors by `sampling.sample_transform_arrays`, factor j from
+    `rng.child(j)`, so a given stream yields the same draws for any chunk size.
 
     Returns (mean, stderr) with a per-entry standard error of the mean.
     """
@@ -384,9 +384,8 @@ def mc_channel(rng: "sampling.RngStream", spec: EnsembleSpec, a, samples: int):
     chunk = chunk_items(64 * d * d)
     for start in range(0, samples, chunk):
         b = min(chunk, samples - start)
-        rows = batched_kron(
-            [sampling.haar_draws(s, g, spec.factor_dim, b) for s, g in zip(streams, spec.groups)]
-        )
+        u = sampling.sample_transform_arrays(streams, spec, b)
+        rows = batched_kron([u[:, j] for j in range(len(streams))])
         if basis_h is not None:
             rows = basis_h @ rows
         weights = ((rows @ m) * rows.conj()).sum(axis=2)

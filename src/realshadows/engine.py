@@ -36,6 +36,7 @@ from .linalg import (
     chunk_items,
     identity,
     is_hermitian,
+    kron,
 )
 from .pauli import PAULIS, PauliString
 from .sampling import (
@@ -145,7 +146,7 @@ def _frames(vectors: np.ndarray, real: bool) -> tuple[np.ndarray, np.ndarray]:
     """The frame F (S, d, r0) spanning each vector, and c with vector = F c.
 
     Over R (orthogonal groups) F = [Re x, Im x] and c = (1, i); over C
-    (unitary groups) F = [x] and c = (1,).
+    (unitary groups), or for vectors known to be real, F = [x] and c = (1,).
     """
     if real:
         return np.stack([vectors.real, vectors.imag], axis=2), np.array([1.0, 1.0j])
@@ -184,18 +185,17 @@ def _global_vectors(rng: RngStream, factor: np.ndarray, spec: EnsembleSpec, shot
     the frame of x_perp (any M with M^dag M equal to that frame's Gram matrix
     gives the same law).  O(d) work per shot, plus basis^dag phi for a
     non-computational basis.  Columns, G, outcomes and H draw from
-    rng.child(0..3), so the draws do not depend on the chunk size.  With
-    O(d) in a real basis, G, x, Q_k and H are real, and so is the frame
-    [x_perp, 0], whose M has a zero second column: v = Q_k G^T x + H M[:, :1]
-    is formed in real arithmetic.
+    rng.child(0..3), so the draws do not depend on the chunk size.  In a
+    real basis x_perp is real, so its frame and H have one column; under
+    O(d) there G, x, Q_k and H are real, and v is formed in real arithmetic.
     """
     real = spec.groups[0] == "orthogonal"
     weights, q_mix, a_mix = _mixture_frames(factor, real)
     width = q_mix.shape[2]
     cum = np.cumsum(weights)
     column_rng, frame_rng, outcome_rng, complement_rng = (rng.child(i) for i in range(4))
-    real_records = _real_records(spec)
-    basis = spec.basis.vectors.real if real_records else spec.basis.vectors
+    complex_basis = spec.basis.vectors.imag.any()
+    basis = spec.basis.vectors.real if _real_records(spec) else spec.basis.vectors
     vectors = np.empty((shots, spec.d), dtype=basis.dtype)
     # The work arrays of a chunk take about 160 d bytes per shot.
     chunk = chunk_items(160 * spec.d)
@@ -211,10 +211,10 @@ def _global_vectors(rng: RngStream, factor: np.ndarray, spec: EnsembleSpec, shot
         v = q @ y
         # Under O(2) the frame G spans the space and x_perp is zero.
         if spec.d >= 2 * width:
-            frame, c = _frames((x - g @ y)[:, :, 0], real)
+            frame, c = _frames((x - g @ y)[:, :, 0], real and complex_basis)
             upper = np.linalg.qr(frame, mode="r")
-            h = haar_frames(complement_rng, spec.d, width, s, real, orthogonal_to=q)
-            v += h @ (upper[:, :, :1] if real_records else (upper @ c)[:, :, None])
+            h = haar_frames(complement_rng, spec.d, len(c), s, real, orthogonal_to=q)
+            v += h @ (upper @ c)[:, :, None]
         vectors[start : start + s] = v[:, :, 0]
     return vectors
 
@@ -231,22 +231,22 @@ def collect_records(rng: RngStream, factor, spec: EnsembleSpec, shots: int) -> S
     """Draw `shots` shots on rho = Psi Psi^dag, Psi the (d, r) `factor`, and keep their vectors.
 
     Global shots come from the direct sampler `_global_vectors`, which never
-    forms a d x d transform.  Local shots draw their 2x2 factors from
-    rng.child(0) and their outcomes from rng.child(1).  Every draw has its own
-    sub-stream, so the whole run is reproducible.
+    forms a d x d transform.  Local shots draw qubit j's 2x2 factors from
+    rng.child(0).child(j) and their outcomes from rng.child(1), chunk by
+    chunk, so the run is reproducible and independent of the chunk size.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
     factor = check_factor(factor, spec.d)
     if spec.scope == "global":
         return ShadowRecords(spec, _global_vectors(rng, factor, spec, shots))
-    transforms = sample_transform_arrays(rng.child(0), spec, shots)
+    streams = [rng.child(0).child(j) for j in range(spec.n)]
     outcome_rng = rng.child(1)
     vectors = np.empty((shots, spec.n, 2), dtype=complex)
     # The amplitudes and their squares take about 32 d r bytes per shot.
     chunk = chunk_items(32 * spec.d * factor.shape[1])
     for start in range(0, shots, chunk):
-        u = transforms[start : start + chunk]
+        u = sample_transform_arrays(streams, spec, min(chunk, shots - start))
         outcomes = _sample_outcomes(outcome_rng, _born_probabilities(factor, u, spec))
         vectors[start : start + chunk] = _measured_vectors(spec, u, outcomes)
     return ShadowRecords(spec, vectors)
@@ -418,9 +418,7 @@ def build_state(state: dict, n: int) -> np.ndarray:
             vecs = [_STATE_LABELS[str(f)] for f in factors]
         except KeyError as exc:
             raise ConfigError(f"unknown single-qubit state label {exc}") from exc
-        v = vecs[0]
-        for w in vecs[1:]:
-            v = np.kron(v, w)
+        v = kron(*vecs)
         return np.outer(v, v.conj())
     raise ConfigError(f"unknown state kind {kind!r}")
 

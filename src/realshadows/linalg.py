@@ -141,7 +141,9 @@ RANK_TOL = 1e-12
 def check_factor(factor, d: int) -> np.ndarray:
     """`factor` as the complex (d, r) factor Psi of rho = Psi Psi^dag, positive
     semidefinite by construction: r >= 1, finite, of unit trace ||Psi||^2 = 1
-    within 1e-8, and without its columns of squared norm at most RANK_TOL."""
+    within 1e-8, and without its columns of squared norm at most RANK_TOL.
+    Each column's first entry of largest modulus is made real and positive: a
+    pure state then draws by rho alone, a degenerate mixed one still by Psi."""
     m = np.asarray(factor, dtype=complex)
     if m.ndim != 2 or m.shape[0] != d or m.shape[1] < 1:
         raise ValueError(f"expected a ({d}, r) state factor with r >= 1, got shape {m.shape}")
@@ -150,7 +152,11 @@ def check_factor(factor, d: int) -> np.ndarray:
     weights = (m.real**2 + m.imag**2).sum(axis=0)
     if abs(weights.sum() - 1.0) > 1e-8:
         raise ValueError("state must have unit trace, ||Psi||^2 = 1 (within 1e-8)")
-    return m[:, weights > RANK_TOL]
+    m = m[:, weights > RANK_TOL]
+    lead = np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])
+    m = m * (m[lead].conj() / np.abs(m[lead]))
+    m[lead] = m[lead].real
+    return m
 
 
 def operators_close(a, b, atol: float = ATOL) -> bool:

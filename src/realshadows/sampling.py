@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # import only for annotations; avoids a module cycle
     from .channels import EnsembleSpec
 
 #: Recorded in experiment metadata for reproducibility.
-RNG_ALGORITHM = "numpy PCG64 seeded by SeedSequence((seed, *stream_id))"
+RNG_ALGORITHM = "numpy PCG64 seeded by SeedSequence((seed, len(stream_id), *stream_id))"
 
 _MASK64 = (1 << 64) - 1
 
@@ -37,7 +37,9 @@ class RngStream:
 
     Identical (seed, stream_id) pairs replay bit-identical draws; distinct
     stream ids are statistically independent.  ``child(i)`` derives a fresh
-    independent stream deterministically by extending the stream path.
+    independent stream deterministically by extending the stream path.  The
+    key holds the path's length, because SeedSequence pads its entropy with
+    zeros: paths that differ by trailing zeros would otherwise collide.
     """
 
     def __init__(self, seed: int, stream_id: int | tuple = 0):
@@ -51,7 +53,7 @@ class RngStream:
     @property
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            key = (self.seed & _MASK64,) + tuple(s & _MASK64 for s in self.stream_id)
+            key = tuple(s & _MASK64 for s in (self.seed, len(self.stream_id), *self.stream_id))
             self._gen = np.random.default_rng(np.random.SeedSequence(key))
         return self._gen
 
@@ -159,12 +161,12 @@ def haar_draws(rng: RngStream, group: str, d: int, count: int) -> np.ndarray:
     return (haar_orthogonals if group == "orthogonal" else haar_unitaries)(rng, d, count)
 
 
-def sample_transform_arrays(rng: RngStream, spec: "EnsembleSpec", count: int):
-    """A complex (count, F, k, k) array of one Haar draw per factor of the
-    ensemble, F factors of dimension k = spec.factor_dim, drawn from `rng` in
-    ascending order so the stream consumption is well defined."""
+def sample_transform_arrays(streams, spec: "EnsembleSpec", count: int):
+    """A complex (count, F, k, k) array of one Haar draw per factor, F factors of
+    dimension k = spec.factor_dim: factor j draws its next `count` from streams[j],
+    so calls once per chunk on the same streams never change a draw."""
     k = spec.factor_dim
     factors = np.empty((count, len(spec.groups), k, k), dtype=complex)
-    for j, group in enumerate(spec.groups):
-        factors[:, j] = haar_draws(rng, group, k, count)
+    for j, (stream, group) in enumerate(zip(streams, spec.groups, strict=True)):
+        factors[:, j] = haar_draws(stream, group, k, count)
     return factors

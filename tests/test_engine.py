@@ -45,7 +45,12 @@ from realshadows.linalg import (
     operators_close,
 )
 from realshadows.pauli import PauliString, X, Y, Z
-from realshadows.sampling import RngStream, random_pure_state, sample_transform_arrays
+from realshadows.sampling import (
+    RngStream,
+    haar_state_vector,
+    random_pure_state,
+    sample_transform_arrays,
+)
 from realshadows.variance import predict_variance, random_symmetric_observable
 
 from references import (
@@ -156,7 +161,7 @@ class TestBornProbabilities:
         rho = make_state(30 + n, spec.d)
         factor = validate_state(rho, spec.d)
         assert operators_close(factor @ factor.conj().T, rho, atol=1e-12)
-        transforms = sample_transform_arrays(RngStream(31), spec, 40)
+        transforms = sample_transform_arrays([RngStream(31).child(j) for j in range(n)], spec, 40)
         u = batched_kron([transforms[:, j] for j in range(n)])
         dense = np.einsum("swi,ij,swj->sw", u, rho, u.conj()).real
         assert np.max(np.abs(_born_probabilities(factor, transforms, spec) - dense)) <= 1e-12
@@ -169,7 +174,7 @@ class TestBornProbabilities:
         # G = U Q_k of explicit dense transforms, mixed over the columns k.
         spec = global_ensemble(group, basis_from_tag(tag, 3))
         rho = make_state(32, spec.d)
-        transforms = sample_transform_arrays(RngStream(33), spec, 40)[:, 0]
+        transforms = sample_transform_arrays([RngStream(33)], spec, 40)[:, 0]
         rows = np.einsum("iw,sij->swj", spec.basis.vectors.conj(), transforms)  # <w|U
         dense = np.einsum("swi,ij,swj->sw", rows, rho, rows.conj()).real
         weights, frames, coefficients = _mixture_frames(
@@ -215,7 +220,7 @@ def test_local_records_match_per_block_kernel(monkeypatch, seed, budget, chunks)
 
 def _reference_vectors(rng, rho, spec, shots):
     """The dense QR path kept as the oracle: draw U, Born-sample w, v = U^dag|w>."""
-    transforms = sample_transform_arrays(rng.child(0), spec, shots)[:, 0]
+    transforms = sample_transform_arrays([rng.child(0)], spec, shots)[:, 0]
     rows = np.einsum("iw,sij->swj", spec.basis.vectors.conj(), transforms)  # <w|U
     p = np.einsum("swi,ij,swj->sw", rows, rho, rows.conj()).real
     outcomes = _sample_outcomes(rng.child(1), p)
@@ -267,13 +272,33 @@ class TestDirectSampler:
         again = collect_records(RngStream(54), factor, spec, 3000).vectors
         assert again.tobytes() == first.tobytes()
 
-    @pytest.mark.parametrize("group", ["orthogonal", "unitary"])
-    def test_chunking_leaves_draws_unchanged(self, group, monkeypatch):
-        spec = global_ensemble(group, basis_from_tag("sh", 3))
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            global_ensemble("orthogonal", basis_from_tag("sh", 3)),
+            global_ensemble("unitary", basis_from_tag("sh", 3)),
+            local_ensemble(("orthogonal", "unitary", "orthogonal"), 3),
+        ],
+        ids=["orthogonal", "unitary", "local-mixed"],
+    )
+    def test_chunking_leaves_draws_unchanged(self, spec, monkeypatch):
         factor = validate_state(_rank2_state(58, spec.d))
         whole = collect_records(RngStream(59), factor, spec, 100).vectors
-        monkeypatch.setattr(linalg, "CHUNK_BYTES", 2**13)  # 6-shot chunks
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", 2**13)  # 6-shot global, 16-shot local chunks
         assert np.array_equal(collect_records(RngStream(59), factor, spec, 100).vectors, whole)
+
+    @pytest.mark.parametrize("tag", ["computational", "sh"])
+    @pytest.mark.parametrize("group", ["orthogonal", "unitary"])
+    def test_records_depend_on_rho_not_on_the_phase_of_psi(self, group, tag):
+        # psi, e^{i theta} psi and the eigenvector that validate_state finds
+        # in psi psi^dag get one canonical phase, so they draw one record set.
+        spec = global_ensemble(group, basis_from_tag(tag, 4))
+        psi = haar_state_vector(RngStream(62), spec.d)[:, None]
+        rho = psi @ psi.conj().T
+        factors = [psi, np.exp(0.7j) * psi, validate_state(rho)]
+        records = [collect_records(RngStream(63), f, spec, 500).vectors for f in factors]
+        for other in records[1:]:
+            assert np.max(np.abs(other - records[0])) <= 1e-15
 
     @pytest.mark.parametrize("group,tag,make_state", _GLOBAL_CASES)
     def test_overlaps_match_dense_reference(self, group, tag, make_state):
@@ -341,9 +366,7 @@ class TestChunkMemory:
         for shots in (200, 2000):
             peak, records = _traced(lambda: collect_records(RngStream(81), factor, spec, shots))
             peaks.append(peak)
-            # A local run draws its (shots, n, 2, 2) complex transforms at once.
-            transforms = shots * spec.n * 64 if spec.scope == "local" else 0
-            kept.append(records.vectors.nbytes + transforms)
+            kept.append(records.vectors.nbytes)
         assert peaks[1] - peaks[0] <= kept[1] - kept[0] + linalg.CHUNK_BYTES, peaks
 
     @pytest.mark.parametrize("make_spec", _MEMORY_SPECS)

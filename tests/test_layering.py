@@ -70,6 +70,15 @@ def test_channels_read_only_the_factors():
     assert "scope" not in _attributes(ast.parse((PACKAGE / "sampling.py").read_text()))
 
 
+def test_transforms_are_drawn_in_one_place():
+    # One draw rule: the records and the Monte Carlo channel draw an
+    # ensemble's factors through sampling.sample_transform_arrays, never by
+    # calling haar_draws themselves.
+    for name in ("channels.py", "engine.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        assert "haar_draws" not in _attributes(tree) | _references(tree), name
+
+
 def test_cli_reads_no_scope():
     # validate-channel reports the channel: its spectrum whenever it has one
     # factor, and the span{I, Y} note by the channel's zero rule.

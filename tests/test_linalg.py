@@ -8,6 +8,7 @@ from realshadows.linalg import (
     ResourceLimitError,
     batched_kron,
     check_entries,
+    check_factor,
     identity,
     kron,
     norm2,
@@ -110,3 +111,27 @@ class TestSymmetrySplits:
         assert operators_close(sym_part(a), sym_part(a).T, atol=ATOL)
         assert operators_close(sym_part(sym_part(a)), sym_part(a), atol=ATOL)
         assert abs(np.vdot(sym_part(a), b - b.T)) < 1e-10
+
+
+class TestCheckFactor:
+    def test_columns_get_a_canonical_phase(self):
+        # Each column's first entry of largest modulus becomes real and
+        # positive, so a column and its multiple by any phase give one factor.
+        g = np.random.default_rng(13)
+        psi = g.standard_normal((8, 2)) + 1j * g.standard_normal((8, 2))
+        psi /= np.linalg.norm(psi)
+        psi[5, 0] = psi[2, 0] = 2.0 * np.abs(psi[:, 0]).max() * np.exp(1j)  # a tie at rows 2 and 5
+        psi /= np.linalg.norm(psi)
+        factor = check_factor(psi, 8)
+        assert factor[2, 0].imag == 0.0 and factor[2, 0].real > 0.0
+        top = np.argmax(np.abs(factor[:, 1]))
+        assert factor[top, 1].imag == 0.0 and factor[top, 1].real > 0.0
+        phases = np.exp(1j * np.array([0.3, -2.0]))
+        assert np.max(np.abs(check_factor(psi * phases, 8) - factor)) <= 1e-15
+        assert np.max(np.abs(factor @ factor.conj().T - psi @ psi.conj().T)) <= 1e-15
+        assert np.array_equal(check_factor(factor, 8), factor)
+
+    def test_a_real_column_keeps_its_bits_up_to_sign(self):
+        psi = np.array([[0.6], [-0.8]])
+        assert np.array_equal(check_factor(psi, 2), -psi.astype(complex))
+        assert np.array_equal(check_factor(-psi, 2), -psi.astype(complex))

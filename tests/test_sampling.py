@@ -34,11 +34,6 @@ class TestRngStream:
         b = RngStream(1).child(2).generator.random(4)
         assert np.array_equal(a, b)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="SeedSequence pads its entropy with zeros, so paths that differ "
-        "by trailing zeros seed one generator (ROADMAP item 9)",
-    )
     def test_paths_differing_by_trailing_zeros_differ(self):
         first = [
             stream.generator.random()
@@ -168,7 +163,7 @@ class TestRealClifford1q:
 class TestSampleTransform:
     def test_local_orthogonal_shapes(self):
         spec = local_ensemble("orthogonal", 3)
-        arrays = sample_transform_arrays(RngStream(8), spec, 1)
+        arrays = sample_transform_arrays(_streams(8, spec), spec, 1)
         assert arrays.shape == (1, 3, 2, 2)
         for f in arrays[0]:
             assert np.max(np.abs(f.imag)) < 1e-12
@@ -176,7 +171,7 @@ class TestSampleTransform:
 
     def test_global_unitary_shape(self):
         spec = global_ensemble("unitary", computational_basis(2))
-        arrays = sample_transform_arrays(RngStream(9), spec, 1)[:, 0]
+        arrays = sample_transform_arrays(_streams(9, spec), spec, 1)[:, 0]
         assert arrays.shape == (1, 4, 4)
         assert operators_close(arrays[0].conj().T @ arrays[0], identity(4))
 
@@ -184,23 +179,55 @@ class TestSampleTransform:
     def test_global_stack_is_one_factor_of_the_stream(self, group):
         # (count, F, k, k) with F = 1 and k = d, the draws of the group's sampler.
         spec = global_ensemble(group, computational_basis(2))
-        arrays = sample_transform_arrays(RngStream(12), spec, 3)
+        arrays = sample_transform_arrays([RngStream(12)], spec, 3)
         assert arrays.shape == (3, 1, 4, 4) and arrays.dtype == complex
         sampler = haar_orthogonals if group == "orthogonal" else haar_unitaries
         assert np.array_equal(arrays[:, 0], sampler(RngStream(12), 4, 3))
 
     def test_per_qubit_mixing(self):
         spec = local_ensemble(("unitary", "orthogonal"), 2)
-        arrays = sample_transform_arrays(RngStream(10), spec, 50)
+        arrays = sample_transform_arrays(_streams(10, spec), spec, 50)
         assert np.max(np.abs(arrays[:, 1].imag)) < 1e-12
         # the unitary factor actually explores U(2)
         assert np.max(np.abs(arrays[:, 0].imag)) > 1e-6
 
     def test_reproducible_byte_for_byte(self):
         spec = local_ensemble("orthogonal", 2)
-        a = sample_transform_arrays(RngStream(11), spec, 3)
-        b = sample_transform_arrays(RngStream(11), spec, 3)
+        a = sample_transform_arrays(_streams(11, spec), spec, 3)
+        b = sample_transform_arrays(_streams(11, spec), spec, 3)
         assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            global_ensemble("orthogonal", computational_basis(2)),
+            local_ensemble(("orthogonal", "unitary"), 2),
+        ],
+        ids=["global", "local-mixed"],
+    )
+    def test_chunks_draw_the_whole_stack(self, spec):
+        # Factor j draws its next matrices from its own stream, so calls of 3,
+        # 1 and 4 on the same streams draw the one call of 8, bit for bit.
+        whole = sample_transform_arrays(_streams(13, spec), spec, 8)
+        streams = _streams(13, spec)
+        chunks = [sample_transform_arrays(streams, spec, count) for count in (3, 1, 4)]
+        assert np.concatenate(chunks).tobytes() == whole.tobytes()
+
+    def test_factor_j_draws_from_stream_j(self):
+        spec = local_ensemble(("unitary", "orthogonal"), 2)
+        arrays = sample_transform_arrays(_streams(14, spec), spec, 5)
+        assert np.array_equal(arrays[:, 0], haar_unitaries(RngStream(14).child(0), 2, 5))
+        assert np.array_equal(arrays[:, 1], haar_orthogonals(RngStream(14).child(1), 2, 5))
+
+    def test_needs_one_stream_per_factor(self):
+        spec = local_ensemble("orthogonal", 3)
+        with pytest.raises(ValueError):
+            sample_transform_arrays(_streams(15, spec)[:2], spec, 1)
+
+
+def _streams(seed, spec):
+    """One stream per factor of the ensemble, factor j on RngStream(seed).child(j)."""
+    return [RngStream(seed).child(j) for j in range(len(spec.groups))]
 
 
 def _ginibre(seed, count, real):
