@@ -161,7 +161,7 @@ def haar_draws(rng: RngStream, group: str, d: int, count: int) -> np.ndarray:
     return (haar_orthogonals if group == "orthogonal" else haar_unitaries)(rng, d, count)
 
 
-def sample_transform_arrays(streams, spec: "EnsembleSpec", count: int):
+def sample_transform_arrays(streams: list[RngStream], spec: "EnsembleSpec", count: int):
     """A complex (count, F, k, k) array of one Haar draw per factor, F factors of
     dimension k = spec.factor_dim: factor j draws its next `count` from streams[j],
     so calls once per chunk on the same streams never change a draw."""
