@@ -32,6 +32,8 @@ if __name__ == "__main__":
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
         json.dump(CONFIG, fh)
         config_path = fh.name
-    code = main(["estimate", "--config", config_path])
-    Path(config_path).unlink()
+    try:
+        code = main(["estimate", "--config", config_path])
+    finally:
+        Path(config_path).unlink()
     sys.exit(code)

@@ -36,8 +36,6 @@ from .engine import (
     ExperimentConfig,
     ShadowRecords,
     collect_records,
-    estimate,
-    per_shot_estimates,
     run_experiment,
     full_vectors,
     validate_state,
@@ -78,8 +76,6 @@ __all__ = [
     "ExperimentConfig",
     "ShadowRecords",
     "collect_records",
-    "estimate",
-    "per_shot_estimates",
     "run_experiment",
     "full_vectors",
     "validate_state",

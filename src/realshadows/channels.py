@@ -363,7 +363,8 @@ def mc_channel(rng: "sampling.RngStream", spec: EnsembleSpec, a, samples: int):
     With rows[s, w, :] = <w| U_s, each chunk is three matmuls: the weights
     Tr[a U^dag Pi_w U] = rows a rows^dag (diagonal only) and the sum over w
     of weight * rows^dag rows.  U is the Kronecker product of one Haar draw
-    per factor, and rows = basis^dag U when the ensemble has a basis.  Chunks
+    per factor, and rows = basis^dag U when the ensemble has a basis other
+    than the computational one, where the product is the identity.  Chunks
     are sized by `linalg.chunk_items`, so memory is bounded.  Each chunk
     draws its factors by `sampling.sample_transform_arrays`, factor j from
     `rng.child(j)`, so a given stream yields the same draws for any chunk size.
@@ -377,7 +378,8 @@ def mc_channel(rng: "sampling.RngStream", spec: EnsembleSpec, a, samples: int):
     if m.shape[0] != d:
         raise ValueError("operator dimension does not match the ensemble")
     streams = [rng.child(j) for j in range(len(spec.groups))]
-    basis_h = None if spec.basis is None else spec.basis.vectors.conj().T
+    computational = spec.basis is None or spec.basis.tag == "computational"
+    basis_h = None if computational else spec.basis.vectors.conj().T
     total = np.zeros((d, d), dtype=complex)
     total_sq = np.zeros((d, d), dtype=float)
     # rows, rows a, the weighted rows and contrib: four complex (d, d) arrays per sample.

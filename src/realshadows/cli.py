@@ -25,9 +25,7 @@ from .channels import (
     visible_dimension,
 )
 from .commutant import closed_form_twirl, mc_twirl, twirl_project
-from .engine import (
-    ConfigError, ExperimentConfig, collect_records, estimate, per_shot_estimates, run_experiment
-)
+from .engine import ConfigError, ExperimentConfig, collect_records, per_shot_table, run_experiment
 from .linalg import ResourceLimitError, check_entries, check_qubit_count, kron
 from .sampling import MAX_SEED, RngStream, haar_state_vector
 from .variance import (
@@ -210,9 +208,9 @@ def cmd_validate_variance(args: argparse.Namespace) -> int:
     predictions = [predict_variance(spec, a, psi) for spec in specs]
     for spec, predicted in zip(specs, predictions):
         records = collect_records(RngStream(args.seed, (12,)), psi, spec, args.shots)
-        empirical = estimate(records, a).empirical_variance
+        values = per_shot_table(records, [a])[0]
+        empirical = np.var(values, ddof=1)
         # A sample variance's standard error, from the shots' fourth moment.
-        values = per_shot_estimates(records, a)
         stderr = np.std((values - values.mean()) ** 2, ddof=1) / np.sqrt(args.shots)
         _, z, case_ok = _mc_agreement(abs(empirical - predicted), stderr)
         ok = ok and case_ok

@@ -315,11 +315,6 @@ def _dense_kernel(spec: EnsembleSpec, stack: np.ndarray):
     return kernel
 
 
-def per_shot_estimates(records: ShadowRecords, observable) -> np.ndarray:
-    """o_s for every shot of one observable: the one row of `per_shot_table`."""
-    return per_shot_table(records, [observable])[0]
-
-
 def median_of_means(values: np.ndarray, batches: int):
     """Median of `batches` batch means along the last axis, one per row of a
     table; the remainder folds into the last batch."""
@@ -338,45 +333,32 @@ def median_of_means(values: np.ndarray, batches: int):
 
 @dataclass
 class EstimateReport:
-    """Sample statistics of one observable's per-shot estimates.
-
-    `predicted_variance` (the exact variance of one shot's estimate) and
-    `bias_warning` stay None until a caller that knows the simulated state
-    fills them, as `run_experiment` does.
-    """
+    """Sample statistics of one observable's per-shot estimates, with the
+    exact variance of one shot's estimate on the simulated state and whether
+    the observable has components outside the visible space."""
 
     observable_id: str
     mean: float
     median_of_means: float
     empirical_variance: float
     shots: int
-    predicted_variance: float | None = None
-    bias_warning: bool | None = None
+    predicted_variance: float
+    bias_warning: bool
 
 
-def _reports(table: np.ndarray, batches: int, ids) -> list[EstimateReport]:
-    """One report per row of an (N, S) per-shot table, named by `ids`: the
-    mean, the median of `batches` batch means and the ddof = 1 variance (0
-    for a single shot), each one numpy reduction along the rows."""
+def _reports(table: np.ndarray, batches: int, rows) -> list[EstimateReport]:
+    """One report per row of an (N, S) per-shot table and per (id, flag,
+    prediction) of `rows`: the mean, the median of `batches` batch means and
+    the ddof = 1 variance (0 for a single shot), each one numpy reduction
+    along the rows."""
     shots = table.shape[1]
     moms = median_of_means(table, batches)
     means = table.mean(axis=1)
     variances = np.var(table, axis=1, ddof=1) if shots >= 2 else np.zeros(len(table))
     return [
-        EstimateReport(oid, float(mean), float(mom), float(var), shots)
-        for oid, mean, mom, var in zip(ids, means, moms, variances, strict=True)
+        EstimateReport(oid, float(mean), float(mom), float(var), shots, float(pred), bool(flag))
+        for (oid, flag, pred), mean, mom, var in zip(rows, means, moms, variances, strict=True)
     ]
-
-
-def estimate(
-    records: ShadowRecords, observable, batches: int = 1, observable_id: str | None = None
-) -> EstimateReport:
-    """Aggregate one observable's per-shot estimates into a report; reads
-    nothing but the records."""
-    if observable_id is None:
-        observable_id = str(observable) if isinstance(observable, PauliString) else "operator"
-    (report,) = _reports(per_shot_table(records, [observable]), batches, [observable_id])
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -612,31 +594,33 @@ def write_reports_csv(path: str, reports: list[EstimateReport]) -> None:
 
 
 def _operand_blocks(config: ExperimentConfig):
-    """Yield (positions, ids, operand) over a config's observables: each Pauli
-    string alone, and dense observables built as needed and stacked in blocks
-    of consecutive ones of one dtype (a real A stays real), so that a block's
-    checks, pseudo-inverses and predictions take one pass."""
+    """Yield (ids, operand) over a config's observables in config order: each
+    Pauli string alone, and dense observables built as needed and stacked in
+    blocks of consecutive ones of one dtype (a real A stays real), so that a
+    block's checks, pseudo-inverses and predictions take one pass."""
     block = []
-    for position, obs in enumerate(config.observables):
+    for obs in config.observables:
         oid, op = build_observable(obs, config.n)
         if isinstance(op, PauliString):
-            yield [position], [oid], op
+            if block:
+                yield _stacked(block)
+            yield [oid], op
             continue
         # A block's stack, the passes over it and its inverses hold about four
         # arrays of each operator's size.
-        if block and (op.dtype != block[0][2].dtype or len(block) == chunk_items(4 * op.nbytes)):
+        if block and (op.dtype != block[0][1].dtype or len(block) == chunk_items(4 * op.nbytes)):
             yield _stacked(block)
-        block.append((position, oid, op))
+        block.append((oid, op))
     if block:
         yield _stacked(block)
 
 
-def _stacked(block: list) -> tuple[list, list, np.ndarray]:
-    """(positions, ids, stack) of a block of (position, id, operator), which
-    is emptied, so only the stack holds its operators."""
-    positions, ids, ops = zip(*block)
+def _stacked(block: list) -> tuple[list, np.ndarray]:
+    """(ids, stack) of a block of (id, operator), which is emptied, so only
+    the stack holds its operators."""
+    ids, ops = zip(*block)
     block.clear()
-    return list(positions), list(ids), np.stack(ops)
+    return list(ids), np.stack(ops)
 
 
 def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
@@ -649,9 +633,10 @@ def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
     variance prediction.  Before any shot is drawn, every variance is
     predicted for the simulated state, and an observable with components
     outside the ensemble's visible space raises ConfigError unless the
-    config allows bias (the first such one is named).  The per-shot
-    estimates fill one (N, shots) table in config order, whose rows give the
-    reports; each report carries its prediction and its invisible flag.
+    config allows bias (the first such one is named).  Every stage sees the
+    observables in config order: the per-shot estimates fill one (N, shots)
+    table, and each of its rows gives one report, built with its prediction
+    and its invisible flag.
     """
     t0 = time.perf_counter()
     spec = config.ensemble
@@ -659,27 +644,23 @@ def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
         check_local_cubature(spec.groups)  # before the state and any dense observable
     factor = validate_state(build_state(config.state, config.n), spec.d)
     desc = channel_for(spec)
-    operands, rows = [], []  # rows: (position, id, flag, prediction) per table row
+    operands, rows = [], []  # rows: (id, flag, prediction) per table row
     # A dense block's working arrays fit in one CHUNK_BYTES; only its inverses are kept.
-    for positions, ids, obs in _operand_blocks(config):
+    for ids, obs in _operand_blocks(config):
         flags = has_invisible_part(desc, obs)
         if not isinstance(obs, PauliString):
             obs = invert(desc, obs)  # one pseudo-inverse for the predictions and the estimates
         predicted = predict_variance(spec, obs, factor)
-        rows += zip(positions, ids, np.atleast_1d(flags), np.atleast_1d(predicted))
+        rows += zip(ids, np.atleast_1d(flags), np.atleast_1d(predicted))
         operands.append(obs)
-    order = sorted(range(len(rows)), key=lambda r: rows[r][0])
-    flagged = [rows[r][1] for r in order if rows[r][2]]
+    flagged = [oid for oid, flag, _ in rows if flag]
     if flagged and not config.allow_bias:
         raise ConfigError(
             f"observable {flagged[0]!r} has components outside the visible space "
             "of this ensemble; rerun with --allow-bias to estimate its visible part"
         )
     records = collect_records(RngStream(config.seed), factor, spec, config.shots)
-    table = per_shot_table(records, operands)[order]
-    reports = _reports(table, config.batches, [rows[r][1] for r in order])
-    for report, r in zip(reports, order):
-        report.bias_warning, report.predicted_variance = bool(rows[r][2]), float(rows[r][3])
+    reports = _reports(per_shot_table(records, operands), config.batches, rows)
     if config.out_csv:
         meta = {
             "seed": config.seed,
@@ -693,8 +674,8 @@ def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
         if config.epsilon is not None:
             max_var = max(r.predicted_variance for r in reports)
             # In Python floats a quotient beyond float64 is inf, with no warning.
-            order = math.log(len(reports)) / config.epsilon / config.epsilon * max_var
-            if not math.isfinite(order):
+            argument = math.log(len(reports)) / config.epsilon / config.epsilon * max_var
+            if not math.isfinite(argument):
                 raise ConfigError(f"epsilon {config.epsilon!r} puts the order beyond float64")
             meta["sample_complexity"] = {
                 "form": "S = O(log(M) / epsilon^2 * max_i Var[o_i])",
@@ -702,7 +683,7 @@ def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
                 "log_m": float(np.log(len(reports))),
                 "epsilon": config.epsilon,
                 "max_predicted_variance": max_var,
-                "order_argument": order,
+                "order_argument": argument,
                 "note": "order bound only; the constant is unspecified",
             }
         write_reports_csv(config.out_csv, reports)

@@ -22,7 +22,7 @@ from realshadows.channels import (
     orthogonal_spectrum,
 )
 from realshadows.commutant import closed_form_twirl, twirl_project
-from realshadows.engine import collect_records, estimate, per_shot_estimates, validate_state
+from realshadows.engine import collect_records, per_shot_table, validate_state
 from realshadows.linalg import identity, kron
 from realshadows.pauli import PAULIS, PauliString, Y, Z
 from realshadows.sampling import RngStream, haar_state_vector, haar_unitaries, random_pure_state
@@ -102,7 +102,7 @@ def test_criterion_4_variance_exactness_global_real():
     psi = validate_state(random_pure_state(RngStream(3), d))
     a = random_symmetric_observable(RngStream(4), d)
     records = collect_records(RngStream(7), psi, spec, 100000)
-    emp = estimate(records, a).empirical_variance
+    emp = np.var(per_shot_table(records, [a])[0], ddof=1)
     pred = predict_variance(spec, a, psi)
     rel = abs(emp - pred) / pred
     assert rel <= 0.05, rel
@@ -132,12 +132,12 @@ def test_criterion_6_local_pauli_second_moment():
     spec = local_ensemble("orthogonal", n)
     for i, (label, rho) in enumerate(states.items()):
         records = collect_records(RngStream(21, (i,)), validate_state(rho), spec, 100000)
-        second = float(np.mean(per_shot_estimates(records, p) ** 2))
+        second = float(np.mean(per_shot_table(records, [p])[0] ** 2))
         assert abs(second - 4.0) / 4.0 <= 0.03, (label, second)
     spec_u = local_ensemble("unitary", n)
     eigenstate = validate_state(states["eigenstate"])
     records = collect_records(RngStream(22), eigenstate, spec_u, 100000)
-    second_u = float(np.mean(per_shot_estimates(records, p) ** 2))
+    second_u = float(np.mean(per_shot_table(records, [p])[0] ** 2))
     assert abs(second_u - 9.0) / 9.0 <= 0.05, second_u
     _report(6, "local Pauli second moments (2^k vs 3^k)", t0)
 
@@ -212,15 +212,15 @@ def test_criterion_9_bias_semantics():
     rho = random_pure_state(RngStream(23), d)
     obs = kron(Y, PAULIS["I"])
     records = collect_records(RngStream(24), validate_state(rho), spec, 20000)
-    report = estimate(records, obs)
+    values = per_shot_table(records, [obs])[0]
     target = float(np.trace(obs @ rho).real)
     target_sym = float(np.trace(sym_part(obs) @ rho).real)
     assert target_sym == pytest.approx(0.0, abs=1e-12)
-    sigma = np.sqrt(report.empirical_variance / report.shots)
-    assert abs(report.mean - target_sym) <= 3.0 * sigma + 1e-12
+    sigma = np.sqrt(np.var(values, ddof=1) / len(values))
+    assert abs(values.mean() - target_sym) <= 3.0 * sigma + 1e-12
     # the estimator deliberately misses Tr[Y (x) 1 rho] != 0 for this state
     assert abs(target) > 0.1
-    assert abs(report.mean - target) > 0.1
+    assert abs(values.mean() - target) > 0.1
     assert has_invisible_part(channel_for(spec), obs)
     _report(9, "bias semantics for invisible observables", t0)
 

@@ -29,7 +29,7 @@ from realshadows.channels import (
     visible_projector,
 )
 from realshadows.commutant import mc_twirl, twirl_project
-from realshadows.engine import collect_records, per_shot_estimates, validate_state
+from realshadows.engine import collect_records, per_shot_table, validate_state
 from realshadows.linalg import batched_kron, identity, kron, operators_close
 from realshadows.pauli import PAULIS, PauliString, X, Y, Z
 from realshadows.sampling import RngStream, haar_frames
@@ -390,7 +390,7 @@ def test_pauli_string_of_another_length_is_refused(spec, string):
     with pytest.raises(ValueError, match=message):
         predict_variance(spec, p, factor)
     with pytest.raises(ValueError, match=message):
-        per_shot_estimates(collect_records(RngStream(1), factor, spec, 4), p)
+        per_shot_table(collect_records(RngStream(1), factor, spec, 4), [p])
 
 
 class TestSpectrumAgainstSuperoperator:
@@ -472,6 +472,11 @@ class TestChannelOracle:
             mc_channel(RngStream(67), spec, Z, samples)
         with pytest.raises(ValueError, match="sample"):
             mc_twirl(RngStream(67), identity(4), "O", 2, samples)
+
+    def test_operator_of_another_dimension(self):
+        spec = global_ensemble("orthogonal", computational_basis(1))
+        with pytest.raises(ValueError, match="operator dimension does not match the ensemble"):
+            mc_channel(RngStream(68), spec, identity(4), 10)
 
 
 def _reference_mc_channel(rng, spec, a, samples):
@@ -585,6 +590,10 @@ class TestEnsembleSpecValidation:
     def test_unknown_group(self):
         with pytest.raises(ValueError):
             local_ensemble("symplectic", 2)
+
+    def test_no_groups(self):
+        with pytest.raises(ValueError, match="an ensemble samples at least one group"):
+            EnsembleSpec((), None)
 
     def test_global_single_group(self):
         with pytest.raises(ValueError, match="exactly one group"):

@@ -149,6 +149,22 @@ class TestEstimateCommand:
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1 and f"observable id {repeated!r}" in err
 
+    def test_seed_flag_writes_the_csv_of_that_config_seed(self, tmp_path, estimate_config):
+        flagged = tmp_path / "flagged.csv"
+        argv = ["estimate", "--config", estimate_config, "--seed", "7", "--out", str(flagged)]
+        assert main(argv) == 0
+        cfg = json.loads(Path(estimate_config).read_text())
+        cfg.update(seed=7, emit={"csv": str(tmp_path / "seeded.csv")})
+        assert main(["estimate", "--config", _write_config(tmp_path, cfg, "seeded.json")]) == 0
+        assert main(["estimate", "--config", estimate_config]) == 0
+        seeded = (tmp_path / "seeded.csv").read_bytes()
+        assert flagged.read_bytes() == seeded != (tmp_path / "out.csv").read_bytes()
+
+    def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys):
+        assert main(["estimate", "--config", _write_config(tmp_path, [1, 2])]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: configuration must be a JSON object\n"
+
     def test_missing_config_file_is_io_error(self):
         assert main(["estimate", "--config", "/nonexistent/config.json"]) == 3
 

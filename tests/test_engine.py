@@ -29,10 +29,9 @@ from realshadows.engine import (
     build_observable,
     build_state,
     collect_records,
-    estimate,
     full_vectors,
     median_of_means,
-    per_shot_estimates,
+    per_shot_table,
     run_experiment,
     validate_state,
 )
@@ -255,13 +254,12 @@ class TestDirectSampler:
         factor = validate_state(rho)
         a = random_symmetric_observable(RngStream(51), spec.d)
         records = collect_records(RngStream(52), factor, spec, shots)
-        report = estimate(records, a)
+        values = per_shot_table(records, [a])[0]
         prediction = predict_variance(spec, a, factor)
         visible = np.trace(visible_projector(channel_for(spec), a) @ rho).real
-        assert abs(report.mean - visible) <= 4 * np.sqrt(prediction / shots)
-        values = per_shot_estimates(records, a)
+        assert abs(values.mean() - visible) <= 4 * np.sqrt(prediction / shots)
         se_var = np.std((values - values.mean()) ** 2, ddof=1) / np.sqrt(shots)
-        assert abs(report.empirical_variance - prediction) <= 4 * se_var
+        assert abs(np.var(values, ddof=1) - prediction) <= 4 * se_var
 
     @pytest.mark.parametrize("group,tag,make_state", _GLOBAL_CASES)
     def test_unit_norm_and_same_seed_bytes(self, group, tag, make_state):
@@ -375,8 +373,8 @@ class TestChunkMemory:
         a = random_symmetric_observable(RngStream(82), spec.d)
         records = collect_records(RngStream(83), validate_state(_pure_state(84, spec.d)), spec, 5000)
         head = ShadowRecords(spec, records.vectors[:500])
-        per_shot_estimates(head, a)
-        peaks = [_traced(lambda: per_shot_estimates(r, a))[0] for r in (head, records)]
+        per_shot_table(head, [a])
+        peaks = [_traced(lambda: per_shot_table(r, [a]))[0] for r in (head, records)]
         assert peaks[1] - peaks[0] <= 4500 * 8 + linalg.CHUNK_BYTES, peaks
 
     @pytest.mark.parametrize("make_spec", _MEMORY_SPECS)
@@ -411,6 +409,19 @@ class TestChunkMemory:
         prepare(4)
         peaks = [_traced(lambda: prepare(count))[0] for count in (4, 40)]
         assert peaks[1] - peaks[0] <= 36 * 8 * spec.d**2 + linalg.CHUNK_BYTES, peaks
+
+
+class TestInputRefusals:
+    def test_state_of_another_dimension(self):
+        message = "state dimension 2 does not match ensemble dimension 4"
+        with pytest.raises(ValueError, match=message):
+            validate_state(identity(2) / 2, 4)
+
+    def test_no_shots(self):
+        spec = local_ensemble("orthogonal", 1)
+        with pytest.raises(ValueError, match="need at least one shot"):
+            collect_records(RngStream(1), validate_state(identity(2) / 2), spec, 0)
+
 
 class TestShadows:
     def test_global_closed_form(self):
@@ -457,7 +468,7 @@ class TestPerShotEstimates:
         spec = local_ensemble("orthogonal", 2)
         rho = identity(4) / 4
         records = collect_records(RngStream(6), validate_state(rho), spec, 100)
-        values = per_shot_estimates(records, PauliString.from_string("II"))
+        values = per_shot_table(records, [PauliString.from_string("II")])[0]
         assert np.allclose(values, 1.0, atol=1e-12)
 
     def test_fast_path_equals_slow_path_local(self):
@@ -465,7 +476,7 @@ class TestPerShotEstimates:
         rho = random_pure_state(RngStream(7), 4)
         records = collect_records(RngStream(8), validate_state(rho), spec, 150)
         p = PauliString.from_string("XZ", coefficient=1.5)
-        fast = per_shot_estimates(records, p)
+        fast = per_shot_table(records, [p])[0]
         slow = np.array(
             [
                 np.trace(p.to_matrix() @ shadow_from_vector(spec, v)).real
@@ -484,14 +495,14 @@ class TestPerShotEstimates:
         for string in map("".join, itertools.product("IXYZ", repeat=2)):
             p = PauliString.from_string(string, coefficient=-1.3)
             dense = np.array([np.trace(p.to_matrix() @ shadow).real for shadow in shadows])
-            assert np.max(np.abs(per_shot_estimates(records, p) - dense)) <= 1e-12, string
+            assert np.max(np.abs(per_shot_table(records, [p])[0] - dense)) <= 1e-12, string
 
     def test_fast_path_equals_slow_path_global(self):
         spec = global_ensemble("orthogonal", sh_basis(2))
         rho = random_pure_state(RngStream(9), 4)
         records = collect_records(RngStream(10), validate_state(rho), spec, 150)
         a = random_symmetric_observable(RngStream(11), 4)
-        fast = per_shot_estimates(records, a)
+        fast = per_shot_table(records, [a])[0]
         slow = np.array([np.trace(a @ shadow_from_vector(spec, v)).real for v in records.vectors])
         assert np.max(np.abs(fast - slow)) <= 1e-12
 
@@ -501,14 +512,14 @@ class TestPerShotEstimates:
         records = collect_records(RngStream(13), validate_state(rho), spec, 200)
         p = PauliString.from_string("XZ")
         assert np.max(
-            np.abs(per_shot_estimates(records, p) - per_shot_estimates(records, p.to_matrix()))
+            np.abs(per_shot_table(records, [p])[0] - per_shot_table(records, [p.to_matrix()])[0])
         ) <= 1e-12
 
     def test_invisible_pauli_estimates_are_zero(self):
         spec = local_ensemble("orthogonal", 2)
         rho = random_pure_state(RngStream(14), 4)
         records = collect_records(RngStream(15), validate_state(rho), spec, 50)
-        assert np.all(per_shot_estimates(records, PauliString.from_string("YI")) == 0.0)
+        assert np.all(per_shot_table(records, [PauliString.from_string("YI")])[0] == 0.0)
 
     def test_pauli_string_under_global_ensemble(self):
         # The string's action and its dense matrix agree up to rounding.
@@ -516,8 +527,8 @@ class TestPerShotEstimates:
         rho = random_pure_state(RngStream(40), 4)
         records = collect_records(RngStream(41), validate_state(rho), spec, 100)
         p = PauliString.from_string("ZZ")
-        dense = per_shot_estimates(records, p.to_matrix())
-        assert np.all(np.abs(per_shot_estimates(records, p) - dense) <= 1e-12 * (1 + np.abs(dense)))
+        dense = per_shot_table(records, [p.to_matrix()])[0]
+        assert np.all(np.abs(per_shot_table(records, [p])[0] - dense) <= 1e-12 * (1 + np.abs(dense)))
 
 
 class TestEstimate:
@@ -526,10 +537,10 @@ class TestEstimate:
         spec = global_ensemble("orthogonal", computational_basis(1))
         rho = identity(2) / 2
         records = collect_records(RngStream(16), validate_state(rho), spec, 100000)
-        report = estimate(records, Z)
-        sigma = np.sqrt(report.empirical_variance / report.shots)
-        assert abs(report.mean) <= 3 * sigma
-        assert report.empirical_variance == pytest.approx(2.0, rel=0.05)
+        values = per_shot_table(records, [Z])[0]
+        sigma = np.sqrt(np.var(values, ddof=1) / len(values))
+        assert abs(values.mean()) <= 3 * sigma
+        assert np.var(values, ddof=1) == pytest.approx(2.0, rel=0.05)
         assert predict_variance(spec, Z, validate_state(rho)) == 2.0
         assert not has_invisible_part(channel_for(spec), Z)
 
@@ -557,18 +568,18 @@ class TestEstimate:
         rho = random_pure_state(RngStream(17), 4)
         a = random_symmetric_observable(RngStream(18), 4)
         records = collect_records(RngStream(19), validate_state(rho), spec, 100000)
-        report = estimate(records, a)
-        sigma = np.sqrt(report.empirical_variance / report.shots)
-        assert abs(report.mean - np.trace(a @ rho).real) <= 3 * sigma
+        values = per_shot_table(records, [a])[0]
+        sigma = np.sqrt(np.var(values, ddof=1) / len(values))
+        assert abs(values.mean() - np.trace(a @ rho).real) <= 3 * sigma
 
     def test_unbiased_locally_symmetric(self):
         spec = local_ensemble("orthogonal", 2)
         rho = random_pure_state(RngStream(20), 4)
         p = PauliString.from_string("XZ")
         records = collect_records(RngStream(21), validate_state(rho), spec, 100000)
-        report = estimate(records, p)
-        sigma = np.sqrt(report.empirical_variance / report.shots)
-        assert abs(report.mean - np.trace(p.to_matrix() @ rho).real) <= 3 * sigma
+        values = per_shot_table(records, [p])[0]
+        sigma = np.sqrt(np.var(values, ddof=1) / len(values))
+        assert abs(values.mean() - np.trace(p.to_matrix() @ rho).real) <= 3 * sigma
 
     def test_bias_identity_off_visible_space(self):
         # mean converges to Tr[O_sym rho], not Tr[O rho]
@@ -576,11 +587,11 @@ class TestEstimate:
         rho = 0.5 * (identity(2) + 0.6 * Y + 0.3 * X)
         obs = X + Y  # symmetric part is X
         records = collect_records(RngStream(22), validate_state(rho), spec, 100000)
-        report = estimate(records, obs)
-        sigma = np.sqrt(report.empirical_variance / report.shots)
+        values = per_shot_table(records, [obs])[0]
+        sigma = np.sqrt(np.var(values, ddof=1) / len(values))
         target_sym = np.trace(sym_part(obs) @ rho).real
-        assert abs(report.mean - target_sym) <= 3 * sigma
-        assert abs(report.mean - np.trace(obs @ rho).real) > 5 * sigma  # genuinely biased
+        assert abs(values.mean() - target_sym) <= 3 * sigma
+        assert abs(values.mean() - np.trace(obs @ rho).real) > 5 * sigma  # genuinely biased
         assert has_invisible_part(channel_for(spec), obs)
 
     def test_invisible_observable_reports_bias(self):
@@ -588,8 +599,7 @@ class TestEstimate:
         rho = random_pure_state(RngStream(23), 4)
         records = collect_records(RngStream(24), validate_state(rho), spec, 500)
         obs = kron(Y, identity(2))
-        report = estimate(records, obs)
-        assert report.mean == 0.0
+        assert per_shot_table(records, [obs])[0].mean() == 0.0
         assert has_invisible_part(channel_for(spec), obs)
         assert predict_variance(spec, obs, validate_state(rho)) == pytest.approx(0.0, abs=1e-12)
 
@@ -623,11 +633,16 @@ class TestEstimate:
                 expected = median_of_means_by_loop(values, batches)
                 assert median_of_means(values, batches) == expected, (count, batches)
 
+    def test_median_of_means_needs_a_batch(self):
+        with pytest.raises(ValueError, match="need at least one batch"):
+            median_of_means(np.ones(5), 0)
+
     def test_batches_validated_in_estimate(self):
         spec = local_ensemble("orthogonal", 1)
         records = collect_records(RngStream(26), validate_state(identity(2) / 2), spec, 10)
+        values = per_shot_table(records, [PauliString.from_string("Z")])[0]
         with pytest.raises(ValueError):
-            estimate(records, PauliString.from_string("Z"), batches=11)
+            median_of_means(values, 11)
 
 
 def _global(group, tag):
@@ -688,7 +703,8 @@ class TestStackedRun:
     def test_reports_match_one_observable_calls(self, ensemble, n, invisible, monkeypatch):
         d = 2**n
         # Blocks of one, two and every run of consecutive real dense observables,
-        # which the complex matrix splits (2 and 3 of them).
+        # which the complex matrix and the Pauli strings split (runs of 1, 1, 1
+        # and 2 of them).
         budgets = [4 * 8 * d * d, 2 * 4 * 8 * d * d, 1 << 30]
         runs = [self._run(ensemble, n, b, monkeypatch) for b in budgets]
         config, reports = runs[0]
@@ -698,18 +714,18 @@ class TestStackedRun:
         flags = []
         for position, obs in enumerate(config.observables):
             oid, op = build_observable(obs, n)
-            one = estimate(records, op, config.batches, oid)
+            values = per_shot_table(records, [op])[0]
             predicted = predict_variance(spec, op, factor)
             flag = has_invisible_part(channel_for(spec), op)
             flags.append(flag)
             for _, run in runs:
                 report = run[position]
-                assert report.observable_id == oid and report.shots == one.shots
+                assert report.observable_id == oid and report.shots == len(values)
                 assert report.bias_warning is flag
                 for x, y in [
-                    (one.mean, report.mean),
-                    (one.median_of_means, report.median_of_means),
-                    (one.empirical_variance, report.empirical_variance),
+                    (values.mean(), report.mean),
+                    (median_of_means(values, config.batches), report.median_of_means),
+                    (np.var(values, ddof=1), report.empirical_variance),
                     (predicted, report.predicted_variance),
                 ]:
                     assert self._close(x, y), (oid, x, y)
@@ -721,15 +737,15 @@ class TestStackedRun:
         factor = validate_state(_pure_state(41, 8))
         records = collect_records(RngStream(42), factor, spec, 1001)
         observables = [build_observable(o, 3)[1] for o in _stack_observables(3)]
-        table = engine.per_shot_table(records, observables)
+        table = per_shot_table(records, observables)
         assert table.shape == (len(observables), 1001) and table.flags.c_contiguous
-        for row, observable in zip(table, observables):
-            values = per_shot_estimates(records, observable)
+        reports = engine._reports(table, 7, [("id", False, 0.0)] * len(observables))
+        for row, observable, one in zip(table, observables, reports):
+            values = per_shot_table(records, [observable])[0]
             assert np.allclose(row, values, rtol=1e-12, atol=1e-12)
-            one = estimate(records, observable, 7)
-            assert one.mean == values.mean()
-            assert one.empirical_variance == np.var(values, ddof=1)
-            assert one.median_of_means == median_of_means_by_loop(values, 7)
+            assert one.mean == row.mean()
+            assert one.empirical_variance == np.var(row, ddof=1)
+            assert one.median_of_means == median_of_means_by_loop(row, 7)
 
 
 class TestRealObservables:
@@ -819,10 +835,10 @@ class TestConfigAndRun:
         records = collect_records(RngStream(config.seed), factor, spec, config.shots)
         for report, string in zip(reports, ("ZZ", "XI")):
             p = PauliString.from_string(string)
-            again = estimate(records, p, 4, observable_id=string)
-            assert again.mean == report.mean
-            assert again.median_of_means == report.median_of_means
-            # run_experiment attaches the oracle fields of the simulated state
+            values = per_shot_table(records, [p])[0]
+            assert values.mean() == report.mean
+            assert median_of_means(values, 4) == report.median_of_means
+            # run_experiment builds each report with the oracle fields of the simulated state
             assert report.predicted_variance == predict_variance(spec, p, factor)
             assert report.bias_warning is False
 
@@ -884,7 +900,7 @@ class TestConfigAndRun:
         assert report.bias_warning is True
         factor = validate_state(build_state(config.state, config.n))
         records = collect_records(RngStream(config.seed), factor, config.ensemble_spec(), 200000)
-        values = per_shot_estimates(records, a)
+        values = per_shot_table(records, [a])[0]
         assert np.var(values, ddof=1) == report.empirical_variance
         se = np.std((values - values.mean()) ** 2, ddof=1) / np.sqrt(values.shape[0])
         assert abs(report.empirical_variance - report.predicted_variance) <= 4 * se

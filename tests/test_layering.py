@@ -142,6 +142,8 @@ STALE_TRACED = {
     "sampling.haar_orthogonal",
     "sampling.real_clifford_1q",
     "engine.simulate_measurement",
+    "engine.per_shot_estimates",
+    "engine.estimate",
     "engine._has_invisible_component",
     "variance.var_global_real",
     "variance.var_global_unitary",

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from realshadows.linalg import (
     MAX_KRON_DIM,
     ResourceLimitError,
+    as_operators,
     batched_kron,
     check_entries,
     check_factor,
@@ -84,6 +85,12 @@ class TestBasicOps:
         check_entries(MAX_KRON_DIM**2, "an 8192 x 8192 operator")
         with pytest.raises(ResourceLimitError, match="one more.*67108865 entries"):
             check_entries(MAX_KRON_DIM**2 + 1, "one more")
+
+    def test_as_operators_refuses_non_square_and_non_finite_matrices(self):
+        with pytest.raises(ValueError, match=r"expected a square matrix .* shape \(2, 3\)"):
+            as_operators(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="operator entries must be finite"):
+            as_operators(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
     def test_norm2_matches_entry_sum_for_hermitian(self):
         m = _random_matrix(11, 4)

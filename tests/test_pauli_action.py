@@ -21,7 +21,7 @@ from realshadows.channels import (
 from realshadows.engine import (
     ExperimentConfig,
     collect_records,
-    per_shot_estimates,
+    per_shot_table,
     run_experiment,
     validate_state,
 )
@@ -130,7 +130,7 @@ def test_global_estimates_match_dense_reference(group, tag):
         for p in _strings(n, 10 * n):
             m = p.to_matrix()
             reference = np.einsum("sj,jk,sk->s", v.conj(), pseudo_inverse(desc, m), v).real
-            fast = per_shot_estimates(records, p)
+            fast = per_shot_table(records, [p])[0]
             assert np.all(np.abs(fast - reference) <= 1e-12 * (1 + np.abs(reference))), (n, p)
             hidden = np.linalg.norm(m - visible_projector(desc, m)) > 1e-10
             assert has_invisible_part(desc, p) == hidden, (n, p)
@@ -161,11 +161,11 @@ def test_odd_y_strings_invisible_in_real_basis_visible_under_sh():
     real = global_ensemble("orthogonal", computational_basis(n))
     records = collect_records(RngStream(4), psi, real, 50)
     assert has_invisible_part(channel_for(real), p)
-    assert np.all(per_shot_estimates(records, p) == 0.0)
+    assert np.all(per_shot_table(records, [p])[0] == 0.0)
     assert predict_variance(real, p, psi) == 0.0
     sh = global_ensemble("orthogonal", sh_basis(n))
     assert not has_invisible_part(channel_for(sh), p)
-    assert np.any(per_shot_estimates(collect_records(RngStream(4), psi, sh, 50), p) != 0.0)
+    assert np.any(per_shot_table(collect_records(RngStream(4), psi, sh, 50), [p])[0] != 0.0)
 
 
 def test_real_basis_orthogonal_records_are_float(monkeypatch):
@@ -275,7 +275,7 @@ def test_non_hermitian_matrix_is_refused(spec):
     with pytest.raises(ValueError, match="Hermitian"):
         predict_variance(spec, a, factor)
     with pytest.raises(ValueError, match="Hermitian"):
-        per_shot_estimates(records, a)
+        per_shot_table(records, [a])
 
 
 @pytest.mark.parametrize("group", GROUPS)

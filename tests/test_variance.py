@@ -17,7 +17,7 @@ from realshadows.channels import (
     visible_projector,
 )
 from realshadows.commutant import twirl_project
-from realshadows.engine import collect_records, estimate, per_shot_estimates, validate_state
+from realshadows.engine import collect_records, per_shot_table, validate_state
 from realshadows.linalg import ResourceLimitError, identity, kron, operators_close
 from realshadows.pauli import PAULIS, PauliString, X, Y, Z
 from realshadows.sampling import RngStream, haar_state_vector, random_pure_state
@@ -161,7 +161,7 @@ class TestGlobalPredictors:
         factor = _mixed(d)
         a = kron(Z, PAULIS["I"])
         records = collect_records(RngStream(3), factor, spec, 100000)
-        emp = estimate(records, a).empirical_variance
+        emp = np.var(per_shot_table(records, [a])[0], ddof=1)
         pred = predict_variance(spec, a, factor)
         assert emp == pytest.approx(pred, rel=0.05)
 
@@ -249,7 +249,7 @@ class TestBrauerWordPredictor:
         a = _random_hermitian(96 + n, d)
         pred = predict_variance(spec, a, factor)
         records = collect_records(RngStream(97, (n, rank)), factor, spec, 200000)
-        values = per_shot_estimates(records, a)
+        values = per_shot_table(records, [a])[0]
         emp = np.var(values, ddof=1)
         se = np.std((values - values.mean()) ** 2, ddof=1) / np.sqrt(values.shape[0])
         assert abs(emp - pred) <= 4 * se, (emp, pred, se)
@@ -394,7 +394,7 @@ class TestLocalSecondMoments:
         pred = predict_variance(spec, p, factor)
         assert pred == pytest.approx(3.0, abs=1e-12)
         records = collect_records(RngStream(8), factor, spec, 30000)
-        values = per_shot_estimates(records, p)
+        values = per_shot_table(records, [p])[0]
         second = np.mean(values**2)
         se = np.std(values**2, ddof=1) / np.sqrt(values.shape[0])
         assert abs(second - 4.0) <= 4 * se
@@ -528,7 +528,7 @@ class TestLocalCubature:
         assert not has_invisible_part(channel_for(spec), a)
         factor = validate_state(random_pure_state(RngStream(36), 8))
         pred = predict_variance(spec, a, factor)
-        values = per_shot_estimates(collect_records(RngStream(37), factor, spec, 200000), a)
+        values = per_shot_table(collect_records(RngStream(37), factor, spec, 200000), [a])[0]
         emp = np.var(values, ddof=1)
         se = np.std((values - values.mean()) ** 2, ddof=1) / np.sqrt(values.shape[0])
         assert abs(emp - pred) <= 4 * se, (emp, pred, se)
@@ -601,7 +601,7 @@ def test_bounds_dominate_empirical_variance():
         p = PauliString.from_string(string)
         factor = validate_state(random_pure_state(gen.child(1), 2**n))
         records = collect_records(gen.child(2), factor, spec, 4000)
-        values = per_shot_estimates(records, p)
+        values = per_shot_table(records, [p])[0]
         emp = float(np.var(values, ddof=1))
         se = np.std(values**2, ddof=1) / np.sqrt(values.shape[0])
         assert emp <= _second_moment(spec, p) + 3 * se
@@ -611,7 +611,8 @@ class TestEmpiricalVariance:
     def test_constant_estimator(self):
         spec = local_ensemble("orthogonal", 2)
         records = collect_records(RngStream(11), _mixed(4), spec, 100)
-        assert estimate(records, PauliString.from_string("II")).empirical_variance == 0.0
+        values = per_shot_table(records, [PauliString.from_string("II")])[0]
+        assert np.var(values, ddof=1) == 0.0
 
     @pytest.mark.parametrize("group", ["orthogonal", "unitary"])
     def test_matches_exact_global_predictors(self, group):
@@ -621,7 +622,7 @@ class TestEmpiricalVariance:
         factor = validate_state(rho)
         a = random_symmetric_observable(RngStream(14), d)
         records = collect_records(RngStream(15, (ord(group[0]),)), factor, spec, 100000)
-        emp = estimate(records, a).empirical_variance
+        emp = np.var(per_shot_table(records, [a])[0], ddof=1)
         pred = predict_variance(spec, a, factor)
         reference = var_ref_real(a, rho) if group == "orthogonal" else var_ref_unitary(a, rho)
         assert pred == pytest.approx(reference, rel=1e-12)
