@@ -7,7 +7,7 @@ n = 3), a small global orthogonal one (n = 4, computational basis, Pauli
 strings and random symmetric observables), two ratio sweeps (n = 1..5 and
 n = 6..7, 10 instances per n, seed 5) and a full-rank local one (n = 6,
 alternating orthogonal and unitary sites, maximally mixed state, 2,000 shots
-in 250 Born-sampling chunks of 8).  Text cells must match exactly and
+in 134 chain-rule chunks of up to 15).  Text cells must match exactly and
 each numeric cell x within 1e-12 * (1 + |x|), so that BLAS builds that round
 differently still pass.
 

@@ -38,7 +38,7 @@ from .engine import (
     collect_records,
     run_experiment,
     full_vectors,
-    validate_state,
+    state_factor,
 )
 from .linalg import ResourceLimitError, kron
 from .pauli import PauliString
@@ -78,7 +78,7 @@ __all__ = [
     "collect_records",
     "run_experiment",
     "full_vectors",
-    "validate_state",
+    "state_factor",
     "ResourceLimitError",
     "kron",
     "PauliString",

@@ -97,7 +97,7 @@ def _load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
     if overrides.shots is not None:
         raw["shots"] = overrides.shots
     if overrides.out is not None:
-        emit = raw.get("emit") or {}
+        emit = {} if raw.get("emit") is None else raw["emit"]
         raw["emit"] = dict(emit, csv=overrides.out) if isinstance(emit, dict) else emit
     if overrides.allow_bias:
         raw["allow_bias"] = True

@@ -3,10 +3,12 @@
 A shot is stored as its measured vector v = U^dag|w>, which is all any
 estimator reads: Tr[O M^-1(|v><v|)] = v^dag M^-1(O) v.  ShadowRecords holds
 (S, d) vectors for global ensembles and (S, n, 2) per-qubit vectors for local
-ones, whose Kronecker product is the full v.  Shots are drawn from the factor
-Psi of rho = Psi Psi^dag: local ones by a factor-wise Born function, global
-ones by an exact direct sampler that needs no d x d Haar matrix.  Global
-orthogonal shots in a real basis are real, and are stored as float64.
+ones, whose Kronecker product is the full v.  A configured state enters as
+its factor Psi, rho = Psi Psi^dag, in closed form (`state_factor`), and
+shots are drawn from Psi: local ones qubit by qubit by the chain rule of the
+Born distribution, which is never formed whole, and global ones by an exact
+direct sampler that needs no d x d Haar matrix.  Global orthogonal shots in
+a real basis are real, and are stored as float64.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .channels import (
     pauli_string_inverse_eigenvalue,
 )
 from .linalg import (
-    as_operator,
     batched_kron,
     check_entries,
     check_factor,
@@ -44,7 +45,7 @@ from .sampling import (
     RNG_ALGORITHM,
     RngStream,
     haar_frames,
-    random_pure_state,
+    haar_state_vector,
     sample_transform_arrays,
 )
 from .variance import check_local_cubature, predict_variance, random_symmetric_observable
@@ -76,52 +77,11 @@ class ShadowRecords:
         return self.vectors.shape[0]
 
 
-def validate_state(rho, d: int | None = None) -> np.ndarray:
-    """Check that `rho` is a density matrix and return its factor Psi.
-
-    The one reader of a dense state: square, of dimension d when given,
-    Hermitian and positive semidefinite within 1e-8.  Psi (d, r), with
-    rho = Psi Psi^dag, holds the eigenvectors scaled by the square roots of
-    their eigenvalues, checked by `linalg.check_factor`.
-    """
-    m = as_operator(rho)
-    if d is not None and m.shape[0] != d:
-        raise ValueError(f"state dimension {m.shape[0]} does not match ensemble dimension {d}")
-    if not is_hermitian(m, 1e-8):
-        raise ValueError("state must be Hermitian (within 1e-8)")
-    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (m + m.conj().T))
-    if np.min(eigenvalues) < -1e-8:
-        raise ValueError("state must be positive semidefinite (within 1e-8)")
-    return check_factor(eigenvectors * np.sqrt(np.maximum(eigenvalues, 0.0)), m.shape[0])
-
-
 def _checked(p: np.ndarray) -> np.ndarray:
     sums = p.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > _PROB_SUM_TOL):
         raise ValueError("Born probabilities do not sum to one; upstream corruption")
     return p / sums[:, None]
-
-
-def _born_probabilities(
-    factor: np.ndarray, transforms: np.ndarray, spec: EnsembleSpec
-) -> np.ndarray:
-    """p[s, w] = sum_k |<w| U_s |psi_k>|^2 for a chunk of local transforms.
-
-    `factor` is Psi (d, r) with rho = Psi Psi^dag.  The transforms
-    (S, n, 2, 2) act one 2x2 factor at a time, so no product matrix is
-    formed.  Each site is one matmul that takes the trailing site axis of the
-    amplitudes to the front, mapped: one (2 x 2)(2 x d r / 2) product per
-    shot.  Qubit n - 1 goes first, on the Psi^T that every shot shares, as a
-    single (2S x 2)(2 x d r / 2) product for the whole chunk, so a chunk takes
-    S (n - 1) + 1 products.  The rank axis leads the site axes of Psi^T and
-    trails them after qubit 0, so amp ends as (S, d, r).
-    """
-    s = transforms.shape[0]
-    amp = transforms[:, -1].reshape(2 * s, 2) @ factor.T.reshape(-1, 2).T
-    for j in range(spec.n - 2, -1, -1):
-        amp = transforms[:, j] @ amp.reshape(s, -1, 2).swapaxes(1, 2)
-    amp = amp.reshape(s, spec.d, -1)
-    return _checked((amp.real**2 + amp.imag**2).sum(axis=2))
 
 
 def _sample_outcomes(rng: RngStream, p: np.ndarray) -> np.ndarray:
@@ -130,16 +90,49 @@ def _sample_outcomes(rng: RngStream, p: np.ndarray) -> np.ndarray:
     return np.minimum((cum < r).sum(axis=1), p.shape[1] - 1)
 
 
-def _measured_vectors(
-    spec: EnsembleSpec, transforms: np.ndarray, outcomes: np.ndarray
-) -> np.ndarray:
-    """v = U^dag|w> per local shot as (S, n, 2) per-qubit vectors.
+def _local_vectors(factor: np.ndarray, transforms: np.ndarray, uniforms: np.ndarray):
+    """Measured vectors (S, n, 2) of local shots, drawn qubit by qubit.
 
-    Outcome indices put qubit 0 in the most-significant bit.
+    `factor` is Psi (d, r) with rho = Psi Psi^dag, `transforms` a chunk's
+    (S, n, 2, 2) factors and `uniforms` one draw in [0, 1) per shot.  At
+    qubit j the amplitudes a of the bits drawn so far (Psi itself, shared by
+    every shot, at qubit 0) split into the halves a_0, a_1 of bit j, and
+    their 2x2 Gram matrix G gives the masses m_b = ||U_j[b] a||^2 of both
+    branches in O(1).  A shot's target starts at u (m_0 + m_1); the bit is
+    m_0 < target, which then drops by m_0, and only the chosen branch
+    U_j[b] a is carried on, so a shot costs O(d r), not the O(n d r) of its
+    whole Born distribution.  This is the inverse CDF of that distribution
+    with qubit 0 the most-significant bit, so for the same uniforms the
+    outcomes are those of `_sample_outcomes` up to rounding.  Qubit j's
+    measured vector is the conjugate of its chosen transform row.  The
+    masses must add up to 1 at qubit 0 and to Tr G after it.
     """
-    bits = (outcomes[:, None] >> np.arange(spec.n - 1, -1, -1)) & 1
-    shots = np.arange(outcomes.shape[0])[:, None]
-    return transforms[shots, np.arange(spec.n), bits].conj()
+    s, n = transforms.shape[:2]
+    bits = np.empty((s, n), dtype=np.intp)
+    amp = np.ascontiguousarray(factor, dtype=complex).reshape(1, 2, -1)
+    for j in range(n):
+        u = transforms[:, j]
+        parts = amp.view(float)
+        norms = np.einsum("sbh,sbh->sb", parts, parts)  # ||a_0||^2, ||a_1||^2
+        overlap = np.einsum("sh,sh->s", amp[:, 0].conj(), amp[:, 1])  # <a_0, a_1>
+        weights = u.real**2 + u.imag**2
+        cross = 2.0 * (u[:, :, 0].conj() * u[:, :, 1] * overlap[:, None]).real
+        masses = weights[:, :, 0] * norms[:, :1] + weights[:, :, 1] * norms[:, 1:] + cross
+        total = masses[:, 0] + masses[:, 1]
+        expected = 1.0 if j == 0 else norms[:, 0] + norms[:, 1]
+        if np.any(np.abs(total - expected) > _PROB_SUM_TOL):
+            raise ValueError("Born probabilities do not sum to one; upstream corruption")
+        if j == 0:
+            target = uniforms * total
+        one = masses[:, 0] < target
+        target = target - np.where(one, masses[:, 0], 0.0)
+        bits[:, j] = one
+        if j < n - 1:
+            rows = np.where(one[:, None], u[:, 1], u[:, 0])
+            # Qubit 0 is one GEMM against Psi; later qubits combine each shot's halves.
+            chosen = rows @ amp[0] if j == 0 else np.einsum("sc,sch->sh", rows, amp)
+            amp = chosen.reshape(s, 2, -1)
+    return transforms[np.arange(s)[:, None], np.arange(n), bits].conj()
 
 
 def _frames(vectors: np.ndarray, real: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -232,8 +225,9 @@ def collect_records(rng: RngStream, factor, spec: EnsembleSpec, shots: int) -> S
 
     Global shots come from the direct sampler `_global_vectors`, which never
     forms a d x d transform.  Local shots draw qubit j's 2x2 factors from
-    rng.child(0).child(j) and their outcomes from rng.child(1), chunk by
-    chunk, so the run is reproducible and independent of the chunk size.
+    rng.child(0).child(j) and one uniform each from rng.child(1), which
+    `_local_vectors` turns into an outcome, chunk by chunk, so the run is
+    reproducible and independent of the chunk size.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
@@ -243,12 +237,13 @@ def collect_records(rng: RngStream, factor, spec: EnsembleSpec, shots: int) -> S
     streams = [rng.child(0).child(j) for j in range(spec.n)]
     outcome_rng = rng.child(1)
     vectors = np.empty((shots, spec.n, 2), dtype=complex)
-    # The amplitudes and their squares take about 32 d r bytes per shot.
-    chunk = chunk_items(32 * spec.d * factor.shape[1])
+    # A shot's halves of Psi take about 16 d r bytes, and its transforms,
+    # their draws and its vectors about 128 n.
+    chunk = chunk_items(16 * spec.d * factor.shape[1] + 128 * spec.n)
     for start in range(0, shots, chunk):
-        u = sample_transform_arrays(streams, spec, min(chunk, shots - start))
-        outcomes = _sample_outcomes(outcome_rng, _born_probabilities(factor, u, spec))
-        vectors[start : start + chunk] = _measured_vectors(spec, u, outcomes)
+        s = min(chunk, shots - start)
+        u = sample_transform_arrays(streams, spec, s)
+        vectors[start : start + s] = _local_vectors(factor, u, outcome_rng.generator.random(s))
     return ShadowRecords(spec, vectors)
 
 
@@ -374,24 +369,27 @@ _STATE_LABELS = {
 }
 
 
-def build_state(state: dict, n: int) -> np.ndarray:
+def state_factor(state: dict, n: int) -> np.ndarray:
+    """The (d, r) factor Psi of a configured state, rho = Psi Psi^dag, in
+    closed form: I/sqrt(d) for the maximally mixed state, e_i for a
+    computational one, the Haar vector of its seed for a random pure one and
+    the Kronecker product of its labels for a product one."""
     check_qubit_count(n)
     d = 2**n
     kind = state.get("kind")
     if kind == "maximally_mixed":
-        return identity(d) / d
+        return identity(d) * np.sqrt(1.0 / d)
     if kind == "computational":
         if "bits" in state:
             bits = state["bits"]
             if not isinstance(bits, str) or len(bits) != n or set(bits) - {"0", "1"}:
                 raise ConfigError(f"bits must be a string of {n} binary digits, got {bits!r}")
             state = dict(state, index=int(bits, 2))
-        idx = _integer(state, "index", 0, d - 1, 0)
-        rho = np.zeros((d, d), dtype=complex)
-        rho[idx, idx] = 1.0
-        return rho
+        psi = np.zeros((d, 1), dtype=complex)
+        psi[_integer(state, "index", 0, d - 1, 0)] = 1.0
+        return psi
     if kind == "random_pure":
-        return random_pure_state(RngStream(_integer(state, "seed", 0, MAX_SEED, 0)), d)
+        return haar_state_vector(RngStream(_integer(state, "seed", 0, MAX_SEED, 0)), d)[:, None]
     if kind == "product":
         factors = state.get("factors")
         if not isinstance(factors, list) or len(factors) != n:
@@ -400,9 +398,18 @@ def build_state(state: dict, n: int) -> np.ndarray:
             vecs = [_STATE_LABELS[str(f)] for f in factors]
         except KeyError as exc:
             raise ConfigError(f"unknown single-qubit state label {exc}") from exc
-        v = kron(*vecs)
-        return np.outer(v, v.conj())
+        return kron(*vecs)[:, None]
     raise ConfigError(f"unknown state kind {kind!r}")
+
+
+def build_state(state: dict, n: int) -> np.ndarray:
+    """The dense density matrix Psi Psi^dag of a configured state, with I/d
+    in closed form."""
+    if state.get("kind") == "maximally_mixed":
+        check_qubit_count(n)
+        return identity(2**n) / 2**n
+    psi = state_factor(state, n)
+    return psi @ psi.conj().T
 
 
 def _parse_observable(obs: dict, n: int) -> tuple[str, str, PauliString | int | None]:
@@ -449,15 +456,27 @@ def build_observable(obs: dict, n: int) -> tuple[str, PauliString | np.ndarray]:
         op = np.zeros((d, d))
         op[key, key] = 1.0
         return oid, op
+    parts = obs.get("real"), obs.get("imag", 0.0)
     try:
-        real = np.asarray(obs.get("real"), dtype=float)
-        imag = np.asarray(obs.get("imag", 0.0), dtype=float)
+        if _holds_bool(parts):  # numpy reads true and false as 1.0 and 0.0
+            raise ValueError
+        real, imag = (np.asarray(part, dtype=float) for part in parts)
         op = real + 1j * imag if imag.any() else real + imag  # an all-zero imag keeps A real
     except (TypeError, ValueError):
         raise ConfigError("matrix observable needs numeric real and imag parts") from None
     if op.shape != (d, d) or not (np.all(np.abs(op) <= _MAX_MAGNITUDE) and is_hermitian(op)):
         raise ConfigError(f"matrix observable must be Hermitian, {d} x {d}, entries <= 1e100")
     return oid, 0.5 * (op + op.conj().T)  # its Hermitian part: A itself when A is exactly Hermitian
+
+
+def _holds_bool(value) -> bool:
+    """Whether a JSON value is true or false, or holds one in its lists at any depth."""
+    level = [value]
+    while level:
+        if any(isinstance(v, bool) for v in level):
+            return True
+        level = [x for v in level if isinstance(v, (list, tuple)) for x in v]
+    return False
 
 
 def _integer(cfg: dict, key: str, low: int, high: int | None = None, default=None) -> int:
@@ -548,11 +567,13 @@ class ExperimentConfig:
             if oid in ids:  # the CSV would hold two rows of that id
                 raise ConfigError(f"observable id {oid!r} names more than one observable")
             ids.add(oid)
-        emit = cfg.get("emit", {}) or {}
+        emit = {} if cfg.get("emit") is None else cfg["emit"]
         if not isinstance(emit, dict) or set(emit) - {"csv"}:
-            raise ConfigError(f"emit takes only a csv path, got {emit!r}")
-        if not isinstance(emit.get("csv") or "", str):  # open() takes an int as a file descriptor
-            raise ConfigError(f"emit.csv must be a path, got {emit['csv']!r}")
+            raise ConfigError(f"emit must be an object that takes only a csv path, got {emit!r}")
+        csv = emit.get("csv")
+        # open() takes an int as a file descriptor, and "" would mean no CSV.
+        if csv is not None and not (isinstance(csv, str) and csv):
+            raise ConfigError(f"emit.csv must be a non-empty path, got {csv!r}")
         allow_bias = cfg.get("allow_bias", False)
         if not isinstance(allow_bias, bool):  # bool("false") is True
             raise ConfigError(f"allow_bias must be true or false, got {allow_bias!r}")
@@ -642,7 +663,7 @@ def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
     spec = config.ensemble
     if spec.scope == "local" and any(o.get("kind", "pauli") != "pauli" for o in config.observables):
         check_local_cubature(spec.groups)  # before the state and any dense observable
-    factor = validate_state(build_state(config.state, config.n), spec.d)
+    factor = check_factor(state_factor(config.state, config.n), spec.d)
     desc = channel_for(spec)
     operands, rows = [], []  # rows: (id, flag, prediction) per table row
     # A dense block's working arrays fit in one CHUNK_BYTES; only its inverses are kept.

@@ -150,12 +150,6 @@ def haar_state_vector(rng: RngStream, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_pure_state(rng: RngStream, d: int) -> np.ndarray:
-    """Density matrix of a Haar-random pure state."""
-    v = haar_state_vector(rng, d)
-    return np.outer(v, v.conj())
-
-
 def haar_draws(rng: RngStream, group: str, d: int, count: int) -> np.ndarray:
     """Stack of `count` Haar-random O(d) (real dtype) or U(d) matrices, by `group`."""
     return (haar_orthogonals if group == "orthogonal" else haar_unitaries)(rng, d, count)

@@ -212,7 +212,8 @@ def _predict_local(spec: EnsembleSpec, inverses: np.ndarray, factor: np.ndarray)
 
 def predict_variance(spec: EnsembleSpec, observable, factor):
     """The exact variance of one shot's estimate of `observable` on the state
-    rho = Psi Psi^dag of the (d, r) `factor` Psi that `engine.validate_state` returns.
+    rho = Psi Psi^dag of the (d, r) `factor` Psi, as `engine.state_factor`
+    gives it for a configured state.
 
     `observable` is a Pauli string, a Hermitian matrix or a (B, d, d) stack
     of them, or the `InvertedObservable` of one; a stack gets one variance

@@ -1,6 +1,7 @@
 """Reference constructions that the tests check the package against.
 
-None of these is on a run path: the dense shadow of one shot, the
+None of these is on a run path: the reader of a dense state and the
+density matrix of a Haar-random pure one, the dense shadow of one shot, the
 depolarizing mixture form of the global orthogonal channel, the overlap
 factor of two Y-free Pauli strings, the single-qubit real Clifford group,
 a per-block local Born kernel, the batched-QR route of Haar frames, a
@@ -15,8 +16,33 @@ import numpy as np
 
 from realshadows.channels import channel_for, orthogonal_spectrum, pseudo_inverse
 from realshadows.commutant import GRAM_RCOND, enumerate_pairings
-from realshadows.linalg import as_operator
-from realshadows.sampling import _complex_ginibre, _project_out
+from realshadows.linalg import as_operator, check_factor, is_hermitian
+from realshadows.sampling import _complex_ginibre, _project_out, haar_state_vector
+
+
+def validate_state(rho, d: int | None = None) -> np.ndarray:
+    """Check that `rho` is a density matrix and return its factor Psi.
+
+    The tests' reader of a dense state: square, of dimension d when given,
+    Hermitian and positive semidefinite within 1e-8.  Psi (d, r), with
+    rho = Psi Psi^dag, holds the eigenvectors scaled by the square roots of
+    their eigenvalues, checked by `linalg.check_factor`.
+    """
+    m = as_operator(rho)
+    if d is not None and m.shape[0] != d:
+        raise ValueError(f"state dimension {m.shape[0]} does not match ensemble dimension {d}")
+    if not is_hermitian(m, 1e-8):
+        raise ValueError("state must be Hermitian (within 1e-8)")
+    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (m + m.conj().T))
+    if np.min(eigenvalues) < -1e-8:
+        raise ValueError("state must be positive semidefinite (within 1e-8)")
+    return check_factor(eigenvectors * np.sqrt(np.maximum(eigenvalues, 0.0)), m.shape[0])
+
+
+def random_pure_state(rng, d: int) -> np.ndarray:
+    """Density matrix of the Haar-random pure state `sampling.haar_state_vector` draws."""
+    v = haar_state_vector(rng, d)
+    return np.outer(v, v.conj())
 
 
 def haar_frames_by_qr(rng, d, r, count, real=False, orthogonal_to=None) -> np.ndarray:

@@ -22,13 +22,20 @@ from realshadows.channels import (
     orthogonal_spectrum,
 )
 from realshadows.commutant import closed_form_twirl, twirl_project
-from realshadows.engine import collect_records, per_shot_table, validate_state
+from realshadows.engine import collect_records, per_shot_table
 from realshadows.linalg import identity, kron
 from realshadows.pauli import PAULIS, PauliString, Y, Z
-from realshadows.sampling import RngStream, haar_state_vector, haar_unitaries, random_pure_state
+from realshadows.sampling import RngStream, haar_state_vector, haar_unitaries
 from realshadows.variance import predict_variance, random_symmetric_observable, ratio_sweep
 
-from references import depolarize, mixture_decomposition, overlap_f, sym_part
+from references import (
+    depolarize,
+    mixture_decomposition,
+    overlap_f,
+    random_pure_state,
+    sym_part,
+    validate_state,
+)
 
 
 def _report(number: int, name: str, started: float, limit: float | None = None) -> None:

@@ -29,13 +29,13 @@ from realshadows.channels import (
     visible_projector,
 )
 from realshadows.commutant import mc_twirl, twirl_project
-from realshadows.engine import collect_records, per_shot_table, validate_state
+from realshadows.engine import collect_records, per_shot_table
 from realshadows.linalg import batched_kron, identity, kron, operators_close
 from realshadows.pauli import PAULIS, PauliString, X, Y, Z
 from realshadows.sampling import RngStream, haar_frames
 from realshadows.variance import predict_variance
 
-from references import depolarize, mixture_decomposition, sym_part
+from references import depolarize, mixture_decomposition, sym_part, validate_state
 
 ATOL = 1e-10
 

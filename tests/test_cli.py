@@ -133,7 +133,7 @@ class TestEstimateCommand:
         def refuse(*args):
             raise AssertionError("a state was built")
 
-        monkeypatch.setattr(engine, "build_state", refuse)
+        monkeypatch.setattr(engine, "state_factor", refuse)
         cfg = _write_config(
             tmp_path,
             {
@@ -348,6 +348,12 @@ class TestEstimateCommand:
             (("ensemble",), {"scope": "global", "groups": ["orthogonal"], "basis": "random:-1"}),
             (("ensemble", "basis"), "sh"),
             (("emit", "csv"), 1),
+            (("emit", "csv"), ""),
+            (("emit",), []),
+            (("emit",), False),
+            (("emit",), ""),
+            (("observables", 2, "real"), [[True, 0, 0, 0], [0] * 4, [0] * 4, [0] * 4]),
+            (("observables", 2, "imag"), [[0] * 4, [0, False, 0, 0], [0] * 4, [0] * 4]),
             (("epsilon",), 1e-200),
             (("allow_bias",), "false"),
         ],

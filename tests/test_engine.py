@@ -21,9 +21,9 @@ from realshadows.engine import (
     ConfigError,
     ExperimentConfig,
     ShadowRecords,
-    _born_probabilities,
+    _checked,
     _global_probabilities,
-    _measured_vectors,
+    _local_vectors,
     _mixture_frames,
     _sample_outcomes,
     build_observable,
@@ -33,30 +33,27 @@ from realshadows.engine import (
     median_of_means,
     per_shot_table,
     run_experiment,
-    validate_state,
+    state_factor,
 )
 from realshadows.linalg import (
     MAX_KRON_DIM,
     ResourceLimitError,
-    batched_kron,
+    check_factor,
     identity,
     kron,
     operators_close,
 )
 from realshadows.pauli import PauliString, X, Y, Z
-from realshadows.sampling import (
-    RngStream,
-    haar_state_vector,
-    random_pure_state,
-    sample_transform_arrays,
-)
+from realshadows.sampling import RngStream, haar_state_vector, sample_transform_arrays
 from realshadows.variance import predict_variance, random_symmetric_observable
 
 from references import (
     born_probabilities_per_block,
     median_of_means_by_loop,
+    random_pure_state,
     shadow_from_vector,
     sym_part,
+    validate_state,
 )
 
 H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -69,8 +66,13 @@ def _proj(v):
 
 
 def _draw(rng, rho, spec, transforms):
-    """Born-sampled outcome indices for explicitly given local transforms."""
-    return _sample_outcomes(rng, _born_probabilities(validate_state(rho, spec.d), transforms, spec))
+    """Born-sampled outcome indices for explicitly given local transforms,
+    read off the measured vectors: qubit j's bit is 1 where its vector is
+    the conjugate of its transform's row 1."""
+    uniforms = rng.generator.random(len(transforms))
+    vectors = _local_vectors(validate_state(rho, spec.d), transforms, uniforms)
+    bits = np.all(vectors == transforms[:, :, 1].conj(), axis=2)
+    return bits @ (1 << np.arange(spec.n - 1, -1, -1))
 
 
 def _one_qubit(u):
@@ -107,9 +109,9 @@ class TestSimulateMeasurement:
         spec = local_ensemble("orthogonal", 2)
         transforms = np.stack([identity(2), identity(2)])[None]
         rho = _proj(np.kron([0.0, 1.0], [1.0, 0.0]))
-        outcomes = _draw(RngStream(2), rho, spec, transforms)
-        assert outcomes[0] == 2  # qubit 0 is the most-significant bit
-        vectors = _measured_vectors(spec, transforms, outcomes)
+        # Qubit 0 is the most-significant bit.
+        assert _draw(RngStream(2), rho, spec, transforms)[0] == 2
+        vectors = _local_vectors(validate_state(rho), transforms, np.array([0.5]))
         assert np.array_equal(vectors, [[[0.0, 1.0], [1.0, 0.0]]])
 
     def test_rejects_bad_state(self):
@@ -128,9 +130,13 @@ class TestSimulateMeasurement:
             validate_state(edge)
 
     def test_corrupted_probabilities_are_detected(self):
-        spec = local_ensemble("orthogonal", 1)
-        with pytest.raises(ValueError, match="sum"):
-            _born_probabilities(identity(2), _one_qubit(identity(2)), spec)  # trace 2
+        with pytest.raises(ValueError, match="do not sum to one"):
+            _local_vectors(identity(2), _one_qubit(identity(2)), np.array([0.5]))  # trace 2
+        # A non-unitary factor at qubit 1 doubles the masses of its branches.
+        plus = np.full((4, 1), 0.5, dtype=complex)
+        transforms = np.stack([H, 2.0 * identity(2)])[None]
+        with pytest.raises(ValueError, match="do not sum to one"):
+            _local_vectors(plus, transforms, np.array([0.5]))
 
 
 def _pure_state(seed, d):
@@ -150,21 +156,6 @@ def _full_rank_state(seed, d):
 
 
 class TestBornProbabilities:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
-    @pytest.mark.parametrize(
-        "make_state", [_pure_state, _rank2_state, _rank3_state, _full_rank_state]
-    )
-    def test_local_matches_dense_product(self, n, make_state):
-        groups = tuple("orthogonal" if j % 2 == 0 else "unitary" for j in range(n))
-        spec = local_ensemble(groups, n)
-        rho = make_state(30 + n, spec.d)
-        factor = validate_state(rho, spec.d)
-        assert operators_close(factor @ factor.conj().T, rho, atol=1e-12)
-        transforms = sample_transform_arrays([RngStream(31).child(j) for j in range(n)], spec, 40)
-        u = batched_kron([transforms[:, j] for j in range(n)])
-        dense = np.einsum("swi,ij,swj->sw", u, rho, u.conj()).real
-        assert np.max(np.abs(_born_probabilities(factor, transforms, spec) - dense)) <= 1e-12
-
     @pytest.mark.parametrize("tag", ["computational", "sh", "random:5"])
     @pytest.mark.parametrize("group", ["orthogonal", "unitary"])
     @pytest.mark.parametrize("make_state", [_pure_state, _rank2_state])
@@ -186,35 +177,34 @@ class TestBornProbabilities:
         assert np.max(np.abs(born - dense)) <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "budget, chunks", [(2**40, 1), (2**20, 7)], ids=["one-chunk", "several-chunks"]
-)
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_local_records_match_per_block_kernel(monkeypatch, seed, budget, chunks):
-    # Same outcomes and the same measured vectors, bit for bit, as with the
-    # per-block kernel patched in, within one chunk and across several (a
-    # full-rank shot at d = 32 takes 32 KiB, so 1 MiB holds 32 shots).
-    spec = local_ensemble(("orthogonal", "unitary") * 2 + ("orthogonal",), 5)
-    factor = validate_state(_full_rank_state(50 + seed, spec.d))
+@pytest.mark.parametrize("several", [False, True], ids=["one-chunk", "several-chunks"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("make_state", [_pure_state, _rank2_state, _rank3_state, _full_rank_state])
+def test_local_records_match_dense_born_sampling(monkeypatch, n, make_state, several):
+    # The chain rule picks, shot by shot, the outcome that the inverse CDF of
+    # the whole Born vector picks for the same transforms and uniforms, within
+    # one chunk and across several.
+    shots = 100
+    spec = local_ensemble(tuple("orthogonal" if j % 2 == 0 else "unitary" for j in range(n)), n)
+    factor = validate_state(make_state(30 + n, spec.d), spec.d)
+    rng = RngStream(31, (n,))
+    transforms = sample_transform_arrays([rng.child(0).child(j) for j in range(n)], spec, shots)
+    p = _checked(born_probabilities_per_block(factor, transforms, spec))
+    outcomes = _sample_outcomes(rng.child(1), p)
+    bits = (outcomes[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    expected = transforms[np.arange(shots)[:, None], np.arange(n), bits].conj()
+    chunks = []
+
+    def counted(f, t, u):
+        chunks.append(len(t))
+        return _local_vectors(f, t, u)
+
+    monkeypatch.setattr(engine, "_local_vectors", counted)
+    budget = 16 * spec.d * factor.shape[1] * 30 if several else 2**40
     monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
-    outcomes = []
-
-    def recorded(rng, p):
-        outcomes.append(_sample_outcomes(rng, p))
-        return outcomes[-1]
-
-    monkeypatch.setattr(engine, "_sample_outcomes", recorded)
-    vectors = collect_records(RngStream(seed), factor, spec, 200).vectors
-    fast, outcomes[:] = list(outcomes), []
-    monkeypatch.setattr(
-        engine,
-        "_born_probabilities",
-        lambda f, t, s: engine._checked(born_probabilities_per_block(f, t, s)),
-    )
-    reference = collect_records(RngStream(seed), factor, spec, 200).vectors
-    assert len(fast) == len(outcomes) == chunks
-    assert all(np.array_equal(a, b) for a, b in zip(fast, outcomes))
-    assert np.array_equal(vectors, reference)
+    vectors = collect_records(rng, factor, spec, shots).vectors
+    assert (len(chunks) > 1) is several and sum(chunks) == shots
+    assert np.array_equal(vectors, expected)
 
 
 def _reference_vectors(rng, rho, spec, shots):
@@ -413,9 +403,9 @@ class TestChunkMemory:
 
 class TestInputRefusals:
     def test_state_of_another_dimension(self):
-        message = "state dimension 2 does not match ensemble dimension 4"
-        with pytest.raises(ValueError, match=message):
-            validate_state(identity(2) / 2, 4)
+        spec = local_ensemble("orthogonal", 2)
+        with pytest.raises(ValueError, match=r"expected a \(4, r\) state factor"):
+            collect_records(RngStream(1), identity(2) / np.sqrt(2.0), spec, 10)
 
     def test_no_shots(self):
         spec = local_ensemble("orthogonal", 1)
@@ -675,6 +665,7 @@ def _stack_observables(n):
         {"kind": "random_symmetric", "seed": 2},
         {"kind": "pauli", "string": "Y" + "X" * (n - 1), "coefficient": -0.5},
         {"id": "real", "kind": "matrix", "real": (s + s.T).tolist()},
+        {"id": "real-diagonal", "kind": "matrix", "real": np.diag(s[0]).tolist()},
         {"kind": "random_symmetric", "seed": 3},
         {"kind": "pauli", "string": "I" * n},
     ]
@@ -704,12 +695,12 @@ class TestStackedRun:
         d = 2**n
         # Blocks of one, two and every run of consecutive real dense observables,
         # which the complex matrix and the Pauli strings split (runs of 1, 1, 1
-        # and 2 of them).
+        # and 3 of them, so the last budget sends a block of three).
         budgets = [4 * 8 * d * d, 2 * 4 * 8 * d * d, 1 << 30]
         runs = [self._run(ensemble, n, b, monkeypatch) for b in budgets]
         config, reports = runs[0]
         spec = config.ensemble
-        factor = validate_state(build_state(config.state, n), spec.d)
+        factor = check_factor(state_factor(config.state, n), spec.d)  # the run's own factor
         records = collect_records(RngStream(config.seed), factor, spec, config.shots)
         flags = []
         for position, obs in enumerate(config.observables):
@@ -830,7 +821,7 @@ class TestConfigAndRun:
         reports = run_experiment(config)
         assert len(reports) == 2
         # both reports come from one record set drawn from the config's seed
-        factor = validate_state(build_state(config.state, config.n))
+        factor = check_factor(state_factor(config.state, config.n), 2**config.n)
         spec = config.ensemble_spec()
         records = collect_records(RngStream(config.seed), factor, spec, config.shots)
         for report, string in zip(reports, ("ZZ", "XI")):
@@ -898,7 +889,7 @@ class TestConfigAndRun:
         config = ExperimentConfig.from_dict(cfg)
         (report,) = run_experiment(config)
         assert report.bias_warning is True
-        factor = validate_state(build_state(config.state, config.n))
+        factor = check_factor(state_factor(config.state, config.n), 2**config.n)
         records = collect_records(RngStream(config.seed), factor, config.ensemble_spec(), 200000)
         values = per_shot_table(records, [a])[0]
         assert np.var(values, ddof=1) == report.empirical_variance
@@ -996,6 +987,24 @@ class TestConfigAndRun:
             self._config_dict(tmp_path, seed="11", shots=2000.0, epsilon="0.1")
         )
         assert (config.seed, config.shots, config.epsilon) == (11, 2000, 0.1)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize(
+        "state",
+        [
+            {"kind": "maximally_mixed"},
+            {"kind": "computational", "index": 1},
+            {"kind": "random_pure", "seed": 7},
+            {"kind": "product", "factors": ["+i", "-", "1"]},
+        ],
+        ids=["maximally-mixed", "computational", "random-pure", "product"],
+    )
+    def test_state_factor_is_a_factor_of_build_state(self, n, state):
+        if state["kind"] == "product":
+            state = dict(state, factors=state["factors"][:n])
+        psi = state_factor(state, n)
+        assert psi.shape[0] == 2**n
+        assert np.allclose(psi @ psi.conj().T, build_state(state, n), rtol=0.0, atol=1e-15)
 
     def test_build_state_kinds(self):
         assert operators_close(build_state({"kind": "maximally_mixed"}, 1), identity(2) / 2)

@@ -141,6 +141,7 @@ STALE_TRACED = {
     "sampling.haar_unitary",
     "sampling.haar_orthogonal",
     "sampling.real_clifford_1q",
+    "sampling.random_pure_state",
     "engine.simulate_measurement",
     "engine.per_shot_estimates",
     "engine.estimate",

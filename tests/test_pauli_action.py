@@ -23,11 +23,12 @@ from realshadows.engine import (
     collect_records,
     per_shot_table,
     run_experiment,
-    validate_state,
 )
 from realshadows.pauli import PauliString
-from realshadows.sampling import RngStream, haar_state_vector, random_pure_state
+from realshadows.sampling import RngStream, haar_state_vector
 from realshadows.variance import _predict_global, _subtract_trace, predict_variance
+
+from references import random_pure_state, validate_state
 
 GROUPS = ("orthogonal", "unitary")
 TAGS = ("computational", "sh", "random:5")

@@ -17,13 +17,13 @@ from realshadows.channels import (
     visible_projector,
 )
 from realshadows.commutant import twirl_project
-from realshadows.engine import collect_records, per_shot_table, validate_state
+from realshadows.engine import collect_records, per_shot_table
 from realshadows.linalg import ResourceLimitError, identity, kron, operators_close
 from realshadows.pauli import PAULIS, PauliString, X, Y, Z
-from realshadows.sampling import RngStream, haar_state_vector, random_pure_state
+from realshadows.sampling import RngStream, haar_state_vector
 from realshadows.variance import predict_variance, random_symmetric_observable, ratio_sweep
 
-from references import REAL_CLIFFORD_1Q, overlap_f, sym_part
+from references import REAL_CLIFFORD_1Q, overlap_f, random_pure_state, sym_part, validate_state
 
 
 def _random_hermitian(seed, d):
