@@ -16,7 +16,9 @@ with d its dimension and alpha its basis's total reality, 2 on a qubit
 (orthogonal qubit: Y killed, X/Z scaled by 1/2; unitary: X/Y/Z by 1/3).  A
 dense operator takes five elementwise block passes under one factor, or one
 4x4 map per qubit factor through `map_sites`; run site by site, the block
-passes take 4 to 5 times as long (n = 6 and 9, one thread).  M^+(A) depends
+passes take 4 to 5 times as long (n = 6 and 9, one thread).  A product of
+one 2x2 operator per qubit factor, such as a basis projector, maps each
+factor with its site's 4x4 map (`site_pseudo_inverse`), in O(n).  M^+(A) depends
 only on the spectra, so an `InvertedObservable` is tied to its channel by
 value.  A block with eigenvalue 0 is invisible: the estimators see only the
 rest of an observable, and `has_invisible_part` decides that.  Dense
@@ -40,7 +42,7 @@ from .linalg import (
     norm2,
     sum_abs2,
 )
-from .pauli import PauliString
+from .pauli import BasisProjector, PauliString
 from . import sampling
 
 GROUPS = ("unitary", "orthogonal")
@@ -160,6 +162,12 @@ class ChannelDescriptor:
     d: int
     spectra: tuple[ChannelSpectrum, ...]
 
+    @property
+    def qubit_factors(self) -> bool:
+        """Whether every factor is one qubit, so that a product of per-qubit
+        operators maps factor by factor (`site_pseudo_inverse`)."""
+        return self.d == 2 ** len(self.spectra)
+
 
 def channel_for(spec: EnsembleSpec) -> ChannelDescriptor:
     """The channel of an ensemble: one spectrum per group, of dimension
@@ -278,6 +286,24 @@ def _dispatch(desc: ChannelDescriptor, a, eig_map) -> np.ndarray:
     return out.transpose([*range(b), *rows, *columns]).reshape(m.shape)
 
 
+def _map_site_operators(desc: ChannelDescriptor, ops: np.ndarray, eig_map) -> np.ndarray:
+    """Each qubit factor's 4x4 site map, its blocks scaled by eig_map of their
+    eigenvalues, applied to that qubit's operator of an (n, 2, 2) stack."""
+    if not desc.qubit_factors or len(ops) != len(desc.spectra):
+        raise ValueError("per-qubit operators need a channel of one qubit factor per operator")
+    maps = np.stack(
+        [_site_channel(eig_map(sp.lambda_sym), eig_map(sp.lambda_anti)) for sp in desc.spectra]
+    )
+    return (maps @ ops.reshape(-1, 4, 1)).reshape(ops.shape)
+
+
+def site_pseudo_inverse(desc: ChannelDescriptor, ops: np.ndarray) -> np.ndarray:
+    """The (n, 2, 2) factors B_j = M_j^+(a_j) of M^+ of a product operator
+    (x)_j a_j, given as its (n, 2, 2) factors, under a channel of one qubit
+    factor per site: M^+ of a product is the product of the sites' inverses."""
+    return _map_site_operators(desc, ops, _inverse_eigenvalue)
+
+
 def apply_channel(desc: ChannelDescriptor, a) -> np.ndarray:
     """The measurement channel M applied to an operator or each of a stack;
     a real operator stays real."""
@@ -330,10 +356,19 @@ def has_invisible_part(desc: ChannelDescriptor, observable):
 
     A Pauli string is invisible as a whole when its M^-1 eigenvalue is 0.  A
     dense A has an invisible part when ||A - visible_projector(A)||_2 exceeds
-    1e-10 max(1, ||A||_2).
+    1e-10 max(1, ||A||_2).  Under a channel of qubit factors, a basis
+    projector, a product of nonzero |b_j><b_j|, has one exactly when some
+    site's |b_j><b_j| has one, which that rule decides site by site; under
+    one factor of several qubits it is dense.
     """
     if isinstance(observable, PauliString):
         return pauli_string_inverse_eigenvalue(desc, observable) == 0.0
+    if isinstance(observable, BasisProjector):
+        if desc.qubit_factors:
+            ops = observable.site_operators()
+            hidden = norm2(ops - _map_site_operators(desc, ops, _indicator))
+            return bool(np.any(hidden > 1e-10 * np.maximum(1.0, norm2(ops))))
+        observable = observable.to_matrix()
     m = as_operators(observable)
     flags = norm2(m - visible_projector(desc, m)) > 1e-10 * np.maximum(1.0, norm2(m))
     return flags if flags.ndim else bool(flags)

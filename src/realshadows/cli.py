@@ -27,6 +27,7 @@ from .channels import (
 from .commutant import closed_form_twirl, mc_twirl, twirl_project
 from .engine import ConfigError, ExperimentConfig, collect_records, per_shot_table, run_experiment
 from .linalg import ResourceLimitError, check_entries, check_qubit_count, kron
+from .pauli import BasisProjector
 from .sampling import MAX_SEED, RngStream, haar_state_vector
 from .variance import (
     check_local_cubature,
@@ -204,20 +205,24 @@ def cmd_validate_variance(args: argparse.Namespace) -> int:
     ok = pinned_real == 2.0 and pinned_unitary == 3.0
     psi = haar_state_vector(RngStream(args.seed, (10,)), args.d)[:, None]
     a = random_symmetric_observable(RngStream(args.seed, (11,)), args.d)
+    # The local sites also estimate a basis projector, predicted site by site.
+    index = int(RngStream(args.seed, (13,)).generator.integers(args.d))
+    projector = BasisProjector.from_index(index, n)
     specs = [global_ensemble(g, basis_from_tag("computational", n)) for g in groups] + [local]
-    predictions = [predict_variance(spec, a, psi) for spec in specs]
-    for spec, predicted in zip(specs, predictions):
+    for spec, observables in zip(specs, [[a], [a], [a, projector]]):
         records = collect_records(RngStream(args.seed, (12,)), psi, spec, args.shots)
-        values = per_shot_table(records, [a])[0]
-        empirical = np.var(values, ddof=1)
-        # A sample variance's standard error, from the shots' fourth moment.
-        stderr = np.std((values - values.mean()) ** 2, ddof=1) / np.sqrt(args.shots)
-        _, z, case_ok = _mc_agreement(abs(empirical - predicted), stderr)
-        ok = ok and case_ok
-        print(
-            f"{spec.label()}: empirical={empirical:.6g} predicted={predicted:.6g} "
-            f"z={z:.2f} -> {'PASS' if case_ok else 'FAIL'}"
-        )
+        for observable, values in zip(observables, per_shot_table(records, observables)):
+            predicted = predict_variance(spec, observable, psi)
+            empirical = np.var(values, ddof=1)
+            # A sample variance's standard error, from the shots' fourth moment.
+            stderr = np.std((values - values.mean()) ** 2, ddof=1) / np.sqrt(args.shots)
+            _, z, case_ok = _mc_agreement(abs(empirical - predicted), stderr)
+            ok = ok and case_ok
+            label = spec.label() + ("" if observable is a else f" projector:{index}")
+            print(
+                f"{label}: empirical={empirical:.6g} predicted={predicted:.6g} "
+                f"z={z:.2f} -> {'PASS' if case_ok else 'FAIL'}"
+            )
     print(f"variance validation: {'PASS' if ok else 'FAIL'}")
     return EXIT_PASS if ok else EXIT_VALIDATION_FAIL
 

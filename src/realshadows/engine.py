@@ -22,12 +22,14 @@ import numpy as np
 
 from . import __version__
 from .channels import (
+    ChannelDescriptor,
     EnsembleSpec,
     channel_for,
     ensemble_from_tag,
     has_invisible_part,
     invert,
     pauli_string_inverse_eigenvalue,
+    site_pseudo_inverse,
 )
 from .linalg import (
     batched_kron,
@@ -39,7 +41,7 @@ from .linalg import (
     is_hermitian,
     kron,
 )
-from .pauli import PAULIS, PauliString
+from .pauli import PAULIS, BasisProjector, PauliString
 from .sampling import (
     MAX_SEED,
     RNG_ALGORITHM,
@@ -252,22 +254,23 @@ def per_shot_table(records: ShadowRecords, observables) -> np.ndarray:
     observable, in order, and one column per shot, without materializing
     shadows.
 
-    An observable is a Pauli string, a dense Hermitian matrix, or a (B, d, d)
-    stack of them or its `InvertedObservable`, which fills B rows.  A Pauli
-    string c P takes one rule in every ensemble: o_s = mu c <v_s|P|v_s> from
-    `PauliString.expectations`, with mu its M^-1 eigenvalue, and zeros when
-    mu = 0.  A dense stack contracts its pseudo-inverses against the full
-    measured vectors, one batched product per chunk.  Real records take the
-    real part of each operator, which is exact for real v, and a real
-    operator reads complex v as the rows Re v and Im v, whose two estimates
-    add up to o_s, so it is contracted in real arithmetic either way.
+    An observable is a Pauli string, a basis projector, a dense Hermitian
+    matrix, or a (B, d, d) stack of them or its `InvertedObservable`, which
+    fills B rows.  A Pauli string c P takes one rule in every ensemble:
+    o_s = mu c <v_s|P|v_s> from `PauliString.expectations`, with mu its M^-1
+    eigenvalue, and zeros when mu = 0.  Under a channel of qubit factors a
+    basis projector is inverted site by site, and o_s = prod_j <v_j|B_j|v_j>
+    is read from the per-qubit vectors in O(n); under one factor of several
+    qubits it is dense.  A dense stack contracts its pseudo-inverses against
+    the full measured vectors, one batched product per chunk.  Real records
+    take the real part of each operator, which is exact for real v, and a
+    real operator reads complex v as the rows Re v and Im v, whose two
+    estimates add up to o_s, so it is contracted in real arithmetic either way.
     """
     spec = records.spec
     desc = channel_for(spec)
-    operands = [o if isinstance(o, PauliString) else invert(desc, o) for o in observables]
-    heights = [
-        1 if isinstance(o, PauliString) else math.prod(o.inverse.shape[:-2]) for o in operands
-    ]
+    operands = [_operand(desc, o) for o in observables]
+    heights = [1 if _is_product(o) else math.prod(o.inverse.shape[:-2]) for o in operands]
     table = np.empty((sum(heights), len(records)))
     rows = np.cumsum([0, *heights])
     for o, top, height in zip(operands, rows, heights):
@@ -277,6 +280,10 @@ def per_shot_table(records: ShadowRecords, observables) -> np.ndarray:
             # The string's partner entries and their products: 48 d bytes per shot.
             chunk = chunk_items(48 * spec.d)
             kernel = _pauli_kernel(o, mu)
+        elif isinstance(o, BasisProjector):
+            # Each qubit's |v_j[r]|^2, their parts and <v_j|B_j|v_j>: 56 n bytes per shot.
+            chunk = chunk_items(56 * spec.n)
+            kernel = _projector_kernel(spec.n, site_pseudo_inverse(desc, o.site_operators()))
         else:
             stack = o.inverse.reshape(height, spec.d, spec.d)
             if not np.iscomplexobj(records.vectors):
@@ -288,6 +295,38 @@ def per_shot_table(records: ShadowRecords, observables) -> np.ndarray:
         for start in range(0, len(records), chunk):
             out[:, start : start + chunk] = kernel(records.vectors[start : start + chunk])
     return table
+
+
+def _is_product(o) -> bool:
+    """Whether an operand is read by a product rule rather than as a dense stack."""
+    return isinstance(o, (PauliString, BasisProjector))
+
+
+def _dense_unless_sites(desc: ChannelDescriptor, o):
+    """A basis projector as its dense matrix under one factor of several
+    qubits, where it cannot be worked site by site; anything else as it is."""
+    return o.to_matrix() if isinstance(o, BasisProjector) and not desc.qubit_factors else o
+
+
+def _operand(desc: ChannelDescriptor, o):
+    """An observable as `per_shot_table` and `run_experiment` use it: a
+    product as it is, and anything else as its pseudo-inverse."""
+    o = _dense_unless_sites(desc, o)
+    return o if _is_product(o) else invert(desc, o)
+
+
+def _projector_kernel(n: int, inverses: np.ndarray):
+    """o_s = prod_j <v_j|B_j|v_j> of (S, n, 2) per-qubit vectors, or of
+    (S, 2) ones at n = 1, for a basis projector's (n, 2, 2) site inverses
+    B_j.  Each B_j is diagonal, since a site's M^+ keeps a diagonal operator
+    diagonal, so <v_j|B_j|v_j> = sum_r B_j[r, r] |v_j[r]|^2."""
+    diagonals = np.diagonal(inverses, axis1=1, axis2=2)
+
+    def kernel(v):
+        v = v.reshape(len(v), n, 2)
+        return np.einsum("sjr,jr->sj", v.real**2 + v.imag**2, diagonals).prod(axis=1)
+
+    return kernel
 
 
 def _pauli_kernel(p: PauliString, mu: float):
@@ -417,7 +456,8 @@ def _parse_observable(obs: dict, n: int) -> tuple[str, str, PauliString | int | 
     of dimension 2^n: the key is the Pauli string, the seed or the basis index
     (None for a matrix), and the id is "id" or a default from the kind and
     key.  An id may not hold a comma, a quote or a line break, which would
-    break its CSV row."""
+    break its CSV row, nor read as a non-finite number (NaN, inf or 1e999, in
+    any case and with spaces), which CSV readers parse as a float."""
     kind = obs.get("kind", "pauli")
     if kind == "pauli":
         string = obs.get("string")
@@ -438,13 +478,23 @@ def _parse_observable(obs: dict, n: int) -> tuple[str, str, PauliString | int | 
     oid = str(obs.get("id", default))
     if set(oid) & set(',"\r\n'):
         raise ConfigError(f"observable id {oid!r} holds a comma, a quote or a line break")
+    if _non_finite_number(oid):
+        raise ConfigError(f"observable id {oid!r} reads as a non-finite number")
     return kind, oid, key
 
 
-def build_observable(obs: dict, n: int) -> tuple[str, PauliString | np.ndarray]:
-    """(id, operator) of one configured observable.  A dense operator is
-    float64 when it is real (a random symmetric draw, a basis projector, a
-    matrix without an imaginary part) and complex otherwise."""
+def _non_finite_number(text: str) -> bool:
+    try:
+        return not math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+def build_observable(obs: dict, n: int) -> tuple[str, PauliString | BasisProjector | np.ndarray]:
+    """(id, operator) of one configured observable: a `PauliString`, a
+    `BasisProjector` or a dense operator, which is float64 when it is real (a
+    random symmetric draw, a matrix without an imaginary part) and complex
+    otherwise."""
     check_qubit_count(n)
     d = 2**n
     kind, oid, key = _parse_observable(obs, n)
@@ -453,9 +503,7 @@ def build_observable(obs: dict, n: int) -> tuple[str, PauliString | np.ndarray]:
     if kind == "random_symmetric":
         return oid, random_symmetric_observable(RngStream(key), d)
     if kind == "basis_projector":
-        op = np.zeros((d, d))
-        op[key, key] = 1.0
-        return oid, op
+        return oid, BasisProjector.from_index(key, n)
     parts = obs.get("real"), obs.get("imag", 0.0)
     try:
         if _holds_bool(parts):  # numpy reads true and false as 1.0 and 0.0
@@ -614,15 +662,18 @@ def write_reports_csv(path: str, reports: list[EstimateReport]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _operand_blocks(config: ExperimentConfig):
+def _operand_blocks(config: ExperimentConfig, desc: ChannelDescriptor):
     """Yield (ids, operand) over a config's observables in config order: each
-    Pauli string alone, and dense observables built as needed and stacked in
-    blocks of consecutive ones of one dtype (a real A stays real), so that a
-    block's checks, pseudo-inverses and predictions take one pass."""
+    Pauli string alone, and so each basis projector under a channel of qubit
+    factors, and dense observables built as needed (a projector under one
+    factor of several qubits among them) and stacked in blocks of
+    consecutive ones of one dtype (a real A stays real), so that a block's
+    checks, pseudo-inverses and predictions take one pass."""
     block = []
     for obs in config.observables:
         oid, op = build_observable(obs, config.n)
-        if isinstance(op, PauliString):
+        op = _dense_unless_sites(desc, op)
+        if _is_product(op):
             if block:
                 yield _stacked(block)
             yield [oid], op
@@ -648,7 +699,8 @@ def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
     """Run the full pipeline; deterministic given (seed, config).
 
     All observables are estimated from one shared record set, and each stage
-    is one pass over them: Pauli strings keep their closed forms, and dense
+    is one pass over them: Pauli strings keep their closed forms, basis
+    projectors under a local ensemble their per-site forms, and dense
     observables come in the blocks of `_operand_blocks`, each with one
     visibility check, one pseudo-inverse and, under a global ensemble, one
     variance prediction.  Before any shot is drawn, every variance is
@@ -661,16 +713,18 @@ def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
     """
     t0 = time.perf_counter()
     spec = config.ensemble
-    if spec.scope == "local" and any(o.get("kind", "pauli") != "pauli" for o in config.observables):
-        check_local_cubature(spec.groups)  # before the state and any dense observable
+    # Before the state and any dense observable; the product kinds need no cubature.
+    if spec.scope == "local" and any(
+        o.get("kind", "pauli") not in ("pauli", "basis_projector") for o in config.observables
+    ):
+        check_local_cubature(spec.groups)
     factor = check_factor(state_factor(config.state, config.n), spec.d)
     desc = channel_for(spec)
     operands, rows = [], []  # rows: (id, flag, prediction) per table row
     # A dense block's working arrays fit in one CHUNK_BYTES; only its inverses are kept.
-    for ids, obs in _operand_blocks(config):
+    for ids, obs in _operand_blocks(config, desc):
         flags = has_invisible_part(desc, obs)
-        if not isinstance(obs, PauliString):
-            obs = invert(desc, obs)  # one pseudo-inverse for the predictions and the estimates
+        obs = _operand(desc, obs)  # one pseudo-inverse for the predictions and the estimates
         predicted = predict_variance(spec, obs, factor)
         rows += zip(ids, np.atleast_1d(flags), np.atleast_1d(predicted))
         operands.append(obs)

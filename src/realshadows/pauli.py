@@ -1,4 +1,5 @@
-"""Single-qubit Pauli matrices and tensor-product Pauli strings."""
+"""Single-qubit Pauli matrices, tensor-product Pauli strings and
+computational basis projectors, the two product observables."""
 
 from __future__ import annotations
 
@@ -113,3 +114,40 @@ class PauliString:
         if self.coefficient == 1.0:
             return s
         return f"({self.coefficient})*{s}"
+
+
+@dataclass(frozen=True)
+class BasisProjector:
+    """The projector |b><b| onto a computational basis state, the product
+    over qubits of |b_j><b_j|; qubit 0 leftmost, the most significant bit of
+    the index b."""
+
+    bits: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.bits or set(self.bits) - {0, 1}:
+            raise ValueError(f"a basis projector needs one bit per qubit, got {self.bits!r}")
+
+    @classmethod
+    def from_index(cls, index: int, n: int) -> "BasisProjector":
+        return cls(tuple((index >> (n - 1 - j)) & 1 for j in range(n)))
+
+    @property
+    def n(self) -> int:
+        return len(self.bits)
+
+    @property
+    def index(self) -> int:
+        return sum(bit << (self.n - 1 - j) for j, bit in enumerate(self.bits))
+
+    def site_operators(self) -> np.ndarray:
+        """The (n, 2, 2) float64 factors |b_j><b_j|, one per qubit."""
+        ops = np.zeros((self.n, 2, 2))
+        ops[np.arange(self.n), self.bits, self.bits] = 1.0
+        return ops
+
+    def to_matrix(self) -> np.ndarray:
+        """The dense d x d projector, float64."""
+        op = np.zeros((2**self.n, 2**self.n))
+        op[self.index, self.index] = 1.0
+        return op

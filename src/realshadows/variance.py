@@ -15,7 +15,8 @@ E[<v|P|v>^2] = Tr[P M(P)]/d = lambda = 1/mu, so
 which is 0 when mu = 0 (P is invisible) or P is the identity.  Any other
 observable takes a sum: global ensembles sum the Brauer trace words of the
 k = 3 twirl, and local ones average over the single-qubit Clifford
-measurements, a finite sum over product stabilizer states.
+measurements, a finite sum over product stabilizer states, which factorises
+over the sites of a basis projector.
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ from .channels import (
     map_sites,
     pauli_string_inverse_eigenvalue,
     pseudo_inverse,
+    site_pseudo_inverse,
     stabilizer_points,
 )
 from .commutant import enumerate_pairings, twirl_coefficients
 from .linalg import check_entries, check_factor, chunk_items
-from .pauli import PauliString
+from .pauli import BasisProjector, PauliString
 from .sampling import RngStream, haar_state_vector
 
 
@@ -210,19 +212,54 @@ def _predict_local(spec: EnsembleSpec, inverses: np.ndarray, factor: np.ndarray)
     return variances
 
 
+def _product_traces(factor: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Tr[Psi Psi^dag (x)_j O_ij] for each row i of an (m, n, 2, 2) array of
+    one 2x2 operator O_ij per qubit, qubit 0 leftmost: each O_ij acts on
+    Psi's qubit-j axis in one batched product, so a trace costs O(n d r) and
+    no d x d array is formed."""
+    image = factor[None]
+    for j in range(ops.shape[1]):
+        image = ops[:, j, None] @ image.reshape(len(image), 2**j, 2, -1)
+    return np.einsum("mdr,dr->m", image.reshape(-1, *factor.shape), factor.conj()).real
+
+
+def _predict_sites(spec: EnsembleSpec, inverses: np.ndarray, factor: np.ndarray) -> float:
+    """Exact Var[o] under a local ensemble of a product observable, from its
+    (n, 2, 2) site inverses B_j: o = prod_j <v_j|B_j|v_j> on the measured
+    product state.
+
+    The local cubature factorises over the sites of a product: with the
+    site's `stabilizer_points` phi, each of weight 2/K_j,
+    E[o^k] = Tr[rho (x)_j Q_j^(k)], Q_j^(k) = (2/K_j) sum_phi <phi|B_j|phi>^k
+    |phi><phi|.  Q_j^(1) is M_j(B_j), so E[o] is the visible target.  Both
+    moments are `_product_traces` on Psi, and no dense rho is formed."""
+    ops = np.empty((2, spec.n, 2, 2), dtype=complex)  # Q_j^(1) and Q_j^(2)
+    for group in set(spec.groups):
+        sites = [j for j, g in enumerate(spec.groups) if g == group]
+        points = stabilizer_points(group)
+        values = (inverses[sites].reshape(len(sites), 4) @ points.T).real  # <phi|B_j|phi>
+        # points[i] holds conj(phi_r) phi_c at (r, c): the transpose of |phi><phi|.
+        sums = np.einsum("ksi,icr->ksrc", [values, values**2], points.reshape(-1, 2, 2))
+        ops[:, sites] = 2.0 / len(points) * sums
+    mean, second = _product_traces(factor, ops)
+    return second - mean**2
+
+
 def predict_variance(spec: EnsembleSpec, observable, factor):
     """The exact variance of one shot's estimate of `observable` on the state
     rho = Psi Psi^dag of the (d, r) `factor` Psi, as `engine.state_factor`
     gives it for a configured state.
 
-    `observable` is a Pauli string, a Hermitian matrix or a (B, d, d) stack
-    of them, or the `InvertedObservable` of one; a stack gets one variance
-    per operator, anything else a float.  A string c P takes the one rule of
+    `observable` is a Pauli string, a basis projector, a Hermitian matrix or
+    a (B, d, d) stack of them, or the `InvertedObservable` of one; a stack
+    gets one variance per operator, anything else a float.  A string c P takes the one rule of
     every ensemble, c^2 mu - (c Tr[rho P])^2 with mu the M^-1 eigenvalue of P.
     Dense observables sum the Brauer words under a global ensemble, a whole
     stack in one walk, and under a local one the single-qubit Clifford
     cubature, which raises ResourceLimitError when `check_local_cubature`
-    refuses its size.
+    refuses its size.  A basis projector is dense under a global ensemble;
+    under a local one the cubature factorises over its sites
+    (`_predict_sites`), in O(n d r) with no size limit.
     """
     factor = check_factor(factor, spec.d)
     if isinstance(observable, PauliString):
@@ -232,12 +269,18 @@ def predict_variance(spec: EnsembleSpec, observable, factor):
         # c Tr[rho P] = sum_k c <psi_k|P|psi_k> over the columns psi_k of Psi, O(d r).
         mean = observable.expectations(factor.T).sum()
         return float(observable.coefficient**2 * mu - mean**2)
-    inverted = invert(channel_for(spec), observable)
+    desc = channel_for(spec)
     if spec.scope == "global":
+        if isinstance(observable, BasisProjector):
+            observable = observable.to_matrix()
+        inverted = invert(desc, observable)
         tilde = _subtract_trace(inverted.inverse.copy(), inverted.trace)
         variances = _predict_global(spec, tilde, factor)
+    elif isinstance(observable, BasisProjector):
+        inverses = site_pseudo_inverse(desc, observable.site_operators())
+        variances = _predict_sites(spec, inverses, factor)
     else:
-        variances = _predict_local(spec, inverted.inverse, factor)
+        variances = _predict_local(spec, invert(desc, observable).inverse, factor)
     return variances if variances.ndim else float(variances)
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from realshadows import cli, engine, linalg
 from realshadows.cli import _ENSEMBLE_CHOICES, _mc_agreement, main
 from realshadows.linalg import ResourceLimitError
+from realshadows.pauli import BasisProjector
 from realshadows.variance import check_local_cubature
 
 
@@ -268,7 +269,7 @@ class TestEstimateCommand:
             n=11,
             ensemble={"scope": "local", "groups": "unitary"},
             state={"kind": "computational", "index": 0},
-            observables=[{"kind": "basis_projector", "index": 3}],
+            observables=[{"kind": "random_symmetric", "seed": 3}],
         )
         assert main(["estimate", "--config", _write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
@@ -308,15 +309,17 @@ class TestEstimateCommand:
         assert captured.out == ""
         assert not (tmp_path / "out.csv").exists()
 
-    def test_pauli_only_local_config_needs_no_cubature(self, tmp_path, capsys, monkeypatch):
+    def test_product_only_local_config_needs_no_cubature(self, tmp_path, capsys, monkeypatch):
         # With a budget of 32^2 = 4^5 entries, all-unitary n = 4 (6^4 points)
-        # runs with Pauli strings only, and a dense observable is refused.
+        # runs with Pauli strings and basis projectors only, and a dense
+        # observable is refused.
         monkeypatch.setattr(linalg, "MAX_KRON_DIM", 32)
         cfg = self._one_qubit_config({"csv": str(tmp_path / "out.csv")})
         cfg.update(n=4, shots=50, ensemble={"scope": "local", "groups": "unitary"})
         cfg["observables"] = [{"kind": "pauli", "string": s} for s in ("ZIII", "XYZI")]
-        assert main(["estimate", "--config", _write_config(tmp_path, cfg)]) == 0
         cfg["observables"].append({"kind": "basis_projector", "index": 3})
+        assert main(["estimate", "--config", _write_config(tmp_path, cfg)]) == 0
+        cfg["observables"].append({"kind": "random_symmetric", "seed": 3})
         assert main(["estimate", "--config", _write_config(tmp_path, cfg, "dense.json")]) == 2
         assert "cubature" in capsys.readouterr().err
 
@@ -376,6 +379,25 @@ class TestEstimateCommand:
         assert code == 2
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("oid", ["NaN", "nan", " inf ", "-Infinity", "+INF", "1e999", "-1E999"])
+    def test_non_finite_number_id_is_refused(self, tmp_path, monkeypatch, capsys, oid):
+        # CSV readers such as pandas parse such a cell as a float, not as an id.
+        monkeypatch.chdir(tmp_path)
+        cfg = copy.deepcopy(_FUZZ_BASES[0])
+        cfg["observables"][0]["id"] = oid
+        assert main(["estimate", "--config", _write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: observable id {oid!r} reads as a non-finite number\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("oid", ["1e99", "-0.5", "nano", "info", "in f"])
+    def test_finite_or_non_numeric_id_is_kept(self, tmp_path, monkeypatch, oid):
+        monkeypatch.chdir(tmp_path)
+        cfg = copy.deepcopy(_FUZZ_BASES[0])
+        cfg["observables"][0]["id"] = oid
+        assert main(["estimate", "--config", _write_config(tmp_path, cfg)]) == 0
+        assert (tmp_path / "out.csv").read_text().split("\n")[1].startswith(oid + ",")
 
     def test_out_flag_with_null_emit(self, tmp_path):
         path = _write_config(tmp_path, self._one_qubit_config(None))
@@ -535,13 +557,28 @@ class TestValidators:
         exact = cli.predict_variance
 
         def high(spec, a, psi):
-            return exact(spec, a, psi) * (1.04 if spec.d == 4 else 1.0)
+            dense = spec.d == 4 and not isinstance(a, BasisProjector)
+            return exact(spec, a, psi) * (1.04 if dense else 1.0)
 
         monkeypatch.setattr(cli, "predict_variance", high)
         assert main(["validate-variance", "--d", "4", "--shots", "100000"]) == 1
         out = capsys.readouterr().out
         assert "real=2.0, unitary=3.0" in out
         assert out.count("-> FAIL") == 3 and "variance validation: FAIL" in out
+
+    def test_validate_variance_fails_a_mispredicted_projector(self, monkeypatch, capsys):
+        # The projector's estimates have heavier tails: 8% high sits near 12
+        # standard errors at 100,000 shots, and only its line fails.
+        exact = cli.predict_variance
+
+        def high(spec, a, psi):
+            return exact(spec, a, psi) * (1.08 if isinstance(a, BasisProjector) else 1.0)
+
+        monkeypatch.setattr(cli, "predict_variance", high)
+        assert main(["validate-variance", "--d", "4", "--shots", "100000"]) == 1
+        out = capsys.readouterr().out
+        (failed,) = [line for line in out.split("\n") if line.endswith("-> FAIL")]
+        assert failed.startswith("local-orthogonal,unitary(computational) projector:")
 
 
 class TestRatioSweep:

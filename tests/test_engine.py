@@ -43,7 +43,7 @@ from realshadows.linalg import (
     kron,
     operators_close,
 )
-from realshadows.pauli import PauliString, X, Y, Z
+from realshadows.pauli import BasisProjector, PauliString, X, Y, Z
 from realshadows.sampling import RngStream, haar_state_vector, sample_transform_arrays
 from realshadows.variance import predict_variance, random_symmetric_observable
 
@@ -757,6 +757,8 @@ class TestRealObservables:
     @pytest.mark.parametrize("obs", _REAL, ids=["symmetric", "projector", "matrix", "zero-imag"])
     def test_real_observables_and_inverses_are_float64(self, obs):
         _, op = build_observable(obs, 2)
+        if isinstance(op, BasisProjector):  # the dense form, which a global ensemble inverts
+            op = op.to_matrix()
         assert op.dtype == np.float64
         factor = validate_state(_pure_state(43, 4))
         for make_spec in self._SPECS:
@@ -1021,7 +1023,7 @@ class TestConfigAndRun:
         oid, p = build_observable({"kind": "pauli", "string": "XZ"}, 2)
         assert oid == "XZ" and isinstance(p, PauliString)
         oid, m = build_observable({"kind": "basis_projector", "index": 1}, 1)
-        assert m[1, 1] == 1.0
+        assert m.to_matrix()[1, 1] == 1.0
         oid, m = build_observable({"kind": "random_symmetric", "seed": 3}, 2)
         assert operators_close(m, m.T)
         with pytest.raises(ConfigError):

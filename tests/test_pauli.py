@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from realshadows.linalg import kron, operators_close
-from realshadows.pauli import PAULIS, PauliString, X, Z
+from realshadows.pauli import PAULIS, BasisProjector, PauliString, X, Z
 
 
 def test_from_string_round_trip():
@@ -39,3 +39,20 @@ def test_rejects_bad_letters():
 def test_pauli_matrices_square_to_identity():
     for letter, mat in PAULIS.items():
         assert operators_close(mat @ mat, np.eye(2)), letter
+
+
+def test_basis_projector_is_the_product_of_its_sites():
+    for n in (1, 2, 4):
+        for index in range(2**n):
+            p = BasisProjector.from_index(index, n)
+            assert p.index == index and p.n == n
+            dense = p.to_matrix()
+            assert dense.dtype == np.float64 and dense[index, index] == 1.0 and dense.sum() == 1.0
+            assert np.array_equal(kron(*p.site_operators()), dense)
+    assert BasisProjector.from_index(6, 3).bits == (1, 1, 0)  # qubit 0 is the leading bit
+
+
+def test_basis_projector_rejects_bad_bits():
+    for bits in ((), (0, 2), (1, -1)):
+        with pytest.raises(ValueError):
+            BasisProjector(bits)
