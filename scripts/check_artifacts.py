@@ -4,10 +4,10 @@ references committed under tests/data/.
 
 The runs are the `run_estimate_demo.py` configuration (local orthogonal,
 n = 3), a small global orthogonal one (n = 4, computational basis, Pauli
-strings and random symmetric observables), two ratio sweeps (n = 1..5 and
-n = 6..7, 10 instances per n, seed 5) and a full-rank local one (n = 6,
-alternating orthogonal and unitary sites, maximally mixed state, 2,000 shots
-in 134 chain-rule chunks of up to 15).  Text cells must match exactly and
+strings, a basis projector and random symmetric observables), two ratio
+sweeps (n = 1..5 and n = 6..7, 10 instances per n, seed 5) and a full-rank
+local one (n = 6, alternating orthogonal and unitary sites, maximally mixed
+state, 2,000 shots in 134 chain-rule chunks of up to 15).  Text cells must match exactly and
 each numeric cell x within 1e-12 * (1 + |x|), so that BLAS builds that round
 differently still pass.
 
@@ -45,6 +45,7 @@ GLOBAL_CONFIG = {
         {"id": "XYYZ", "kind": "pauli", "string": "XYYZ"},
         {"id": "IXIX", "kind": "pauli", "string": "IXIX", "coefficient": 0.5},
         {"id": "IIII", "kind": "pauli", "string": "IIII"},
+        {"id": "proj", "kind": "basis_projector", "index": 9},
         {"id": "YIXZ", "kind": "pauli", "string": "YIXZ"},
         {"id": "sym0", "kind": "random_symmetric", "seed": 3},
         {"id": "sym1", "kind": "random_symmetric", "seed": 4},
