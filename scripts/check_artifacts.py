@@ -7,9 +7,9 @@ n = 3), a small global orthogonal one (n = 4, computational basis, Pauli
 strings, a basis projector and random symmetric observables), two ratio
 sweeps (n = 1..5 and n = 6..7, 10 instances per n, seed 5) and a full-rank
 local one (n = 6, alternating orthogonal and unitary sites, maximally mixed
-state, 2,000 shots in 134 chain-rule chunks of up to 15).  Text cells must match exactly and
-each numeric cell x within 1e-12 * (1 + |x|), so that BLAS builds that round
-differently still pass.
+state, 2,000 shots in 134 chain-rule chunks of up to 15).  Text cells must
+match exactly and each numeric cell x within 1e-12 * (1 + |x|), so that BLAS
+builds that round differently still pass.
 
     python3 scripts/check_artifacts.py           # compare; exit 1 on a mismatch
     python3 scripts/check_artifacts.py --update  # rewrite the references

@@ -16,13 +16,14 @@ with d its dimension and alpha its basis's total reality, 2 on a qubit
 (orthogonal qubit: Y killed, X/Z scaled by 1/2; unitary: X/Y/Z by 1/3).  A
 dense operator takes five elementwise block passes under one factor, or one
 4x4 map per qubit factor through `map_sites`; run site by site, the block
-passes take 4 to 5 times as long (n = 6 and 9, one thread).  A product of
-one 2x2 operator per qubit factor, such as a basis projector, maps each
-factor with its site's 4x4 map (`site_pseudo_inverse`), in O(n).  M^+(A) depends
-only on the spectra, so an `InvertedObservable` is tied to its channel by
-value.  A block with eigenvalue 0 is invisible: the estimators see only the
-rest of an observable, and `has_invisible_part` decides that.  Dense
-superoperator matrices appear only in tests.
+passes take 4 to 5 times as long (n = 6 and 9, one thread).  A basis
+projector has a closed form in every channel, a product of one diagonal
+per factor (`projector_inverse`), in O(d) under one factor and O(n) under
+qubit factors.  M^+(A) depends only on the spectra, so an
+`InvertedObservable` is tied to its channel by value.  A block with
+eigenvalue 0 is invisible: the estimators see only the rest of an
+observable, and `has_invisible_part` decides that.  Dense superoperator
+matrices appear only in tests.
 """
 
 from __future__ import annotations
@@ -162,12 +163,6 @@ class ChannelDescriptor:
     d: int
     spectra: tuple[ChannelSpectrum, ...]
 
-    @property
-    def qubit_factors(self) -> bool:
-        """Whether every factor is one qubit, so that a product of per-qubit
-        operators maps factor by factor (`site_pseudo_inverse`)."""
-        return self.d == 2 ** len(self.spectra)
-
 
 def channel_for(spec: EnsembleSpec) -> ChannelDescriptor:
     """The channel of an ensemble: one spectrum per group, of dimension
@@ -242,17 +237,36 @@ def pauli_inverse_eigenvalue(spectrum: ChannelSpectrum, letters) -> float:
     return _inverse_eigenvalue(spectrum.lambda_anti if odd else spectrum.lambda_sym)
 
 
-def pauli_string_inverse_eigenvalue(desc: ChannelDescriptor, p) -> float:
-    """The eigenvalue of M^-1 on a Pauli string `p`, a product over the
-    channel's factors; 0 when it is invisible.  The string must act on the
-    channel's dimension."""
+def _qubits_per_factor(desc: ChannelDescriptor, p) -> int:
+    """The qubits of a product observable `p` in each of the channel's
+    factors; `p` must act on the channel's dimension."""
     if 2**p.n != desc.d:
         raise ValueError("observable qubit count does not match the ensemble")
-    m = p.n // len(desc.spectra)
+    return p.n // len(desc.spectra)
+
+
+def pauli_string_inverse_eigenvalue(desc: ChannelDescriptor, p) -> float:
+    """The eigenvalue of M^-1 on a Pauli string `p`, a product over the
+    channel's factors; 0 when it is invisible."""
+    m = _qubits_per_factor(desc, p)
     return math.prod(
         pauli_inverse_eigenvalue(sp, p.letters[j * m : (j + 1) * m])
         for j, sp in enumerate(desc.spectra)
     )
+
+
+def projector_inverse(desc: ChannelDescriptor, p: BasisProjector) -> np.ndarray:
+    """The (F, k) diagonals D_f of M^+(|b><b|) = (x)_f diag(D_f) for a basis
+    projector `p`, one per factor f of dimension k.  In a factor,
+    |b_f><b_f| is I/k plus a symmetric traceless part, which M^+ scales by
+    s_f = 1/lambda_sym (0 when that block is invisible), so
+    D_f = (1 - s_f)/k + s_f [r = b_f]."""
+    m = _qubits_per_factor(desc, p)
+    s = np.array([_inverse_eigenvalue(sp.lambda_sym) for sp in desc.spectra])[:, None]
+    diagonals = np.repeat((1.0 - s) / 2**m, 2**m, axis=1)
+    bits = np.reshape(p.bits, (-1, m)) @ (1 << np.arange(m - 1, -1, -1))
+    diagonals[np.arange(len(s)), bits] += s[:, 0]
+    return diagonals
 
 
 def _apply_global_blocks(a: np.ndarray, lam_sym: float, lam_anti: float) -> np.ndarray:
@@ -284,24 +298,6 @@ def _dispatch(desc: ChannelDescriptor, a, eig_map) -> np.ndarray:
     out = map_sites(m, [_site_channel(*x) for x in blocks]).reshape(m.shape[:b] + (2,) * (2 * n))
     rows, columns = range(b, b + 2 * n, 2), range(b + 1, b + 2 * n, 2)
     return out.transpose([*range(b), *rows, *columns]).reshape(m.shape)
-
-
-def _map_site_operators(desc: ChannelDescriptor, ops: np.ndarray, eig_map) -> np.ndarray:
-    """Each qubit factor's 4x4 site map, its blocks scaled by eig_map of their
-    eigenvalues, applied to that qubit's operator of an (n, 2, 2) stack."""
-    if not desc.qubit_factors or len(ops) != len(desc.spectra):
-        raise ValueError("per-qubit operators need a channel of one qubit factor per operator")
-    maps = np.stack(
-        [_site_channel(eig_map(sp.lambda_sym), eig_map(sp.lambda_anti)) for sp in desc.spectra]
-    )
-    return (maps @ ops.reshape(-1, 4, 1)).reshape(ops.shape)
-
-
-def site_pseudo_inverse(desc: ChannelDescriptor, ops: np.ndarray) -> np.ndarray:
-    """The (n, 2, 2) factors B_j = M_j^+(a_j) of M^+ of a product operator
-    (x)_j a_j, given as its (n, 2, 2) factors, under a channel of one qubit
-    factor per site: M^+ of a product is the product of the sites' inverses."""
-    return _map_site_operators(desc, ops, _inverse_eigenvalue)
 
 
 def apply_channel(desc: ChannelDescriptor, a) -> np.ndarray:
@@ -356,19 +352,15 @@ def has_invisible_part(desc: ChannelDescriptor, observable):
 
     A Pauli string is invisible as a whole when its M^-1 eigenvalue is 0.  A
     dense A has an invisible part when ||A - visible_projector(A)||_2 exceeds
-    1e-10 max(1, ||A||_2).  Under a channel of qubit factors, a basis
-    projector, a product of nonzero |b_j><b_j|, has one exactly when some
-    site's |b_j><b_j| has one, which that rule decides site by site; under
-    one factor of several qubits it is dense.
+    1e-10 max(1, ||A||_2).  A basis projector, a product over the factors of
+    I/k plus a nonzero symmetric traceless part, has one exactly when some
+    factor's lambda_sym is 0.
     """
     if isinstance(observable, PauliString):
         return pauli_string_inverse_eigenvalue(desc, observable) == 0.0
     if isinstance(observable, BasisProjector):
-        if desc.qubit_factors:
-            ops = observable.site_operators()
-            hidden = norm2(ops - _map_site_operators(desc, ops, _indicator))
-            return bool(np.any(hidden > 1e-10 * np.maximum(1.0, norm2(ops))))
-        observable = observable.to_matrix()
+        _qubits_per_factor(desc, observable)
+        return not all(_indicator(sp.lambda_sym) for sp in desc.spectra)
     m = as_operators(observable)
     flags = norm2(m - visible_projector(desc, m)) > 1e-10 * np.maximum(1.0, norm2(m))
     return flags if flags.ndim else bool(flags)

@@ -205,11 +205,11 @@ def cmd_validate_variance(args: argparse.Namespace) -> int:
     ok = pinned_real == 2.0 and pinned_unitary == 3.0
     psi = haar_state_vector(RngStream(args.seed, (10,)), args.d)[:, None]
     a = random_symmetric_observable(RngStream(args.seed, (11,)), args.d)
-    # The local sites also estimate a basis projector, predicted site by site.
+    # Each ensemble also estimates a basis projector from the same records.
     index = int(RngStream(args.seed, (13,)).generator.integers(args.d))
-    projector = BasisProjector.from_index(index, n)
+    observables = [a, BasisProjector.from_index(index, n)]
     specs = [global_ensemble(g, basis_from_tag("computational", n)) for g in groups] + [local]
-    for spec, observables in zip(specs, [[a], [a], [a, projector]]):
+    for spec in specs:
         records = collect_records(RngStream(args.seed, (12,)), psi, spec, args.shots)
         for observable, values in zip(observables, per_shot_table(records, observables)):
             predicted = predict_variance(spec, observable, psi)

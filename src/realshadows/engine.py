@@ -29,7 +29,7 @@ from .channels import (
     has_invisible_part,
     invert,
     pauli_string_inverse_eigenvalue,
-    site_pseudo_inverse,
+    projector_inverse,
 )
 from .linalg import (
     batched_kron,
@@ -258,14 +258,15 @@ def per_shot_table(records: ShadowRecords, observables) -> np.ndarray:
     matrix, or a (B, d, d) stack of them or its `InvertedObservable`, which
     fills B rows.  A Pauli string c P takes one rule in every ensemble:
     o_s = mu c <v_s|P|v_s> from `PauliString.expectations`, with mu its M^-1
-    eigenvalue, and zeros when mu = 0.  Under a channel of qubit factors a
-    basis projector is inverted site by site, and o_s = prod_j <v_j|B_j|v_j>
-    is read from the per-qubit vectors in O(n); under one factor of several
-    qubits it is dense.  A dense stack contracts its pseudo-inverses against
-    the full measured vectors, one batched product per chunk.  Real records
-    take the real part of each operator, which is exact for real v, and a
-    real operator reads complex v as the rows Re v and Im v, whose two
-    estimates add up to o_s, so it is contracted in real arithmetic either way.
+    eigenvalue, and zeros when mu = 0.  A basis projector takes its closed
+    form in every channel, one diagonal D_f per factor (`projector_inverse`),
+    and o_s = prod_f sum_r D_f[r] |v_f[r]|^2 is read from the records, in
+    O(d) per shot under one factor and O(n) under qubit factors.  A dense
+    stack contracts its pseudo-inverses against the full measured vectors,
+    one batched product per chunk.  Real records take the real part of each
+    operator, which is exact for real v, and a real operator reads complex v
+    as the rows Re v and Im v, whose two estimates add up to o_s, so it is
+    contracted in real arithmetic either way.
     """
     spec = records.spec
     desc = channel_for(spec)
@@ -281,9 +282,11 @@ def per_shot_table(records: ShadowRecords, observables) -> np.ndarray:
             chunk = chunk_items(48 * spec.d)
             kernel = _pauli_kernel(o, mu)
         elif isinstance(o, BasisProjector):
-            # Each qubit's |v_j[r]|^2, their parts and <v_j|B_j|v_j>: 56 n bytes per shot.
-            chunk = chunk_items(56 * spec.n)
-            kernel = _projector_kernel(spec.n, site_pseudo_inverse(desc, o.site_operators()))
+            diagonals = projector_inverse(desc, o)
+            # Each entry's |v_f[r]|^2 and its parts, and each factor's sum:
+            # 28 bytes per entry of a shot at most.
+            chunk = chunk_items(28 * diagonals.size)
+            kernel = _projector_kernel(diagonals)
         else:
             stack = o.inverse.reshape(height, spec.d, spec.d)
             if not np.iscomplexobj(records.vectors):
@@ -302,29 +305,20 @@ def _is_product(o) -> bool:
     return isinstance(o, (PauliString, BasisProjector))
 
 
-def _dense_unless_sites(desc: ChannelDescriptor, o):
-    """A basis projector as its dense matrix under one factor of several
-    qubits, where it cannot be worked site by site; anything else as it is."""
-    return o.to_matrix() if isinstance(o, BasisProjector) and not desc.qubit_factors else o
-
-
 def _operand(desc: ChannelDescriptor, o):
     """An observable as `per_shot_table` and `run_experiment` use it: a
     product as it is, and anything else as its pseudo-inverse."""
-    o = _dense_unless_sites(desc, o)
     return o if _is_product(o) else invert(desc, o)
 
 
-def _projector_kernel(n: int, inverses: np.ndarray):
-    """o_s = prod_j <v_j|B_j|v_j> of (S, n, 2) per-qubit vectors, or of
-    (S, 2) ones at n = 1, for a basis projector's (n, 2, 2) site inverses
-    B_j.  Each B_j is diagonal, since a site's M^+ keeps a diagonal operator
-    diagonal, so <v_j|B_j|v_j> = sum_r B_j[r, r] |v_j[r]|^2."""
-    diagonals = np.diagonal(inverses, axis1=1, axis2=2)
+def _projector_kernel(diagonals: np.ndarray):
+    """o_s = prod_f sum_r D_f[r] |v_f[r]|^2 for a basis projector's (F, k)
+    diagonals D_f, with the records viewed as (S, F, k): (S, 1, d) under a
+    global ensemble and (S, n, 2) under a local one."""
 
     def kernel(v):
-        v = v.reshape(len(v), n, 2)
-        return np.einsum("sjr,jr->sj", v.real**2 + v.imag**2, diagonals).prod(axis=1)
+        v = v.reshape(len(v), *diagonals.shape)
+        return np.einsum("sfr,fr->sf", v.real**2 + v.imag**2, diagonals).prod(axis=1)
 
     return kernel
 
@@ -662,17 +656,15 @@ def write_reports_csv(path: str, reports: list[EstimateReport]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _operand_blocks(config: ExperimentConfig, desc: ChannelDescriptor):
+def _operand_blocks(config: ExperimentConfig):
     """Yield (ids, operand) over a config's observables in config order: each
-    Pauli string alone, and so each basis projector under a channel of qubit
-    factors, and dense observables built as needed (a projector under one
-    factor of several qubits among them) and stacked in blocks of
-    consecutive ones of one dtype (a real A stays real), so that a block's
-    checks, pseudo-inverses and predictions take one pass."""
+    Pauli string and each basis projector alone, and dense observables built
+    as needed and stacked in blocks of consecutive ones of one dtype (a real
+    A stays real), so that a block's checks, pseudo-inverses and predictions
+    take one pass."""
     block = []
     for obs in config.observables:
         oid, op = build_observable(obs, config.n)
-        op = _dense_unless_sites(desc, op)
         if _is_product(op):
             if block:
                 yield _stacked(block)
@@ -699,8 +691,8 @@ def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
     """Run the full pipeline; deterministic given (seed, config).
 
     All observables are estimated from one shared record set, and each stage
-    is one pass over them: Pauli strings keep their closed forms, basis
-    projectors under a local ensemble their per-site forms, and dense
+    is one pass over them: Pauli strings and basis projectors keep their
+    closed forms, and dense
     observables come in the blocks of `_operand_blocks`, each with one
     visibility check, one pseudo-inverse and, under a global ensemble, one
     variance prediction.  Before any shot is drawn, every variance is
@@ -722,7 +714,7 @@ def run_experiment(config: ExperimentConfig) -> list[EstimateReport]:
     desc = channel_for(spec)
     operands, rows = [], []  # rows: (id, flag, prediction) per table row
     # A dense block's working arrays fit in one CHUNK_BYTES; only its inverses are kept.
-    for ids, obs in _operand_blocks(config, desc):
+    for ids, obs in _operand_blocks(config):
         flags = has_invisible_part(desc, obs)
         obs = _operand(desc, obs)  # one pseudo-inverse for the predictions and the estimates
         predicted = predict_variance(spec, obs, factor)

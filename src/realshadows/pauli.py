@@ -130,6 +130,8 @@ class BasisProjector:
 
     @classmethod
     def from_index(cls, index: int, n: int) -> "BasisProjector":
+        if not 0 <= index < 2**n:
+            raise ValueError(f"basis index {index} is outside [0, 2^{n})")
         return cls(tuple((index >> (n - 1 - j)) & 1 for j in range(n)))
 
     @property
@@ -139,12 +141,6 @@ class BasisProjector:
     @property
     def index(self) -> int:
         return sum(bit << (self.n - 1 - j) for j, bit in enumerate(self.bits))
-
-    def site_operators(self) -> np.ndarray:
-        """The (n, 2, 2) float64 factors |b_j><b_j|, one per qubit."""
-        ops = np.zeros((self.n, 2, 2))
-        ops[np.arange(self.n), self.bits, self.bits] = 1.0
-        return ops
 
     def to_matrix(self) -> np.ndarray:
         """The dense d x d projector, float64."""

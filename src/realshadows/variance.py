@@ -15,8 +15,10 @@ E[<v|P|v>^2] = Tr[P M(P)]/d = lambda = 1/mu, so
 which is 0 when mu = 0 (P is invisible) or P is the identity.  Any other
 observable takes a sum: global ensembles sum the Brauer trace words of the
 k = 3 twirl, and local ones average over the single-qubit Clifford
-measurements, a finite sum over product stabilizer states, which factorises
-over the sites of a basis projector.
+measurements, a finite sum over product stabilizer states.  A basis
+projector takes the closed form of its inverse, a product of one diagonal
+per factor: the words of its diagonal A~ under a global ensemble, and under
+a local one the cubature, which factorises over its sites.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .channels import (
     invert,
     map_sites,
     pauli_string_inverse_eigenvalue,
+    projector_inverse,
     pseudo_inverse,
-    site_pseudo_inverse,
     stabilizer_points,
 )
 from .commutant import enumerate_pairings, twirl_coefficients
@@ -223,10 +225,10 @@ def _product_traces(factor: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return np.einsum("mdr,dr->m", image.reshape(-1, *factor.shape), factor.conj()).real
 
 
-def _predict_sites(spec: EnsembleSpec, inverses: np.ndarray, factor: np.ndarray) -> float:
-    """Exact Var[o] under a local ensemble of a product observable, from its
-    (n, 2, 2) site inverses B_j: o = prod_j <v_j|B_j|v_j> on the measured
-    product state.
+def _predict_sites(spec: EnsembleSpec, diagonals: np.ndarray, factor: np.ndarray) -> float:
+    """Exact Var[o] under a local ensemble of a basis projector, from the
+    (n, 2) diagonals of its site inverses B_j = diag(D_j):
+    o = prod_j <v_j|B_j|v_j> on the measured product state.
 
     The local cubature factorises over the sites of a product: with the
     site's `stabilizer_points` phi, each of weight 2/K_j,
@@ -237,7 +239,8 @@ def _predict_sites(spec: EnsembleSpec, inverses: np.ndarray, factor: np.ndarray)
     for group in set(spec.groups):
         sites = [j for j, g in enumerate(spec.groups) if g == group]
         points = stabilizer_points(group)
-        values = (inverses[sites].reshape(len(sites), 4) @ points.T).real  # <phi|B_j|phi>
+        # <phi|B_j|phi> from the diagonal entries |phi_0|^2 and |phi_1|^2.
+        values = diagonals[sites] @ points[:, ::3].real.T
         # points[i] holds conj(phi_r) phi_c at (r, c): the transpose of |phi><phi|.
         sums = np.einsum("ksi,icr->ksrc", [values, values**2], points.reshape(-1, 2, 2))
         ops[:, sites] = 2.0 / len(points) * sums
@@ -257,9 +260,11 @@ def predict_variance(spec: EnsembleSpec, observable, factor):
     Dense observables sum the Brauer words under a global ensemble, a whole
     stack in one walk, and under a local one the single-qubit Clifford
     cubature, which raises ResourceLimitError when `check_local_cubature`
-    refuses its size.  A basis projector is dense under a global ensemble;
-    under a local one the cubature factorises over its sites
-    (`_predict_sites`), in O(n d r) with no size limit.
+    refuses its size.  A basis projector takes its diagonal inverse
+    (`projector_inverse`): under a global ensemble the words of
+    A~ = diag(D - 1/d), as Tr M^+(|b><b|) = 1, and under a local one the
+    cubature factorised over its sites (`_predict_sites`), in O(n d r) with
+    no size limit.
     """
     factor = check_factor(factor, spec.d)
     if isinstance(observable, PauliString):
@@ -270,15 +275,16 @@ def predict_variance(spec: EnsembleSpec, observable, factor):
         mean = observable.expectations(factor.T).sum()
         return float(observable.coefficient**2 * mu - mean**2)
     desc = channel_for(spec)
-    if spec.scope == "global":
-        if isinstance(observable, BasisProjector):
-            observable = observable.to_matrix()
+    if isinstance(observable, BasisProjector):
+        diagonals = projector_inverse(desc, observable)
+        if spec.scope == "local":
+            variances = _predict_sites(spec, diagonals, factor)
+        else:
+            variances = _predict_global(spec, np.diag(diagonals[0] - 1.0 / spec.d), factor)
+    elif spec.scope == "global":
         inverted = invert(desc, observable)
         tilde = _subtract_trace(inverted.inverse.copy(), inverted.trace)
         variances = _predict_global(spec, tilde, factor)
-    elif isinstance(observable, BasisProjector):
-        inverses = site_pseudo_inverse(desc, observable.site_operators())
-        variances = _predict_sites(spec, inverses, factor)
     else:
         variances = _predict_local(spec, invert(desc, observable).inverse, factor)
     return variances if variances.ndim else float(variances)

@@ -1,8 +1,11 @@
-"""Basis projectors under local ensembles, worked site by site, against the
-dense paths that they bypass: estimates, exact variance and visibility."""
+"""Basis projectors in their closed form, one diagonal per channel factor,
+against the dense paths that they bypass: inverse, estimates, exact variance
+and visibility, under global and local ensembles."""
 
+import importlib.util
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,14 +20,14 @@ from realshadows.channels import (
     invert,
     local_ensemble,
     orthogonal_spectrum,
+    projector_inverse,
     pseudo_inverse,
-    site_pseudo_inverse,
     unitary_spectrum,
 )
 from realshadows.cli import main
 from realshadows.engine import ExperimentConfig, collect_records, per_shot_table, run_experiment
 from realshadows.linalg import kron
-from realshadows.pauli import BasisProjector
+from realshadows.pauli import BasisProjector, PauliString
 from realshadows.sampling import RngStream, haar_state_vector
 from realshadows.variance import predict_variance
 
@@ -50,25 +53,6 @@ def _factor(rank: str, d: int, seed: int) -> np.ndarray:
 
 def _close(x, y, tol=1e-12):
     return np.all(np.abs(np.asarray(x) - np.asarray(y)) <= tol * (1.0 + np.abs(np.asarray(y))))
-
-
-def test_site_pseudo_inverse_is_the_dense_one_site_by_site():
-    for pattern in PATTERNS.values():
-        for n in (1, 2, 3):
-            desc = channel_for(local_ensemble(pattern(n), n))
-            for index in range(2**n):
-                p = BasisProjector.from_index(index, n)
-                sites = site_pseudo_inverse(desc, p.site_operators())
-                assert _close(kron(*sites), pseudo_inverse(desc, p.to_matrix()))
-
-
-def test_site_pseudo_inverse_needs_one_qubit_factor_per_operator():
-    p = BasisProjector.from_index(1, 2)
-    with pytest.raises(ValueError, match="qubit factor"):
-        site_pseudo_inverse(channel_for(local_ensemble("unitary", 3)), p.site_operators())
-    with pytest.raises(ValueError, match="qubit factor"):
-        global_desc = channel_for(global_ensemble("unitary", basis_from_tag("computational", 2)))
-        site_pseudo_inverse(global_desc, p.site_operators())
 
 
 @pytest.mark.parametrize("budget", [1 << 20, 4096, 1])
@@ -114,6 +98,50 @@ def _descriptors():
     yield ChannelDescriptor(4, (orthogonal_spectrum(2, 0.0), unitary_spectrum(2)))
 
 
+def test_projector_inverse_is_the_dense_pseudo_inverse():
+    for desc in _descriptors():
+        n = desc.d.bit_length() - 1
+        for index in range(desc.d):
+            p = BasisProjector.from_index(index, n)
+            diagonals = projector_inverse(desc, p)
+            assert diagonals.shape == (len(desc.spectra), desc.d // len(desc.spectra))
+            closed = kron(*(np.diag(row) for row in diagonals))
+            assert _close(closed, pseudo_inverse(desc, p.to_matrix())), (desc, index)
+
+
+def test_projector_inverse_refuses_a_wrong_qubit_count():
+    p = BasisProjector.from_index(1, 2)
+    sh = basis_from_tag("sh", 3)
+    for spec in (local_ensemble("unitary", 3), global_ensemble("unitary", sh)):
+        with pytest.raises(ValueError, match="qubit count"):
+            projector_inverse(channel_for(spec), p)
+        with pytest.raises(ValueError, match="qubit count"):
+            has_invisible_part(channel_for(spec), p)
+
+
+def _global_specs():
+    for n in (1, 2, 3):
+        for group in ("orthogonal", "unitary"):
+            for tag in ("computational", "sh", "random:3"):
+                yield global_ensemble(group, basis_from_tag(tag, n))
+
+
+@pytest.mark.parametrize("rank", ["pure", "rank2", "full"])
+def test_global_projector_matches_the_dense_path(rank):
+    # Per-shot rows and exact variance of every projector under one factor,
+    # in real and complex bases, against its dense InvertedObservable.
+    for spec in _global_specs():
+        n, d = spec.n, spec.d
+        desc = channel_for(spec)
+        factor = _factor(rank, d, 40 + n)
+        records = collect_records(RngStream(50 + n), factor, spec, 60)
+        projectors = [BasisProjector.from_index(i, n) for i in range(d)]
+        dense = invert(desc, np.stack([p.to_matrix() for p in projectors]))
+        assert _close(per_shot_table(records, projectors), per_shot_table(records, [dense]))
+        closed = [predict_variance(spec, p, factor) for p in projectors]
+        assert _close(closed, predict_variance(spec, dense, factor)), (spec.label(), rank)
+
+
 def test_per_site_flag_matches_the_dense_flag():
     flags = set()
     for desc in _descriptors():
@@ -137,7 +165,12 @@ def _local_config(n, observables, shots=200):
     }
 
 
-def test_product_only_local_run_takes_no_dense_path(monkeypatch):
+@pytest.mark.parametrize(
+    "ensemble",
+    [None, {"scope": "global", "groups": ["orthogonal"], "basis": "computational"}],
+    ids=["local-OU", "global-O-computational"],
+)
+def test_product_only_local_run_takes_no_dense_path(monkeypatch, ensemble):
     def refuse(name):
         def call(*args, **kwargs):
             raise AssertionError(f"{name} was called")
@@ -149,6 +182,8 @@ def test_product_only_local_run_takes_no_dense_path(monkeypatch):
         (variance, "_predict_local"),
         (channels, "pseudo_inverse"),
         (channels, "visible_projector"),
+        (BasisProjector, "to_matrix"),
+        (PauliString, "to_matrix"),
     ]:
         monkeypatch.setattr(module, name, refuse(name))
     observables = [
@@ -156,7 +191,11 @@ def test_product_only_local_run_takes_no_dense_path(monkeypatch):
         {"kind": "basis_projector", "index": 3},
         {"kind": "basis_projector", "index": 12},
     ]
-    reports = run_experiment(ExperimentConfig.from_dict(_local_config(4, observables)))
+    cfg = _local_config(4, observables)
+    if ensemble is not None:
+        # ZXIY has one Y, which global O(d) in a real basis cannot see.
+        cfg.update(ensemble=ensemble, allow_bias=True)
+    reports = run_experiment(ExperimentConfig.from_dict(cfg))
     assert [r.observable_id for r in reports] == ["ZXIY", "projector:3", "projector:12"]
 
 
@@ -169,9 +208,10 @@ def test_product_only_local_run_takes_no_dense_path(monkeypatch):
     ids=["O-computational", "U-sh"],
 )
 def test_global_projector_run_is_the_dense_matrix_run(tmp_path, ensemble):
-    # Under one factor of several qubits the projector is the dense matrix
-    # that the same config could spell out, stacked into its block of real
-    # dense observables: the CSVs are byte-identical.
+    # Under one factor of several qubits, the projector's closed form and the
+    # dense matrix that the same config could spell out (stacked into its
+    # block of real dense observables) give the same CSV by the artifact
+    # check's rule: text cells exactly, numbers within 1e-12 (1 + |x|).
     n, index = 3, 5
     matrix = BasisProjector.from_index(index, n).to_matrix()
     csvs = []
@@ -196,8 +236,12 @@ def test_global_projector_run_is_the_dense_matrix_run(tmp_path, ensemble):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(cfg))
         assert main(["estimate", "--config", str(path)]) == 0
-        csvs.append((tmp_path / f"{name}.csv").read_bytes())
-    assert csvs[0] == csvs[1]
+        csvs.append((tmp_path / f"{name}.csv").read_text())
+    path = Path(__file__).resolve().parent.parent / "scripts" / "check_artifacts.py"
+    spec = importlib.util.spec_from_file_location("check_artifacts", path)
+    check_artifacts = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check_artifacts)
+    assert check_artifacts._mismatches(*csvs) == []
 
 
 def test_local_projector_run_past_the_cubature_limit():

@@ -577,8 +577,13 @@ class TestValidators:
         monkeypatch.setattr(cli, "predict_variance", high)
         assert main(["validate-variance", "--d", "4", "--shots", "100000"]) == 1
         out = capsys.readouterr().out
-        (failed,) = [line for line in out.split("\n") if line.endswith("-> FAIL")]
-        assert failed.startswith("local-orthogonal,unitary(computational) projector:")
+        failed = [line for line in out.split("\n") if line.endswith("-> FAIL")]
+        assert [line.split(": ")[0].split(" ")[-1] for line in failed] == ["projector:2"] * 3
+        assert [line.split(" ")[0] for line in failed] == [
+            "global-orthogonal(computational)",
+            "global-unitary(computational)",
+            "local-orthogonal,unitary(computational)",
+        ]
 
 
 class TestRatioSweep:

@@ -79,6 +79,20 @@ def test_transforms_are_drawn_in_one_place():
         assert "haar_draws" not in _attributes(tree) | _references(tree), name
 
 
+def test_no_module_reads_to_matrix():
+    # Every observable reaches the run and the predictors in closed form or
+    # as its own dense matrix: to_matrix is defined in pauli.py, and no
+    # module of the package reads it, by name, attribute or string.
+    reads, defined = [], []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "to_matrix":
+                defined.append(path.name)
+            elif "to_matrix" in (getattr(node, key, None) for key in ("attr", "id", "value")):
+                reads.append(f"{path.name}:{node.lineno}")
+    assert reads == [] and defined == ["pauli.py", "pauli.py"]
+
+
 def test_cli_reads_no_scope():
     # validate-channel reports the channel: its spectrum whenever it has one
     # factor, and the span{I, Y} note by the channel's zero rule.

@@ -48,8 +48,18 @@ def test_basis_projector_is_the_product_of_its_sites():
             assert p.index == index and p.n == n
             dense = p.to_matrix()
             assert dense.dtype == np.float64 and dense[index, index] == 1.0 and dense.sum() == 1.0
-            assert np.array_equal(kron(*p.site_operators()), dense)
+            sites = np.zeros((n, 2, 2))
+            sites[np.arange(n), p.bits, p.bits] = 1.0
+            assert np.array_equal(kron(*sites), dense)
     assert BasisProjector.from_index(6, 3).bits == (1, 1, 0)  # qubit 0 is the leading bit
+
+
+def test_basis_projector_refuses_an_index_out_of_range():
+    # Past either end an index would otherwise wrap to another projector.
+    for index, n in ((4, 2), (5, 2), (-1, 2), (2, 1), (-8, 3)):
+        with pytest.raises(ValueError, match="outside"):
+            BasisProjector.from_index(index, n)
+    assert BasisProjector.from_index(3, 2).bits == (1, 1)
 
 
 def test_basis_projector_rejects_bad_bits():

@@ -239,7 +239,7 @@ def test_one_pseudo_inverse_per_dense_global_observable(monkeypatch):
     monkeypatch.setattr(channels, "pseudo_inverse", counted)
     observables = [
         {"id": "sym0", "kind": "random_symmetric", "seed": 1},
-        {"id": "proj", "kind": "basis_projector", "index": 3},
+        {"id": "sym1", "kind": "random_symmetric", "seed": 2},
         {"id": "ZZZ", "kind": "pauli", "string": "ZZZ"},
     ]
     ensemble = {"scope": "global", "groups": ["orthogonal"], "basis": "computational"}
