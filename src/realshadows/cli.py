@@ -90,7 +90,10 @@ def _reject_constant(name: str):
 
 def _load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
     with open(path) as fh:
-        raw = json.load(fh, parse_constant=_reject_constant)
+        try:
+            raw = json.load(fh, parse_constant=_reject_constant)
+        except RecursionError:  # nesting deeper than the interpreter's stack
+            raise json.JSONDecodeError("nesting too deep to decode", "", 0) from None
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
     if overrides.seed is not None:

@@ -215,11 +215,10 @@ def _global_vectors(rng: RngStream, factor: np.ndarray, spec: EnsembleSpec, shot
 
 
 def full_vectors(spec: EnsembleSpec, vectors: np.ndarray) -> np.ndarray:
-    """(S, d) measured vectors; local shots join their per-qubit vectors by
-    Kronecker product, qubit 0 leftmost."""
-    if spec.scope == "global":
-        return vectors
-    return batched_kron([vectors[:, j, :, None] for j in range(spec.n)])[:, :, 0]
+    """(S, d) measured vectors: the Kronecker product of each shot's vectors,
+    one per Haar factor, the first leftmost (a view of global records)."""
+    factors = vectors.reshape(len(vectors), len(spec.groups), -1)
+    return batched_kron([factors[:, f, :, None] for f in range(len(spec.groups))])[:, :, 0]
 
 
 def collect_records(rng: RngStream, factor, spec: EnsembleSpec, shots: int) -> ShadowRecords:

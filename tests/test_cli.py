@@ -169,6 +169,14 @@ class TestEstimateCommand:
     def test_missing_config_file_is_io_error(self):
         assert main(["estimate", "--config", "/nonexistent/config.json"]) == 3
 
+    def test_config_nested_too_deep_is_io_error(self, tmp_path, capsys):
+        # json's decoder recurses once per level, so it cannot decode this file.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main(["estimate", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error:") and err.count("\n") == 1
+
     def test_schema_violation_is_usage_error(self, tmp_path):
         cfg = _write_config(tmp_path, {"seed": 1})
         assert main(["estimate", "--config", cfg]) == 2
@@ -180,6 +188,8 @@ class TestEstimateCommand:
             ("n", 0),
             ("epsilon", 0),
             ("ensemble", {"scope": "global", "basis": "bogus"}),
+            ("state", {"kind": "product", "factors": ["q"]}),
+            ("epsilon", True),
         ],
     )
     def test_bad_config_value_is_one_line_usage_error(self, tmp_path, capsys, key, value):
@@ -338,6 +348,7 @@ class TestEstimateCommand:
             (("observables", 0, "coefficient"), "abc"),
             (("observables", 0, "coefficient"), 1e101),
             (("observables", 0, "coefficient"), "1j"),
+            (("observables", 0, "coefficient"), True),
             (("observables", 0, "string"), "XA"),
             (("observables", 0, "id"), "a,b"),
             (("observables", 0, "id"), 'say "b"'),

@@ -138,6 +138,24 @@ class TestSimulateMeasurement:
         with pytest.raises(ValueError, match="do not sum to one"):
             _local_vectors(plus, transforms, np.array([0.5]))
 
+    @pytest.mark.parametrize("excess, refused", [(1e-5, True), (1e-8, False)])
+    def test_probability_sum_tolerance(self, excess, refused):
+        # Both samplers allow 1e-6 of rounding in a shot's total mass: a Born
+        # row summing to 1 + 1e-5, or a factor with ||Psi||^2 = 1 + 1e-5 (past
+        # check_factor), is corruption; 1 + 1e-8 is rounding.
+        row = np.array([[0.25, 0.75 + excess]])
+        factor = np.array([[np.sqrt(1.0 + excess)], [0.0]], dtype=complex)
+        calls = [
+            lambda: _checked(row),
+            lambda: _local_vectors(factor, _one_qubit(H), np.array([0.5])),
+        ]
+        for call in calls:
+            if refused:
+                with pytest.raises(ValueError, match="do not sum to one"):
+                    call()
+            else:
+                call()
+
 
 def _pure_state(seed, d):
     return random_pure_state(RngStream(seed), d)
@@ -934,6 +952,8 @@ class TestConfigAndRun:
         assert "order" in sc["form"] or "O(" in sc["form"]
 
     def test_config_validation_errors(self):
+        with pytest.raises(ConfigError, match="JSON object"):
+            ExperimentConfig.from_dict([{"seed": 1}])
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"seed": 1})
         with pytest.raises(ConfigError):
@@ -971,6 +991,7 @@ class TestConfigAndRun:
             ("shots", True),
             ("batches", "x"),
             ("epsilon", "nan"),
+            ("epsilon", True),
         ],
     )
     def test_bad_values_are_config_errors(self, tmp_path, key, value):

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,6 +96,28 @@ def test_no_module_reads_to_matrix():
     assert reads == [] and defined == ["pauli.py", "pauli.py"]
 
 
+def test_each_module_imports_on_its_own():
+    # Each public name has one import path, its module: the package root
+    # imports nothing, so `import realshadows` loads neither numpy nor a
+    # stage module, and every module imports in a fresh interpreter with no
+    # other module of the package imported before it.
+    root = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert [n for n in ast.walk(root) if isinstance(n, (ast.Import, ast.ImportFrom))] == []
+    modules = [path.stem for path in MODULES if path.name != "__init__.py"]
+    assert len(modules) == 9
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    check_root = (
+        "import sys, realshadows; "
+        "assert not [m for m in sys.modules if m == 'numpy' or m.startswith('realshadows.')]"
+    )
+    for code in [check_root] + [f"import realshadows.{module}" for module in modules]:
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, (code, done.stderr)
+
+
 def test_cli_reads_no_scope():
     # validate-channel reports the channel: its spectrum whenever it has one
     # factor, and the span{I, Y} note by the channel's zero rule.
@@ -119,8 +144,8 @@ def _references(statement: ast.AST) -> set[str]:
 def test_every_public_name_has_a_caller_outside_the_tests():
     # The top-level statements of src/, scripts/ and perfbench/ (the package's
     # __init__.py aside) and the names each reads.  A public function or class
-    # of the package, or a name of __all__, needs one statement other than its
-    # own definition that reads it.
+    # of the package needs one statement other than its own definition that
+    # reads it.
     statements = {
         path: [(node, _references(node)) for node in ast.parse(path.read_text()).body]
         for folder in CALLER_DIRS
@@ -134,12 +159,11 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         for node, _ in statements[path]
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     }
-    public = set(definitions) | set(realshadows.__all__) - {"__version__"}
     unused = [
         name
-        for name in sorted(public)
+        for name in sorted(definitions)
         if not any(
-            name in names and node is not definitions.get(name)
+            name in names and node is not definitions[name]
             for body in statements.values()
             for node, names in body
         )
